@@ -106,7 +106,7 @@ TimelineAnalysis Analyze(const sim::TaskGraph& graph,
   for (std::size_t idx : order) {
     const auto& task = graph.task(static_cast<sim::TaskId>(idx));
     SimTime longest = 0;
-    for (sim::TaskId dep : task.deps) {
+    for (sim::TaskId dep : graph.deps(static_cast<sim::TaskId>(idx))) {
       if (chain[static_cast<std::size_t>(dep)] > longest) {
         longest = chain[static_cast<std::size_t>(dep)];
         via[idx] = dep;

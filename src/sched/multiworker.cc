@@ -33,24 +33,58 @@ class MultiWorkerBuilder {
         cost_(cluster.cost_model()),
         workers_(cluster.world_size),
         num_layers_(model.num_layers()),
-        rng_(options.seed) {}
+        rng_(options.seed),
+        ff_(static_cast<std::size_t>(workers_ * num_layers_)),
+        bp_(ff_.size()),
+        layer_gates_(ff_.size()),
+        global_gates_(static_cast<std::size_t>(workers_)),
+        rs_done_(static_cast<std::size_t>(workers_)) {}
 
   TaskGraph Build() {
-    // gates[w] = per-layer comm gates for worker w's next-iteration FF;
-    // global_gates[w] = whole-model barrier gates.
-    std::vector<std::vector<std::vector<TaskId>>> layer_gates(
-        static_cast<std::size_t>(workers_));
-    std::vector<std::vector<TaskId>> global_gates(
-        static_cast<std::size_t>(workers_));
-    for (auto& g : layer_gates)
-      g.assign(static_cast<std::size_t>(num_layers_), {});
-
+    const auto [tasks, deps] = GraphSize();
+    graph_.Reserve(tasks, deps);
     for (int iter = 0; iter < options_.iterations; ++iter)
-      BuildIteration(iter, layer_gates, global_gates);
+      BuildIteration(iter);
+    DEAR_CHECK(graph_.size() == tasks && graph_.num_deps() == deps);
     return std::move(graph_);
   }
 
  private:
+  struct Size {
+    std::size_t tasks;
+    std::size_t deps;
+  };
+
+  // Exact task and dependency counts, so the graph is allocated once.
+  [[nodiscard]] Size GraphSize() const {
+    const auto& groups = config_.plan.groups();
+    const auto w = static_cast<std::size_t>(workers_);
+    const auto layers = static_cast<std::size_t>(num_layers_);
+    const std::size_t g = groups.size();
+    std::size_t spans = 0;  // (group, gated layer) pairs
+    for (const auto& group : groups)
+      spans += static_cast<std::size_t>(group.last_layer - group.first_layer +
+                                        1);
+    const bool dear = config_.kind == PolicyKind::kDeAR;
+    // Per worker and iteration: FF/BP chains (L-1 + L chain dependencies)
+    // and the communication tasks. Each collective waits on every worker's
+    // BP; DeAR's sync waits on all g*w reduce-scatters, each all-gather on
+    // its worker's sync.
+    const std::size_t tasks = w * (2 * layers + (dear ? 2 * g + 1 : g));
+    const std::size_t deps =
+        w * (2 * layers - 1 + (dear ? 2 * g * w + g : g * w));
+    const std::size_t gate_deps = w * (dear ? spans : g);
+    const auto iters = static_cast<std::size_t>(options_.iterations);
+    return {iters * tasks, iters * deps + (iters - 1) * gate_deps};
+  }
+
+  // Index into the per-worker x per-layer tables.
+  [[nodiscard]] std::size_t Slot(int w, int l) const {
+    return static_cast<std::size_t>(w) *
+               static_cast<std::size_t>(num_layers_) +
+           static_cast<std::size_t>(l);
+  }
+
   SimTime Jittered(SimTime base) {
     if (options_.jitter_sigma <= 0.0) return base;
     const double scale =
@@ -58,15 +92,18 @@ class MultiWorkerBuilder {
     return static_cast<SimTime>(static_cast<double>(base) * scale);
   }
 
-  void BuildIteration(
-      int iter, std::vector<std::vector<std::vector<TaskId>>>& layer_gates,
-      std::vector<std::vector<TaskId>>& global_gates) {
-    // Per-worker FF and BP chains.
-    std::vector<std::vector<TaskId>> ff(static_cast<std::size_t>(workers_)),
-        bp(static_cast<std::size_t>(workers_));
+  // Adds `t` with the dependencies collected in deps_, then empties deps_.
+  TaskId Add(const Task& t) {
+    const TaskId id = graph_.Add(t, deps_);
+    deps_.clear();
+    return id;
+  }
+
+  void BuildIteration(int iter) {
+    // Per-worker FF and BP chains; FF consumes the gates the previous
+    // iteration's communication recorded, which are then cleared for this
+    // iteration's communication to refill.
     for (int w = 0; w < workers_; ++w) {
-      auto& wff = ff[static_cast<std::size_t>(w)];
-      wff.resize(static_cast<std::size_t>(num_layers_));
       for (int l = 0; l < num_layers_; ++l) {
         Task t;
         t.kind = TaskKind::kForward;
@@ -74,18 +111,15 @@ class MultiWorkerBuilder {
         t.duration = Jittered(model_.layer(l).ff_time);
         t.iteration = iter;
         t.layer = l;
-        if (l > 0) t.deps.push_back(wff[static_cast<std::size_t>(l - 1)]);
+        if (l > 0) deps_.push_back(ff_[Slot(w, l - 1)]);
         if (l == 0) {
-          auto& gg = global_gates[static_cast<std::size_t>(w)];
-          t.deps.insert(t.deps.end(), gg.begin(), gg.end());
+          const auto& gg = global_gates_[static_cast<std::size_t>(w)];
+          deps_.insert(deps_.end(), gg.begin(), gg.end());
         }
-        auto& lg = layer_gates[static_cast<std::size_t>(w)]
-                              [static_cast<std::size_t>(l)];
-        t.deps.insert(t.deps.end(), lg.begin(), lg.end());
-        wff[static_cast<std::size_t>(l)] = graph_.Add(std::move(t));
+        const auto& lg = layer_gates_[Slot(w, l)];
+        deps_.insert(deps_.end(), lg.begin(), lg.end());
+        ff_[Slot(w, l)] = Add(t);
       }
-      auto& wbp = bp[static_cast<std::size_t>(w)];
-      wbp.resize(static_cast<std::size_t>(num_layers_));
       for (int l = num_layers_ - 1; l >= 0; --l) {
         Task t;
         t.kind = TaskKind::kBackward;
@@ -93,27 +127,25 @@ class MultiWorkerBuilder {
         t.duration = Jittered(model_.layer(l).bp_time);
         t.iteration = iter;
         t.layer = l;
-        t.deps.push_back(l == num_layers_ - 1
-                             ? wff[static_cast<std::size_t>(l)]
-                             : wbp[static_cast<std::size_t>(l + 1)]);
-        wbp[static_cast<std::size_t>(l)] = graph_.Add(std::move(t));
+        deps_.push_back(l == num_layers_ - 1 ? ff_[Slot(w, l)]
+                                             : bp_[Slot(w, l + 1)]);
+        bp_[Slot(w, l)] = Add(t);
       }
-      global_gates[static_cast<std::size_t>(w)].clear();
-      for (auto& lg : layer_gates[static_cast<std::size_t>(w)]) lg.clear();
+      global_gates_[static_cast<std::size_t>(w)].clear();
+      for (int l = 0; l < num_layers_; ++l) layer_gates_[Slot(w, l)].clear();
     }
 
     if (config_.kind == PolicyKind::kDeAR) {
-      BuildDeARComm(iter, bp, layer_gates);
+      BuildDeARComm(iter);
     } else {
-      BuildBarrierComm(iter, bp, global_gates);
+      BuildBarrierComm(iter);
     }
   }
 
   // WFBP family: all-reduce per group; each worker's task starts once every
   // worker's gating BP finished (the collective's entry barrier) and gates
   // that worker's next FF_0.
-  void BuildBarrierComm(int iter, const std::vector<std::vector<TaskId>>& bp,
-                        std::vector<std::vector<TaskId>>& global_gates) {
+  void BuildBarrierComm(int iter) {
     const bool overlap_bp = config_.kind != PolicyKind::kSequential;
     const bool negotiate = config_.kind == PolicyKind::kHorovod &&
                            config_.charge_negotiation;
@@ -129,22 +161,17 @@ class MultiWorkerBuilder {
         t.iteration = iter;
         t.group = static_cast<int>(g);
         for (int peer = 0; peer < workers_; ++peer)
-          t.deps.push_back(bp[static_cast<std::size_t>(peer)]
-                             [static_cast<std::size_t>(ready_layer)]);
-        global_gates[static_cast<std::size_t>(w)].push_back(
-            graph_.Add(std::move(t)));
+          deps_.push_back(bp_[Slot(peer, ready_layer)]);
+        global_gates_[static_cast<std::size_t>(w)].push_back(Add(t));
       }
     }
   }
 
-  void BuildDeARComm(
-      int iter, const std::vector<std::vector<TaskId>>& bp,
-      std::vector<std::vector<std::vector<TaskId>>>& layer_gates) {
+  void BuildDeARComm(int iter) {
     const auto& groups = config_.plan.groups();
     // OP1: per-worker reduce-scatter tasks, entry-synchronized on all
     // workers' producing BP.
-    std::vector<TaskId> all_rs;
-    std::vector<std::vector<TaskId>> rs(static_cast<std::size_t>(workers_));
+    all_rs_.clear();
     for (std::size_t g = 0; g < groups.size(); ++g) {
       for (int w = 0; w < workers_; ++w) {
         Task t;
@@ -154,25 +181,19 @@ class MultiWorkerBuilder {
         t.iteration = iter;
         t.group = static_cast<int>(g);
         for (int peer = 0; peer < workers_; ++peer)
-          t.deps.push_back(
-              bp[static_cast<std::size_t>(peer)]
-                [static_cast<std::size_t>(groups[g].first_layer)]);
-        const TaskId id = graph_.Add(std::move(t));
-        rs[static_cast<std::size_t>(w)].push_back(id);
-        all_rs.push_back(id);
+          deps_.push_back(bp_[Slot(peer, groups[g].first_layer)]);
+        all_rs_.push_back(Add(t));
       }
     }
     // OP1 synchronization point (paper §III-B): one zero-duration task per
     // worker depending on every reduce-scatter everywhere.
-    std::vector<TaskId> rs_done(static_cast<std::size_t>(workers_));
     for (int w = 0; w < workers_; ++w) {
       Task t;
       t.kind = TaskKind::kSync;
       t.stream = CommStream(w);
       t.duration = 0;
       t.iteration = iter;
-      t.deps = all_rs;
-      rs_done[static_cast<std::size_t>(w)] = graph_.Add(std::move(t));
+      rs_done_[static_cast<std::size_t>(w)] = graph_.Add(t, all_rs_);
     }
     // OP2: all-gathers in FF order on each worker, gating its own FF.
     for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -183,11 +204,10 @@ class MultiWorkerBuilder {
         t.duration = cost_.AllGather(groups[g].bytes);
         t.iteration = iter;
         t.group = static_cast<int>(g);
-        t.deps.push_back(rs_done[static_cast<std::size_t>(w)]);
-        const TaskId id = graph_.Add(std::move(t));
+        deps_.push_back(rs_done_[static_cast<std::size_t>(w)]);
+        const TaskId id = Add(t);
         for (int l = groups[g].first_layer; l <= groups[g].last_layer; ++l)
-          layer_gates[static_cast<std::size_t>(w)]
-                     [static_cast<std::size_t>(l)].push_back(id);
+          layer_gates_[Slot(w, l)].push_back(id);
       }
     }
   }
@@ -200,6 +220,15 @@ class MultiWorkerBuilder {
   int num_layers_;
   Rng rng_;
   TaskGraph graph_;
+  // Scratch reused across iterations.
+  std::vector<TaskId> ff_, bp_;  // [w * layers + l]: this iteration's task
+  // Gates for each worker's next-iteration FF: per layer ([w * layers + l])
+  // and whole-model (FF_0, per worker).
+  std::vector<std::vector<TaskId>> layer_gates_;
+  std::vector<std::vector<TaskId>> global_gates_;
+  std::vector<TaskId> all_rs_;   // this iteration's reduce-scatters
+  std::vector<TaskId> rs_done_;  // per worker: this iteration's OP1 sync
+  std::vector<TaskId> deps_;     // dependencies of the task being added
 };
 
 }  // namespace

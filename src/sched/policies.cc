@@ -28,8 +28,11 @@ using sim::TaskGraph;
 using sim::TaskId;
 using sim::TaskKind;
 
-// Gates carried from iteration i's communication into iteration i+1's
-// feed-forward: per-layer dependency lists (empty list = no gate).
+// Communication tasks of one iteration that gate the next iteration's
+// compute: per-layer dependency lists (empty list = no gate). One instance
+// is recycled across iterations: an iteration reads its predecessor's gates
+// while it builds FF and BP, then clears them (keeping their capacity)
+// before its communication tasks record the gates for the next one.
 struct CommGates {
   // FF_l of the next iteration must wait for these tasks.
   std::vector<std::vector<TaskId>> per_layer;
@@ -42,6 +45,12 @@ struct CommGates {
   explicit CommGates(int num_layers)
       : per_layer(static_cast<std::size_t>(num_layers)),
         per_layer_bp(static_cast<std::size_t>(num_layers)) {}
+
+  void Clear() {
+    for (auto& g : per_layer) g.clear();
+    for (auto& g : per_layer_bp) g.clear();
+    global.clear();
+  }
 };
 
 class GraphBuilder {
@@ -52,12 +61,17 @@ class GraphBuilder {
         cluster_(cluster),
         config_(config),
         cost_(cluster.cost_model()),
-        num_layers_(model.num_layers()) {}
+        num_layers_(model.num_layers()),
+        ff_(static_cast<std::size_t>(num_layers_)),
+        bp_(static_cast<std::size_t>(num_layers_)),
+        gates_(num_layers_) {}
 
   BuiltGraph Build(int iterations) {
+    const auto [tasks, deps] = GraphSize(iterations);
+    graph_.Reserve(tasks, deps);
+    for (int i = 0; i < iterations; ++i) BuildIteration(i);
+    DEAR_CHECK(graph_.size() == tasks && graph_.num_deps() == deps);
     BuiltGraph out;
-    CommGates gates(num_layers_);
-    for (int i = 0; i < iterations; ++i) gates = BuildIteration(i, gates);
     out.graph = std::move(graph_);
     out.stream_policies = {sim::StreamPolicy::kFifoByReady,
                            config_.kind == PolicyKind::kByteScheduler
@@ -68,12 +82,64 @@ class GraphBuilder {
   }
 
  private:
+  struct Size {
+    std::size_t tasks;
+    std::size_t deps;
+  };
+
+  // Exact task and dependency counts of `iterations` iterations, so the
+  // graph is allocated once.
+  [[nodiscard]] Size GraphSize(int iterations) const {
+    const auto& groups = config_.plan.groups();
+    const std::size_t layers = static_cast<std::size_t>(num_layers_);
+    const std::size_t g = groups.size();
+    std::size_t spans = 0;  // (group, gated layer) pairs
+    for (const auto& group : groups)
+      spans += static_cast<std::size_t>(group.last_layer - group.first_layer +
+                                        1);
+    // Per iteration: communication tasks, their dependencies, and the
+    // gates they hand to the next iteration's FF/BP.
+    std::size_t comm_tasks = g, comm_deps = g, gate_deps = g;
+    switch (config_.kind) {
+      case PolicyKind::kByteScheduler: {
+        std::size_t chunks = 0;
+        for (int ti = 0; ti < model_.num_tensors(); ++ti)
+          chunks += Chunks(model_.tensor(ti).bytes());
+        comm_tasks = comm_deps = gate_deps = chunks;
+        break;
+      }
+      case PolicyKind::kDeAR:
+        comm_tasks = 2 * g + (config_.dear_op1_barrier ? 1 : 0);
+        comm_deps = (config_.dear_op1_barrier ? 3 : 2) * g;
+        gate_deps = spans;
+        break;
+      case PolicyKind::kZeRO:
+        comm_tasks = 3 * g + 1;
+        comm_deps = 4 * g;
+        gate_deps = 2 * spans;
+        break;
+      default:
+        break;
+    }
+    const auto iters = static_cast<std::size_t>(iterations);
+    // FF and BP chains: 2L tasks, L-1 + L chain dependencies.
+    const std::size_t chain_deps = layers > 0 ? 2 * layers - 1 : 0;
+    return {iters * (2 * layers + comm_tasks),
+            iters * (chain_deps + comm_deps) + (iters - 1) * gate_deps};
+  }
+
+  // Adds `t` with the dependencies collected in deps_, then empties deps_.
+  TaskId Add(const Task& t) {
+    const TaskId id = graph_.Add(t, deps_);
+    deps_.clear();
+    return id;
+  }
+
   // Builds FF + BP chains and the policy's communication tasks for
   // iteration `iter`, consuming the previous iteration's gates and
-  // returning the gates for the next one.
-  CommGates BuildIteration(int iter, const CommGates& prev) {
+  // recording the gates for the next one.
+  void BuildIteration(int iter) {
     // Feed-forward chain, gated by the previous iteration's communication.
-    std::vector<TaskId> ff(static_cast<std::size_t>(num_layers_));
     for (int l = 0; l < num_layers_; ++l) {
       Task t;
       t.kind = TaskKind::kForward;
@@ -81,16 +147,15 @@ class GraphBuilder {
       t.duration = model_.layer(l).ff_time;
       t.iteration = iter;
       t.layer = l;
-      if (l > 0) t.deps.push_back(ff[static_cast<std::size_t>(l - 1)]);
+      if (l > 0) deps_.push_back(ff_[static_cast<std::size_t>(l - 1)]);
       if (l == 0)
-        t.deps.insert(t.deps.end(), prev.global.begin(), prev.global.end());
-      const auto& layer_gates = prev.per_layer[static_cast<std::size_t>(l)];
-      t.deps.insert(t.deps.end(), layer_gates.begin(), layer_gates.end());
-      ff[static_cast<std::size_t>(l)] = graph_.Add(std::move(t));
+        deps_.insert(deps_.end(), gates_.global.begin(), gates_.global.end());
+      const auto& layer_gates = gates_.per_layer[static_cast<std::size_t>(l)];
+      deps_.insert(deps_.end(), layer_gates.begin(), layer_gates.end());
+      ff_[static_cast<std::size_t>(l)] = Add(t);
     }
 
     // Backpropagation chain, last layer first.
-    std::vector<TaskId> bp(static_cast<std::size_t>(num_layers_));
     for (int l = num_layers_ - 1; l >= 0; --l) {
       Task t;
       t.kind = TaskKind::kBackward;
@@ -98,35 +163,43 @@ class GraphBuilder {
       t.duration = model_.layer(l).bp_time;
       t.iteration = iter;
       t.layer = l;
-      t.deps.push_back(l == num_layers_ - 1
-                           ? ff[static_cast<std::size_t>(l)]
-                           : bp[static_cast<std::size_t>(l + 1)]);
-      const auto& bp_gates = prev.per_layer_bp[static_cast<std::size_t>(l)];
-      t.deps.insert(t.deps.end(), bp_gates.begin(), bp_gates.end());
-      bp[static_cast<std::size_t>(l)] = graph_.Add(std::move(t));
+      deps_.push_back(l == num_layers_ - 1
+                          ? ff_[static_cast<std::size_t>(l)]
+                          : bp_[static_cast<std::size_t>(l + 1)]);
+      const auto& bp_gates = gates_.per_layer_bp[static_cast<std::size_t>(l)];
+      deps_.insert(deps_.end(), bp_gates.begin(), bp_gates.end());
+      bp_[static_cast<std::size_t>(l)] = Add(t);
     }
 
+    gates_.Clear();
     switch (config_.kind) {
       case PolicyKind::kSequential:
-        return BuildBarrierComm(iter, bp, /*overlap_bp=*/false,
+        return BuildBarrierComm(iter, /*overlap_bp=*/false,
                                 /*negotiate=*/false);
       case PolicyKind::kWFBP:
       case PolicyKind::kDDP:
       case PolicyKind::kMGWFBP:
-        return BuildBarrierComm(iter, bp, /*overlap_bp=*/true,
+        return BuildBarrierComm(iter, /*overlap_bp=*/true,
                                 /*negotiate=*/false);
       case PolicyKind::kHorovod:
-        return BuildBarrierComm(iter, bp, /*overlap_bp=*/true,
+        return BuildBarrierComm(iter, /*overlap_bp=*/true,
                                 /*negotiate=*/config_.charge_negotiation);
       case PolicyKind::kByteScheduler:
-        return BuildByteScheduler(iter, bp);
+        return BuildByteScheduler(iter);
       case PolicyKind::kDeAR:
-        return BuildDeAR(iter, bp);
+        return BuildDeAR(iter);
       case PolicyKind::kZeRO:
-        return BuildZeRO(iter, ff, bp);
+        return BuildZeRO(iter);
     }
     DEAR_CHECK_MSG(false, "unreachable policy kind");
-    return CommGates(num_layers_);
+  }
+
+  // ByteScheduler: number of credit-sized chunks a tensor is split into.
+  [[nodiscard]] std::size_t Chunks(std::size_t bytes) const {
+    return config_.partition_bytes == 0
+               ? 1
+               : std::max<std::size_t>(
+                     1, CeilDiv(bytes, config_.partition_bytes));
   }
 
   // Bytes actually communicated for a group, after optional compression.
@@ -182,9 +255,7 @@ class GraphBuilder {
   // WFBP-family: one all-reduce per fusion group, started when the group's
   // last gradient is ready (overlap_bp) or when all of BP is done
   // (sequential); the next iteration's FF_0 waits for every all-reduce.
-  CommGates BuildBarrierComm(int iter, const std::vector<TaskId>& bp,
-                             bool overlap_bp, bool negotiate) {
-    CommGates gates(num_layers_);
+  void BuildBarrierComm(int iter, bool overlap_bp, bool negotiate) {
     const auto& groups = config_.plan.groups();
     for (std::size_t g = 0; g < groups.size(); ++g) {
       Task t;
@@ -196,10 +267,9 @@ class GraphBuilder {
       t.iteration = iter;
       t.group = static_cast<int>(g);
       const int ready_layer = overlap_bp ? groups[g].first_layer : 0;
-      t.deps.push_back(bp[static_cast<std::size_t>(ready_layer)]);
-      gates.global.push_back(graph_.Add(std::move(t)));
+      deps_.push_back(bp_[static_cast<std::size_t>(ready_layer)]);
+      gates_.global.push_back(Add(t));
     }
-    return gates;
   }
 
   // ByteScheduler: per-tensor granularity, large tensors partitioned into
@@ -207,16 +277,11 @@ class GraphBuilder {
   // negotiation round, dispatched by layer priority; FF_l of the next
   // iteration waits only for its own layer's chunks (the fine-grained
   // dependency its re-ordering buys).
-  CommGates BuildByteScheduler(int iter, const std::vector<TaskId>& bp) {
-    CommGates gates(num_layers_);
+  void BuildByteScheduler(int iter) {
     for (int ti = 0; ti < model_.num_tensors(); ++ti) {
       const auto& tensor = model_.tensor(ti);
       const std::size_t bytes = tensor.bytes();
-      const std::size_t chunks =
-          config_.partition_bytes == 0
-              ? 1
-              : std::max<std::size_t>(
-                    1, CeilDiv(bytes, config_.partition_bytes));
+      const std::size_t chunks = Chunks(bytes);
       for (std::size_t c = 0; c < chunks; ++c) {
         const Range r = ChunkRange(bytes, chunks, c);
         Task t;
@@ -235,24 +300,21 @@ class GraphBuilder {
         t.iteration = iter;
         t.layer = tensor.layer;
         t.priority = static_cast<double>(tensor.layer);
-        t.deps.push_back(bp[static_cast<std::size_t>(tensor.layer)]);
-        gates.per_layer[static_cast<std::size_t>(tensor.layer)].push_back(
-            graph_.Add(std::move(t)));
+        deps_.push_back(bp_[static_cast<std::size_t>(tensor.layer)]);
+        gates_.per_layer[static_cast<std::size_t>(tensor.layer)].push_back(
+            Add(t));
       }
     }
-    return gates;
   }
 
   // DeAR: reduce-scatter per group during BP (BackPipe, FIFO), a global
   // synchronization of all OP1 tasks (paper §III-B), then all-gathers in
   // FF order (FeedPipe); FF_l of the next iteration waits only for the
   // all-gather of the group(s) owning layer l's tensors.
-  CommGates BuildDeAR(int iter, const std::vector<TaskId>& bp) {
-    CommGates gates(num_layers_);
+  void BuildDeAR(int iter) {
     const auto& groups = config_.plan.groups();
 
-    std::vector<TaskId> rs_tasks;
-    rs_tasks.reserve(groups.size());
+    rs_.clear();
     for (std::size_t g = 0; g < groups.size(); ++g) {
       Task t;
       t.kind = TaskKind::kReduceScatter;
@@ -263,20 +325,12 @@ class GraphBuilder {
                        : 0;
       t.iteration = iter;
       t.group = static_cast<int>(g);
-      t.deps.push_back(bp[static_cast<std::size_t>(groups[g].first_layer)]);
-      rs_tasks.push_back(graph_.Add(std::move(t)));
+      deps_.push_back(bp_[static_cast<std::size_t>(groups[g].first_layer)]);
+      rs_.push_back(Add(t));
     }
 
     TaskId rs_done = sim::kInvalidTask;
-    if (config_.dear_op1_barrier) {
-      Task sync;
-      sync.kind = TaskKind::kSync;
-      sync.stream = kCommStream;
-      sync.duration = 0;
-      sync.iteration = iter;
-      sync.deps = rs_tasks;
-      rs_done = graph_.Add(std::move(sync));
-    }
+    if (config_.dear_op1_barrier) rs_done = AddOp1Sync(iter);
 
     // All-gathers added in ascending group (= FF) order; they all become
     // ready at rs_done, and the FIFO comm stream preserves insertion order.
@@ -292,12 +346,21 @@ class GraphBuilder {
                        : 0;
       t.iteration = iter;
       t.group = static_cast<int>(g);
-      t.deps.push_back(config_.dear_op1_barrier ? rs_done : rs_tasks[g]);
-      const TaskId ag = graph_.Add(std::move(t));
+      deps_.push_back(config_.dear_op1_barrier ? rs_done : rs_[g]);
+      const TaskId ag = Add(t);
       for (int l = groups[g].first_layer; l <= groups[g].last_layer; ++l)
-        gates.per_layer[static_cast<std::size_t>(l)].push_back(ag);
+        gates_.per_layer[static_cast<std::size_t>(l)].push_back(ag);
     }
-    return gates;
+  }
+
+  // Zero-duration OP1 synchronization on every reduce-scatter in rs_.
+  TaskId AddOp1Sync(int iter) {
+    Task sync;
+    sync.kind = TaskKind::kSync;
+    sync.stream = kCommStream;
+    sync.duration = 0;
+    sync.iteration = iter;
+    return graph_.Add(sync, rs_);
   }
 
   // ZeRO-3 / FSDP (paper §VII-B): gradients reduce-scatter during BP; the
@@ -305,14 +368,10 @@ class GraphBuilder {
   // forward AND again before its backward — three collectives per group.
   // All re-gathers are enqueued behind the OP1 sync (FSDP's prefetch order),
   // forward-order gathers first, then backward-order ones.
-  CommGates BuildZeRO(int iter, const std::vector<TaskId>& ff,
-                      const std::vector<TaskId>& bp) {
-    (void)ff;
-    CommGates gates(num_layers_);
+  void BuildZeRO(int iter) {
     const auto& groups = config_.plan.groups();
 
-    std::vector<TaskId> rs_tasks;
-    rs_tasks.reserve(groups.size());
+    rs_.clear();
     for (std::size_t g = 0; g < groups.size(); ++g) {
       Task t;
       t.kind = TaskKind::kReduceScatter;
@@ -322,17 +381,10 @@ class GraphBuilder {
           CompressionOverhead();
       t.iteration = iter;
       t.group = static_cast<int>(g);
-      t.deps.push_back(bp[static_cast<std::size_t>(groups[g].first_layer)]);
-      rs_tasks.push_back(graph_.Add(std::move(t)));
+      deps_.push_back(bp_[static_cast<std::size_t>(groups[g].first_layer)]);
+      rs_.push_back(Add(t));
     }
-
-    Task sync;
-    sync.kind = TaskKind::kSync;
-    sync.stream = kCommStream;
-    sync.duration = 0;
-    sync.iteration = iter;
-    sync.deps = rs_tasks;
-    const TaskId rs_done = graph_.Add(std::move(sync));
+    const TaskId rs_done = AddOp1Sync(iter);
 
     // Forward parameter gathers, ascending (FeedPipe-like).
     for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -342,10 +394,10 @@ class GraphBuilder {
       t.duration = cost_.AllGather(groups[g].bytes);
       t.iteration = iter;
       t.group = static_cast<int>(g);
-      t.deps.push_back(rs_done);
-      const TaskId ag = graph_.Add(std::move(t));
+      deps_.push_back(rs_done);
+      const TaskId ag = Add(t);
       for (int l = groups[g].first_layer; l <= groups[g].last_layer; ++l)
-        gates.per_layer[static_cast<std::size_t>(l)].push_back(ag);
+        gates_.per_layer[static_cast<std::size_t>(l)].push_back(ag);
     }
     // Backward parameter re-gathers, descending (BP encounters the last
     // group first).
@@ -356,12 +408,11 @@ class GraphBuilder {
       t.duration = cost_.AllGather(groups[g].bytes);
       t.iteration = iter;
       t.group = static_cast<int>(g);
-      t.deps.push_back(rs_done);
-      const TaskId ag = graph_.Add(std::move(t));
+      deps_.push_back(rs_done);
+      const TaskId ag = Add(t);
       for (int l = groups[g].first_layer; l <= groups[g].last_layer; ++l)
-        gates.per_layer_bp[static_cast<std::size_t>(l)].push_back(ag);
+        gates_.per_layer_bp[static_cast<std::size_t>(l)].push_back(ag);
     }
-    return gates;
   }
 
   const model::ModelSpec& model_;
@@ -370,6 +421,12 @@ class GraphBuilder {
   comm::CostModel cost_;
   int num_layers_;
   TaskGraph graph_;
+  // Per-iteration scratch, reused so building allocates per graph, not
+  // per task.
+  std::vector<TaskId> ff_, bp_;  // this iteration's FF/BP task per layer
+  std::vector<TaskId> rs_;       // this iteration's reduce-scatters
+  std::vector<TaskId> deps_;     // dependencies of the task being added
+  CommGates gates_;
 };
 
 }  // namespace

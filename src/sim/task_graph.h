@@ -8,7 +8,9 @@
 // on the same engine.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -46,22 +48,41 @@ struct Task {
   std::int32_t iteration{-1};  // attribution metadata
   std::int32_t layer{-1};
   std::int32_t group{-1};
-  std::vector<TaskId> deps;
 };
 
+/// Tasks in insertion order, with every task's dependency ids stored
+/// contiguously in one array (CSR): task i's dependencies are
+/// dep_ids_[dep_end_[i-1], dep_end_[i]). Adding a task copies its
+/// dependencies, so builders can reuse one scratch list for every task.
 class TaskGraph {
  public:
-  TaskId Add(Task task) {
-    tasks_.push_back(std::move(task));
+  TaskId Add(const Task& task, std::span<const TaskId> deps = {}) {
+    tasks_.push_back(task);
+    dep_ids_.insert(dep_ids_.end(), deps.begin(), deps.end());
+    dep_end_.push_back(dep_ids_.size());
     return static_cast<TaskId>(tasks_.size() - 1);
   }
 
+  /// Sizes the storage for `tasks` tasks holding `deps` dependencies in all.
+  void Reserve(std::size_t tasks, std::size_t deps) {
+    tasks_.reserve(tasks);
+    dep_end_.reserve(tasks);
+    dep_ids_.reserve(deps);
+  }
+
   [[nodiscard]] std::size_t size() const noexcept { return tasks_.size(); }
+  /// Total number of dependency edges (duplicates counted).
+  [[nodiscard]] std::size_t num_deps() const noexcept {
+    return dep_ids_.size();
+  }
   [[nodiscard]] const Task& task(TaskId id) const {
     return tasks_.at(static_cast<std::size_t>(id));
   }
-  [[nodiscard]] Task& task(TaskId id) {
-    return tasks_.at(static_cast<std::size_t>(id));
+  [[nodiscard]] std::span<const TaskId> deps(TaskId id) const {
+    const auto i = static_cast<std::size_t>(id);
+    const std::size_t end = dep_end_.at(i);
+    const std::size_t begin = i == 0 ? 0 : dep_end_[i - 1];
+    return {dep_ids_.data() + begin, end - begin};
   }
   [[nodiscard]] const std::vector<Task>& tasks() const noexcept {
     return tasks_;
@@ -69,6 +90,8 @@ class TaskGraph {
 
  private:
   std::vector<Task> tasks_;
+  std::vector<std::size_t> dep_end_;  // per task: end offset in dep_ids_
+  std::vector<TaskId> dep_ids_;
 };
 
 }  // namespace dear::sim

@@ -95,23 +95,29 @@ Status GaussianProcess::Fit(const std::vector<double>& xs,
 }
 
 Prediction GaussianProcess::Predict(double x) const {
+  std::vector<double> scratch;
+  return Predict(x, scratch);
+}
+
+Prediction GaussianProcess::Predict(double x,
+                                    std::vector<double>& scratch) const {
   DEAR_CHECK_MSG(fitted_, "Predict before Fit");
   const std::size_t n = xs_.size();
-  std::vector<double> kstar(n);
-  for (std::size_t i = 0; i < n; ++i) kstar[i] = Kernel(x, xs_[i]);
+  scratch.resize(n);
+  double* v = scratch.data();
+  for (std::size_t i = 0; i < n; ++i) v[i] = Kernel(x, xs_[i]);  // k*
 
   double mu = 0.0;
-  for (std::size_t i = 0; i < n; ++i) mu += kstar[i] * alpha_[i];
+  for (std::size_t i = 0; i < n; ++i) mu += v[i] * alpha_[i];
 
-  // v = L^-1 k*; posterior variance = k(x,x) - v^T v.
-  std::vector<double> v = kstar;
+  // v = L^-1 k*, solved in place; posterior variance = k(x,x) - v^T v.
   for (std::size_t i = 0; i < n; ++i) {
     double val = v[i];
     for (std::size_t k = 0; k < i; ++k) val -= chol_[i * n + k] * v[k];
     v[i] = val / chol_[i * n + i];
   }
   double vtv = 0.0;
-  for (double val : v) vtv += val * val;
+  for (std::size_t i = 0; i < n; ++i) vtv += v[i] * v[i];
   double variance = Kernel(x, x) - vtv;
   if (variance < 0.0) variance = 0.0;
 

@@ -42,6 +42,11 @@ class GaussianProcess {
 
   /// Posterior mean and variance at x. Precondition: fitted().
   [[nodiscard]] Prediction Predict(double x) const;
+  /// Same result, computed in the caller-owned `scratch` (resized to
+  /// num_observations()), so a sweep over many x allocates nothing after
+  /// its first point.
+  [[nodiscard]] Prediction Predict(double x,
+                                   std::vector<double>& scratch) const;
 
  private:
   [[nodiscard]] double Kernel(double a, double b) const noexcept;

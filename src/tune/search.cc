@@ -32,6 +32,10 @@ BayesianOptimizer::BayesianOptimizer(double lo, double hi, BoOptions options)
     : lo_(lo), hi_(hi), options_(options) {
   DEAR_CHECK(hi > lo);
   DEAR_CHECK(!options_.log_scale || lo > 0.0);
+  // The acquisition grid spans [lo, hi] end to end, so it needs both ends;
+  // a non-positive length scale has no posterior.
+  DEAR_CHECK(options_.acquisition_grid >= 2);
+  DEAR_CHECK(options_.length_scale_frac > 0.0);
   GpParams params;
   params.length_scale =
       options_.length_scale_frac * (ToModel(hi) - ToModel(lo));
@@ -88,10 +92,11 @@ double BayesianOptimizer::SuggestNext() {
 
   double best_score = -1e300;
   double best_point = 0.5 * (lo_ + hi_);
+  std::vector<double> scratch;  // reused by every grid point's prediction
   for (int i = 0; i < options_.acquisition_grid; ++i) {
     const double x =
         lo_ + (hi_ - lo_) * i / double(options_.acquisition_grid - 1);
-    const Prediction pred = gp_.Predict(ToModel(x));
+    const Prediction pred = gp_.Predict(ToModel(x), scratch);
     const double score =
         options_.acquisition == Acquisition::kUpperConfidenceBound
             ? UpperConfidenceBound(pred, options_.kappa)

@@ -61,8 +61,10 @@ struct BoOptions {
   Acquisition acquisition{Acquisition::kExpectedImprovement};
   double xi{0.1};              // EI exploration hyper-parameter (§IV-B)
   double kappa{2.0};           // UCB exploration weight
-  int acquisition_grid{256};   // acquisition maximized on a grid of [lo, hi]
-  double length_scale_frac{0.15};  // GP length scale as a fraction of hi-lo
+  int acquisition_grid{256};   // acquisition maximized on a grid of [lo, hi];
+                               // >= 2 (the grid includes both ends)
+  double length_scale_frac{0.15};  // GP length scale as a fraction of hi-lo;
+                                   // > 0
   double noise_variance{1e-3};     // throughput measurement noise
   double first_point{0.0};    // initial suggestion; 0 = midpoint of range
   /// Model the objective over log(x) instead of x — appropriate when the

@@ -6,18 +6,18 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 namespace dear::sim {
 namespace {
 
-Task MakeTask(std::int16_t stream, SimTime dur, std::vector<TaskId> deps = {},
-              double priority = 0.0) {
+TaskId AddTask(TaskGraph& g, std::int16_t stream, SimTime dur,
+               const std::vector<TaskId>& deps = {}, double priority = 0.0) {
   Task t;
   t.stream = stream;
   t.duration = dur;
-  t.deps = std::move(deps);
   t.priority = priority;
-  return t;
+  return g.Add(t, deps);
 }
 
 TEST(EngineTest, EmptyGraph) {
@@ -29,7 +29,7 @@ TEST(EngineTest, EmptyGraph) {
 
 TEST(EngineTest, SingleTask) {
   TaskGraph g;
-  const TaskId a = g.Add(MakeTask(0, 100));
+  const TaskId a = AddTask(g, 0, 100);
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timings[a].start, 0);
@@ -39,9 +39,9 @@ TEST(EngineTest, SingleTask) {
 
 TEST(EngineTest, ChainRunsSequentially) {
   TaskGraph g;
-  const TaskId a = g.Add(MakeTask(0, 10));
-  const TaskId b = g.Add(MakeTask(0, 20, {a}));
-  const TaskId c = g.Add(MakeTask(0, 30, {b}));
+  const TaskId a = AddTask(g, 0, 10);
+  const TaskId b = AddTask(g, 0, 20, {a});
+  const TaskId c = AddTask(g, 0, 30, {b});
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timings[b].start, 10);
@@ -51,8 +51,8 @@ TEST(EngineTest, ChainRunsSequentially) {
 
 TEST(EngineTest, IndependentStreamsOverlap) {
   TaskGraph g;
-  g.Add(MakeTask(0, 100));
-  g.Add(MakeTask(1, 100));
+  AddTask(g, 0, 100);
+  AddTask(g, 1, 100);
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->makespan, 100);  // parallel, not 200
@@ -60,8 +60,8 @@ TEST(EngineTest, IndependentStreamsOverlap) {
 
 TEST(EngineTest, SameStreamSerializesIndependentTasks) {
   TaskGraph g;
-  g.Add(MakeTask(0, 100));
-  g.Add(MakeTask(0, 100));
+  AddTask(g, 0, 100);
+  AddTask(g, 0, 100);
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->makespan, 200);
@@ -69,8 +69,8 @@ TEST(EngineTest, SameStreamSerializesIndependentTasks) {
 
 TEST(EngineTest, CrossStreamDependency) {
   TaskGraph g;
-  const TaskId a = g.Add(MakeTask(0, 50));
-  const TaskId b = g.Add(MakeTask(1, 10, {a}));
+  const TaskId a = AddTask(g, 0, 50);
+  const TaskId b = AddTask(g, 1, 10, {a});
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timings[b].start, 50);
@@ -79,9 +79,9 @@ TEST(EngineTest, CrossStreamDependency) {
 
 TEST(EngineTest, MultipleDepsWaitForLast) {
   TaskGraph g;
-  const TaskId a = g.Add(MakeTask(0, 10));
-  const TaskId b = g.Add(MakeTask(1, 99));
-  const TaskId c = g.Add(MakeTask(2, 5, {a, b}));
+  const TaskId a = AddTask(g, 0, 10);
+  const TaskId b = AddTask(g, 1, 99);
+  const TaskId c = AddTask(g, 2, 5, {a, b});
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timings[c].start, 99);
@@ -91,10 +91,10 @@ TEST(EngineTest, FifoByReadyDispatchesInReadinessOrder) {
   // Two tasks on stream 1: y becomes ready at t=5, x at t=20. FIFO must run
   // y first even though x was inserted first.
   TaskGraph g;
-  const TaskId slow = g.Add(MakeTask(0, 20));
-  const TaskId fast = g.Add(MakeTask(2, 5));
-  const TaskId x = g.Add(MakeTask(1, 10, {slow}));
-  const TaskId y = g.Add(MakeTask(1, 10, {fast}));
+  const TaskId slow = AddTask(g, 0, 20);
+  const TaskId fast = AddTask(g, 2, 5);
+  const TaskId x = AddTask(g, 1, 10, {slow});
+  const TaskId y = AddTask(g, 1, 10, {fast});
   auto r = Simulate(g, {StreamPolicy::kFifoByReady, StreamPolicy::kFifoByReady,
                         StreamPolicy::kFifoByReady});
   ASSERT_TRUE(r.ok());
@@ -104,9 +104,9 @@ TEST(EngineTest, FifoByReadyDispatchesInReadinessOrder) {
 
 TEST(EngineTest, FifoTiesBrokenByInsertionOrder) {
   TaskGraph g;
-  const TaskId gate = g.Add(MakeTask(0, 10));
-  const TaskId first = g.Add(MakeTask(1, 5, {gate}));
-  const TaskId second = g.Add(MakeTask(1, 5, {gate}));
+  const TaskId gate = AddTask(g, 0, 10);
+  const TaskId first = AddTask(g, 1, 5, {gate});
+  const TaskId second = AddTask(g, 1, 5, {gate});
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timings[first].start, 10);
@@ -116,9 +116,9 @@ TEST(EngineTest, FifoTiesBrokenByInsertionOrder) {
 TEST(EngineTest, PriorityStreamPicksHighestPriorityReady) {
   // Both ready at t=10; the lower priority value must run first.
   TaskGraph g;
-  const TaskId gate = g.Add(MakeTask(0, 10));
-  const TaskId low = g.Add(MakeTask(1, 5, {gate}, /*priority=*/9.0));
-  const TaskId high = g.Add(MakeTask(1, 5, {gate}, /*priority=*/1.0));
+  const TaskId gate = AddTask(g, 0, 10);
+  const TaskId low = AddTask(g, 1, 5, {gate}, /*priority=*/9.0);
+  const TaskId high = AddTask(g, 1, 5, {gate}, /*priority=*/1.0);
   auto r = Simulate(g, {StreamPolicy::kFifoByReady, StreamPolicy::kPriority});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timings[high].start, 10);
@@ -129,9 +129,9 @@ TEST(EngineTest, PriorityDoesNotPreemptRunningTask) {
   // A long low-priority task already running is not preempted when a
   // high-priority task becomes ready (stream semantics, like NCCL).
   TaskGraph g;
-  const TaskId low = g.Add(MakeTask(1, 100, {}, 9.0));
-  const TaskId gate = g.Add(MakeTask(0, 10));
-  const TaskId high = g.Add(MakeTask(1, 5, {gate}, 1.0));
+  const TaskId low = AddTask(g, 1, 100, {}, 9.0);
+  const TaskId gate = AddTask(g, 0, 10);
+  const TaskId high = AddTask(g, 1, 5, {gate}, 1.0);
   auto r = Simulate(g, {StreamPolicy::kFifoByReady, StreamPolicy::kPriority});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timings[low].start, 0);
@@ -140,9 +140,9 @@ TEST(EngineTest, PriorityDoesNotPreemptRunningTask) {
 
 TEST(EngineTest, ZeroDurationTasksPropagateInstantly) {
   TaskGraph g;
-  const TaskId a = g.Add(MakeTask(0, 10));
-  const TaskId sync = g.Add(MakeTask(1, 0, {a}));
-  const TaskId b = g.Add(MakeTask(0, 10, {sync}));
+  const TaskId a = AddTask(g, 0, 10);
+  const TaskId sync = AddTask(g, 1, 0, {a});
+  const TaskId b = AddTask(g, 0, 10, {sync});
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timings[b].start, 10);
@@ -155,8 +155,8 @@ TEST(EngineTest, DeterministicAcrossRuns) {
   for (int i = 0; i < 50; ++i) {
     std::vector<TaskId> deps;
     if (i >= 2) deps = {prev[static_cast<std::size_t>(i - 2)]};
-    prev.push_back(g.Add(
-        MakeTask(static_cast<std::int16_t>(i % 3), (i * 7) % 13 + 1, deps)));
+    prev.push_back(AddTask(g, static_cast<std::int16_t>(i % 3),
+                           (i * 7) % 13 + 1, deps));
   }
   auto r1 = Simulate(g, {});
   auto r2 = Simulate(g, {});
@@ -171,9 +171,9 @@ TEST(EngineTest, WorkConservingStreams) {
   // Stream 1 must not idle at t=0 waiting for the blocked task inserted
   // first; it should run the ready task immediately.
   TaskGraph g;
-  const TaskId gate = g.Add(MakeTask(0, 50));
-  const TaskId blocked = g.Add(MakeTask(1, 10, {gate}));
-  const TaskId ready = g.Add(MakeTask(1, 10));
+  const TaskId gate = AddTask(g, 0, 50);
+  const TaskId blocked = AddTask(g, 1, 10, {gate});
+  const TaskId ready = AddTask(g, 1, 10);
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timings[ready].start, 0);
@@ -182,7 +182,7 @@ TEST(EngineTest, WorkConservingStreams) {
 
 TEST(EngineTest, DanglingDependencyRejected) {
   TaskGraph g;
-  g.Add(MakeTask(0, 10, {42}));
+  AddTask(g, 0, 10, {42});
   auto r = Simulate(g, {});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -190,7 +190,7 @@ TEST(EngineTest, DanglingDependencyRejected) {
 
 TEST(EngineTest, NegativeDurationRejected) {
   TaskGraph g;
-  g.Add(MakeTask(0, -5));
+  AddTask(g, 0, -5);
   auto r = Simulate(g, {});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -198,16 +198,110 @@ TEST(EngineTest, NegativeDurationRejected) {
 
 TEST(EngineTest, CycleDetected) {
   TaskGraph g;
-  const TaskId a = g.Add(MakeTask(0, 10, {1}));
-  g.Add(MakeTask(0, 10, {a}));
+  const TaskId a = AddTask(g, 0, 10, {1});
+  AddTask(g, 0, 10, {a});
   auto r = Simulate(g, {});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(EngineTest, DuplicateDependencyWaitsOnce) {
+  // A task listing the same dependency twice is released by that task's
+  // single completion, and still runs exactly once.
+  TaskGraph g;
+  const TaskId a = AddTask(g, 0, 10);
+  const TaskId b = AddTask(g, 1, 5, {a, a});
+  const TaskId c = AddTask(g, 1, 5, {b, a, b});
+  auto r = Simulate(g, {});
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r->timings[b].executed);
+  EXPECT_EQ(r->timings[b].start, 10);
+  EXPECT_EQ(r->timings[c].start, 15);
+  EXPECT_EQ(r->makespan, 20);
+}
+
+TEST(EngineTest, FifoDispatchesInPushOrder) {
+  // Stream 1 is busy until t=100. Meanwhile z becomes ready at t=5, then x
+  // and y are readied by the same completion at t=10. FIFO dispatch follows
+  // the push order z, x, y, although z was inserted last.
+  TaskGraph g;
+  const TaskId busy = AddTask(g, 1, 100);
+  const TaskId late_gate = AddTask(g, 0, 10);
+  const TaskId early_gate = AddTask(g, 2, 5);
+  const TaskId x = AddTask(g, 1, 7, {late_gate});
+  const TaskId y = AddTask(g, 1, 7, {late_gate});
+  const TaskId z = AddTask(g, 1, 7, {early_gate});
+  auto r = Simulate(g, {});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->timings[busy].start, 0);
+  EXPECT_EQ(r->timings[z].start, 100);
+  EXPECT_EQ(r->timings[x].start, 107);
+  EXPECT_EQ(r->timings[y].start, 114);
+  EXPECT_EQ(r->makespan, 121);
+}
+
+TEST(EngineTest, ValidationErrorsKeepTheirMessages) {
+  struct Case {
+    const char* name;
+    TaskGraph graph;
+    StatusCode code;
+    const char* message;
+  };
+  std::vector<Case> cases;
+  {
+    TaskGraph g;
+    AddTask(g, 0, 10);
+    AddTask(g, -1, 10);
+    cases.push_back({"negative stream", std::move(g),
+                     StatusCode::kInvalidArgument, "negative stream id"});
+  }
+  {
+    TaskGraph g;
+    AddTask(g, 0, -5);
+    cases.push_back({"negative duration", std::move(g),
+                     StatusCode::kInvalidArgument, "negative duration"});
+  }
+  {
+    TaskGraph g;
+    AddTask(g, 0, 10);
+    AddTask(g, 0, 10, {-1});
+    cases.push_back({"negative dependency", std::move(g),
+                     StatusCode::kInvalidArgument, "dangling dependency"});
+  }
+  {
+    TaskGraph g;
+    AddTask(g, 0, 10, {2});
+    cases.push_back({"dependency past the end", std::move(g),
+                     StatusCode::kInvalidArgument, "dangling dependency"});
+  }
+  {
+    // Task checks (stream, duration) precede dependency checks.
+    TaskGraph g;
+    AddTask(g, 0, 10, {42});
+    AddTask(g, 0, -1);
+    cases.push_back({"duration before dangling", std::move(g),
+                     StatusCode::kInvalidArgument, "negative duration"});
+  }
+  {
+    TaskGraph g;
+    const TaskId root = AddTask(g, 0, 10);
+    AddTask(g, 0, 10, {root, 3});
+    AddTask(g, 1, 10, {1});
+    AddTask(g, 1, 10, {2});
+    cases.push_back({"cycle", std::move(g), StatusCode::kFailedPrecondition,
+                     "dependency cycle: 3 tasks never became ready"});
+  }
+  for (const auto& c : cases) {
+    auto r = Simulate(c.graph, {});
+    ASSERT_FALSE(r.ok()) << c.name;
+    EXPECT_EQ(r.status().code(), c.code) << c.name;
+    EXPECT_EQ(r.status().message(), c.message) << c.name;
+  }
+}
+
 TEST(EngineTest, UnlistedStreamsDefaultToFifo) {
   TaskGraph g;
-  g.Add(MakeTask(5, 10));  // stream 5, no policy given
+  AddTask(g, 5, 10);  // stream 5, no policy given
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->makespan, 10);
@@ -230,6 +324,7 @@ TEST_P(RandomDagProperties, InvariantsHold) {
   TaskGraph g;
   const int n = 60 + static_cast<int>(next() % 60);
   const int streams = 1 + static_cast<int>(next() % 4);
+  std::vector<TaskId> deps;
   for (int i = 0; i < n; ++i) {
     Task t;
     t.stream = static_cast<std::int16_t>(next() % streams);
@@ -238,8 +333,9 @@ TEST_P(RandomDagProperties, InvariantsHold) {
     const int max_deps = std::min(i, 3);
     for (int d = 0; d < max_deps; ++d)
       if (next() % 3 == 0)
-        t.deps.push_back(static_cast<TaskId>(next() % i));
-    g.Add(std::move(t));
+        deps.push_back(static_cast<TaskId>(next() % i));
+    g.Add(t, deps);
+    deps.clear();
   }
   std::vector<StreamPolicy> policies;
   for (int s = 0; s < streams; ++s)
@@ -256,7 +352,7 @@ TEST_P(RandomDagProperties, InvariantsHold) {
     const Task& t = g.task(static_cast<TaskId>(i));
     ASSERT_TRUE(r->timings[i].executed);
     SimTime earliest = 0;
-    for (TaskId dep : t.deps) {
+    for (TaskId dep : g.deps(static_cast<TaskId>(i))) {
       ASSERT_GE(r->timings[i].start,
                 r->timings[static_cast<std::size_t>(dep)].end);
       earliest =
@@ -281,10 +377,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagProperties,
 
 TEST(EngineTest, DiamondDag) {
   TaskGraph g;
-  const TaskId a = g.Add(MakeTask(0, 10));
-  const TaskId b = g.Add(MakeTask(1, 20, {a}));
-  const TaskId c = g.Add(MakeTask(2, 30, {a}));
-  const TaskId d = g.Add(MakeTask(0, 5, {b, c}));
+  const TaskId a = AddTask(g, 0, 10);
+  const TaskId b = AddTask(g, 1, 20, {a});
+  const TaskId c = AddTask(g, 2, 30, {a});
+  const TaskId d = AddTask(g, 0, 5, {b, c});
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timings[d].start, 40);

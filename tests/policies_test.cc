@@ -96,9 +96,8 @@ void ExpectDependencyCorrectness(const model::ModelSpec& m,
   auto sim = Simulate(built.graph, built.stream_policies);
   ASSERT_TRUE(sim.ok());
   for (std::size_t i = 0; i < built.graph.size(); ++i) {
-    const auto& task = built.graph.task(static_cast<sim::TaskId>(i));
     ASSERT_TRUE(sim->timings[i].executed);
-    for (auto dep : task.deps) {
+    for (auto dep : built.graph.deps(static_cast<sim::TaskId>(i))) {
       EXPECT_GE(sim->timings[i].start,
                 sim->timings[static_cast<std::size_t>(dep)].end)
           << PolicyName(kind);
@@ -297,8 +296,7 @@ TEST(PoliciesTest, DeARAlternateAlgorithmsBuildAndRespectDeps) {
     auto sim = Simulate(built.graph, built.stream_policies);
     ASSERT_TRUE(sim.ok()) << comm::AlgorithmName(alg);
     for (std::size_t i = 0; i < built.graph.size(); ++i) {
-      const auto& task = built.graph.task(static_cast<sim::TaskId>(i));
-      for (auto dep : task.deps)
+      for (auto dep : built.graph.deps(static_cast<sim::TaskId>(i)))
         ASSERT_GE(sim->timings[i].start,
                   sim->timings[static_cast<std::size_t>(dep)].end);
     }

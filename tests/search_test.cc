@@ -169,6 +169,29 @@ TEST(BoDeathTest, LogScaleRequiresPositiveRange) {
   EXPECT_DEATH(BayesianOptimizer(0.0, 1.0, opts), "CHECK");
 }
 
+TEST(BoDeathTest, RejectsDegenerateAcquisitionGridAndLengthScale) {
+  // A grid of 1 would divide by zero and predict at NaN; a grid <= 0 would
+  // skip the sweep. Either way BO would silently suggest the midpoint
+  // forever, so both are rejected at construction, as is a length scale
+  // with no posterior.
+  for (int grid : {1, 0, -3}) {
+    BoOptions opts;
+    opts.acquisition_grid = grid;
+    EXPECT_DEATH(BayesianOptimizer(0.0, 1.0, opts), "acquisition_grid");
+  }
+  for (double frac : {0.0, -0.5, std::nan("")}) {
+    BoOptions opts;
+    opts.length_scale_frac = frac;
+    EXPECT_DEATH(BayesianOptimizer(0.0, 1.0, opts), "length_scale_frac");
+  }
+  BoOptions smallest;
+  smallest.acquisition_grid = 2;
+  BayesianOptimizer bo(0.0, 1.0, smallest);
+  bo.Observe(bo.SuggestNext(), 1.0);
+  const double x = bo.SuggestNext();
+  EXPECT_TRUE(x == 0.0 || x == 1.0);  // a grid of 2 is its two ends
+}
+
 TEST(RandomSearchTest, DeterministicPerSeed) {
   RandomSearch a(0.0, 1.0, 42), b(0.0, 1.0, 42);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a.SuggestNext(), b.SuggestNext());

@@ -21,20 +21,20 @@ using sim::TaskGraph;
 using sim::TaskId;
 using sim::TaskKind;
 
-Task MakeTask(std::int16_t stream, SimTime dur, std::vector<TaskId> deps = {},
-              TaskKind kind = TaskKind::kOther) {
+TaskId AddTask(TaskGraph& g, std::int16_t stream, SimTime dur,
+               const std::vector<TaskId>& deps = {},
+               TaskKind kind = TaskKind::kOther) {
   Task t;
   t.stream = stream;
   t.duration = dur;
-  t.deps = std::move(deps);
   t.kind = kind;
-  return t;
+  return g.Add(t, deps);
 }
 
 TEST(IntervalTest, BusyIntervalsMergeAdjacentTasks) {
   TaskGraph g;
-  const TaskId a = g.Add(MakeTask(0, 10));
-  g.Add(MakeTask(0, 20, {a}));  // back-to-back on the same stream
+  const TaskId a = AddTask(g, 0, 10);
+  AddTask(g, 0, 20, {a});  // back-to-back on the same stream
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   const auto busy = BusyIntervals(g, *r, 0);
@@ -44,9 +44,9 @@ TEST(IntervalTest, BusyIntervalsMergeAdjacentTasks) {
 
 TEST(IntervalTest, GapsAreSeparateIntervals) {
   TaskGraph g;
-  const TaskId gate = g.Add(MakeTask(1, 50));
-  g.Add(MakeTask(0, 10));
-  g.Add(MakeTask(0, 10, {gate}));  // starts at 50 after an idle gap
+  const TaskId gate = AddTask(g, 1, 50);
+  AddTask(g, 0, 10);
+  AddTask(g, 0, 10, {gate});  // starts at 50 after an idle gap
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   const auto busy = BusyIntervals(g, *r, 0);
@@ -57,7 +57,7 @@ TEST(IntervalTest, GapsAreSeparateIntervals) {
 
 TEST(IntervalTest, ZeroDurationTasksIgnored) {
   TaskGraph g;
-  g.Add(MakeTask(0, 0));
+  AddTask(g, 0, 0);
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(BusyIntervals(g, *r, 0).empty());
@@ -82,9 +82,9 @@ TEST(SubtractCoverTest, CoverSpanningMultipleIntervals) {
 
 TEST(AnalyzeTest, ChainIsDependencyBound) {
   TaskGraph g;
-  const TaskId a = g.Add(MakeTask(0, 10));
-  const TaskId b = g.Add(MakeTask(1, 20, {a}));
-  g.Add(MakeTask(0, 30, {b}));
+  const TaskId a = AddTask(g, 0, 10);
+  const TaskId b = AddTask(g, 1, 20, {a});
+  AddTask(g, 0, 30, {b});
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   const auto analysis = Analyze(g, *r);
@@ -97,8 +97,8 @@ TEST(AnalyzeTest, ChainIsDependencyBound) {
 
 TEST(AnalyzeTest, SerializationExceedsCriticalPath) {
   TaskGraph g;
-  g.Add(MakeTask(0, 10));
-  g.Add(MakeTask(0, 10));  // independent but same stream
+  AddTask(g, 0, 10);
+  AddTask(g, 0, 10);  // independent but same stream
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   const auto analysis = Analyze(g, *r);
@@ -109,8 +109,8 @@ TEST(AnalyzeTest, SerializationExceedsCriticalPath) {
 
 TEST(AnalyzeTest, UtilizationFractions) {
   TaskGraph g;
-  g.Add(MakeTask(0, 40));
-  g.Add(MakeTask(1, 10));
+  AddTask(g, 0, 40);
+  AddTask(g, 1, 10);
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   const auto analysis = Analyze(g, *r);
@@ -146,8 +146,8 @@ TEST(AnalyzeTest, ExposedCommMatchesRunnerBreakdown) {
 
 TEST(GanttTest, RendersRowsPerStream) {
   TaskGraph g;
-  const TaskId f = g.Add(MakeTask(0, 50, {}, TaskKind::kForward));
-  g.Add(MakeTask(1, 25, {f}, TaskKind::kReduceScatter));
+  const TaskId f = AddTask(g, 0, 50, {}, TaskKind::kForward);
+  AddTask(g, 1, 25, {f}, TaskKind::kReduceScatter);
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   const std::string gantt = RenderAsciiGantt(g, *r, 20);
@@ -170,8 +170,8 @@ TEST(GanttTest, EmptyTimeline) {
 
 TEST(GanttTest, BucketMajorityKindWins) {
   TaskGraph g;
-  const TaskId f = g.Add(MakeTask(0, 99, {}, TaskKind::kForward));
-  g.Add(MakeTask(0, 1, {f}, TaskKind::kBackward));
+  const TaskId f = AddTask(g, 0, 99, {}, TaskKind::kForward);
+  AddTask(g, 0, 1, {f}, TaskKind::kBackward);
   auto r = Simulate(g, {});
   ASSERT_TRUE(r.ok());
   const std::string gantt = RenderAsciiGantt(g, *r, 10);
