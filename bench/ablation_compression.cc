@@ -15,56 +15,23 @@
 // top-k sparsified) wire bytes buy end-to-end on 10GbE at 64 GPUs. The
 // fp16 column pays ZERO compression overhead since convert-on-pack folds
 // the conversion into the existing pack pass (the old separate quantize
-// sweep is gone — bench/mixed_precision_path.cc proves that deletion is
-// worth ~8x on the hop loop); top-k still pays encode/decode per group.
+// sweep is gone — the perf-lab row mixed.fp16_speedup_vs_legacy proves
+// that deletion is worth ~8x on the hop loop); top-k still pays
+// encode/decode per group.
 //
 // Results land in BENCH_ablation_compression.json (dear.bench/1) via the
 // SuiteGuard, like every bench binary.
-#include <chrono>
-#include <span>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "comm/kernels.h"
 #include "comm/transport.h"
 #include "comm/types.h"
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-using dear::comm::DType;
-using dear::comm::ReduceOp;
-
-/// One ring RS+AG worth of per-hop traffic (world-1 reduce hops + world-1
-/// gather hops) on a self-channel, payloads in `dtype` wire format.
-double RsAgSeconds(dear::comm::TransportHub& hub, std::size_t n, int world,
-                   DType dtype, std::span<float> acc,
-                   std::span<const float> wire) {
-  const std::size_t chunk = n / static_cast<std::size_t>(world);
-  const auto t0 = Clock::now();
-  for (int s = 0; s < world - 1; ++s) {
-    const auto tag = static_cast<std::uint32_t>(s);
-    hub.Send(0, 0, tag, wire.subspan(0, chunk), /*epoch=*/0, dtype);
-    auto msg = hub.Recv(0, 0, tag);
-    dear::comm::kernels::ReduceInto(ReduceOp::kSum, acc.subspan(0, chunk),
-                                    msg->payload);
-  }
-  for (int s = 0; s < world - 1; ++s) {
-    const auto tag = static_cast<std::uint32_t>(100 + s);
-    hub.Send(0, 0, tag, wire.subspan(0, chunk), /*epoch=*/0, dtype);
-    auto msg = hub.Recv(0, 0, tag);
-    dear::comm::kernels::UnpackInto(
-        acc.subspan(chunk * static_cast<std::size_t>(s % world), chunk),
-        msg->payload);
-  }
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-}  // namespace
+#include "perflab/samplers.h"
 
 int main() {
   dear::bench::SuiteGuard results("ablation_compression");
   using namespace dear;
+  using comm::DType;
   auto& sink = perflab::ResultSink::Get();
 
   // ---- 1. Real wire-format ablation on the transport path ---------------
@@ -89,12 +56,11 @@ int main() {
   const std::vector<float> wire(kElems, 0.25f);
   double f32_p50 = 0.0;
   for (const auto& fmt : formats) {
-    std::vector<double> seconds;
-    for (int rep = 0; rep < kReps + 3; ++rep) {
-      const double s = RsAgSeconds(hub, kElems, kWorld, fmt.dtype, acc, wire);
-      if (rep >= 3) seconds.push_back(s);
-    }
-    const double p50 = perflab::SampleQuantile(seconds, 0.5);
+    const auto ms = perflab::TimedMs(kReps, [&] {
+      perflab::RsAgHops(hub, kWorld, fmt.dtype, perflab::Fold::kFused, acc,
+                        wire);
+    });
+    const double p50 = perflab::SampleQuantile(ms, 0.5) / 1e3;
     if (fmt.dtype == DType::kF32) f32_p50 = p50;
     const std::size_t hop_bytes =
         kElems / kWorld * comm::DTypeSize(fmt.dtype);

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "fusion/plan.h"
 #include "model/zoo.h"
 #include "perflab/bench_schema.h"
@@ -112,26 +111,6 @@ inline std::size_t TuneBufferBytes(const model::ModelSpec& m,
 
 inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
-}
-
-/// Prints a one-line percentile summary of repeated measurements. Uses the
-/// perf-lab quantile policy (exact order statistics up to
-/// perflab::kExactQuantileLimit samples, bucketed Histogram beyond) — the
-/// old always-bucketed path quantized a 30-sample p50 to its power-of-two
-/// bucket, overstating sub-millisecond latencies by up to 2x. Also records
-/// each sample (in ms, as "<label>_ms") into the active suite, if any.
-inline void PrintLatencySummary(const std::string& label,
-                                const std::vector<double>& seconds) {
-  std::printf("%-24s n=%-5zu p50=%8.3f ms  p95=%8.3f ms  p99=%8.3f ms\n",
-              label.c_str(), seconds.size(),
-              perflab::SampleQuantile(seconds, 0.5) * 1e3,
-              perflab::SampleQuantile(seconds, 0.95) * 1e3,
-              perflab::SampleQuantile(seconds, 0.99) * 1e3);
-  auto& sink = perflab::ResultSink::Get();
-  if (sink.active()) {
-    for (double s : seconds)
-      sink.Record(label + "_ms", {}, s * 1e3, "ms");
-  }
 }
 
 inline void PrintRule(int width = 78) {

@@ -12,8 +12,8 @@
 // Accumulation is Welford-style (centered second moments), so AddSample is
 // O(1), allocation-free, and numerically stable over long runs; the comm
 // engine calls it on every collective completion (see comm/calibration.h)
-// under the same <1%-of-smallest-collective budget bench/doctor_overhead
-// enforces.
+// under the same <1%-of-smallest-collective budget the perf-lab row
+// doctor.overhead_pct enforces.
 #pragma once
 
 #include <array>

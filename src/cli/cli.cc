@@ -903,9 +903,10 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
   return verdict == "fail" ? 1 : 0;
 }
 
-/// `dearsim bench` — run a registered perf-lab suite and write the
+/// `dearsim bench` — run a view of the perf-lab table and write the
 /// structured results file (BENCH_<suite>.json unless --json-out overrides
-/// it) that tools/perf_gate.py compares against a baseline.
+/// it) that tools/perf_gate.py compares against a baseline. Prints every
+/// bar verdict and exits 1 if any bar fails.
 int CmdBench(FlagParser& flags, std::ostream& out, std::ostream& err) {
   perflab::SuiteRunOptions opts;
   opts.repeats = flags.GetInt("repeats");
@@ -915,20 +916,21 @@ int CmdBench(FlagParser& flags, std::ostream& out, std::ostream& err) {
   }
   opts.progress = &out;
   const std::string name = flags.GetString("suite");
-  auto suite = perflab::RunSuite(name, opts);
-  if (!suite.ok()) {
-    err << suite.status().ToString() << " (available:";
+  auto run = perflab::RunSuite(name, opts);
+  if (!run.ok()) {
+    err << run.status().ToString() << " (available:";
     for (const auto& s : perflab::SuiteNames()) err << " " << s;
     err << ")\n";
     return 1;
   }
+  const perflab::BenchSuite& suite = run->suite;
 
-  out << "\nsuite '" << suite->suite << "': " << suite->results.size()
+  out << "\nsuite '" << suite.suite << "': " << suite.results.size()
       << " metrics\n"
       << std::left << std::setw(26) << "metric" << std::setw(36) << "params"
       << std::right << std::setw(3) << "n" << std::setw(11) << "p50"
       << std::setw(11) << "p95" << "  unit\n";
-  for (const auto& r : suite->results) {
+  for (const auto& r : suite.results) {
     const auto s = r.Summarize();
     std::string params;
     for (const auto& [k, v] : r.params) {
@@ -941,15 +943,25 @@ int CmdBench(FlagParser& flags, std::ostream& out, std::ostream& err) {
         << s.p95 << "  " << r.unit << "\n";
   }
 
+  out << "\nbars (" << run->bars.size() << "):\n";
+  for (const auto& bar : run->bars) {
+    out << (bar.pass ? "  PASS " : "  FAIL ") << bar.key << ": " << bar.rule
+        << " (measured " << std::setprecision(4) << bar.value << ")\n";
+  }
+
   std::string json_out = flags.GetString("json-out");
-  if (json_out.empty()) json_out = "BENCH_" + suite->suite + ".json";
-  const Status st = suite->WriteFile(json_out);
+  if (json_out.empty()) json_out = "BENCH_" + suite.suite + ".json";
+  const Status st = suite.WriteFile(json_out);
   if (!st.ok()) {
     err << st.ToString() << "\n";
     return 1;
   }
   out << "wrote " << json_out << " (compare: tools/perf_gate.py baseline "
       << json_out << ")\n";
+  if (!run->ok()) {
+    err << "bench: a bar failed (see FAIL lines above)\n";
+    return 1;
+  }
   return 0;
 }
 

@@ -19,9 +19,10 @@
 //                                        attribution, optionally dump a
 //                                        Chrome trace
 //   bench    [--suite --repeats --json-out]
-//                                        run a registered perf-lab suite
-//                                        (quick|full) and write the
-//                                        structured BENCH_<suite>.json that
+//                                        run a view (quick|full) of the
+//                                        perf-lab table, enforce its bars,
+//                                        and write the structured
+//                                        BENCH_<suite>.json that
 //                                        tools/perf_gate.py compares
 #pragma once
 

@@ -7,9 +7,9 @@
 // registered (pre-pinned) buffers: senders Acquire() a recycled slab and
 // write the chunk directly into it, the receiver consumes it in place, and
 // the slab returns to the free list when the PooledBuffer handle dies.
-// Steady-state sends therefore perform zero heap allocations (measured
-// exactly by bench/transport_path and bench/mixed_precision_path). See
-// DESIGN.md §10.
+// Steady-state sends therefore perform zero heap allocations (counted
+// exactly by the perf-lab rows transport.alloc_per_msg, one per wire
+// dtype). See DESIGN.md §10.
 //
 // Mixed precision: a slab carries `size()` *elements* of the buffer's wire
 // DType (comm/types.h). Size classes are element-width-aware — a request

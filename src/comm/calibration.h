@@ -13,8 +13,9 @@
 // Hot-path contract: OnCollective is allocation-free and runs on the
 // engine loop thread once per *collective* (not per message), with
 // pre-resolved metric pointers and fixed per-(rank, shape) cells.
-// bench/doctor_overhead holds it under 1% of the smallest collective and
-// 0 allocations per sample, the same bar as the flight recorder.
+// The perf-lab rows doctor.overhead_pct and doctor.alloc_per_sample hold
+// it under 1% of the smallest collective and 0 allocations per sample, the
+// same bars as the flight recorder.
 //
 // Singleton shape follows check::Checker / flightrec::Recorder: leaked,
 // disabled by default, Enable/Disable only from quiescent points (no

@@ -88,7 +88,8 @@ void QuantizeInPlace(DType dtype, std::span<float> data);
 
 namespace internal {
 /// Reference implementation (per-element ApplyOp loop). Kept for the
-/// kernel unit tests and bench/transport_path's before/after comparison.
+/// kernel unit tests and the legacy arm of the perf-lab row
+/// transport.rs_ag_speedup.
 void ReduceIntoScalar(ReduceOp op, std::span<float> acc,
                       std::span<const float> in);
 

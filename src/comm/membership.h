@@ -163,7 +163,7 @@ class Membership {
 
   /// Message from `rank` arrived — refresh its last-activity stamp.
   /// Relaxed single store; this is on the per-message path that
-  /// bench/epoch_overhead holds under the 1% bar.
+  /// the perf-lab row epoch.added_pct holds under the 1% bar.
   void NoteActivity(Rank rank) noexcept {
     if (rank >= 0 && rank < world_) {
       last_active_[static_cast<std::size_t>(rank)].store(

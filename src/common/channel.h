@@ -8,8 +8,8 @@
 // The queue is a power-of-two ring over default-constructed slots rather
 // than a std::deque: a deque recycles a ~512-byte block every dozen
 // push/pop cycles, which would count as per-message heap traffic on the
-// zero-copy transport path (bench/transport_path gates steady-state sends
-// at 0 allocations). Once the ring has grown to the high-water mark,
+// zero-copy transport path (the perf-lab row transport.alloc_per_msg bars
+// steady-state sends at 0 allocations). Once the ring has grown to the high-water mark,
 // send/recv never touch the allocator. T must be default-constructible and
 // move-assignable.
 //

@@ -83,8 +83,9 @@ template <typename T>
 class StatusOr {
  public:
   /// Value construction must not touch the heap beyond T itself: the
-  /// transport's Recv returns StatusOr<Message> per message, and
-  /// bench/transport_path gates that path at 0 steady-state allocations.
+  /// transport's Recv returns StatusOr<Message> per message, and the
+  /// perf-lab row transport.alloc_per_msg bars that path at 0
+  /// steady-state allocations.
   StatusOr(T value) : value_(std::move(value)) {}  // NOLINT implicit
   StatusOr(Status status) : status_(std::move(status)) {}  // NOLINT implicit
 

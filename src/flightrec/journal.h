@@ -20,8 +20,8 @@
 // in progress, even = ticket*2+2 when the record for `ticket` is complete),
 // and one release store of the lane head. No read-modify-write instruction
 // runs per event — that keeps the always-on cost under the 1% bar that
-// bench/flightrec_overhead enforces (the fast path is inline below for the
-// same reason). Snapshots merge every lane's validated window and sort by
+// the perf-lab row flightrec.overhead_pct enforces (the fast path is
+// inline below for the same reason). Snapshots merge every lane's validated window and sort by
 // timestamp (sound across threads because all records share one calibrated
 // clock origin — see flightrec::NowNs). A record being overwritten
 // mid-snapshot is dropped, never misattributed, and every shared cell is an

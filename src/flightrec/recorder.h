@@ -3,8 +3,9 @@
 // Follows the telemetry::Runtime / check::Checker singleton shape (leaked,
 // outlives every comm thread) but with no enable bit: the journal is the
 // black box, so it records unconditionally. The hot-path cost is bounded
-// and benchmarked — bench/flightrec_overhead fails hard if one recorded
-// event allocates or if recording costs >= 1% of the smallest collective.
+// and benchmarked — the perf-lab rows flightrec.alloc_per_event and
+// flightrec.overhead_pct fail `dearsim bench` if one recorded event
+// allocates or if recording costs >= 1% of the smallest collective.
 //
 // Time: all hot-path instrumentation reads the clock through NowNs() /
 // CachedNowNs() below — the single monotonic origin every record shares.
@@ -125,7 +126,7 @@ class Recorder {
   /// Transport send on `src` toward `dst`: assigns the message's causal ID
   /// (src:16 | dst:16 | per-channel seq:32) and Lamport stamp (written into
   /// the Message by the transport) and journals the event. Inline: this is
-  /// the hook bench/flightrec_overhead holds under the 1% bar.
+  /// the hook the perf-lab row flightrec.overhead_pct holds under 1%.
   void OnSend(int src, int dst, std::uint32_t tag, std::size_t bytes,
               std::uint64_t* causal_out,
               std::uint32_t* lamport_out) noexcept {

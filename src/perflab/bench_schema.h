@@ -12,10 +12,9 @@
 // the JSON always carries every observation (benchmarks here take tens of
 // samples, not millions).
 //
-// Percentile policy (shared with bench::PrintLatencySummary): with
-// n <= kExactQuantileLimit samples, percentiles are exact order statistics
-// over the raw data; only above that do we fall back to the bucketed
-// common::Histogram estimate.
+// Percentile policy: with n <= kExactQuantileLimit samples, percentiles
+// are exact order statistics over the raw data; only above that do we
+// fall back to the bucketed common::Histogram estimate.
 #pragma once
 
 #include <cstddef>

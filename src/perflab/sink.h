@@ -3,9 +3,9 @@
 // The bench/ binaries print human-readable tables; the sink is how those
 // same numbers additionally land in `BENCH_<suite>.json` without each
 // binary growing its own serialization code. bench/bench_util.h opens a
-// suite (SuiteGuard), the shared helpers (RunPolicy, PrintLatencySummary)
-// record into the active sink as a side effect, and the guard writes the
-// file on scope exit.
+// suite (SuiteGuard), the shared helpers (RunPolicy) record into the
+// active sink as a side effect, and the guard writes the file on scope
+// exit.
 //
 // Samples recorded under the same (name, params) fold into one BenchResult
 // — repeated measurements become that result's raw sample vector.

@@ -1,15 +1,20 @@
 // Perf-lab structured results: JSON parser, schema round-trip, quantile
-// policy, the process-wide sink, and the registered suites.
+// policy, the process-wide sink, and the measurement table (registry
+// invariants, bar evaluation, and every count row).
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <limits>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "perflab/bench_schema.h"
 #include "perflab/json.h"
+#include "perflab/samplers.h"
 #include "perflab/sink.h"
 #include "perflab/suites.h"
 
@@ -202,38 +207,159 @@ TEST(SuitesTest, UnknownSuiteIsNotFound) {
   EXPECT_NE(r.status().ToString().find("quick"), std::string::npos);
 }
 
-TEST(SuitesTest, QuickSuiteProducesSchemaValidResults) {
+const Row* FindRow(const std::string& key) {
+  for (const Row& row : Rows()) {
+    if (row.Key() == key) return &row;
+  }
+  return nullptr;
+}
+
+TEST(SuitesTest, RegistryInvariants) {
+  std::set<std::string> keys;
+  for (const Row& row : Rows()) {
+    EXPECT_TRUE(keys.insert(row.Key()).second) << "duplicate " << row.Key();
+    EXPECT_NE(row.views & kFull, 0u) << row.Key() << ": quick must be in full";
+    EXPECT_FALSE(row.unit.empty()) << row.Key();
+    EXPECT_GT(row.gate_max_ratio, 1.0) << row.Key();
+    if (!row.bar) continue;
+    EXPECT_NE(row.bar->views & kFull, 0u) << row.Key();
+    // Deterministic bars gate quick; timing bars only the full view.
+    EXPECT_EQ((row.bar->views & kQuick) != 0, row.kind == Kind::kCount)
+        << row.Key();
+  }
+  EXPECT_EQ(SuiteNames(), (std::vector<std::string>{"quick", "full"}));
+}
+
+TEST(SuitesTest, QuickSuiteHoldsBarsAndCoversBaseline) {
   SuiteRunOptions options;
   options.repeats = 1;  // keep the test fast; coverage, not statistics
   std::ostringstream progress;
   options.progress = &progress;
-  const auto suite = RunSuite("quick", options);
-  ASSERT_TRUE(suite.ok()) << suite.status().ToString();
-  EXPECT_EQ(suite->suite, "quick");
-  EXPECT_EQ(suite->environment.at("schema"), kSchemaVersion);
-  EXPECT_FALSE(suite->results.empty());
-  for (const auto& r : suite->results) {
-    EXPECT_FALSE(r.name.empty());
+  const auto run = RunSuite("quick", options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const BenchSuite& suite = run->suite;
+  EXPECT_EQ(suite.suite, "quick");
+  EXPECT_EQ(suite.environment.at("schema"), kSchemaVersion);
+  for (const auto& r : suite.results) {
     EXPECT_FALSE(r.samples.empty()) << r.Key();
-    EXPECT_FALSE(r.unit.empty()) << r.Key();
-    EXPECT_GT(r.gate_max_ratio, 1.0) << r.Key();
+    const Row* row = FindRow(r.Key());
+    ASSERT_NE(row, nullptr) << r.Key();
+    EXPECT_NE(row->views & kQuick, 0u) << r.Key();
   }
-  // The wall/sim metric classes both appear, with their distinct gates.
-  const BenchResult* wall =
-      suite->Find("runtime.train_iter_ms|schedule=dear|world=2");
-  ASSERT_NE(wall, nullptr);
-  EXPECT_DOUBLE_EQ(wall->gate_max_ratio, 3.0);
-  const BenchResult* sim = suite->Find(
+  // The count bars are enforced in quick, and they hold.
+  EXPECT_FALSE(run->bars.empty());
+  for (const BarVerdict& v : run->bars) {
+    EXPECT_TRUE(v.pass) << v.key << ": " << v.rule << " measured " << v.value;
+  }
+  EXPECT_TRUE(run->ok());
+  // Every key of the committed baseline is still measured, so no gate
+  // silently disappears.
+  const auto baseline = BenchSuite::ReadFile(DEAR_QUICK_BASELINE);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  for (const BenchResult& b : baseline->results) {
+    EXPECT_NE(suite.Find(b.Key()), nullptr) << "dropped " << b.Key();
+  }
+  const BenchResult* sim = suite.Find(
       "sim.iter_ms|gpus=16|model=resnet50|network=10gbe|policy=dear");
   ASSERT_NE(sim, nullptr);
   EXPECT_DOUBLE_EQ(sim->gate_max_ratio, 1.02);
   EXPECT_GT(sim->samples[0], 0.0);
-  // Round-trip the whole suite through the serialized form.
-  const auto back = BenchSuite::FromJson(suite->ToJson());
+  const auto back = BenchSuite::FromJson(suite.ToJson());
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->results.size(), suite->results.size());
-  EXPECT_NE(progress.str().find("runtime"), std::string::npos);
+  EXPECT_EQ(back->results.size(), suite.results.size());
+  EXPECT_NE(progress.str().find("runtime.train_iter_ms"), std::string::npos);
 }
+
+/// A row that records fixed samples under `name` + `params`.
+Row Fixed(const std::string& name, std::map<std::string, std::string> params,
+          double value) {
+  Row row;
+  row.name = name;
+  row.params = std::move(params);
+  row.unit = "x";
+  row.gate_max_ratio = 3.0;
+  row.kind = Kind::kValue;
+  row.body = [value](const RowContext&) -> StatusOr<std::vector<double>> {
+    return std::vector<double>{value};
+  };
+  return row;
+}
+
+TEST(SuitesTest, OverheadBarPassesAtHalfPercentFailsAtOneAndAHalf) {
+  const Row* overhead = FindRow("flightrec.overhead_pct|kb=4|world=2");
+  ASSERT_NE(overhead, nullptr);
+  const std::map<std::string, std::string> small = {{"kb", "4"},
+                                                    {"world", "2"}};
+  // 25 ns x 12 records = 300 ns on a 60 us op is 0.5%; on 20 us, 1.5%.
+  for (const auto& [op_ms, pass] : {std::pair{0.06, true}, {0.02, false}}) {
+    const std::vector<Row> rows = {
+        Fixed("flightrec.event_ns", {}, 25.0),
+        Fixed("flightrec.records_per_op", small, 12.0),
+        Fixed("comm.small_allreduce_ms", small, op_ms), *overhead};
+    const SuiteRun run = RunRows(rows, "synthetic", kFull, {});
+    ASSERT_EQ(run.bars.size(), 1u);
+    EXPECT_NEAR(run.bars[0].value, pass ? 0.5 : 1.5, 1e-9);
+    EXPECT_EQ(run.bars[0].pass, pass) << run.bars[0].rule;
+    EXPECT_EQ(run.ok(), pass);
+  }
+  // Missing inputs fail the row instead of passing it vacuously.
+  const SuiteRun orphan = RunRows({*overhead}, "synthetic", kFull, {});
+  ASSERT_EQ(orphan.bars.size(), 1u);
+  EXPECT_FALSE(orphan.ok());
+}
+
+TEST(SuitesTest, CountRowCatchesOneAllocationPerOp) {
+  const Row mutant = AllocRow("mutant.alloc_per_op", {}, [](int repeats) {
+    return AllocsPerOp(repeats, 16, [] {
+      auto leak_free = std::make_unique<int>(7);
+      Escape(leak_free);
+    });
+  });
+  SuiteRunOptions options;
+  options.repeats = 2;
+  const SuiteRun run = RunRows({mutant}, "mutation", kQuick, options);
+  ASSERT_EQ(run.suite.results.size(), 1u);
+  // Recorded as 1 + allocs/op: one allocation per op reads 2.
+  EXPECT_EQ(run.suite.results[0].samples, (std::vector<double>{2.0, 2.0}));
+  ASSERT_EQ(run.bars.size(), 1u);
+  EXPECT_FALSE(run.bars[0].pass);
+  EXPECT_DOUBLE_EQ(run.bars[0].value, 2.0);
+}
+
+// Every count row, as its own unit-tier case (ctest perflab_count_rows):
+// exact and deterministic, so its bar holds under every build.
+class CountRowTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CountRowTest, MeasuresAndHoldsItsBar) {
+  const Row* row = FindRow(GetParam());
+  ASSERT_NE(row, nullptr);
+  SuiteRunOptions options;
+  options.repeats = 2;
+  const SuiteRun run = RunRows({*row}, "count", kQuick, options);
+  ASSERT_EQ(run.suite.results.size(), 1u) << run.bars.front().rule;
+  for (double s : run.suite.results[0].samples) EXPECT_GE(s, 1.0);
+  for (const BarVerdict& v : run.bars) {
+    EXPECT_TRUE(v.pass) << v.key << ": " << v.rule << " measured " << v.value;
+  }
+}
+
+std::vector<std::string> CountRowKeys() {
+  std::vector<std::string> keys;
+  for (const Row& row : Rows()) {
+    if (row.kind == Kind::kCount) keys.push_back(row.Key());
+  }
+  return keys;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CountRows, CountRowTest, ::testing::ValuesIn(CountRowKeys()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      for (char& ch : name) {
+        if (std::isalnum(static_cast<unsigned char>(ch)) == 0) ch = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace dear::perflab

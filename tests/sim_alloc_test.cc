@@ -1,44 +1,17 @@
 // Heap allocations of the simulator and of the BO acquisition sweep,
-// counted exactly by replacing global operator new: Simulate allocates per
-// graph, never per task, and the sweep's per-point prediction allocates
-// nothing.
+// counted exactly through the shared counting operator new
+// (perflab/alloc_counter.h): Simulate allocates per graph, never per task,
+// and the sweep's per-point prediction allocates nothing.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <span>
 #include <vector>
 
+#include "perflab/alloc_counter.h"
 #include "sim/engine.h"
 #include "tune/gp.h"
 #include "tune/search.h"
-
-namespace {
-
-std::atomic<long> g_allocs{0};
-
-long AllocCount() { return g_allocs.load(std::memory_order_relaxed); }
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dear {
 namespace {
@@ -63,13 +36,18 @@ sim::TaskGraph Chain(int n) {
 long SimulateAllocs(const sim::TaskGraph& g) {
   const std::vector<sim::StreamPolicy> policies = {
       sim::StreamPolicy::kFifoByReady, sim::StreamPolicy::kPriority};
-  const long before = AllocCount();
+  const long before = perflab::ThreadAllocs();
   {
     const auto r = sim::Simulate(g, policies);
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r->timings.size(), g.size());
   }
-  return AllocCount() - before;
+  return perflab::ThreadAllocs() - before;
+}
+
+// Every count below would read 0 in a binary built without the counter.
+TEST(SimAllocTest, CounterIsLinked) {
+  EXPECT_TRUE(perflab::AllocCounterLive());
 }
 
 TEST(SimAllocTest, SimulateAllocationsDoNotGrowWithTasks) {
@@ -92,13 +70,13 @@ TEST(SimAllocTest, PredictWithScratchAllocatesNothing) {
 
   std::vector<double> scratch;
   (void)gp.Predict(0.0, scratch);  // sizes the scratch buffer
-  const long before = AllocCount();
+  const long before = perflab::ThreadAllocs();
   double sum = 0.0;
   for (int i = 0; i < 256; ++i) {
     const auto p = gp.Predict(i / 255.0, scratch);
     sum += p.mean + p.variance;
   }
-  EXPECT_EQ(AllocCount() - before, 0);
+  EXPECT_EQ(perflab::ThreadAllocs() - before, 0);
   EXPECT_TRUE(sum == sum);  // keep the loop observable
 
   // The scratch overload is the same computation, bit for bit.
@@ -121,9 +99,9 @@ long SuggestAllocs(int grid) {
     bo.Observe(x, 100.0 - (x - 30.0) * (x - 30.0) / 50.0);
   }
   (void)bo.SuggestNext();  // refits the GP for the observations so far
-  const long before = AllocCount();
+  const long before = perflab::ThreadAllocs();
   (void)bo.SuggestNext();
-  return AllocCount() - before;
+  return perflab::ThreadAllocs() - before;
 }
 
 TEST(SimAllocTest, SuggestionAllocationsDoNotGrowWithGrid) {

@@ -4,11 +4,11 @@
 # aggressively threaded — one comm thread per rank — so TSan is the check
 # that matters most here; UBSan guards the tag bit-packing and span math).
 #
-#   tools/check.sh             # lint + plain + perf gate + tsan + ubsan
+#   tools/check.sh             # lint + plain + perf gate/bars + tsan + ubsan
 #   tools/check.sh --quick     # lint + plain build + unit tests + short chaos
 #   tools/check.sh --no-tsan   # skip the TSan pass (e.g. unsupported host)
 #   tools/check.sh --no-ubsan  # skip the UBSan pass
-#   tools/check.sh --no-bench  # skip the perf-lab regression gate
+#   tools/check.sh --no-bench  # skip the perf-lab gate and bars
 #
 # Test tiers are CTest LABELS (unit/integration/stress/fuzz/chaos); the full
 # run executes all of them. Fuzz- and chaos-labelled tests scale their
@@ -68,6 +68,10 @@ if [[ "$run_bench" == 1 ]]; then
   python3 tools/perf_gate.py --selftest
   ./build/tools/dearsim bench --suite quick --json-out BENCH_quick.json
   python3 tools/perf_gate.py bench/baselines/BENCH_quick.json BENCH_quick.json
+  echo "== perf-lab bars (full view) =="
+  # Every hard bar in the measurement table, timing bars included; exits
+  # non-zero if any bar fails.
+  ./build/tools/dearsim bench --suite full --json-out BENCH_full.json
 fi
 
 if [[ "$run_tsan" == 1 ]]; then

@@ -21,12 +21,13 @@ Rules (suppress one occurrence with `// lint: allow(<rule>)` on the line):
                       payload, assigning one as a payload, or copying a
                       message payload into a fresh vector reintroduces the
                       per-message heap traffic the zero-copy transport
-                      removed (bench/transport_path gates it at 0 allocs).
+                      removed (the perf-lab row transport.alloc_per_msg
+                      bars it at 0 allocs).
   steady-clock-in-comm
                       (src/comm only) Hot-path instrumentation reads time
                       through flightrec::NowNs() / CachedNowNs() — one
                       calibrated origin, one benchmarked cost
-                      (bench/flightrec_overhead). A direct
+                      (perf-lab row flightrec.event_ns). A direct
                       steady_clock::now() in the transport adds an
                       unbudgeted ~35 ns vDSO call and a second time base
                       the post-hoc trace merger cannot align.
@@ -51,6 +52,13 @@ Rules (suppress one occurrence with `// lint: allow(<rule>)` on the line):
                       (OnCollectiveBegin/End, OnGroupEvent), or a
                       telemetry::OnMessage…/OnCollective call brings back a
                       second event pipeline for the same moment.
+  single-alloc-counter
+                      Global operator new is replaced in exactly one file,
+                      src/perflab/alloc_counter.cc (the per-thread counter
+                      every 0-alloc bar reads). A second global
+                      `operator new` definition anywhere in the scanned
+                      tree is a second counter that measures differently,
+                      or a link-time clash with the shared one.
 
 Usage: python3 tools/lint.py [--root DIR] [paths...]
 Exits 1 if any finding survives suppression, 0 on a clean tree.
@@ -197,6 +205,11 @@ SINGLE_PROBE_RE = re.compile(
     r"|\btelemetry::On(?:Message\w*|Collective)\s*\("
 )
 
+# The one file allowed to define a global operator new.
+ALLOC_COUNTER_FILE = "src/perflab/alloc_counter.cc"
+# A global (column-0) operator new / new[] definition or declaration.
+GLOBAL_OPERATOR_NEW_RE = re.compile(r"^void\s*\*\s*operator\s+new\b")
+
 SHIFT_BY_LITERAL_RE = re.compile(r"(<<|>>)\s*\d")
 HEX_MASK_RE = re.compile(r"&\s*0[xX][0-9a-fA-F]+|0[xX][0-9a-fA-F]+\s*&")
 TAG_CONTEXT_RE = re.compile(r"\btags?\b|\bTag[A-Z]|_tag\b|\btag_|MakeTag|msg->tag")
@@ -334,6 +347,17 @@ class Linter:
                         "comm::probe call per site (comm/probe.h)",
                         raw_line(i))
 
+        # Rule: single-alloc-counter (the counter's own file exempt).
+        if not norm.endswith(ALLOC_COUNTER_FILE):
+            for i, line in enumerate(lines):
+                if GLOBAL_OPERATOR_NEW_RE.search(line):
+                    self.report(
+                        path, i + 1, "single-alloc-counter",
+                        "global operator new outside "
+                        f"{ALLOC_COUNTER_FILE} — count allocations with "
+                        "perflab::ThreadAllocs() and link dear_alloc_counter",
+                        raw_line(i))
+
         # Rule: using-namespace-in-header.
         if is_header:
             for i, line in enumerate(lines):
@@ -393,6 +417,7 @@ struct Bad {
     telemetry::OnMessageSent(0, 4);             // finding: single-probe
   }
 };
+void* operator new(std::size_t n) { return std::malloc(n); }  // finding: single-alloc-counter
 """
 
 SELFTEST_EXPECT = {
@@ -404,6 +429,7 @@ SELFTEST_EXPECT = {
     "payload-dtype-access": 4,  # begin/end copy line + span + u16 + wire_data
     "steady-clock-in-comm": 1,
     "single-probe": 3,
+    "single-alloc-counter": 1,
 }
 
 

@@ -18,6 +18,10 @@ a regression from run-to-run noise. Deterministic simulator metrics ship
 with tight ratios (1.02) and fail on any real drift; wall-clock metrics
 ship with generous ratios (3.0) so the gate is meaningful on any machine.
 
+A baseline metric the candidate does not report also FAILS: deleting or
+renaming a row must not silently drop its gate (refresh the baseline in
+the same change instead).
+
 Exit codes: 0 ok / only warnings, 1 regression detected, 2 bad input.
 stdlib only — no scipy/numpy on purpose.
 
@@ -140,8 +144,9 @@ def run_gate(args: argparse.Namespace) -> int:
     for key, br in base_by_key.items():
         cr = cand_by_key.get(key)
         if cr is None:
-            warnings += 1
-            print(f"WARN {key}: missing from candidate")
+            # A dropped or renamed row would silently drop its gate.
+            failures += 1
+            print(f"FAIL {key}: missing from candidate")
             continue
         verdict, detail = compare_metric(br, cr, args.alpha,
                                          args.default_max_ratio)
@@ -168,7 +173,8 @@ def run_gate(args: argparse.Namespace) -> int:
 
 
 def selftest() -> int:
-    """The gate must accept identical data and reject a 2x slowdown."""
+    """The gate must accept identical data and reject a 2x slowdown and a
+    dropped metric."""
     rng_state = 12345
 
     def noise() -> float:  # deterministic LCG; no reliance on random's impl
@@ -215,9 +221,13 @@ def selftest() -> int:
                     suite([2.0 * v for v in base_samples]))
     jitter = gate(suite(base_samples),
                   suite([v * (1.0 + 0.02 * noise()) for v in base_samples]))
-    ok = identical == 0 and slowdown == 1 and jitter == 0
+    dropped_suite = suite(base_samples)
+    dropped_suite["results"] = []
+    dropped = gate(suite(base_samples), dropped_suite)
+    ok = identical == 0 and slowdown == 1 and jitter == 0 and dropped == 1
     print(f"selftest: identical={identical} (want 0), "
-          f"2x-slowdown={slowdown} (want 1), small-jitter={jitter} (want 0)"
+          f"2x-slowdown={slowdown} (want 1), small-jitter={jitter} (want 0), "
+          f"dropped-metric={dropped} (want 1)"
           f" -> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -235,8 +245,9 @@ def main() -> int:
                         help="report regressions but exit 0 (CI mode)")
     parser.add_argument("--verbose", action="store_true")
     parser.add_argument("--selftest", action="store_true",
-                        help="verify the gate catches a 2x slowdown and "
-                             "accepts identical/noisy reruns")
+                        help="verify the gate catches a 2x slowdown and a "
+                             "dropped metric, and accepts identical/noisy "
+                             "reruns")
     args = parser.parse_args()
     if args.selftest:
         return selftest()
