@@ -259,6 +259,11 @@ TEST(SuitesTest, QuickSuiteHoldsBarsAndCoversBaseline) {
   for (const BenchResult& b : baseline->results) {
     EXPECT_NE(suite.Find(b.Key()), nullptr) << "dropped " << b.Key();
   }
+  // The wall/exact metric classes both appear, with their distinct gates.
+  const BenchResult* wall =
+      suite.Find("runtime.train_iter_ms|schedule=dear|world=2");
+  ASSERT_NE(wall, nullptr);
+  EXPECT_DOUBLE_EQ(wall->gate_max_ratio, 3.0);
   const BenchResult* sim = suite.Find(
       "sim.iter_ms|gpus=16|model=resnet50|network=10gbe|policy=dear");
   ASSERT_NE(sim, nullptr);
