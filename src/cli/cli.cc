@@ -17,6 +17,7 @@
 #include "comm/cost_model.h"
 #include "comm/transport.h"
 #include "common/flags.h"
+#include "common/stats.h"
 #include "core/trainer.h"
 #include "fusion/plan.h"
 #include "model/zoo.h"
@@ -310,10 +311,9 @@ StatusOr<core::ScheduleMode> RuntimeScheduleByName(const std::string& name) {
   if (name == "wfbp") return core::ScheduleMode::kWFBP;
   if (name == "sequential") return core::ScheduleMode::kSequential;
   if (name == "zero") return core::ScheduleMode::kZeRO;
-  if (name == "localsgd") return core::ScheduleMode::kLocalSGD;
   return Status::InvalidArgument(
       "unknown schedule '" + name +
-      "' (expected dear, wfbp, sequential, zero, or localsgd)");
+      "' (expected dear, wfbp, sequential, or zero)");
 }
 
 /// A small MLP whose layer count scales with the zoo model so the profile
@@ -333,10 +333,20 @@ std::vector<int> ProxyDims(const model::ModelSpec& m) {
   return dims;
 }
 
+void PrintQuantiles(std::ostream& out, double p50, double p95, double p99) {
+  out << std::fixed << std::setprecision(3) << std::setw(10) << p50
+      << std::setw(10) << p95 << std::setw(10) << p99;
+}
+
 void PrintQuantiles(std::ostream& out, const Histogram& h, double scale) {
-  out << std::fixed << std::setprecision(3) << std::setw(10)
-      << h.Quantile(0.5) * scale << std::setw(10) << h.Quantile(0.95) * scale
-      << std::setw(10) << h.Quantile(0.99) * scale;
+  PrintQuantiles(out, h.Quantile(0.5) * scale, h.Quantile(0.95) * scale,
+                 h.Quantile(0.99) * scale);
+}
+
+/// Exact p50/p95/p99 over `samples`.
+void PrintQuantiles(std::ostream& out, const std::vector<double>& samples) {
+  PrintQuantiles(out, Percentile(samples, 50), Percentile(samples, 95),
+                 Percentile(samples, 99));
 }
 
 int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
@@ -406,8 +416,10 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
 
   const auto journal = recorder.SnapshotAll();
   const auto attribution = analysis::AttributeIterations(journal, world);
+  // iter_ms: exact quantiles of the rank's step-end -> step-end windows.
   // exposed_ms: Eq. 9's exposed RS + AG time from the attribution report;
   // exposed% is its share of the attributed iteration time.
+  std::vector<double> all_iter_ms;
   out << "rank   sent(KB)   recv(KB)  msgs   iter_ms(p50/p95/p99)"
       << "   exposed_ms  exposed%\n";
   for (int r = 0; r < world; ++r) {
@@ -426,47 +438,32 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
     out << std::setw(4) << r << std::fixed << std::setprecision(1)
         << std::setw(11) << sent / 1024.0 << std::setw(11) << recv / 1024.0
         << std::setw(6) << msgs;
-    bool printed_iter = false;
-    for (const auto& [name, h] : reg->Histograms()) {
-      if (name == "optim.iteration.seconds") {
-        out << "  ";
-        PrintQuantiles(out, h, 1e3);
-        printed_iter = true;
-      }
+    std::vector<double> iter_ms;
+    if (static_cast<std::size_t>(r) < journal.size()) {
+      for (const auto& w : analysis::PairScheduleRecords(
+                               journal[static_cast<std::size_t>(r)])
+                               .windows)
+        iter_ms.push_back(static_cast<double>(w.span.length()) * 1e-6);
     }
-    if (!printed_iter) out << std::setw(32) << "-";
+    if (iter_ms.empty()) {
+      out << std::setw(32) << "-";
+    } else {
+      out << "  ";
+      PrintQuantiles(out, iter_ms);
+      all_iter_ms.insert(all_iter_ms.end(), iter_ms.begin(), iter_ms.end());
+    }
     out << std::fixed << std::setprecision(3) << std::setw(13) << exposed_ms
         << std::setw(9) << std::setprecision(1)
         << (attr.iter_ms > 0.0 ? 100.0 * exposed_ms / attr.iter_ms : 0.0)
         << "%\n";
   }
 
-  // Job-level iteration-time row: per-rank histograms share the metric
-  // ladder's bucket edges, so Histogram::Merge gives the distribution over
-  // every (rank, iteration) observation — the p99 a job dashboard shows.
-  {
-    bool have = false;
-    Histogram job;
-    for (int r = 0; r < world; ++r) {
-      auto* reg = rt.rank_metrics(r);
-      if (!reg) continue;
-      for (const auto& [name, h] : reg->Histograms()) {
-        if (name != "optim.iteration.seconds") continue;
-        if (!have) {
-          job = h;
-          have = true;
-        } else if (!job.Merge(h).ok()) {
-          have = false;  // mismatched edges: skip the aggregate row
-          r = world;
-          break;
-        }
-      }
-    }
-    if (have) {
-      out << " all (merged " << world << " ranks)       ";
-      PrintQuantiles(out, job, 1e3);
-      out << "\n";
-    }
+  // Job-level iteration-time row: every (rank, iteration) window — the
+  // p99 a job dashboard shows.
+  if (!all_iter_ms.empty()) {
+    out << " all (merged " << world << " ranks)       ";
+    PrintQuantiles(out, all_iter_ms);
+    out << "\n";
   }
 
   // Transport buffer-pool accounting (global registry: pools are per-hub,
@@ -711,8 +708,10 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
     rt.Enable(world);
     monitor.Enable(*net, world);  // after telemetry: resolves its metrics
     RunRuntimeSweep(world);
-    // A short training run on top of the raw sweep: populates the
-    // pipeline-health gauge and samples the shapes a real schedule uses.
+    // A short training run on top of the raw sweep: samples the shapes a
+    // real schedule uses, and its journal yields the pipeline-health share.
+    auto& recorder = flightrec::Recorder::Get();
+    recorder.Reset();
     {
       const auto m = model::ByName(flags.GetString("model"));
       const std::vector<int> dims = ProxyDims(m);
@@ -728,17 +727,16 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
                              world, options);
     }
     monitor.Disable();
-    for (int r = 0; r < world; ++r) {
-      if (auto* reg = rt.rank_metrics(r)) {
-        for (const auto& [name, v] : reg->Gauges()) {
-          if (name == "health.exposed_comm_fraction" &&
-              v > exposed_fraction) {
-            exposed_fraction = v;
-          }
-        }
-      }
-    }
     rt.Disable();
+    // Fraction of iteration time the compute thread spent blocked on
+    // collectives (0 = perfect overlap), worst rank.
+    const auto attribution =
+        analysis::AttributeIterations(recorder.SnapshotAll(), world);
+    for (const auto& rank : attribution.ranks) {
+      if (rank.iter_ms > 0.0)
+        exposed_fraction = std::max(
+            exposed_fraction, (rank.iter_ms - rank.compute_ms) / rank.iter_ms);
+    }
   }
 
   // ---- Assemble the report ------------------------------------------------
@@ -1297,7 +1295,7 @@ int RunCli(int argc, const char* const* argv, std::ostream& out,
   flags.AddString("dtype", "f32",
                   "gradient wire dtype: f32|f16|bf16 (profile, fuzz)");
   flags.AddString("schedule", "dear",
-                  "runtime schedule: dear|wfbp|sequential|zero|localsgd");
+                  "runtime schedule: dear|wfbp|sequential|zero");
   flags.AddInt("buffer-kb", 64, "runtime fusion buffer in KB (profile)");
   flags.AddString("trace-out", "",
                   "write Chrome trace JSON here (profile, timeline)");

@@ -8,6 +8,14 @@ namespace {
 /// Nesting depth of CollectiveProbe on this thread; only depth 0 records.
 thread_local int t_collective_depth = 0;
 
+/// Wall time in seconds between two journal stamps (raw ticks).
+double ElapsedSeconds(std::uint64_t begin_ticks,
+                      std::uint64_t end_ticks) noexcept {
+  return static_cast<double>(
+             flightrec::detail::TicksToNs(end_ticks - begin_ticks)) *
+         1e-9;
+}
+
 }  // namespace
 
 CollectiveProbe::CollectiveProbe(int rank, CollectiveKind kind,
@@ -67,13 +75,11 @@ void StaleDrop(int dst, int src, const Message& msg,
   if (checker.enabled()) checker.OnStaleMessage(dst, src, msg.epoch, cur_epoch);
 }
 
-std::uint64_t Group(int rank, int group, flightrec::EventKind kind,
-                    std::uint32_t seq) {
-  const std::uint64_t ticks =
-      flightrec::Recorder::Get().OnGroupEvent(rank, group, kind, seq);
+void Group(int rank, int group, flightrec::EventKind kind,
+           std::uint32_t seq) {
+  flightrec::Recorder::Get().OnGroupEvent(rank, group, kind, seq);
   check::Checker& checker = check::Checker::Get();
   if (checker.enabled()) checker.OnGroupEvent(rank, group, kind);
-  return ticks;
 }
 
 void EpochTransition(int detector, std::uint32_t epoch, int kind,

@@ -68,15 +68,6 @@ class CollectiveProbe {
   std::uint64_t begin_ticks_{0};
 };
 
-/// Wall time in seconds between two stamps returned by the probes below
-/// (raw journal ticks).
-inline double ElapsedSeconds(std::uint64_t begin_ticks,
-                             std::uint64_t end_ticks) noexcept {
-  return static_cast<double>(
-             flightrec::detail::TicksToNs(end_ticks - begin_ticks)) *
-         1e-9;
-}
-
 /// Transport send on `src` toward `dst`: journals the send edge (stamping
 /// `msg`'s causal ID and Lamport clock) and counts its wire bytes.
 inline void Send(int src, int dst, Message& msg) noexcept {
@@ -101,11 +92,9 @@ void StaleDrop(int dst, int src, const Message& msg, std::uint32_t cur_epoch);
 /// DistOptim schedule record on `rank`. Group kinds (kRsLaunch..kUnpack,
 /// kWaitBegin) carry `group` and the group's in-flight op sequence number
 /// `seq`; kStepEnd carries the step index in `seq`. The five protocol kinds
-/// also drive the checker's BackPipe/FeedPipe machine. Returns the record's
-/// tick stamp, so DistOptim times launches, waits and iterations from the
-/// journal's own clock reads (ElapsedSeconds).
-std::uint64_t Group(int rank, int group, flightrec::EventKind kind,
-                    std::uint32_t seq = 0);
+/// also drive the checker's BackPipe/FeedPipe machine.
+void Group(int rank, int group, flightrec::EventKind kind,
+           std::uint32_t seq = 0);
 
 /// Membership epoch transition committed by `detector` (`kind` =
 /// TransitionKind value, `live_mask` = live set after it), and `rank`'s

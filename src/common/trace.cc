@@ -52,23 +52,19 @@ void AppendMetadata(std::string& out, const char* what, std::int64_t pid,
 }  // namespace
 
 void TraceRecorder::Record(TraceEvent event) {
-  std::lock_guard<std::mutex> lock(mutex_);
   events_.push_back(std::move(event));
 }
 
 void TraceRecorder::SetProcessName(std::int64_t pid, std::string name) {
-  std::lock_guard<std::mutex> lock(mutex_);
   process_names_[pid] = std::move(name);
 }
 
 void TraceRecorder::SetThreadName(std::int64_t pid, std::int64_t tid,
                                   std::string name) {
-  std::lock_guard<std::mutex> lock(mutex_);
   thread_names_[{pid, tid}] = std::move(name);
 }
 
 std::string TraceRecorder::ToJson() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> parts;
   parts.reserve(events_.size() + process_names_.size() +
                 thread_names_.size());
@@ -147,23 +143,6 @@ bool TraceRecorder::WriteFile(const std::string& path) const {
   if (!f) return false;
   f << ToJson();
   return static_cast<bool>(f);
-}
-
-std::size_t TraceRecorder::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_.size();
-}
-
-void TraceRecorder::Clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_.clear();
-  process_names_.clear();
-  thread_names_.clear();
-}
-
-std::vector<TraceEvent> TraceRecorder::Events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_;
 }
 
 }  // namespace dear

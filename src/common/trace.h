@@ -8,13 +8,13 @@
 // matching flow-begin/flow-end pair (ph "s"/"f" sharing the ID, plus a
 // bind_id on the slice itself) so Perfetto draws an arrow from the
 // flow_out slice to the flow_in slice — used by the flight recorder to
-// draw Send→Recv edges between ranks. Thread-safe: events may be recorded
-// from multiple worker threads.
+// draw Send→Recv edges between ranks. Not thread-safe: a recorder is
+// filled and written by one exporter thread (the journal is the concurrent
+// event pipeline; exporters replay it afterwards).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,11 +37,11 @@ struct TraceEvent {
 
 class TraceRecorder {
  public:
-  /// Records a complete event. Thread-safe.
+  /// Records a complete event.
   void Record(TraceEvent event);
 
-  /// Names a process lane (Perfetto "process_name" metadata). Thread-safe;
-  /// last writer wins.
+  /// Names a process lane (Perfetto "process_name" metadata); last writer
+  /// wins.
   void SetProcessName(std::int64_t pid, std::string name);
 
   /// Names a thread lane within a process ("thread_name" metadata).
@@ -53,14 +53,9 @@ class TraceRecorder {
   /// Writes ToJson() to `path`; returns false on I/O failure.
   bool WriteFile(const std::string& path) const;
 
-  [[nodiscard]] std::size_t size() const;
-  void Clear();
-
-  /// Snapshot of events (copy), for programmatic inspection in tests.
-  [[nodiscard]] std::vector<TraceEvent> Events() const;
+  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
 
  private:
-  mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
   std::map<std::int64_t, std::string> process_names_;
   std::map<std::pair<std::int64_t, std::int64_t>, std::string> thread_names_;

@@ -5,28 +5,16 @@
 #include "comm/probe.h"
 #include "common/math_util.h"
 #include "common/logging.h"
-#include "telemetry/telemetry.h"
 
 namespace dear::core {
 
 // Schedule events go through comm::probe::Group: one journal record each
 // (the attribution report and the Chrome trace read them back), plus the
 // dearcheck group state machine that verifies the BackPipe/FeedPipe
-// ordering contract per (rank, group). The tick stamp each record carries
-// is also the only clock DistOptim times itself with: wait buckets,
-// launch-to-complete latencies and iteration times are differences of
-// journaled stamps.
+// ordering contract per (rank, group). DistOptim keeps no clock of its
+// own: waits and iteration times are differences of the stamps those
+// records carry, read back by analysis::AttributeIterations.
 using flightrec::EventKind;
-
-namespace {
-
-/// The calling rank's registry, or nullptr when telemetry is off.
-telemetry::MetricsRegistry* Registry(int rank) {
-  auto& rt = telemetry::Runtime::Get();
-  return rt.enabled() ? rt.rank_metrics(rank) : nullptr;
-}
-
-}  // namespace
 
 DistOptim::DistOptim(comm::Communicator comm, model::ModelSpec spec,
                      std::vector<train::ParamBinding> bindings,
@@ -67,8 +55,6 @@ DistOptim::DistOptim(comm::Communicator comm, model::ModelSpec spec,
   }
   DEAR_CHECK_MSG(options_.accumulation_steps >= 1,
                  "accumulation_steps must be at least 1");
-  DEAR_CHECK_MSG(options_.local_steps >= 1,
-                 "local_steps must be at least 1");
   std::vector<std::size_t> sizes;
   sizes.reserve(bindings_.size());
   for (const auto& b : bindings_) sizes.push_back(b.values.size());
@@ -86,84 +72,19 @@ void DistOptim::RebuildPlan() {
     groups_[static_cast<std::size_t>(g)].buffer.assign(
         plan_.group(g).bytes / model::kBytesPerElement, 0.0f);
   }
-  if (auto* reg = Registry(engine_->global_rank())) {
-    reg->GetGauge("optim.fusion.groups")
-        .Set(static_cast<double>(plan_.num_groups()));
-    reg->GetGauge("optim.fusion.buffer_bytes")
-        .Set(static_cast<double>(options_.buffer_bytes));
-    auto& group_bytes = reg->GetHistogram("optim.fusion.group_bytes");
-    for (int g = 0; g < plan_.num_groups(); ++g)
-      group_bytes.Observe(static_cast<double>(plan_.group(g).bytes));
-  }
 }
 
 void DistOptim::MarkLaunched(int g, EventKind kind) {
   GroupState& state = groups_[static_cast<std::size_t>(g)];
   state.op_seq = next_op_seq_++;
-  state.launch_ticks =
-      comm::probe::Group(engine_->global_rank(), g, kind, state.op_seq);
-}
-
-DistOptim::TelemetryCache* DistOptim::RefreshTelemetryCache() {
-  auto& rt = telemetry::Runtime::Get();
-  if (!rt.enabled()) return nullptr;
-  const std::uint64_t session = rt.session_id();
-  if (tcache_.session != session) {
-    auto* reg = rt.rank_metrics(engine_->global_rank());
-    if (!reg) return nullptr;
-    tcache_.rs_latency =
-        &reg->GetHistogram("optim.reduce_scatter.launch_to_complete_seconds");
-    tcache_.ag_latency =
-        &reg->GetHistogram("optim.all_gather.launch_to_complete_seconds");
-    tcache_.ar_latency =
-        &reg->GetHistogram("optim.all_reduce.launch_to_complete_seconds");
-    tcache_.iteration_seconds = &reg->GetHistogram("optim.iteration.seconds");
-    tcache_.steps = &reg->GetCounter("optim.steps");
-    tcache_.collectives = &reg->GetGauge("optim.collectives");
-    tcache_.step_wait = &reg->GetGauge("optim.step_wait_seconds_total");
-    tcache_.pre_forward_wait =
-        &reg->GetGauge("optim.pre_forward_wait_seconds_total");
-    tcache_.synchronize_wait =
-        &reg->GetGauge("optim.synchronize_wait_seconds_total");
-    tcache_.exposed_comm_fraction =
-        &reg->GetGauge("health.exposed_comm_fraction");
-    tcache_.session = session;
-  }
-  return &tcache_;
+  comm::probe::Group(engine_->global_rank(), g, kind, state.op_seq);
 }
 
 void DistOptim::ObserveStepEnd() {
   // Consecutive kStepEnd records bound the iteration windows the
   // attribution report decomposes.
-  const std::uint64_t now = comm::probe::Group(
-      engine_->global_rank(), /*group=*/0, EventKind::kStepEnd,
-      static_cast<std::uint32_t>(stats_.steps));
-  if (auto* cache = RefreshTelemetryCache()) {
-    if (last_step_end_ticks_ != 0) {
-      const double iter_s =
-          comm::probe::ElapsedSeconds(last_step_end_ticks_, now);
-      total_iteration_s_ += iter_s;
-      cache->iteration_seconds->Observe(iter_s);
-    }
-    cache->steps->Add(1);
-    cache->collectives->Set(static_cast<double>(stats_.collectives));
-    cache->step_wait->Set(stats_.step_wait_s);
-    cache->pre_forward_wait->Set(stats_.pre_forward_wait_s);
-    cache->synchronize_wait->Set(stats_.synchronize_wait_s);
-    // Live pipeline-health signal: the fraction of total iteration time the
-    // compute thread spent stalled on collectives — communication the
-    // schedule failed to hide (0 = perfect overlap, 1 = fully exposed).
-    // Pre-forward waits for the first iteration land before any measured
-    // window, so the raw ratio can exceed 1 on short runs; the gauge is
-    // defined on [0, 1] and the raw totals stay in the optim.*_wait gauges.
-    if (total_iteration_s_ > 0.0) {
-      const double exposed = stats_.step_wait_s + stats_.pre_forward_wait_s +
-                             stats_.synchronize_wait_s;
-      cache->exposed_comm_fraction->Set(
-          std::min(1.0, exposed / total_iteration_s_));
-    }
-  }
-  last_step_end_ticks_ = now;
+  comm::probe::Group(engine_->global_rank(), /*group=*/0, EventKind::kStepEnd,
+                     static_cast<std::uint32_t>(stats_.steps));
 }
 
 bool DistOptim::WaitHandle(const comm::CollectiveHandle& handle) {
@@ -183,30 +104,18 @@ bool DistOptim::WaitHandle(const comm::CollectiveHandle& handle) {
   return false;
 }
 
-bool DistOptim::AwaitGroup(int g, double* bucket) {
+bool DistOptim::AwaitGroup(int g) {
   GroupState& state = groups_[static_cast<std::size_t>(g)];
   const int rank = engine_->global_rank();
   // Call sites flip state.phase only after completion, so it still names
   // the op being waited on: OP2 of the decoupled pair, or OP1 / a fused
-  // all-reduce (WFBP/sequential/local-SGD paths).
+  // all-reduce (WFBP/sequential paths).
   const bool ag = state.phase == GroupPhase::kAgPending;
-  const std::uint64_t wait_begin =
-      comm::probe::Group(rank, g, EventKind::kWaitBegin, state.op_seq);
+  comm::probe::Group(rank, g, EventKind::kWaitBegin, state.op_seq);
   if (!WaitHandle(state.handle)) return false;
-  const std::uint64_t done = comm::probe::Group(
-      rank, g, ag ? EventKind::kAgComplete : EventKind::kRsComplete,
-      state.op_seq);
-  *bucket += comm::probe::ElapsedSeconds(wait_begin, done);
-  if (auto* cache = RefreshTelemetryCache()) {
-    telemetry::HistogramMetric* latency = cache->ar_latency;
-    if (ag) {
-      latency = cache->ag_latency;
-    } else if (options_.mode == ScheduleMode::kDeAR ||
-               options_.mode == ScheduleMode::kZeRO) {
-      latency = cache->rs_latency;
-    }
-    latency->Observe(comm::probe::ElapsedSeconds(state.launch_ticks, done));
-  }
+  comm::probe::Group(rank, g,
+                     ag ? EventKind::kAgComplete : EventKind::kRsComplete,
+                     state.op_seq);
   return true;
 }
 
@@ -287,49 +196,6 @@ void DistOptim::ApplyShardedUpdate(int g) {
   }
 }
 
-void DistOptim::LocalSgdStep() {
-  // Purely local update from the accumulated gradients...
-  for (int t = 0; t < spec_.num_tensors(); ++t) {
-    auto& binding = bindings_[static_cast<std::size_t>(t)];
-    sgd_->Step(t, binding.values, binding.grads);
-  }
-  // ... then, at round boundaries, all-reduce-average the parameters.
-  if (++local_step_ < options_.local_steps) return;
-  local_step_ = 0;
-  for (int g = 0; g < plan_.num_groups(); ++g) {
-    GroupState& state = groups_[static_cast<std::size_t>(g)];
-    std::size_t offset = 0;
-    for (int t : plan_.group(g).tensors) {
-      const auto& values = bindings_[static_cast<std::size_t>(t)].values;
-      std::copy(values.begin(), values.end(),
-                state.buffer.begin() + static_cast<std::ptrdiff_t>(offset));
-      offset += values.size();
-    }
-    ++stats_.collectives;
-    state.handle = engine_->SubmitAllReduce(std::span<float>(state.buffer),
-                                            comm::ReduceOp::kAvg);
-    state.phase = GroupPhase::kRsPending;
-    MarkLaunched(g, EventKind::kRsLaunch);
-  }
-  for (int g = 0; g < plan_.num_groups(); ++g) {
-    GroupState& state = groups_[static_cast<std::size_t>(g)];
-    if (!AwaitGroup(g, &stats_.step_wait_s)) return;
-    std::size_t offset = 0;
-    for (int t : plan_.group(g).tensors) {
-      auto& values = bindings_[static_cast<std::size_t>(t)].values;
-      std::copy(state.buffer.begin() + static_cast<std::ptrdiff_t>(offset),
-                state.buffer.begin() +
-                    static_cast<std::ptrdiff_t>(offset + values.size()),
-                values.begin());
-      offset += values.size();
-    }
-    state.phase = GroupPhase::kIdle;
-    state.tensors_ready = 0;
-    comm::probe::Group(engine_->global_rank(), g, EventKind::kUnpack,
-                       state.op_seq);
-  }
-}
-
 comm::CollectiveHandle DistOptim::SubmitGather(GroupState& state) {
   ++stats_.collectives;
   // kZeRO's OP2 distributes freshly updated PARAMETERS; those stay on the
@@ -379,11 +245,6 @@ void DistOptim::LaunchGroup(int g) {
                                               comm::ReduceOp::kAvg, wire);
       state.phase = GroupPhase::kRsPending;
       break;
-    case ScheduleMode::kLocalSGD:
-      // Unreachable: kLocalSGD's hooks never launch gradient groups; its
-      // parameter averaging lives in LocalSgdStep().
-      DEAR_CHECK_MSG(false, "kLocalSGD does not launch gradient groups");
-      break;
   }
   MarkLaunched(g, EventKind::kRsLaunch);
 }
@@ -391,9 +252,6 @@ void DistOptim::LaunchGroup(int g) {
 void DistOptim::OnBackwardLayer(int layer) {
   DEAR_CHECK(layer >= 0 && layer < spec_.num_layers());
   if (failed_) return;  // elastic: owner tears down and rebuilds
-  // Local SGD never communicates gradients; parameters are averaged in
-  // Step() at round boundaries instead.
-  if (options_.mode == ScheduleMode::kLocalSGD) return;
   // Mid-accumulation micro-steps only accumulate into binding.grads;
   // communication waits for the window's final backward pass.
   if (micro_step_ + 1 < options_.accumulation_steps) return;
@@ -424,11 +282,6 @@ void DistOptim::Step() {
   }
   micro_step_ = 0;
   ++stats_.steps;
-  if (options_.mode == ScheduleMode::kLocalSGD) {
-    LocalSgdStep();
-    ObserveStepEnd();
-    return;
-  }
   switch (options_.mode) {
     case ScheduleMode::kSequential: {
       // Launch and drain everything; updates applied before returning.
@@ -441,7 +294,7 @@ void DistOptim::Step() {
         LaunchGroup(g);
       }
       for (int g = 0; g < plan_.num_groups(); ++g) {
-        if (!AwaitGroup(g, &stats_.step_wait_s)) return;
+        if (!AwaitGroup(g)) return;
       }
       for (int g = 0; g < plan_.num_groups(); ++g) UnpackAndApply(g);
       break;
@@ -452,7 +305,7 @@ void DistOptim::Step() {
         auto& state = groups_[static_cast<std::size_t>(g)];
         DEAR_CHECK_MSG(state.phase == GroupPhase::kRsPending,
                        "Step() before backward completed");
-        if (!AwaitGroup(g, &stats_.step_wait_s)) return;
+        if (!AwaitGroup(g)) return;
       }
       for (int g = 0; g < plan_.num_groups(); ++g) UnpackAndApply(g);
       break;
@@ -468,7 +321,7 @@ void DistOptim::Step() {
         auto& state = groups_[static_cast<std::size_t>(g)];
         DEAR_CHECK_MSG(state.phase == GroupPhase::kRsPending,
                        "Step() before backward completed");
-        if (!AwaitGroup(g, &stats_.step_wait_s)) return;
+        if (!AwaitGroup(g)) return;
       }
       for (int g = 0; g < plan_.num_groups(); ++g) {
         auto& state = groups_[static_cast<std::size_t>(g)];
@@ -479,8 +332,6 @@ void DistOptim::Step() {
       }
       break;
     }
-    case ScheduleMode::kLocalSGD:
-      break;  // handled above, before the switch
   }
   ObserveStepEnd();
 }
@@ -494,7 +345,7 @@ void DistOptim::PreForward(int layer) {
   for (int g : plan_.groups_of_layer(layer)) {
     GroupState& state = groups_[static_cast<std::size_t>(g)];
     if (state.phase != GroupPhase::kAgPending) continue;  // first iteration
-    if (!AwaitGroup(g, &stats_.pre_forward_wait_s)) return;
+    if (!AwaitGroup(g)) return;
     UnpackAndApply(g);
   }
 }
@@ -516,19 +367,19 @@ void DistOptim::Synchronize() {
         // modes the buffer holds a scattered result, so complete the pair
         // (kZeRO also applies its sharded update in between); in the
         // all-reduce modes the data is already fully reduced.
-        if (!AwaitGroup(g, &stats_.synchronize_wait_s)) return;
+        if (!AwaitGroup(g)) return;
         if (options_.mode == ScheduleMode::kDeAR ||
             options_.mode == ScheduleMode::kZeRO) {
           if (options_.mode == ScheduleMode::kZeRO) ApplyShardedUpdate(g);
           state.handle = SubmitGather(state);
           state.phase = GroupPhase::kAgPending;
           MarkLaunched(g, EventKind::kAgLaunch);
-          if (!AwaitGroup(g, &stats_.synchronize_wait_s)) return;
+          if (!AwaitGroup(g)) return;
         }
         UnpackAndApply(g);
         break;
       case GroupPhase::kAgPending:
-        if (!AwaitGroup(g, &stats_.synchronize_wait_s)) return;
+        if (!AwaitGroup(g)) return;
         UnpackAndApply(g);
         break;
     }

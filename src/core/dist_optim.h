@@ -35,12 +35,6 @@
 #include "train/mlp.h"
 #include "train/sgd.h"
 
-namespace dear::telemetry {
-class Counter;
-class Gauge;
-class HistogramMetric;
-}  // namespace dear::telemetry
-
 namespace dear::core {
 
 enum class ScheduleMode {
@@ -54,13 +48,6 @@ enum class ScheduleMode {
   /// kDeAR, but optimizer state is touched by exactly one rank per element.
   /// Requires the ring algorithm (slice ownership is ring-chunk ownership).
   kZeRO,
-  /// Local SGD / periodic parameter averaging: every worker takes
-  /// `local_steps` purely local SGD steps, then parameters (not gradients)
-  /// are all-reduce-averaged. Cuts communication by local_steps x at the
-  /// cost of gradient staleness — the classic communication-REDUCTION
-  /// counterpoint to DeAR's communication-HIDING (related-work family of
-  /// the paper's §VII).
-  kLocalSGD,
 };
 
 /// Gradient compression applied to fused buffers on the wire (the paper's
@@ -70,8 +57,8 @@ enum class ScheduleMode {
 /// receivers upconvert while folding, so accumulation stays fp32. The
 /// numerics match real mixed-precision all-reduce — every partial sum is
 /// rounded to the wire format at each hop — so convergence effects are
-/// real. kZeRO's parameter all-gather and kLocalSGD's parameter averaging
-/// stay fp32 regardless: master weights must not lose precision in flight.
+/// real. kZeRO's parameter all-gather stays fp32 regardless: master weights
+/// must not lose precision in flight.
 enum class Compression { kNone, kFp16, kBf16 };
 
 /// Wire dtype the gradient collectives use under `c`.
@@ -95,8 +82,6 @@ struct DistOptimOptions {
   /// last micro-step's Step() communicates and updates. The caller must
   /// NOT ZeroGrad() between micro-steps.
   int accumulation_steps{1};
-  /// kLocalSGD: local steps between parameter-averaging rounds.
-  int local_steps{4};
   Compression compression{Compression::kNone};
   /// Decoupled collective pair used by kDeAR: kRing (RS+AG) or
   /// kHierarchical (intra-node reduce + leader ring, paper §VII-A); other
@@ -167,18 +152,14 @@ class DistOptim {
     return plan_;
   }
 
-  /// Wall-clock accounting of where the compute thread blocked on
-  /// communication — the runtime's analog of Fig. 8's "non-overlapped
-  /// communication time".
+  /// Schedule counts. Where the compute thread blocked on communication —
+  /// Fig. 8's "non-overlapped communication time" — is read from the
+  /// journal (analysis::AttributeIterations), not kept here.
   struct Stats {
-    std::int64_t steps{0};            // completed Step() calls
-    std::int64_t collectives{0};      // collectives launched
-    double step_wait_s{0.0};          // blocked in Step() (OP1 sync)
-    double pre_forward_wait_s{0.0};   // blocked in PreForward (FeedPipe)
-    double synchronize_wait_s{0.0};   // blocked in Synchronize()
+    std::int64_t steps{0};        // completed Step() calls
+    std::int64_t collectives{0};  // collectives launched
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void ResetStats() noexcept { stats_ = Stats{}; }
 
   /// Micro-step position within the current accumulation window, in
   /// [0, accumulation_steps); communication happens on the last one.
@@ -196,7 +177,6 @@ class DistOptim {
     comm::CollectiveHandle handle;
     GroupPhase phase{GroupPhase::kIdle};
     int tensors_ready{0};
-    std::uint64_t launch_ticks{0};  // journal stamp of the op's launch
     /// Sequence number of the in-flight (or last) op, journaled with every
     /// record about it so a reader can pair a wait with its launch, and one
     /// rank's op with the same op on its peers, without counting records.
@@ -216,42 +196,18 @@ class DistOptim {
   void ApplyShardedUpdate(int g);
   /// Submits the OP2 collective (ring or hierarchical all-gather).
   comm::CollectiveHandle SubmitGather(GroupState& state);
-  /// kLocalSGD: local update; parameter averaging at round boundaries.
-  void LocalSgdStep();
 
   /// Journals group `g`'s op `kind` (kRsLaunch / kAgLaunch) under a fresh
-  /// op sequence number, and keeps the record's stamp for the telemetry
-  /// launch->complete latency histograms.
+  /// op sequence number.
   void MarkLaunched(int g, flightrec::EventKind kind);
   /// Waits on group `g`'s in-flight op. The wait is bracketed in the
   /// journal by kWaitBegin and the op's kRsComplete / kAgComplete — the
   /// records the attribution report (analysis/timeline.h) splits the
-  /// compute thread's blocked time from — and the span between their stamps
-  /// is charged to `*bucket`. Observes the op's latency histogram under
-  /// telemetry. Returns WaitHandle's verdict (no completion record and no
-  /// charge on failure).
-  bool AwaitGroup(int g, double* bucket);
-  /// Journals the kStepEnd iteration boundary; under telemetry also the
-  /// per-iteration wall time and cumulative wait gauges.
+  /// compute thread's blocked time from. Returns WaitHandle's verdict (no
+  /// completion record on failure).
+  bool AwaitGroup(int g);
+  /// Journals the kStepEnd iteration boundary.
   void ObserveStepEnd();
-
-  /// Metric pointers resolved once per telemetry session so the per-group
-  /// observation path does no string-keyed lookups. Only touched by this
-  /// instance's compute thread. Returns nullptr when telemetry is off.
-  struct TelemetryCache {
-    std::uint64_t session{0};
-    telemetry::HistogramMetric* rs_latency{nullptr};
-    telemetry::HistogramMetric* ag_latency{nullptr};
-    telemetry::HistogramMetric* ar_latency{nullptr};
-    telemetry::HistogramMetric* iteration_seconds{nullptr};
-    telemetry::Counter* steps{nullptr};
-    telemetry::Gauge* collectives{nullptr};
-    telemetry::Gauge* step_wait{nullptr};
-    telemetry::Gauge* pre_forward_wait{nullptr};
-    telemetry::Gauge* synchronize_wait{nullptr};
-    telemetry::Gauge* exposed_comm_fraction{nullptr};
-  };
-  TelemetryCache* RefreshTelemetryCache();
 
   model::ModelSpec spec_;
   std::vector<train::ParamBinding> bindings_;
@@ -264,11 +220,7 @@ class DistOptim {
   bool failed_{false};
   Status failure_;
   int micro_step_{0};
-  int local_step_{0};  // kLocalSGD round position
   std::uint32_t next_op_seq_{0};  // op_seq of the next launched op
-  std::uint64_t last_step_end_ticks_{0};  // previous kStepEnd stamp; 0 = none
-  double total_iteration_s_{0.0};  // denominator of exposed-comm fraction
-  TelemetryCache tcache_;
 };
 
 }  // namespace dear::core

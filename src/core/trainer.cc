@@ -4,8 +4,6 @@
 
 #include "comm/worker_group.h"
 #include "common/logging.h"
-#include "flightrec/recorder.h"
-#include "telemetry/telemetry.h"
 
 namespace dear::core {
 
@@ -72,7 +70,6 @@ DistributedResult TrainDistributed(const std::vector<int>& dims,
     std::vector<float> local_losses;
     int cursor = 0;
     const int micro_batches = options.accumulation_steps;
-    const std::uint64_t train_start_ns = flightrec::NowNs();
     for (int it = 0; it < iterations; ++it) {
       mlp.ZeroGrad();
       for (int micro = 0; micro < micro_batches; ++micro) {
@@ -87,21 +84,6 @@ DistributedResult TrainDistributed(const std::vector<int>& dims,
       }
     }
     optim.Synchronize();
-    {
-      auto& rt = telemetry::Runtime::Get();
-      if (rt.enabled()) {
-        if (auto* reg = rt.rank_metrics(comm.rank())) {
-          const double elapsed_s =
-              static_cast<double>(flightrec::NowNs() - train_start_ns) * 1e-9;
-          const double samples = static_cast<double>(iterations) *
-                                 micro_batches * static_cast<double>(batch);
-          reg->GetGauge("train.elapsed_seconds").Set(elapsed_s);
-          if (elapsed_s > 0)
-            reg->GetGauge("train.samples_per_second")
-                .Set(samples / elapsed_s);
-        }
-      }
-    }
 
     std::vector<std::vector<float>> params;
     for (auto& layer : mlp.layers()) {

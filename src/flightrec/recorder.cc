@@ -127,17 +127,16 @@ std::uint64_t Recorder::OnCollectiveEnd(int rank,
   return rec.ts_ns;
 }
 
-std::uint64_t Recorder::OnGroupEvent(int rank, int group, EventKind kind,
-                                     std::uint32_t payload) noexcept {
+void Recorder::OnGroupEvent(int rank, int group, EventKind kind,
+                            std::uint32_t payload) noexcept {
+  Journal* j = journal(rank);
+  if (j == nullptr) return;
   Record rec;
   rec.ts_ns = detail::NowTicks();
-  Journal* j = journal(rank);
-  if (j == nullptr) return rec.ts_ns;
   rec.tag = group >= 0 ? static_cast<std::uint32_t>(group) : 0;
   rec.payload = payload;
   rec.kind = static_cast<std::uint16_t>(kind);
   j->AppendTicked(rec);
-  return rec.ts_ns;
 }
 
 void Recorder::OnAnomaly(int rank, std::uint32_t shape,

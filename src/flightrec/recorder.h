@@ -230,9 +230,8 @@ class Recorder {
   /// DistOptim schedule record: a group transition (kRsLaunch..kUnpack,
   /// kWaitBegin; tag = group, payload = the group's in-flight op sequence
   /// number) or an iteration boundary (kStepEnd; payload = step index).
-  /// Returns the raw tick stamp, like the collective bracket hooks.
-  std::uint64_t OnGroupEvent(int rank, int group, EventKind kind,
-                             std::uint32_t payload = 0) noexcept;
+  void OnGroupEvent(int rank, int group, EventKind kind,
+                    std::uint32_t payload = 0) noexcept;
 
   /// Collective-duration anomaly flagged by the EWMA straggler detector
   /// (comm::CalibrationMonitor): `shape` is the analysis::CollectiveShape

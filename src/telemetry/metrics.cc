@@ -100,9 +100,6 @@ std::string HelpFor(const std::string& name, const char* family_kind) {
        "Payload bytes currently held by live messages."},
       {"comm.model.anomalies",
        "Collectives flagged outside the EWMA duration band on this rank."},
-      {"health.exposed_comm_fraction",
-       "Fraction of iteration time the compute thread stalled on "
-       "collectives (0 = fully overlapped communication)."},
   };
   const auto it = kExact.find(name);
   if (it != kExact.end()) return it->second;

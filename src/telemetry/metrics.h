@@ -1,7 +1,7 @@
 // Thread-safe metrics primitives and a named registry.
 //
 // A MetricsRegistry owns counters, gauges, and fixed-bucket histograms keyed
-// by dotted names ("comm.bytes_sent", "optim.iteration.seconds"). Lookups
+// by dotted names ("comm.bytes_sent", "comm.all_gather.seconds"). Lookups
 // return stable references, so hot paths may cache the pointer; updates on
 // the returned objects are lock-free (counters/gauges) or take one short
 // mutex (histograms). Snapshots export as JSON or Prometheus-style text.

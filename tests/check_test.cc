@@ -373,7 +373,7 @@ TEST(CheckerIntegrationTest, CleanTrainingVerifiesEverySchedule) {
   const auto data = train::MakeRegressionDataset(32, 8, 4, /*seed=*/5);
   for (const auto mode :
        {core::ScheduleMode::kWFBP, core::ScheduleMode::kSequential,
-        core::ScheduleMode::kZeRO, core::ScheduleMode::kLocalSGD}) {
+        core::ScheduleMode::kZeRO}) {
     auto& checker = Checker::Get();
     CheckerOptions options;
     options.watchdog_timeout_s = 5.0;
@@ -381,7 +381,6 @@ TEST(CheckerIntegrationTest, CleanTrainingVerifiesEverySchedule) {
     core::DistOptimOptions optim;
     optim.mode = mode;
     optim.buffer_bytes = 256;
-    optim.local_steps = 2;  // hit a LocalSGD averaging round within 2 iters
     core::TrainDistributed({8, 16, 4}, /*model_seed=*/1, data,
                            /*iterations=*/2, /*batch=*/4, kWorld, optim);
     EXPECT_FALSE(checker.tripped())

@@ -5,8 +5,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
+#include "analysis/timeline.h"
+#include "common/stats.h"
+#include "flightrec/recorder.h"
 #include "perflab/doctor.h"
 
 namespace dear::cli {
@@ -147,8 +151,31 @@ TEST(CliTest, ProfilePrintsAttributionReport) {
       << r.out;
   EXPECT_NE(r.out.find("straggl"), std::string::npos);
   EXPECT_NE(r.out.find("consistency: OK"), std::string::npos) << r.out;
-  // Job-level row from Histogram::Merge across the per-rank registries.
+  // Job-level row over every rank's iteration windows.
   EXPECT_NE(r.out.find("merged 2 ranks"), std::string::npos) << r.out;
+
+  // The per-rank iter_ms quantiles are exact over that rank's step-end ->
+  // step-end windows in the run's journal, as many as the attribution
+  // report attributes.
+  const auto journal = flightrec::Recorder::Get().SnapshotAll();
+  const auto report = analysis::AttributeIterations(journal, /*world=*/2);
+  EXPECT_EQ(report.iterations, 2);
+  for (int rank = 0; rank < 2; ++rank) {
+    const auto windows =
+        analysis::PairScheduleRecords(journal[static_cast<std::size_t>(rank)])
+            .windows;
+    EXPECT_EQ(static_cast<int>(windows.size()), report.iterations);
+    std::vector<double> ms;
+    for (const auto& w : windows)
+      ms.push_back(static_cast<double>(w.span.length()) * 1e-6);
+    std::ostringstream quantiles;
+    quantiles << std::fixed << std::setprecision(3) << std::setw(10)
+              << Percentile(ms, 50) << std::setw(10) << Percentile(ms, 95)
+              << std::setw(10) << Percentile(ms, 99);
+    EXPECT_NE(r.out.find(quantiles.str()), std::string::npos)
+        << "rank " << rank << " quantiles '" << quantiles.str() << "' in\n"
+        << r.out;
+  }
 }
 
 TEST(CliTest, ProfileRejectsBadInputs) {
@@ -316,6 +343,19 @@ TEST(CliTest, DoctorReportFeedsSimulateAsNetworkModel) {
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("fitted:"), std::string::npos) << r.out;
   std::remove(path.c_str());
+}
+
+TEST(CliTest, DoctorRuntimeReportsExposedCommFraction) {
+  const auto r = RunDearsim({"doctor", "--backend=runtime", "--world=2",
+                             "--model=alexnet", "--iters=3",
+                             "--batch-size=4"});
+  EXPECT_EQ(r.code, 0) << r.err;
+  const std::string key = "health: exposed comm fraction ";
+  const auto at = r.out.find(key);
+  ASSERT_NE(at, std::string::npos) << r.out;
+  const double fraction = std::stod(r.out.substr(at + key.size()));
+  EXPECT_GE(fraction, 0.0);
+  EXPECT_LE(fraction, 1.0);
 }
 
 TEST(CliTest, DoctorRejectsBadInputs) {

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <thread>
 
 namespace dear {
 namespace {
@@ -51,19 +50,6 @@ TEST(TraceTest, EscapesControlCharactersAsUnicode) {
         << "raw control char " << static_cast<int>(c);
 }
 
-TEST(TraceTest, ConcurrentRecordingIsSafe) {
-  TraceRecorder rec;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&rec, t] {
-      for (int i = 0; i < 100; ++i)
-        rec.Record({"evt", "cat", t, 0, i, 1});
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(rec.size(), 400u);
-}
-
 TEST(TraceTest, WriteFileRoundTrips) {
   TraceRecorder rec;
   rec.Record({"x", "y", 1, 2, Microseconds(3), Microseconds(4)});
@@ -79,13 +65,6 @@ TEST(TraceTest, WriteFileRoundTrips) {
 TEST(TraceTest, WriteFileFailsOnBadPath) {
   TraceRecorder rec;
   EXPECT_FALSE(rec.WriteFile("/nonexistent_dir_zzz/trace.json"));
-}
-
-TEST(TraceTest, ClearEmpties) {
-  TraceRecorder rec;
-  rec.Record({"x", "y", 0, 0, 0, 0});
-  rec.Clear();
-  EXPECT_EQ(rec.size(), 0u);
 }
 
 TEST(TraceTest, MetadataEventsNameProcessesAndThreads) {
@@ -143,14 +122,6 @@ TEST(TraceTest, EventsWithoutFlowIdsEmitNoFlowKeys) {
   EXPECT_EQ(json.find("bind_id"), std::string::npos);
   EXPECT_EQ(json.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_EQ(json.find("\"ph\":\"f\""), std::string::npos);
-}
-
-TEST(TraceTest, ClearDropsMetadataToo) {
-  TraceRecorder rec;
-  rec.SetProcessName(0, "rank 0");
-  rec.Record({"x", "y", 0, 0, 0, 0});
-  rec.Clear();
-  EXPECT_EQ(rec.ToJson(), "[\n]\n");
 }
 
 TEST(SimTimeTest, ConversionsRoundTrip) {

@@ -52,6 +52,13 @@ Rules (suppress one occurrence with `// lint: allow(<rule>)` on the line):
                       (OnCollectiveBegin/End, OnGroupEvent), or a
                       telemetry::OnMessage…/OnCollective call brings back a
                       second event pipeline for the same moment.
+  optim-journal-only  (src/core/dist_optim.* and src/core/trainer.*)
+                      DistOptim's timing is the journal's: waits, iteration
+                      times and the exposed-comm share are derived from its
+                      schedule records (analysis::AttributeIterations). A
+                      telemetry/ include, a telemetry:: use, or a direct
+                      clock read (steady_clock, flightrec::NowNs) there
+                      brings back a second clock for the same moments.
   single-alloc-counter
                       Global operator new is replaced in exactly one file,
                       src/perflab/alloc_counter.cc (the per-thread counter
@@ -205,6 +212,14 @@ SINGLE_PROBE_RE = re.compile(
     r"|\btelemetry::On(?:Message\w*|Collective)\s*\("
 )
 
+# Files whose timing must come from the journal alone: no telemetry, no
+# clock reads of their own.
+OPTIM_JOURNAL_ONLY_RE = re.compile(r"src/core/(?:dist_optim|trainer)\.[^/]*$")
+# Matched against the raw line (the stripper blanks the include's path).
+TELEMETRY_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"telemetry/')
+OPTIM_CLOCK_RE = re.compile(
+    r"\btelemetry::|\bsteady_clock\b|\bflightrec::NowNs\b")
+
 # The one file allowed to define a global operator new.
 ALLOC_COUNTER_FILE = "src/perflab/alloc_counter.cc"
 # A global (column-0) operator new / new[] definition or declaration.
@@ -347,6 +362,19 @@ class Linter:
                         "comm::probe call per site (comm/probe.h)",
                         raw_line(i))
 
+        # Rule: optim-journal-only (DistOptim and the training loop).
+        if OPTIM_JOURNAL_ONLY_RE.search(norm):
+            for i, line in enumerate(lines):
+                if (TELEMETRY_INCLUDE_RE.search(raw_line(i))
+                        or OPTIM_CLOCK_RE.search(line)):
+                    self.report(
+                        path, i + 1, "optim-journal-only",
+                        "second clock in DistOptim — time it from the "
+                        "journal's schedule records "
+                        "(analysis::AttributeIterations), not telemetry or "
+                        "a clock read",
+                        raw_line(i))
+
         # Rule: single-alloc-counter (the counter's own file exempt).
         if not norm.endswith(ALLOC_COUNTER_FILE):
             for i, line in enumerate(lines):
@@ -420,6 +448,19 @@ struct Bad {
 void* operator new(std::size_t n) { return std::malloc(n); }  // finding: single-alloc-counter
 """
 
+# Linted as src/core/trainer.cc, where optim-journal-only applies.
+SELFTEST_CORE_SOURCE = """\
+#include "telemetry/telemetry.h"  // finding: optim-journal-only
+void Train() {
+  auto& rt = telemetry::Runtime::Get();         // finding: optim-journal-only
+  const auto t0 = std::chrono::steady_clock::now();  // finding: optim-journal-only
+  const std::uint64_t ns = flightrec::NowNs();  // finding: optim-journal-only
+  (void)rt; (void)t0; (void)ns;
+  const auto t1 = flightrec::NowNs();  // suppressed: lint: allow(optim-journal-only)
+  (void)t1;
+}
+"""
+
 SELFTEST_EXPECT = {
     "using-namespace-in-header": 1,
     "raw-mutex-lock": 1,  # the .unlock() is suppressed
@@ -430,6 +471,7 @@ SELFTEST_EXPECT = {
     "steady-clock-in-comm": 1,
     "single-probe": 3,
     "single-alloc-counter": 1,
+    "optim-journal-only": 4,  # the fifth is suppressed
 }
 
 
@@ -438,16 +480,20 @@ def selftest():
     expected — guards the linter itself against silent regressions."""
     import tempfile
 
-    # The snippet lives under src/comm/ so the path-scoped
-    # raw-payload-buffer rule also fires on it.
+    # Each snippet lives where its path-scoped rules apply: src/comm/ for
+    # the transport rules, src/core/trainer.cc for optim-journal-only.
     with tempfile.TemporaryDirectory() as tmpdir:
-        comm_dir = os.path.join(tmpdir, "src", "comm")
-        os.makedirs(comm_dir)
-        path = os.path.join(comm_dir, "selftest_snippet.h")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(SELFTEST_SOURCE)
         linter = Linter()
-        linter.lint_file(path)
+        for rel, source in (
+                (os.path.join("src", "comm", "selftest_snippet.h"),
+                 SELFTEST_SOURCE),
+                (os.path.join("src", "core", "trainer.cc"),
+                 SELFTEST_CORE_SOURCE)):
+            path = os.path.join(tmpdir, rel)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(source)
+            linter.lint_file(path)
     got = {}
     for _, _, rule, _ in linter.findings:
         got[rule] = got.get(rule, 0) + 1
