@@ -903,8 +903,10 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
 
 /// `dearsim bench` — run a view of the perf-lab table and write the
 /// structured results file (BENCH_<suite>.json unless --json-out overrides
-/// it) that tools/perf_gate.py compares against a baseline. Prints every
-/// bar verdict and exits 1 if any bar fails.
+/// it) that tools/perf_gate.py compares against a baseline. The paper view
+/// prints its paper-vs-ours markdown tables (the blocks EXPERIMENTS.md
+/// embeds) in place of the metric table. Prints every bar verdict and
+/// exits 1 if any bar fails.
 int CmdBench(FlagParser& flags, std::ostream& out, std::ostream& err) {
   perflab::SuiteRunOptions opts;
   opts.repeats = flags.GetInt("repeats");
@@ -912,33 +914,39 @@ int CmdBench(FlagParser& flags, std::ostream& out, std::ostream& err) {
     err << "--repeats must be >= 0 (0 = suite default)\n";
     return 1;
   }
-  opts.progress = &out;
   const std::string name = flags.GetString("suite");
+  // The paper view's exact rows take milliseconds; its tables are the
+  // output.
+  if (name != "paper") opts.progress = &out;
   auto run = perflab::RunSuite(name, opts);
   if (!run.ok()) {
-    err << run.status().ToString() << " (available:";
-    for (const auto& s : perflab::SuiteNames()) err << " " << s;
-    err << ")\n";
+    err << run.status().ToString() << "\n";
     return 1;
   }
   const perflab::BenchSuite& suite = run->suite;
 
-  out << "\nsuite '" << suite.suite << "': " << suite.results.size()
-      << " metrics\n"
-      << std::left << std::setw(26) << "metric" << std::setw(36) << "params"
-      << std::right << std::setw(3) << "n" << std::setw(11) << "p50"
-      << std::setw(11) << "p95" << "  unit\n";
-  for (const auto& r : suite.results) {
-    const auto s = r.Summarize();
-    std::string params;
-    for (const auto& [k, v] : r.params) {
-      if (!params.empty()) params += " ";
-      params += k + "=" + v;
+  if (name == "paper") {
+    for (const auto& table : perflab::RenderPaperTables(suite)) {
+      out << "\n" << table.block;
     }
-    out << std::left << std::setw(26) << r.name << std::setw(36) << params
-        << std::right << std::setw(3) << s.count << std::fixed
-        << std::setprecision(3) << std::setw(11) << s.p50 << std::setw(11)
-        << s.p95 << "  " << r.unit << "\n";
+  } else {
+    out << "\nsuite '" << suite.suite << "': " << suite.results.size()
+        << " metrics\n"
+        << std::left << std::setw(26) << "metric" << std::setw(36) << "params"
+        << std::right << std::setw(3) << "n" << std::setw(11) << "p50"
+        << std::setw(11) << "p95" << "  unit\n";
+    for (const auto& r : suite.results) {
+      const auto s = r.Summarize();
+      std::string params;
+      for (const auto& [k, v] : r.params) {
+        if (!params.empty()) params += " ";
+        params += k + "=" + v;
+      }
+      out << std::left << std::setw(26) << r.name << std::setw(36) << params
+          << std::right << std::setw(3) << s.count << std::fixed
+          << std::setprecision(3) << std::setw(11) << s.p50 << std::setw(11)
+          << s.p95 << "  " << r.unit << "\n";
+    }
   }
 
   out << "\nbars (" << run->bars.size() << "):\n";
@@ -1300,7 +1308,7 @@ int RunCli(int argc, const char* const* argv, std::ostream& out,
   flags.AddString("trace-out", "",
                   "write Chrome trace JSON here (profile, timeline)");
   flags.AddString("metrics-out", "", "write metrics JSON here (profile)");
-  flags.AddString("suite", "quick", "bench: suite to run (quick|full)");
+  flags.AddString("suite", "quick", "bench: suite to run (quick|full|paper)");
   flags.AddInt("repeats", 0,
                "bench: wall-metric repeats (0 = suite default)");
   flags.AddString("json-out", "",

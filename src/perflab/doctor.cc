@@ -1,6 +1,8 @@
 #include "perflab/doctor.h"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "perflab/json.h"
@@ -31,6 +33,22 @@ StatusOr<DoctorNetwork> ReadNetwork(const Json& node, const char* what) {
                                    " has a negative or non-finite parameter");
   }
   return net;
+}
+
+/// Reads `node[key]` (0 when absent) into a count field. JSON numbers are
+/// doubles, and casting one outside the field's range is undefined, so a
+/// negative, fractional or too-large value is rejected first.
+template <typename T>
+Status ReadCount(const Json& node, const char* key, T& out) {
+  const double v = node.GetNumber(key);
+  // max() + 1 = 2^digits, which a double holds exactly.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(v >= 0.0 && v < limit) || v != std::floor(v)) {
+    return Status::InvalidArgument(std::string("doctor report '") + key +
+                                   "' is not a count its field can hold");
+  }
+  out = static_cast<T>(v);
+  return Status::Ok();
 }
 
 }  // namespace
@@ -100,9 +118,7 @@ StatusOr<DoctorReport> DoctorReport::FromJson(const std::string& text) {
   }
   DoctorReport report;
   report.backend = root.GetString("backend");
-  report.world = static_cast<int>(root.GetNumber("world"));
-  if (report.world < 0)
-    return Status::InvalidArgument("doctor report world is negative");
+  DEAR_RETURN_IF_ERROR(ReadCount(root, "world", report.world));
   const Json* ref = root.Get("reference");
   if (ref == nullptr)
     return Status::InvalidArgument("doctor report missing 'reference'");
@@ -114,8 +130,7 @@ StatusOr<DoctorReport> DoctorReport::FromJson(const std::string& text) {
     if (!fit_net.ok()) return fit_net.status();
     report.fitted = *std::move(fit_net);
     report.has_fit = true;
-    report.fit_samples =
-        static_cast<std::uint64_t>(root.GetNumber("fit_samples"));
+    DEAR_RETURN_IF_ERROR(ReadCount(root, "fit_samples", report.fit_samples));
   }
   if (const Json* shapes = root.Get("shapes")) {
     if (shapes->type() != Json::Type::kArray)
@@ -127,8 +142,8 @@ StatusOr<DoctorReport> DoctorReport::FromJson(const std::string& text) {
       s.shape = node.GetString("shape");
       if (s.shape.empty())
         return Status::InvalidArgument("shape entry missing 'shape' name");
-      s.world = static_cast<int>(node.GetNumber("world"));
-      s.samples = static_cast<std::uint64_t>(node.GetNumber("samples"));
+      DEAR_RETURN_IF_ERROR(ReadCount(node, "world", s.world));
+      DEAR_RETURN_IF_ERROR(ReadCount(node, "samples", s.samples));
       const Json* ok = node.Get("ok");
       s.ok = ok != nullptr && ok->type() == Json::Type::kBool &&
              ok->boolean();
@@ -141,7 +156,7 @@ StatusOr<DoctorReport> DoctorReport::FromJson(const std::string& text) {
       }
       s.divergence = node.GetNumber("divergence");
       s.mean_ratio = node.GetNumber("mean_ratio");
-      s.anomalies = static_cast<std::uint64_t>(node.GetNumber("anomalies"));
+      DEAR_RETURN_IF_ERROR(ReadCount(node, "anomalies", s.anomalies));
       report.shapes.push_back(std::move(s));
     }
   }
@@ -149,9 +164,11 @@ StatusOr<DoctorReport> DoctorReport::FromJson(const std::string& text) {
     if (stragglers->type() != Json::Type::kArray)
       return Status::InvalidArgument("'stragglers' must be an array");
     for (const Json& node : stragglers->array()) {
+      if (node.type() != Json::Type::kObject)
+        return Status::InvalidArgument("straggler entry must be an object");
       DoctorStraggler s;
-      s.rank = static_cast<int>(node.GetNumber("rank"));
-      s.anomalies = static_cast<std::uint64_t>(node.GetNumber("anomalies"));
+      DEAR_RETURN_IF_ERROR(ReadCount(node, "rank", s.rank));
+      DEAR_RETURN_IF_ERROR(ReadCount(node, "anomalies", s.anomalies));
       report.stragglers.push_back(s);
     }
   }

@@ -42,7 +42,6 @@ using Body = std::function<Samples(const RowContext&)>;
 // Gate ceilings by metric class (see header): wall-clock numbers move with
 // the machine, exact counts and simulator outputs must not move at all.
 constexpr double kWallGate = 3.0;
-constexpr double kExactGate = 1.02;
 constexpr unsigned kBoth = kQuick | kFull;
 
 /// 0 heap allocations in every window. Allocation rows record 1 + allocs
@@ -207,7 +206,7 @@ SimCell MakeSimCell(const std::string& model_name, int gpus,
 constexpr bool kHigherIsBetter = true;
 
 Row MakeRow(Kind kind, std::string name, Params params, std::string unit,
-            unsigned views, Body body, std::optional<Bar> bar = std::nullopt,
+            unsigned views, Body body, std::vector<Bar> bars = {},
             bool higher_is_better = false) {
   const bool exact = kind == Kind::kCount || kind == Kind::kValue;
   Row row;
@@ -219,7 +218,7 @@ Row MakeRow(Kind kind, std::string name, Params params, std::string unit,
   row.views = views;
   row.kind = kind;
   row.body = std::move(body);
-  row.bar = bar;
+  row.bars = std::move(bars);
   return row;
 }
 
@@ -244,7 +243,7 @@ Row OverheadRow(std::string name, Params params, std::string hook,
   };
   return MakeRow(Kind::kOverhead, std::move(name), std::move(params), "%",
                  kFull, std::move(body),
-                 TimingBar(Bar::Cmp::kBelow, threshold));
+                 {TimingBar(Bar::Cmp::kBelow, threshold)});
 }
 
 void AddTrainingRow(std::vector<Row>& rows, const std::string& schedule,
@@ -305,7 +304,7 @@ void AddSimRows(std::vector<Row>& rows, const std::string& model, int gpus,
           return std::vector<double>{pick(
               sched::EvaluatePolicy(cell.model, cell.cluster, cell.config))};
         },
-        std::nullopt, higher_is_better));
+        {}, higher_is_better));
   };
   value("sim.iter_ms", "ms",
         [](const sched::RunResult& r) { return ToMilliseconds(r.iter_time); },
@@ -406,17 +405,24 @@ std::vector<Row> BuildRows() {
             },
             [&] { buf.Hops(hub, DType::kF16); });
       },
-      TimingBar(Bar::Cmp::kAtLeast, 1.7), kHigherIsBetter));
-  rows.push_back(MakeRow(
-      Kind::kAB, "mixed.fp16_vs_fp32_wire", kHopParams, "x", kFull,
-      [](const RowContext& c) -> Samples {
-        comm::TransportHub hub(1);
-        HopBuffers buf;
-        return AbRatio(
-            c.repeats, 10, [] {}, [&] { buf.Hops(hub, DType::kF32); },
-            [&] { buf.Hops(hub, DType::kF16); });
-      },
-      std::nullopt, kHigherIsBetter));
+      {TimingBar(Bar::Cmp::kAtLeast, 1.7)}, kHigherIsBetter));
+  // fp16 and bf16 share a wire width but not a pack cost (one F16C
+  // instruction vs an integer RNE blend).
+  for (const DType dtype : {DType::kF16, DType::kBF16}) {
+    rows.push_back(MakeRow(
+        Kind::kAB,
+        dtype == DType::kF16 ? "mixed.fp16_vs_fp32_wire"
+                             : "mixed.bf16_vs_fp32_wire",
+        kHopParams, "x", kFull,
+        [dtype](const RowContext& c) -> Samples {
+          comm::TransportHub hub(1);
+          HopBuffers buf;
+          return AbRatio(
+              c.repeats, 10, [] {}, [&] { buf.Hops(hub, DType::kF32); },
+              [&] { buf.Hops(hub, dtype); });
+        },
+        {}, kHigherIsBetter));
+  }
   rows.push_back(MakeRow(
       Kind::kAB, "transport.rs_ag_speedup", kHopParams, "x", kFull,
       [](const RowContext& c) -> Samples {
@@ -428,7 +434,7 @@ std::vector<Row> BuildRows() {
             [&] { buf.Hops(legacy, DType::kF32, Fold::kScalar); },
             [&] { buf.Hops(pooled, DType::kF32); });
       },
-      TimingBar(Bar::Cmp::kAtLeast, 1.3), kHigherIsBetter));
+      {TimingBar(Bar::Cmp::kAtLeast, 1.3)}, kHigherIsBetter));
   rows.push_back(MakeRow(
       Kind::kAB, "epoch.path_ratio", kHopParams, "x", kFull,
       [](const RowContext& c) -> Samples {
@@ -440,7 +446,7 @@ std::vector<Row> BuildRows() {
             c.repeats, 10, [] {}, [&] { buf.Hops(stamped, DType::kF32); },
             [&] { buf.Hops(plain, DType::kF32); });
       },
-      TimingBar(Bar::Cmp::kBelow, 1.10)));
+      {TimingBar(Bar::Cmp::kBelow, 1.10)}));
   rows.push_back(MakeRow(
       Kind::kTimed, "epoch.hop_ms", kHopParams, "ms", kFull,
       [](const RowContext& c) -> Samples {
@@ -640,6 +646,8 @@ std::vector<Row> BuildRows() {
                              2.0));
   rows.push_back(OverheadRow("epoch.added_pct", kHopParams, "epoch.ops_ns", "",
                              "epoch.hop_ms|mib=1|world=16", 1.0));
+
+  AppendPaperRows(rows);
   return rows;
 }
 
@@ -647,6 +655,7 @@ std::string Describe(const Bar& bar) {
   const char* stat = bar.stat == Bar::Stat::kMax ? "max" : "median";
   const char* cmp = bar.cmp == Bar::Cmp::kBelow    ? "<"
                     : bar.cmp == Bar::Cmp::kAtMost ? "<="
+                    : bar.cmp == Bar::Cmp::kAbove  ? ">"
                                                    : ">=";
   char threshold[32];
   std::snprintf(threshold, sizeof(threshold), "%g", bar.threshold);
@@ -666,7 +675,7 @@ Row AllocRow(std::string name, Params params,
         }
         return allocs;
       },
-      kZeroAllocs);
+      {kZeroAllocs});
 }
 
 std::string Row::Key() const {
@@ -697,6 +706,9 @@ BarVerdict EvaluateBar(const Bar& bar, const BenchResult& result) {
       break;
     case Bar::Cmp::kAtLeast:
       verdict.pass = verdict.value >= bar.threshold;
+      break;
+    case Bar::Cmp::kAbove:
+      verdict.pass = verdict.value > bar.threshold;
       break;
   }
   return verdict;
@@ -740,26 +752,29 @@ SuiteRun RunRows(const std::vector<Row>& rows, const std::string& suite,
     result.higher_is_better = row.higher_is_better;
     result.gate_max_ratio = row.gate_max_ratio;
     result.samples = std::move(*samples);
-    if (row.bar && (row.bar->views & view) != 0) {
-      run.bars.push_back(EvaluateBar(*row.bar, result));
+    for (const Bar& bar : row.bars) {
+      if ((bar.views & view) != 0) run.bars.push_back(EvaluateBar(bar, result));
     }
     run.suite.results.push_back(std::move(result));
   }
   return run;
 }
 
-std::vector<std::string> SuiteNames() { return {"quick", "full"}; }
+std::vector<std::string> SuiteNames() { return {"quick", "full", "paper"}; }
 
 StatusOr<SuiteRun> RunSuite(const std::string& name,
                             const SuiteRunOptions& options) {
-  if (name != "quick" && name != "full") {
+  const std::map<std::string, View> views = {
+      {"quick", kQuick}, {"full", kFull}, {"paper", kPaper}};
+  const auto it = views.find(name);
+  if (it == views.end()) {
     std::string known;
     for (const std::string& s : SuiteNames())
       known += (known.empty() ? "" : ", ") + s;
     return Status::NotFound("unknown bench suite '" + name +
                             "' (registered: " + known + ")");
   }
-  const View view = name == "quick" ? kQuick : kFull;
+  const View view = it->second;
   std::vector<Row> rows;
   for (const Row& row : Rows()) {
     if ((row.views & view) != 0) rows.push_back(row);

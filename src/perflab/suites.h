@@ -3,7 +3,7 @@
 // Every measurement in the repo's perf lab is one Row of one registry
 // (Rows()): a metric key, how perf_gate gates it, the views it belongs
 // to, a body that measures it through the shared samplers
-// (perflab/samplers.h), and optionally a hard bar. Rows mix two metric
+// (perflab/samplers.h), and any hard bars. Rows mix two metric
 // classes:
 //
 //  * wall-clock rows (timed, per-call, A/B) — noisy, machine-dependent;
@@ -15,12 +15,14 @@
 // A suite is a view that filters the table. "quick" is the CI/pre-commit
 // gate (a few seconds) and enforces the count bars, which are
 // deterministic; "full" is a superset that adds the wider matrices, the
-// A/B comparisons and the timed ops, and enforces every bar.
+// A/B comparisons, the timed ops and the paper rows, and enforces every
+// bar. "paper" is the paper's evaluation (perflab/paper.cc): every table
+// and figure cell as one exact simulator row, the paper's shape claims as
+// bars on those rows, rendered back into the tables EXPERIMENTS.md embeds.
 #pragma once
 
 #include <functional>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -30,7 +32,11 @@
 namespace dear::perflab {
 
 /// Suite views a row belongs to (bit set).
-enum View : unsigned { kQuick = 1u << 0, kFull = 1u << 1 };
+enum View : unsigned { kQuick = 1u << 0, kFull = 1u << 1, kPaper = 1u << 2 };
+
+/// perf_gate ceiling for exact rows (counts, simulator outputs): any drift
+/// is a real change, not noise.
+inline constexpr double kExactGate = 1.02;
 
 /// The sampler a row's body measures with.
 enum class Kind {
@@ -43,10 +49,10 @@ enum class Kind {
 };
 
 /// A hard bar: `stat` over a row's samples must satisfy `cmp` against
-/// `threshold`, in every view in `views`.
+/// `threshold` (kAbove is a strict >), in every view in `views`.
 struct Bar {
   enum class Stat { kMax, kMedian };
-  enum class Cmp { kBelow, kAtMost, kAtLeast };
+  enum class Cmp { kBelow, kAtMost, kAtLeast, kAbove };
   Stat stat{Stat::kMedian};
   Cmp cmp{Cmp::kBelow};
   double threshold{0.0};
@@ -70,7 +76,8 @@ double OverheadPct(double per_call_ns, double calls_per_op, double op_ms);
 struct RowContext {
   /// Samples a wall-clock row takes (suite default or --repeats).
   int repeats{1};
-  /// Rows already measured in this run (overhead rows read their inputs).
+  /// Rows already measured in this run (overhead rows and derived paper
+  /// rows read their inputs).
   const BenchSuite* measured{nullptr};
 };
 
@@ -83,7 +90,11 @@ struct Row {
   unsigned views{kFull};
   Kind kind{Kind::kTimed};
   std::function<StatusOr<std::vector<double>>(const RowContext&)> body;
-  std::optional<Bar> bar;
+  std::vector<Bar> bars;
+  /// What the paper reports for this cell, printed verbatim by the paper
+  /// view (e.g. "1.06–1.19"); empty where the paper gives none. Never
+  /// serialized.
+  std::string paper;
 
   [[nodiscard]] std::string Key() const;
 };
@@ -125,5 +136,20 @@ std::vector<std::string> SuiteNames();
 /// Runs the rows of view `name`; NotFound for unknown names.
 StatusOr<SuiteRun> RunSuite(const std::string& name,
                             const SuiteRunOptions& options = {});
+
+/// Appends the paper view's rows (perflab/paper.cc) to `rows`.
+void AppendPaperRows(std::vector<Row>& rows);
+
+/// One markdown table of the paper view, wrapped in the
+/// `<!-- paper-view:begin <id> -->` / `<!-- paper-view:end -->` markers
+/// EXPERIMENTS.md embeds it between.
+struct PaperTable {
+  std::string id;
+  std::string block;
+};
+
+/// Renders every paper table, in registry order, from `suite`'s results
+/// and each row's `paper` string.
+std::vector<PaperTable> RenderPaperTables(const BenchSuite& suite);
 
 }  // namespace dear::perflab

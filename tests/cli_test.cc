@@ -221,11 +221,27 @@ TEST(CliTest, BenchRunsQuickSuiteAndWritesJson) {
   std::remove(json_path.c_str());
 }
 
+TEST(CliTest, BenchPaperPrintsTheTablesInPlaceOfTheMetricTable) {
+  const std::string json_flag =
+      "--json-out=" + ::testing::TempDir() + "/cli_bench_paper.json";
+  const auto r = RunDearsim({"bench", "--suite=paper", json_flag.c_str()});
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("<!-- paper-view:begin fig7 -->"), std::string::npos);
+  EXPECT_NE(r.out.find("PASS paper.grid.dear_over_ddp"), std::string::npos);
+  EXPECT_EQ(r.out.find("suite 'paper'"), std::string::npos);
+  std::remove((::testing::TempDir() + "/cli_bench_paper.json").c_str());
+}
+
 TEST(CliTest, BenchRejectsBadInputs) {
-  const auto unknown = RunDearsim({"bench", "--suite=nope", "--repeats=1"});
+  const auto unknown = RunDearsim({"bench", "--suite=bogus", "--repeats=1"});
   EXPECT_NE(unknown.code, 0);
-  EXPECT_NE(unknown.err.find("unknown bench suite"), std::string::npos);
-  EXPECT_NE(unknown.err.find("quick"), std::string::npos);  // lists options
+  EXPECT_NE(unknown.err.find("unknown bench suite 'bogus'"), std::string::npos);
+  // The registered suites are listed once, the paper view among them.
+  const auto quick = unknown.err.find("quick");
+  ASSERT_NE(quick, std::string::npos) << unknown.err;
+  EXPECT_EQ(unknown.err.find("quick", quick + 1), std::string::npos)
+      << unknown.err;
+  EXPECT_NE(unknown.err.find("paper"), std::string::npos) << unknown.err;
 
   EXPECT_NE(RunDearsim({"bench", "--repeats=-2"}).code, 0);
   EXPECT_NE(RunDearsim({"bench", "--no-such-flag=1"}).code, 0);

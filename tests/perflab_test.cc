@@ -1,10 +1,11 @@
 // Perf-lab structured results: JSON parser, schema round-trip, quantile
-// policy, the process-wide sink, and the measurement table (registry
-// invariants, bar evaluation, and every count row).
+// policy, the measurement table (registry invariants, bar evaluation,
+// every count row) and its paper view.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <set>
@@ -12,10 +13,11 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "perflab/bench_schema.h"
+#include "perflab/doctor.h"
 #include "perflab/json.h"
 #include "perflab/samplers.h"
-#include "perflab/sink.h"
 #include "perflab/suites.h"
 
 namespace dear::perflab {
@@ -167,39 +169,6 @@ TEST(BenchSchemaTest, FileRoundTripAndUnwritablePath) {
   EXPECT_FALSE(BenchSuite::ReadFile("/nonexistent-dir/x.json").ok());
 }
 
-TEST(ResultSinkTest, FoldsSamplesByKeyAndWrites) {
-  auto& sink = ResultSink::Get();
-  sink.Begin("sink_test");
-  ASSERT_TRUE(sink.active());
-  sink.Record("m.latency", {{"world", "2"}}, 1.0, "ms");
-  sink.Record("m.latency", {{"world", "2"}}, 2.0, "ms");
-  sink.Record("m.latency", {{"world", "4"}}, 9.0, "ms");
-  const BenchSuite snap = sink.Snapshot();
-  EXPECT_EQ(snap.suite, "sink_test");
-  ASSERT_EQ(snap.results.size(), 2u);  // two keys, first with two samples
-  const BenchResult* folded = snap.Find("m.latency|world=2");
-  ASSERT_NE(folded, nullptr);
-  EXPECT_EQ(folded->samples, (std::vector<double>{1.0, 2.0}));
-
-  const std::string path = ::testing::TempDir() + "/dear_bench_sink.json";
-  ASSERT_TRUE(sink.WriteAndEnd(path).ok());
-  EXPECT_FALSE(sink.active());
-  // Recording after the suite ended is a silent no-op.
-  sink.Record("m.latency", {}, 5.0, "ms");
-  const auto back = BenchSuite::ReadFile(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->results.size(), 2u);
-  std::remove(path.c_str());
-}
-
-TEST(ResultSinkTest, WriteToUnwritablePathDeactivatesAndFails) {
-  auto& sink = ResultSink::Get();
-  sink.Begin("sink_err");
-  sink.Record("m", {}, 1.0, "ms");
-  EXPECT_FALSE(sink.WriteAndEnd("/nonexistent-dir/out.json").ok());
-  EXPECT_FALSE(sink.active());
-}
-
 TEST(SuitesTest, UnknownSuiteIsNotFound) {
   const auto r = RunSuite("nope");
   ASSERT_FALSE(r.ok());
@@ -221,13 +190,28 @@ TEST(SuitesTest, RegistryInvariants) {
     EXPECT_NE(row.views & kFull, 0u) << row.Key() << ": quick must be in full";
     EXPECT_FALSE(row.unit.empty()) << row.Key();
     EXPECT_GT(row.gate_max_ratio, 1.0) << row.Key();
-    if (!row.bar) continue;
-    EXPECT_NE(row.bar->views & kFull, 0u) << row.Key();
-    // Deterministic bars gate quick; timing bars only the full view.
-    EXPECT_EQ((row.bar->views & kQuick) != 0, row.kind == Kind::kCount)
-        << row.Key();
+    // Paper rows are exact and sit in the paper and full views only.
+    const bool paper = row.name.rfind("paper.", 0) == 0;
+    EXPECT_EQ((row.views & kPaper) != 0, paper) << row.Key();
+    if (paper) {
+      EXPECT_EQ(row.kind, Kind::kValue) << row.Key();
+      EXPECT_EQ(row.views, kPaper | kFull) << row.Key();
+      EXPECT_DOUBLE_EQ(row.gate_max_ratio, kExactGate) << row.Key();
+    } else {
+      EXPECT_TRUE(row.paper.empty()) << row.Key();
+    }
+    for (const Bar& bar : row.bars) {
+      EXPECT_NE(bar.views & kFull, 0u) << row.Key();
+      // Count bars gate quick; timing and paper bars only their views.
+      EXPECT_EQ((bar.views & kQuick) != 0, row.kind == Kind::kCount)
+          << row.Key();
+      if (paper) {
+        EXPECT_EQ(bar.views, kPaper | kFull) << row.Key();
+      }
+    }
   }
-  EXPECT_EQ(SuiteNames(), (std::vector<std::string>{"quick", "full"}));
+  EXPECT_EQ(SuiteNames(),
+            (std::vector<std::string>{"quick", "full", "paper"}));
 }
 
 TEST(SuitesTest, QuickSuiteHoldsBarsAndCoversBaseline) {
@@ -365,6 +349,192 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+
+// ---- The paper view -------------------------------------------------------
+
+/// One paper-view run, shared by the PaperView cases.
+const SuiteRun& PaperRun() {
+  static const SuiteRun run = [] {
+    auto r = RunSuite("paper");
+    return r.ok() ? *std::move(r) : SuiteRun{};
+  }();
+  return run;
+}
+
+TEST(PaperView, EveryClaimHolds) {
+  const SuiteRun& run = PaperRun();
+  ASSERT_FALSE(run.suite.results.empty());
+  for (const BarVerdict& v : run.bars) {
+    EXPECT_TRUE(v.pass) << v.key << ": " << v.rule << " measured " << v.value;
+  }
+  // The paper's 161 shape claims, none dropped.
+  EXPECT_EQ(run.bars.size(), 161u);
+}
+
+TEST(PaperView, ExperimentsMdEmbedsEveryTableVerbatim) {
+  std::ifstream f(DEAR_EXPERIMENTS_MD);
+  ASSERT_TRUE(f.good()) << DEAR_EXPERIMENTS_MD;
+  std::stringstream buf;
+  buf << f.rdbuf();
+  const std::string md = buf.str();
+  const std::string begin = "<!-- paper-view:begin ";
+  const std::string end = "<!-- paper-view:end -->\n";
+  std::set<std::string> ids;
+  for (const PaperTable& table : RenderPaperTables(PaperRun().suite)) {
+    ids.insert(table.id);
+    const auto start = md.find(begin + table.id + " -->");
+    const auto stop = md.find(end, start);
+    const std::string embedded =
+        start == std::string::npos || stop == std::string::npos
+            ? ""
+            : md.substr(start, stop + end.size() - start);
+    EXPECT_EQ(embedded, table.block)
+        << "EXPERIMENTS.md block '" << table.id
+        << "' differs from the paper view; replace it with this block from "
+           "`dearsim bench --suite paper`:\n"
+        << table.block;
+  }
+  // Every embedded block (a marker opening a line) is one the paper view
+  // renders.
+  for (auto at = md.find("\n" + begin); at != std::string::npos;
+       at = md.find("\n" + begin, at + 1)) {
+    const auto id_start = at + 1 + begin.size();
+    const std::string id =
+        md.substr(id_start, md.find(' ', id_start) - id_start);
+    EXPECT_EQ(ids.count(id), 1u) << "EXPERIMENTS.md embeds unknown table "
+                                 << id;
+  }
+}
+
+// ---- Loaders of outside input ---------------------------------------------
+
+DoctorReport ValidDoctorReport() {
+  DoctorReport report;
+  report.backend = "runtime";
+  report.world = 4;
+  report.reference = {"10GbE", 2.6e-5, 6.1e-10, 8e-10};
+  report.has_fit = true;
+  report.fitted = {"10GbE", 3.1e-5, 5.5e-10, 0.0};
+  report.fit_samples = 96;
+  DoctorShape shape;
+  shape.shape = "ring_all_reduce";
+  shape.world = 2;
+  shape.samples = 48;
+  shape.ok = true;
+  shape.divergence = 0.25;
+  shape.mean_ratio = 1.5;
+  shape.anomalies = 3;
+  report.shapes.push_back(shape);
+  report.stragglers.push_back({1, 7});
+  report.verdict = "warn";
+  return report;
+}
+
+/// `doc` with the first occurrence of `from` replaced by `to`.
+std::string Patched(std::string doc, const std::string& from,
+                    const std::string& to) {
+  const auto at = doc.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return at == std::string::npos ? doc : doc.replace(at, from.size(), to);
+}
+
+TEST(DoctorLoadTest, RejectsCountsTooLargeForTheirField) {
+  const std::string doc = ValidDoctorReport().ToJson();
+  ASSERT_TRUE(DoctorReport::FromJson(doc).ok());  // only the patch is bad
+  for (const auto& [from, to] :
+       {std::pair{"\"world\": 4,", "\"world\": 1e300,"},
+        {"\"world\": 4,", "\"world\": 2147483648,"},
+        {"\"fit_samples\": 96", "\"fit_samples\": 1e300"},
+        {"\"world\": 2,", "\"world\": 1e300,"},
+        {"\"samples\": 48", "\"samples\": 1e20"},
+        {"\"anomalies\": 3}", "\"anomalies\": 1e300}"},
+        {"\"rank\": 1", "\"rank\": 1e300"},
+        {"\"anomalies\": 7}", "\"anomalies\": 1e300}"}}) {
+    const auto r = DoctorReport::FromJson(Patched(doc, from, to));
+    ASSERT_FALSE(r.ok()) << to;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << to;
+  }
+}
+
+TEST(DoctorLoadTest, RejectsNegativeCounts) {
+  const std::string doc = ValidDoctorReport().ToJson();
+  for (const auto& [from, to] :
+       {std::pair{"\"world\": 4,", "\"world\": -1,"},
+        {"\"fit_samples\": 96", "\"fit_samples\": -1"},
+        {"\"samples\": 48", "\"samples\": -5"},
+        {"\"anomalies\": 3}", "\"anomalies\": -1}"},
+        {"\"rank\": 1", "\"rank\": -2"},
+        {"\"anomalies\": 7}", "\"anomalies\": -0.5}"}}) {
+    const auto r = DoctorReport::FromJson(Patched(doc, from, to));
+    ASSERT_FALSE(r.ok()) << to;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << to;
+  }
+}
+
+TEST(DoctorLoadTest, RejectsNonObjectStraggler) {
+  const std::string doc = ValidDoctorReport().ToJson();
+  for (const char* entry : {"3", "\"rank\"", "[1, 7]", "null"}) {
+    const auto r = DoctorReport::FromJson(
+        Patched(doc, "{\"rank\": 1, \"anomalies\": 7}", entry));
+    ASSERT_FALSE(r.ok()) << entry;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << entry;
+  }
+}
+
+/// `doc` after 1-3 seeded edits: a flipped byte, a truncation, a deleted
+/// bracket, or a number swapped for one no field can hold.
+std::string Mutate(std::string doc, std::uint64_t seed) {
+  static const char* const kWild[] = {"1e300", "-1", "1e-400", "-0"};
+  Rng rng(seed);
+  for (auto edits = 1 + rng.NextBounded(3); edits > 0 && !doc.empty();
+       --edits) {
+    const std::size_t at = rng.NextBounded(doc.size());
+    switch (rng.NextBounded(4)) {
+      case 0:
+        doc[at] = static_cast<char>(doc[at] ^ (1 + rng.NextBounded(255)));
+        break;
+      case 1:
+        doc.resize(at);
+        break;
+      case 2:
+        if (const auto b = doc.find_first_of("{}[]", at); b != doc.npos) {
+          doc.erase(b, 1);
+        }
+        break;
+      default:
+        if (const auto n = doc.find_first_of("-0123456789", at);
+            n != doc.npos) {
+          const auto len = doc.find_first_not_of("+-.0123456789eE", n) - n;
+          doc.replace(n, len, kWild[rng.NextBounded(4)]);
+        }
+    }
+  }
+  return doc;
+}
+
+TEST(LoaderFuzzTest, MutatedDocumentsYieldOkOrStatus) {
+  const auto baseline = BenchSuite::ReadFile(DEAR_QUICK_BASELINE);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  const std::string bench = baseline->ToJson();
+  const std::string doctor = ValidDoctorReport().ToJson();
+  ASSERT_TRUE(DoctorReport::FromJson(doctor).ok());
+  constexpr std::uint64_t kSeeds = 1000;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    // A crash (a sanitizer abort) leaves its seed as the last one printed.
+    std::fprintf(stderr, "\rloader fuzz seed %llu",
+                 static_cast<unsigned long long>(seed));
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // Whatever a loader accepts must serialize back to a loadable document.
+    if (const auto b = BenchSuite::FromJson(Mutate(bench, seed)); b.ok()) {
+      EXPECT_TRUE(BenchSuite::FromJson(b->ToJson()).ok());
+    }
+    if (const auto d = DoctorReport::FromJson(Mutate(doctor, seed)); d.ok()) {
+      EXPECT_TRUE(DoctorReport::FromJson(d->ToJson()).ok());
+    }
+  }
+  std::fprintf(stderr, "\n");
+}
 
 }  // namespace
 }  // namespace dear::perflab
