@@ -6,10 +6,21 @@
 
 #include "check/checker.h"
 #include "comm/calibration.h"
+#include "comm/kernels.h"
+#include "common/logging.h"
 #include "common/schedule_point.h"
 #include "flightrec/recorder.h"
 
 namespace dear::comm {
+namespace {
+
+std::size_t SourcesSize(GatherList sources) {
+  std::size_t n = 0;
+  for (const std::span<const float> piece : sources) n += piece.size();
+  return n;
+}
+
+}  // namespace
 
 CommEngine::CommEngine(Communicator comm)
     : comm_(comm), thread_([this] { Loop(); }) {}
@@ -28,10 +39,13 @@ void CommEngine::Shutdown() {
 }
 
 CollectiveHandle CommEngine::Submit(Kind kind, std::span<float> data,
-                                    ReduceOp op, Rank root, DType dtype) {
+                                    ReduceOp op, Rank root, DType dtype,
+                                    GatherList sources) {
+  DEAR_CHECK_MSG(sources.empty() || SourcesSize(sources) == data.size(),
+                 "gather list size must equal the buffer size");
   CollectiveHandle handle;
   handle.state_ = std::make_shared<CollectiveHandle::State>();
-  Request req{kind, data, op, root, dtype, handle.state_};
+  Request req{kind, data, op, root, dtype, sources, handle.state_};
   if (!queue_.Send(std::move(req))) {
     handle.state_->status = Status::Unavailable("comm engine shut down");
     handle.state_->done.CountDown();
@@ -40,8 +54,9 @@ CollectiveHandle CommEngine::Submit(Kind kind, std::span<float> data,
 }
 
 CollectiveHandle CommEngine::SubmitReduceScatter(std::span<float> data,
-                                                 ReduceOp op, DType dtype) {
-  return Submit(Kind::kReduceScatter, data, op, 0, dtype);
+                                                 ReduceOp op, DType dtype,
+                                                 GatherList sources) {
+  return Submit(Kind::kReduceScatter, data, op, 0, dtype, sources);
 }
 
 CollectiveHandle CommEngine::SubmitAllGather(std::span<float> data,
@@ -50,8 +65,9 @@ CollectiveHandle CommEngine::SubmitAllGather(std::span<float> data,
 }
 
 CollectiveHandle CommEngine::SubmitAllReduce(std::span<float> data,
-                                             ReduceOp op, DType dtype) {
-  return Submit(Kind::kAllReduce, data, op, 0, dtype);
+                                             ReduceOp op, DType dtype,
+                                             GatherList sources) {
+  return Submit(Kind::kAllReduce, data, op, 0, dtype, sources);
 }
 
 CollectiveHandle CommEngine::SubmitBarrier() {
@@ -64,8 +80,10 @@ CollectiveHandle CommEngine::SubmitBroadcast(std::span<float> data,
 }
 
 CollectiveHandle CommEngine::SubmitHierarchicalReduceScatter(
-    std::span<float> data, int ranks_per_node, ReduceOp op, DType dtype) {
-  return Submit(Kind::kHierReduceScatter, data, op, ranks_per_node, dtype);
+    std::span<float> data, int ranks_per_node, ReduceOp op, DType dtype,
+    GatherList sources) {
+  return Submit(Kind::kHierReduceScatter, data, op, ranks_per_node, dtype,
+                sources);
 }
 
 CollectiveHandle CommEngine::SubmitHierarchicalAllGather(
@@ -75,8 +93,8 @@ CollectiveHandle CommEngine::SubmitHierarchicalAllGather(
 }
 
 CollectiveHandle CommEngine::SubmitRecursiveHalvingReduceScatter(
-    std::span<float> data, ReduceOp op, DType dtype) {
-  return Submit(Kind::kRecursiveRs, data, op, 0, dtype);
+    std::span<float> data, ReduceOp op, DType dtype, GatherList sources) {
+  return Submit(Kind::kRecursiveRs, data, op, 0, dtype, sources);
 }
 
 CollectiveHandle CommEngine::SubmitRecursiveDoublingAllGather(
@@ -90,13 +108,18 @@ Status CommEngine::Execute(const Request& req) {
   // paths that call Execute directly) is race-free and lets fp16 gradient
   // requests interleave with fp32 control requests on one engine.
   comm_.set_wire_dtype(req.dtype);
+  // Only the ring reads a gather list in place; every other op takes its
+  // input from the buffer.
+  const bool ring = req.kind == Kind::kReduceScatter ||
+                    req.kind == Kind::kAllReduce;
+  if (!req.sources.empty() && !ring) kernels::Gather(req.sources, req.data);
   switch (req.kind) {
     case Kind::kReduceScatter:
-      return RingReduceScatter(comm_, req.data, req.op);
+      return RingReduceScatter(comm_, req.data, req.op, req.sources);
     case Kind::kAllGather:
       return RingAllGather(comm_, req.data);
     case Kind::kAllReduce:
-      return RingAllReduce(comm_, req.data, req.op);
+      return RingAllReduce(comm_, req.data, req.op, req.sources);
     case Kind::kBarrier:
       return Barrier(comm_);
     case Kind::kBroadcast:
@@ -193,6 +216,10 @@ void CommEngine::Loop() {
         break;
       case check::FaultKind::kShrink: {
         Request shrunk = *req;
+        if (!shrunk.sources.empty()) {
+          kernels::Gather(shrunk.sources, shrunk.data);
+          shrunk.sources = {};
+        }
         shrunk.data = shrunk.data.subspan(0, shrunk.data.size() / 2);
         Complete(*req, Execute(shrunk));
         break;

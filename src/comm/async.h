@@ -34,6 +34,15 @@ class CollectiveHandle {
     return state_->status;
   }
 
+  /// Non-blocking Wait(): true once the operation finished, and then
+  /// `*status` (when given) receives its result. Unlike Wait() it is not a
+  /// schedule point. The sentinel is always ready and OK.
+  [[nodiscard]] bool Ready(Status* status = nullptr) const {
+    if (state_ && !state_->done.TryWait()) return false;
+    if (status != nullptr) *status = state_ ? state_->status : Status::Ok();
+    return true;
+  }
+
   [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
 
  private:
@@ -49,7 +58,8 @@ class CollectiveHandle {
 ///
 /// Buffers passed to Submit* must stay alive and unaliased by the compute
 /// thread until the returned handle's Wait() returns — the same contract as
-/// ncclAllReduce on a stream.
+/// ncclAllReduce on a stream. Gather-list sources, like buffers, must stay
+/// alive and unmodified until Wait() returns (the list itself too).
 class CommEngine {
  public:
   explicit CommEngine(Communicator comm);
@@ -65,9 +75,16 @@ class CommEngine {
   /// and fp32 control traffic interleave safely on one engine. All ranks
   /// must submit matching dtypes (the same no-negotiation contract as the
   /// op sequence itself).
+  ///
+  /// The reducing ops take an optional gather list `sources` (total size
+  /// == data.size()): the input is then the sources' concatenation and
+  /// `data` receives the result. The ring reduce-scatter and all-reduce
+  /// read the sources in place (RingReduceScatter); the other algorithms
+  /// gather them into `data` on the comm thread first.
   CollectiveHandle SubmitReduceScatter(std::span<float> data,
                                        ReduceOp op = ReduceOp::kSum,
-                                       DType dtype = DType::kF32);
+                                       DType dtype = DType::kF32,
+                                       GatherList sources = {});
   CollectiveHandle SubmitAllGather(std::span<float> data,
                                    DType dtype = DType::kF32);
   /// Decoupled hierarchical pair (intra-node reduce + leader ring RS /
@@ -75,19 +92,21 @@ class CommEngine {
   /// the world size.
   CollectiveHandle SubmitHierarchicalReduceScatter(
       std::span<float> data, int ranks_per_node,
-      ReduceOp op = ReduceOp::kSum, DType dtype = DType::kF32);
+      ReduceOp op = ReduceOp::kSum, DType dtype = DType::kF32,
+      GatherList sources = {});
   CollectiveHandle SubmitHierarchicalAllGather(std::span<float> data,
                                                int ranks_per_node,
                                                DType dtype = DType::kF32);
   /// Rabenseifner decoupled pair (power-of-two world sizes).
   CollectiveHandle SubmitRecursiveHalvingReduceScatter(
       std::span<float> data, ReduceOp op = ReduceOp::kSum,
-      DType dtype = DType::kF32);
+      DType dtype = DType::kF32, GatherList sources = {});
   CollectiveHandle SubmitRecursiveDoublingAllGather(
       std::span<float> data, DType dtype = DType::kF32);
   CollectiveHandle SubmitAllReduce(std::span<float> data,
                                    ReduceOp op = ReduceOp::kSum,
-                                   DType dtype = DType::kF32);
+                                   DType dtype = DType::kF32,
+                                   GatherList sources = {});
   /// Pure synchronization point on the comm stream (dissemination barrier).
   /// Always fp32 wire: control-plane ops carry no payload worth narrowing.
   CollectiveHandle SubmitBarrier();
@@ -126,11 +145,13 @@ class CommEngine {
     ReduceOp op;
     Rank root{0};            // broadcast root, or ranks_per_node for kHier*
     DType dtype{DType::kF32};  // wire dtype for this request's payloads
+    GatherList sources;        // input when non-empty; `data` is output
     std::shared_ptr<CollectiveHandle::State> state;
   };
 
   CollectiveHandle Submit(Kind kind, std::span<float> data, ReduceOp op,
-                          Rank root = 0, DType dtype = DType::kF32);
+                          Rank root = 0, DType dtype = DType::kF32,
+                          GatherList sources = {});
   /// Runs one request's collective synchronously on the loop thread.
   Status Execute(const Request& req);
   /// Execute plus the CalibrationMonitor model-vs-measured hook: brackets

@@ -44,7 +44,8 @@ namespace internal {
 Status RingReduceScatterOver(Communicator& comm,
                              const std::vector<Rank>& members,
                              std::span<float> data, ReduceOp op,
-                             std::uint32_t tag_kind, int pos, int avg_world) {
+                             std::uint32_t tag_kind, int pos, int avg_world,
+                             GatherList sources) {
   const int p = static_cast<int>(members.size());
   if (pos < 0) pos = PositionOf(members, comm.rank());
   DEAR_CHECK_MSG(pos >= 0 && pos < p &&
@@ -52,6 +53,12 @@ Status RingReduceScatterOver(Communicator& comm,
                  "ring position does not match this rank");
   const bool avg = op == ReduceOp::kAvg && avg_world > 1;
   const float inv = avg ? 1.0f / static_cast<float>(avg_world) : 1.0f;
+  // A PackHook needs contiguous spans, and a one-member ring never sends:
+  // both take their input from the buffer.
+  if (!sources.empty() && (p == 1 || comm.hub()->has_pack_hook())) {
+    kernels::Gather(sources, data);
+    sources = {};
+  }
   if (p == 1) {
     // Degenerate ring: no round folds anything, so the normalization that
     // normally rides the final round applies directly (the whole buffer is
@@ -69,6 +76,11 @@ Status RingReduceScatterOver(Communicator& comm,
   // ring position `pos` holds the fully reduced chunk `pos`; that final
   // round (recv chunk == pos) folds with the kAvg scale applied — bitwise
   // identical to folding first and scaling in a separate pass.
+  //
+  // Every chunk but (pos - 1) is folded exactly once, and the chunk a round
+  // s > 0 sends is the one round s - 1 folded. So with `sources`, round 0
+  // sends from them and every fold takes its accumulator from them: the
+  // input is read in place and never copied into `data`.
   for (int s = 0; s < p - 1; ++s) {
     const auto send_chunk = static_cast<std::size_t>((pos - s - 1 + 2 * p) % p);
     const auto recv_chunk = static_cast<std::size_t>((pos - s - 2 + 2 * p) % p);
@@ -76,15 +88,31 @@ Status RingReduceScatterOver(Communicator& comm,
     const Range rr = ChunkRange(n, static_cast<std::size_t>(p), recv_chunk);
     const std::uint32_t tag = MakeTag(tag_kind, static_cast<std::uint32_t>(s));
 
-    if (!comm.Send(right, tag, data.subspan(sr.begin, sr.size())))
-      return Status::Unavailable("send failed: transport shut down");
+    const bool sent = s == 0 && !sources.empty()
+                          ? comm.Send(right, tag, sources, sr)
+                          : comm.Send(right, tag, data.subspan(sr.begin,
+                                                                sr.size()));
+    if (!sent) return Status::Unavailable("send failed: transport shut down");
     auto msg = comm.Recv(left, tag);
     if (!msg.ok()) return msg.status();
     const auto acc = data.subspan(rr.begin, rr.size());
-    if (avg && s == p - 2)
-      kernels::ReduceIntoScaled(acc, msg->payload, inv);
-    else
-      kernels::ReduceInto(op, acc, msg->payload);
+    const bool scaled = avg && s == p - 2;
+    if (sources.empty()) {
+      if (scaled)
+        kernels::ReduceIntoScaled(acc, msg->payload, inv);
+      else
+        kernels::ReduceInto(op, acc, msg->payload);
+      continue;
+    }
+    ForEachPiece(sources, rr,
+                 [&](std::size_t off, std::span<const float> piece) {
+                   const auto out = acc.subspan(off, piece.size());
+                   if (scaled)
+                     kernels::ReduceIntoScaled(out, piece, msg->payload, off,
+                                               inv);
+                   else
+                     kernels::ReduceInto(op, out, piece, msg->payload, off);
+                 });
   }
   return Status::Ok();
 }
@@ -145,13 +173,13 @@ std::vector<Rank> AllRanks(int p) {
 }  // namespace
 
 Status RingReduceScatter(Communicator& comm, std::span<float> data,
-                         ReduceOp op) {
+                         ReduceOp op, GatherList sources) {
   probe::CollectiveProbe bracket(comm, CollectiveKind::kRingReduceScatter, data.size());
   // Rank r sits at ring position r; kAvg normalization rides the final
   // round (avg_world) instead of a separate pass over the owned chunk.
   return internal::RingReduceScatterOver(comm, AllRanks(comm.size()), data,
                                          op, kTagReduceScatter, comm.rank(),
-                                         comm.size());
+                                         comm.size(), sources);
 }
 
 Status RingAllGather(Communicator& comm, std::span<float> data) {
@@ -160,9 +188,10 @@ Status RingAllGather(Communicator& comm, std::span<float> data) {
                                      kTagAllGather, comm.rank());
 }
 
-Status RingAllReduce(Communicator& comm, std::span<float> data, ReduceOp op) {
+Status RingAllReduce(Communicator& comm, std::span<float> data, ReduceOp op,
+                     GatherList sources) {
   probe::CollectiveProbe bracket(comm, CollectiveKind::kRingAllReduce, data.size());
-  DEAR_RETURN_IF_ERROR(RingReduceScatter(comm, data, op));
+  DEAR_RETURN_IF_ERROR(RingReduceScatter(comm, data, op, sources));
   return RingAllGather(comm, data);
 }
 
@@ -447,13 +476,10 @@ Status RecursiveDoublingAllGather(Communicator& comm, std::span<float> data) {
   // Lossy wire: the final owned range (the deepest level's keep half) is
   // the only data that never arrives over the wire — round the local copy
   // so every rank ends with identical bits.
-  {
-    const HalvingLevel& deepest = levels.back();
-    const std::size_t own_lo = deepest.upper ? deepest.mid : deepest.lo;
-    const std::size_t own_hi = deepest.upper ? deepest.hi : deepest.mid;
-    kernels::QuantizeInPlace(comm.wire_dtype(),
-                             data.subspan(own_lo, own_hi - own_lo));
-  }
+  const Range own = ReduceScatterOwnedRange(
+      Algorithm::kRecursiveHalvingDoubling, data.size(), comm.rank(), p);
+  kernels::QuantizeInPlace(comm.wire_dtype(),
+                           data.subspan(own.begin, own.size()));
   // Unwind the halving: at each level (deepest first) partners exchange
   // their halves of the shared parent range.
   for (std::size_t s = levels.size(); s-- > 0;) {
@@ -482,6 +508,36 @@ Status RecursiveHalvingDoublingAllReduce(Communicator& comm,
   probe::CollectiveProbe bracket(comm, CollectiveKind::kRecursiveAllReduce, data.size());
   DEAR_RETURN_IF_ERROR(RecursiveHalvingReduceScatter(comm, data, op));
   return RecursiveDoublingAllGather(comm, data);
+}
+
+Range ReduceScatterOwnedRange(Algorithm algorithm, std::size_t n, Rank rank,
+                              int size, int ranks_per_node) {
+  switch (algorithm) {
+    case Algorithm::kRing:
+    case Algorithm::kReduceScatterAllGather:
+      return ChunkRange(n, static_cast<std::size_t>(size),
+                        static_cast<std::size_t>(rank));
+    case Algorithm::kRecursiveHalvingDoubling: {
+      // The keep half of the deepest halving level (BuildHalvingPlan).
+      Range own{0, n};
+      for (int dist = size / 2; dist >= 1; dist /= 2) {
+        const std::size_t mid = own.begin + own.size() / 2;
+        if ((rank & dist) != 0)
+          own.begin = mid;
+        else
+          own.end = mid;
+      }
+      return own;
+    }
+    case Algorithm::kHierarchical:
+      if (ranks_per_node <= 0 || rank % ranks_per_node != 0) return {};
+      return ChunkRange(n, static_cast<std::size_t>(size / ranks_per_node),
+                        static_cast<std::size_t>(rank / ranks_per_node));
+    case Algorithm::kTree:
+    case Algorithm::kDoubleBinaryTree:
+      break;
+  }
+  return {};
 }
 
 Status Barrier(Communicator& comm) {

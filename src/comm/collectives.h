@@ -30,8 +30,18 @@
 namespace dear::comm {
 
 /// Ring reduce-scatter: P-1 rounds, each moving n/P elements. Eq. 3 cost.
+///
+/// With a non-empty `sources` (total size == data.size()) the input is the
+/// concatenation of the sources instead of `data`: round 0 packs its chunk
+/// straight from them into the wire slab, and each chunk's one fold reads
+/// its accumulator from them and writes the result into `data`. Same
+/// per-element operations as gathering into `data` first, so the result is
+/// bitwise identical; `data` is output-only then. The sources are read on
+/// the calling thread and must not change until the op returns. A hub with
+/// a PackHook gets the sources gathered into `data` first.
 Status RingReduceScatter(Communicator& comm, std::span<float> data,
-                         ReduceOp op = ReduceOp::kSum);
+                         ReduceOp op = ReduceOp::kSum,
+                         GatherList sources = {});
 
 /// Ring all-gather: P-1 rounds, each moving n/P elements. Eq. 4 cost.
 Status RingAllGather(Communicator& comm, std::span<float> data);
@@ -40,7 +50,7 @@ Status RingAllGather(Communicator& comm, std::span<float> data);
 /// kAvg normalization is folded into the reduce-scatter's final round
 /// (bitwise identical to a separate owned-chunk scaling pass).
 Status RingAllReduce(Communicator& comm, std::span<float> data,
-                     ReduceOp op = ReduceOp::kSum);
+                     ReduceOp op = ReduceOp::kSum, GatherList sources = {});
 
 /// Binomial-tree reduce to `root`.
 Status TreeReduce(Communicator& comm, std::span<float> data, Rank root,
@@ -100,6 +110,17 @@ Status RecursiveHalvingDoublingAllReduce(Communicator& comm,
                                          std::span<float> data,
                                          ReduceOp op = ReduceOp::kSum);
 
+/// The range of an n-element buffer that `rank` (of `size`) holds fully
+/// reduced after the reduce-scatter half of `algorithm`, and that the
+/// matching all-gather sends from without overwriting:
+///  * ring: ChunkRange(n, size, rank);
+///  * recursive halving: the final block of the halving plan;
+///  * hierarchical: a node leader owns its leader-ring chunk; every other
+///    rank owns nothing (an empty range).
+/// Algorithms without a decoupled pair own nothing.
+Range ReduceScatterOwnedRange(Algorithm algorithm, std::size_t n, Rank rank,
+                              int size, int ranks_per_node = 1);
+
 /// Dissemination barrier (ceil(log2 P) rounds).
 Status Barrier(Communicator& comm);
 
@@ -151,12 +172,12 @@ namespace internal {
 /// `avg_world` > 1, the 1/avg_world normalization is folded into the final
 /// reduce round (bitwise identical to a separate scaling pass over the
 /// owned chunk, and one less full sweep); avg_world = 0 leaves the sum
-/// un-normalized for the caller.
+/// un-normalized for the caller. `sources` as in RingReduceScatter.
 Status RingReduceScatterOver(Communicator& comm,
                              const std::vector<Rank>& members,
                              std::span<float> data, ReduceOp op,
                              std::uint32_t tag_kind, int pos = -1,
-                             int avg_world = 0);
+                             int avg_world = 0, GatherList sources = {});
 Status RingAllGatherOver(Communicator& comm, const std::vector<Rank>& members,
                          std::span<float> data, std::uint32_t tag_kind,
                          int pos = -1);

@@ -89,6 +89,13 @@ class Communicator {
                       wire_dtype_);
   }
 
+  /// Sends elements `range` of the concatenation of `pieces` (see
+  /// TransportHub's gather-list Send).
+  bool Send(Rank dst, std::uint32_t tag, GatherList pieces, Range range) {
+    return hub_->Send(global_rank_, Physical(dst), tag, pieces, range,
+                      epoch_, wire_dtype_);
+  }
+
   /// Blocking receive from logical rank `src` with tag verification.
   StatusOr<Message> Recv(Rank src, std::uint32_t tag) {
     return hub_->Recv(Physical(src), global_rank_, tag, epoch_);

@@ -34,9 +34,36 @@ inline void Apply8(float* acc, const float* in, std::size_t n, Op op) {
   for (; i < n; ++i) acc[i] = op(acc[i], in[i]);
 }
 
-// Same body with a per-element upconvert on the `in` side — the scalar
+// The same body with the accumulator read from `a`: out[i] = op(a[i],
+// in[i]). In-place folds (out == a) take Apply8 instead, because GCC's
+// runtime overlap check sends this three-pointer loop to its scalar
+// fallback whenever the two pointers coincide.
+template <typename Op>
+inline void Apply8From(float* out, const float* a, const float* in,
+                       std::size_t n, Op op) {
+  if (out == a) {
+    Apply8(out, in, n, op);
+    return;
+  }
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    out[i] = op(a[i], in[i]);
+    out[i + 1] = op(a[i + 1], in[i + 1]);
+    out[i + 2] = op(a[i + 2], in[i + 2]);
+    out[i + 3] = op(a[i + 3], in[i + 3]);
+    out[i + 4] = op(a[i + 4], in[i + 4]);
+    out[i + 5] = op(a[i + 5], in[i + 5]);
+    out[i + 6] = op(a[i + 6], in[i + 6]);
+    out[i + 7] = op(a[i + 7], in[i + 7]);
+  }
+  for (; i < n; ++i) out[i] = op(a[i], in[i]);
+}
+
+// Same bodies with a per-element upconvert on the `in` side — the scalar
 // form of the fused convert+reduce kernels. `cvt` maps a 2-byte wire
 // encoding to fp32; the op then runs at fp32 exactly like the span path.
+// In-place and separate-accumulator loops are kept apart for the reason
+// Apply8From gives.
 template <typename Cvt, typename Op>
 inline void ApplyU16(float* acc, const std::uint16_t* in, std::size_t n,
                      Cvt cvt, Op op) {
@@ -52,6 +79,27 @@ inline void ApplyU16(float* acc, const std::uint16_t* in, std::size_t n,
     acc[i + 7] = op(acc[i + 7], cvt(in[i + 7]));
   }
   for (; i < n; ++i) acc[i] = op(acc[i], cvt(in[i]));
+}
+
+template <typename Cvt, typename Op>
+inline void ApplyU16From(float* out, const float* a, const std::uint16_t* in,
+                         std::size_t n, Cvt cvt, Op op) {
+  if (out == a) {
+    ApplyU16(out, in, n, cvt, op);
+    return;
+  }
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    out[i] = op(a[i], cvt(in[i]));
+    out[i + 1] = op(a[i + 1], cvt(in[i + 1]));
+    out[i + 2] = op(a[i + 2], cvt(in[i + 2]));
+    out[i + 3] = op(a[i + 3], cvt(in[i + 3]));
+    out[i + 4] = op(a[i + 4], cvt(in[i + 4]));
+    out[i + 5] = op(a[i + 5], cvt(in[i + 5]));
+    out[i + 6] = op(a[i + 6], cvt(in[i + 6]));
+    out[i + 7] = op(a[i + 7], cvt(in[i + 7]));
+  }
+  for (; i < n; ++i) out[i] = op(a[i], cvt(in[i]));
 }
 
 struct SumOp {
@@ -142,65 +190,65 @@ __attribute__((target("avx2,f16c"))) void F16UnpackV(float* dst,
   for (; i < n; ++i) dst[i] = HalfToFloat(src[i]);
 }
 
-__attribute__((target("avx2,f16c"))) void F16SumV(float* acc,
+__attribute__((target("avx2,f16c"))) void F16SumV(float* out, const float* a,
                                                   const std::uint16_t* in,
                                                   std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 b = _mm256_cvtph_ps(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    const __m256 a = _mm256_loadu_ps(acc + i);
-    _mm256_storeu_ps(acc + i, _mm256_add_ps(a, b));
+    const __m256 va = _mm256_loadu_ps(a + i);
+    _mm256_storeu_ps(out + i, _mm256_add_ps(va, b));
   }
-  for (; i < n; ++i) acc[i] += HalfToFloat(in[i]);
+  for (; i < n; ++i) out[i] = a[i] + HalfToFloat(in[i]);
 }
 
 __attribute__((target("avx2,f16c"))) void F16SumScaledV(
-    float* acc, const std::uint16_t* in, std::size_t n, float scale) {
+    float* out, const float* a, const std::uint16_t* in, std::size_t n, float scale) {
   const __m256 s = _mm256_set1_ps(scale);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 b = _mm256_cvtph_ps(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    const __m256 a = _mm256_loadu_ps(acc + i);
-    _mm256_storeu_ps(acc + i, _mm256_mul_ps(_mm256_add_ps(a, b), s));
+    const __m256 va = _mm256_loadu_ps(a + i);
+    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_add_ps(va, b), s));
   }
-  for (; i < n; ++i) acc[i] = (acc[i] + HalfToFloat(in[i])) * scale;
+  for (; i < n; ++i) out[i] = (a[i] + HalfToFloat(in[i])) * scale;
 }
 
 // blendv(a, b, b > a) is exactly the scalar `b > a ? b : a` select,
 // including NaN behavior (_CMP_GT_OQ is false on unordered, keeping a).
-__attribute__((target("avx2,f16c"))) void F16MaxV(float* acc,
+__attribute__((target("avx2,f16c"))) void F16MaxV(float* out, const float* a,
                                                   const std::uint16_t* in,
                                                   std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 b = _mm256_cvtph_ps(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    const __m256 a = _mm256_loadu_ps(acc + i);
-    _mm256_storeu_ps(acc + i,
-                     _mm256_blendv_ps(a, b, _mm256_cmp_ps(b, a, _CMP_GT_OQ)));
+    const __m256 va = _mm256_loadu_ps(a + i);
+    _mm256_storeu_ps(out + i,
+                     _mm256_blendv_ps(va, b, _mm256_cmp_ps(b, va, _CMP_GT_OQ)));
   }
   for (; i < n; ++i) {
     const float v = HalfToFloat(in[i]);
-    if (v > acc[i]) acc[i] = v;
+    out[i] = v > a[i] ? v : a[i];
   }
 }
 
-__attribute__((target("avx2,f16c"))) void F16MinV(float* acc,
+__attribute__((target("avx2,f16c"))) void F16MinV(float* out, const float* a,
                                                   const std::uint16_t* in,
                                                   std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 b = _mm256_cvtph_ps(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    const __m256 a = _mm256_loadu_ps(acc + i);
-    _mm256_storeu_ps(acc + i,
-                     _mm256_blendv_ps(a, b, _mm256_cmp_ps(b, a, _CMP_LT_OQ)));
+    const __m256 va = _mm256_loadu_ps(a + i);
+    _mm256_storeu_ps(out + i,
+                     _mm256_blendv_ps(va, b, _mm256_cmp_ps(b, va, _CMP_LT_OQ)));
   }
   for (; i < n; ++i) {
     const float v = HalfToFloat(in[i]);
-    if (v < acc[i]) acc[i] = v;
+    out[i] = v < a[i] ? v : a[i];
   }
 }
 
@@ -297,19 +345,19 @@ __attribute__((target("avx2"))) void Bf16UnpackV(float* dst,
   for (; i < n; ++i) dst[i] = Bf16ToFloat(src[i]);
 }
 
-__attribute__((target("avx2"))) void Bf16SumV(float* acc,
+__attribute__((target("avx2"))) void Bf16SumV(float* out, const float* a,
                                               const std::uint16_t* in,
                                               std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 b = Bf16UpconvertLanes(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i), b));
+    _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(a + i), b));
   }
-  for (; i < n; ++i) acc[i] += Bf16ToFloat(in[i]);
+  for (; i < n; ++i) out[i] = a[i] + Bf16ToFloat(in[i]);
 }
 
-__attribute__((target("avx2"))) void Bf16SumScaledV(float* acc,
+__attribute__((target("avx2"))) void Bf16SumScaledV(float* out, const float* a,
                                                     const std::uint16_t* in,
                                                     std::size_t n,
                                                     float scale) {
@@ -318,43 +366,43 @@ __attribute__((target("avx2"))) void Bf16SumScaledV(float* acc,
   for (; i + 8 <= n; i += 8) {
     const __m256 b = Bf16UpconvertLanes(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    const __m256 a = _mm256_loadu_ps(acc + i);
-    _mm256_storeu_ps(acc + i, _mm256_mul_ps(_mm256_add_ps(a, b), s));
+    const __m256 va = _mm256_loadu_ps(a + i);
+    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_add_ps(va, b), s));
   }
-  for (; i < n; ++i) acc[i] = (acc[i] + Bf16ToFloat(in[i])) * scale;
+  for (; i < n; ++i) out[i] = (a[i] + Bf16ToFloat(in[i])) * scale;
 }
 
-__attribute__((target("avx2"))) void Bf16MaxV(float* acc,
+__attribute__((target("avx2"))) void Bf16MaxV(float* out, const float* a,
                                               const std::uint16_t* in,
                                               std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 b = Bf16UpconvertLanes(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    const __m256 a = _mm256_loadu_ps(acc + i);
-    _mm256_storeu_ps(acc + i,
-                     _mm256_blendv_ps(a, b, _mm256_cmp_ps(b, a, _CMP_GT_OQ)));
+    const __m256 va = _mm256_loadu_ps(a + i);
+    _mm256_storeu_ps(out + i,
+                     _mm256_blendv_ps(va, b, _mm256_cmp_ps(b, va, _CMP_GT_OQ)));
   }
   for (; i < n; ++i) {
     const float v = Bf16ToFloat(in[i]);
-    if (v > acc[i]) acc[i] = v;
+    out[i] = v > a[i] ? v : a[i];
   }
 }
 
-__attribute__((target("avx2"))) void Bf16MinV(float* acc,
+__attribute__((target("avx2"))) void Bf16MinV(float* out, const float* a,
                                               const std::uint16_t* in,
                                               std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 b = Bf16UpconvertLanes(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i)));
-    const __m256 a = _mm256_loadu_ps(acc + i);
-    _mm256_storeu_ps(acc + i,
-                     _mm256_blendv_ps(a, b, _mm256_cmp_ps(b, a, _CMP_LT_OQ)));
+    const __m256 va = _mm256_loadu_ps(a + i);
+    _mm256_storeu_ps(out + i,
+                     _mm256_blendv_ps(va, b, _mm256_cmp_ps(b, va, _CMP_LT_OQ)));
   }
   for (; i < n; ++i) {
     const float v = Bf16ToFloat(in[i]);
-    if (v < acc[i]) acc[i] = v;
+    out[i] = v < a[i] ? v : a[i];
   }
 }
 
@@ -392,19 +440,35 @@ void UnpackLoop(float* dst, const std::uint16_t* src, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) dst[i] = cvt(src[i]);
 }
 
-template <typename Cvt>
-void ReduceU16(ReduceOp op, float* acc, const std::uint16_t* in,
-               std::size_t n, Cvt cvt) {
+void ReduceF32(ReduceOp op, float* out, const float* a, const float* in,
+               std::size_t n) {
   switch (op) {
     case ReduceOp::kSum:
     case ReduceOp::kAvg:  // normalized by the caller / the scaled variant
-      ApplyU16(acc, in, n, cvt, SumOp{});
+      Apply8From(out, a, in, n, SumOp{});
       break;
     case ReduceOp::kMax:
-      ApplyU16(acc, in, n, cvt, MaxOp{});
+      Apply8From(out, a, in, n, MaxOp{});
       break;
     case ReduceOp::kMin:
-      ApplyU16(acc, in, n, cvt, MinOp{});
+      Apply8From(out, a, in, n, MinOp{});
+      break;
+  }
+}
+
+template <typename Cvt>
+void ReduceU16(ReduceOp op, float* out, const float* a,
+               const std::uint16_t* in, std::size_t n, Cvt cvt) {
+  switch (op) {
+    case ReduceOp::kSum:
+    case ReduceOp::kAvg:  // normalized by the caller / the scaled variant
+      ApplyU16From(out, a, in, n, cvt, SumOp{});
+      break;
+    case ReduceOp::kMax:
+      ApplyU16From(out, a, in, n, cvt, MaxOp{});
+      break;
+    case ReduceOp::kMin:
+      ApplyU16From(out, a, in, n, cvt, MinOp{});
       break;
   }
 }
@@ -413,18 +477,7 @@ void ReduceU16(ReduceOp op, float* acc, const std::uint16_t* in,
 
 void ReduceInto(ReduceOp op, std::span<float> acc, std::span<const float> in) {
   DEAR_CHECK(acc.size() == in.size());
-  switch (op) {
-    case ReduceOp::kSum:
-    case ReduceOp::kAvg:  // normalized by the caller / the scaled variant
-      Apply8(acc.data(), in.data(), acc.size(), SumOp{});
-      break;
-    case ReduceOp::kMax:
-      Apply8(acc.data(), in.data(), acc.size(), MaxOp{});
-      break;
-    case ReduceOp::kMin:
-      Apply8(acc.data(), in.data(), acc.size(), MinOp{});
-      break;
-  }
+  ReduceF32(op, acc.data(), acc.data(), in.data(), acc.size());
 }
 
 void ReduceIntoScaled(std::span<float> acc, std::span<const float> in,
@@ -512,81 +565,112 @@ void UnpackInto(std::span<float> dst, const PooledBuffer& in) {
 
 void ReduceInto(ReduceOp op, std::span<float> acc, const PooledBuffer& in) {
   DEAR_CHECK(acc.size() == in.size());
-  if (in.empty()) return;
+  ReduceInto(op, acc, acc, in, 0);
+}
+
+void ReduceInto(ReduceOp op, std::span<float> out, std::span<const float> a,
+                const PooledBuffer& in, std::size_t in_offset) {
+  DEAR_CHECK(out.size() == a.size() && in_offset + out.size() <= in.size());
+  if (out.empty()) return;
+  const std::size_t n = out.size();
   switch (in.dtype()) {
     case DType::kF32:
-      ReduceInto(op, acc, in.span());
+      ReduceF32(op, out.data(), a.data(), in.span().data() + in_offset, n);
       return;
-    case DType::kF16:
+    case DType::kF16: {
+      const std::uint16_t* b = in.u16() + in_offset;
 #if defined(DEAR_KERNELS_X86)
       if (UseF16C()) {
         switch (op) {
           case ReduceOp::kSum:
           case ReduceOp::kAvg:
-            F16SumV(acc.data(), in.u16(), in.size());
+            F16SumV(out.data(), a.data(), b, n);
             return;
           case ReduceOp::kMax:
-            F16MaxV(acc.data(), in.u16(), in.size());
+            F16MaxV(out.data(), a.data(), b, n);
             return;
           case ReduceOp::kMin:
-            F16MinV(acc.data(), in.u16(), in.size());
+            F16MinV(out.data(), a.data(), b, n);
             return;
         }
       }
 #endif
-      ReduceU16(op, acc.data(), in.u16(), in.size(), HalfCvt{});
+      ReduceU16(op, out.data(), a.data(), b, n, HalfCvt{});
       return;
-    case DType::kBF16:
+    }
+    case DType::kBF16: {
+      const std::uint16_t* b = in.u16() + in_offset;
 #if defined(DEAR_KERNELS_X86)
       if (UseAvx2Bf16()) {
         switch (op) {
           case ReduceOp::kSum:
           case ReduceOp::kAvg:
-            Bf16SumV(acc.data(), in.u16(), in.size());
+            Bf16SumV(out.data(), a.data(), b, n);
             return;
           case ReduceOp::kMax:
-            Bf16MaxV(acc.data(), in.u16(), in.size());
+            Bf16MaxV(out.data(), a.data(), b, n);
             return;
           case ReduceOp::kMin:
-            Bf16MinV(acc.data(), in.u16(), in.size());
+            Bf16MinV(out.data(), a.data(), b, n);
             return;
         }
       }
 #endif
-      ReduceU16(op, acc.data(), in.u16(), in.size(), Bf16Cvt{});
+      ReduceU16(op, out.data(), a.data(), b, n, Bf16Cvt{});
       return;
+    }
   }
 }
 
 void ReduceIntoScaled(std::span<float> acc, const PooledBuffer& in,
                       float scale) {
   DEAR_CHECK(acc.size() == in.size());
-  if (in.empty()) return;
+  ReduceIntoScaled(acc, acc, in, 0, scale);
+}
+
+void ReduceIntoScaled(std::span<float> out, std::span<const float> a,
+                      const PooledBuffer& in, std::size_t in_offset,
+                      float scale) {
+  DEAR_CHECK(out.size() == a.size() && in_offset + out.size() <= in.size());
+  if (out.empty()) return;
+  const std::size_t n = out.size();
+  const auto scaled_sum = [scale](float x, float y) noexcept {
+    return (x + y) * scale;
+  };
   switch (in.dtype()) {
     case DType::kF32:
-      ReduceIntoScaled(acc, in.span(), scale);
+      Apply8From(out.data(), a.data(), in.span().data() + in_offset, n,
+                 scaled_sum);
       return;
     case DType::kF16:
 #if defined(DEAR_KERNELS_X86)
       if (UseF16C()) {
-        F16SumScaledV(acc.data(), in.u16(), in.size(), scale);
+        F16SumScaledV(out.data(), a.data(), in.u16() + in_offset, n, scale);
         return;
       }
 #endif
-      ApplyU16(acc.data(), in.u16(), in.size(), HalfCvt{},
-               [scale](float a, float b) noexcept { return (a + b) * scale; });
+      ApplyU16From(out.data(), a.data(), in.u16() + in_offset, n, HalfCvt{},
+                   scaled_sum);
       return;
     case DType::kBF16:
 #if defined(DEAR_KERNELS_X86)
       if (UseAvx2Bf16()) {
-        Bf16SumScaledV(acc.data(), in.u16(), in.size(), scale);
+        Bf16SumScaledV(out.data(), a.data(), in.u16() + in_offset, n, scale);
         return;
       }
 #endif
-      ApplyU16(acc.data(), in.u16(), in.size(), Bf16Cvt{},
-               [scale](float a, float b) noexcept { return (a + b) * scale; });
+      ApplyU16From(out.data(), a.data(), in.u16() + in_offset, n, Bf16Cvt{},
+                   scaled_sum);
       return;
   }
+}
+
+void Gather(GatherList src, std::span<float> dst) {
+  ForEachPiece(src, Range{0, dst.size()},
+               [&](std::size_t off, std::span<const float> piece) {
+                 std::memcpy(dst.data() + off, piece.data(),
+                             piece.size() * sizeof(float));
+               });
 }
 
 void QuantizeInPlace(DType dtype, std::span<float> data) {

@@ -77,6 +77,21 @@ void ReduceInto(ReduceOp op, std::span<float> acc, const PooledBuffer& in);
 void ReduceIntoScaled(std::span<float> acc, const PooledBuffer& in,
                       float scale);
 
+/// The same two folds with the accumulator read from `a` instead of
+/// `out`: out[i] = a[i] op upconvert(in[in_offset + i]) (and the scaled
+/// form). A reduce-scatter folding a chunk for the first time reads the
+/// caller's gradients in place this way, with no copy into the buffer
+/// first; the result is bitwise what copying and folding in place gives.
+/// `out` may alias `a`.
+void ReduceInto(ReduceOp op, std::span<float> out, std::span<const float> a,
+                const PooledBuffer& in, std::size_t in_offset);
+void ReduceIntoScaled(std::span<float> out, std::span<const float> a,
+                      const PooledBuffer& in, std::size_t in_offset,
+                      float scale);
+
+/// Copies the concatenation of `src` into `dst`; the sizes must match.
+void Gather(GatherList src, std::span<float> dst);
+
 /// data[i] = upconvert(downconvert(data[i])) — rounds fp32 values through
 /// the wire dtype without sending them. The copy-collectives apply this to
 /// the sender's *retained* regions (the chunk an all-gather keeps, the

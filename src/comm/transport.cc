@@ -81,6 +81,22 @@ bool TransportHub::Send(Rank src, Rank dst, std::uint32_t tag,
   return Send(src, dst, std::move(msg));
 }
 
+bool TransportHub::Send(Rank src, Rank dst, std::uint32_t tag,
+                        GatherList pieces, Range range, std::uint32_t epoch,
+                        DType dtype) {
+  DEAR_CHECK_MSG(!pack_hook_, "gather-list send with a PackHook set");
+  Message msg;
+  msg.tag = tag;
+  msg.epoch = epoch;
+  msg.payload = pool_.Acquire(range.size(), dtype);
+  auto* wire = static_cast<std::byte*>(msg.payload.wire_data());
+  ForEachPiece(pieces, range,
+               [&](std::size_t off, std::span<const float> piece) {
+                 kernels::Pack(dtype, wire + off * DTypeSize(dtype), piece);
+               });
+  return Send(src, dst, std::move(msg));
+}
+
 StatusOr<Message> TransportHub::Recv(Rank src, Rank dst,
                                      std::uint32_t expected_tag,
                                      std::uint32_t epoch) {
@@ -101,13 +117,19 @@ StatusOr<Message> TransportHub::Recv(Rank src, Rank dst,
       // polling: every epoch transition cycles the channels, so a waiter
       // is always woken (kClosed) when its op is doomed.
       const auto deadline = std::chrono::nanoseconds(m->deadline_ns());
+      Channel<Message>& channel = ChannelFor(src, dst);
       for (;;) {
+        // Generation first, epoch second: Suspect turns the epoch before
+        // it cycles the channels, so a trip that lands after the epoch
+        // check still ends the wait below instead of sleeping a full
+        // deadline on the reopened channel.
+        const std::uint64_t gen = channel.close_generation();
         if (m->enforce_epoch() && m->epoch() != epoch) {
           return Status::Unavailable(
               "membership epoch moved past this collective");
         }
         RecvOutcome outcome = RecvOutcome::kClosed;
-        msg = ChannelFor(src, dst).RecvFor(deadline, &outcome);
+        msg = channel.RecvFor(deadline, &outcome, gen);
         if (outcome == RecvOutcome::kItem) {
           m->NoteActivity(src);
           if (msg->epoch == epoch || !m->enforce_epoch()) break;

@@ -97,6 +97,15 @@ class TransportHub {
             std::span<const float> data, std::uint32_t epoch = 0,
             DType dtype = DType::kF32);
 
+  /// Gather-list send: the payload is elements [range.begin, range.end)
+  /// of the concatenation of `pieces`, packed piece by piece straight into
+  /// one slab (convert-on-pack runs per piece, still a single pass). The
+  /// reduce-scatter's first round sends gradients this way without staging
+  /// them in its buffer. Needs the default pack kernel: with a PackHook
+  /// set, callers gather into a contiguous span first (has_pack_hook()).
+  bool Send(Rank src, Rank dst, std::uint32_t tag, GatherList pieces,
+            Range range, std::uint32_t epoch = 0, DType dtype = DType::kF32);
+
   /// Optional transform on the pack path (the §VI-D quantize/sparsify
   /// hook point): when set, it runs *instead of* the default
   /// convert-on-pack kernel and must write all data.size() elements of
@@ -107,6 +116,9 @@ class TransportHub {
   using PackHook = std::function<void(
       DType dtype, std::span<const float> data, PooledBuffer& payload)>;
   void SetPackHook(PackHook hook) { pack_hook_ = std::move(hook); }
+  [[nodiscard]] bool has_pack_hook() const noexcept {
+    return static_cast<bool>(pack_hook_);
+  }
 
   /// Blocks for the next message on the (src, dst) channel; verifies the tag
   /// matches `expected_tag`. Returns Unavailable after Shutdown().

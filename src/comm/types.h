@@ -1,10 +1,14 @@
 // Shared vocabulary types for the collective communication library.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
+
+#include "common/math_util.h"
 
 namespace dear::comm {
 
@@ -27,6 +31,27 @@ enum class Algorithm {
 
 std::string_view AlgorithmName(Algorithm a) noexcept;
 std::string_view ReduceOpName(ReduceOp op) noexcept;
+
+/// A gather list: read-only pieces whose concatenation is one logical
+/// vector. DistOptim hands a fusion group's gradient tensors to the
+/// reduce-scatter this way, so nothing copies them into the fused buffer
+/// first. Empty means the op's buffer already holds its input.
+using GatherList = std::span<const std::span<const float>>;
+
+/// Calls fn(offset, piece) for each part of `list`'s concatenation that
+/// overlaps `range`, in order; `offset` is relative to range.begin.
+template <typename Fn>
+void ForEachPiece(GatherList list, Range range, Fn&& fn) {
+  std::size_t base = 0;
+  for (const std::span<const float> piece : list) {
+    if (base >= range.end) return;
+    const std::size_t end = base + piece.size();
+    const std::size_t lo = std::max(base, range.begin);
+    const std::size_t hi = std::min(end, range.end);
+    if (lo < hi) fn(lo - range.begin, piece.subspan(lo - base, hi - lo));
+    base = end;
+  }
+}
 
 /// Wire element type of a transported payload (the paper's §VI-D gradient
 /// compression extension, mirroring NCCL's ncclFloat16/ncclBfloat16).

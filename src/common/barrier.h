@@ -54,6 +54,12 @@ class Latch {
     if (count_ > 0 && --count_ == 0) cv_.notify_all();
   }
 
+  /// Non-blocking Wait(): true once the count reached zero.
+  [[nodiscard]] bool TryWait() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return count_ == 0;
+  }
+
   void Wait() {
     schedpoint::ScopedBlock block(schedpoint::Site::kLatchWait);
     std::unique_lock<std::mutex> lock(mutex_);

@@ -75,19 +75,30 @@ class Channel {
     return PopLocked();
   }
 
+  /// Number of Close() calls so far. A caller that checks some other
+  /// condition before RecvFor reads this first and passes it on, so a
+  /// close/reopen cycle landing between the check and the wait still ends
+  /// the wait.
+  [[nodiscard]] std::uint64_t close_generation() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return close_gen_;
+  }
+
   /// Recv with a deadline: waits up to `timeout` for an item. On success
   /// returns the item (*outcome = kItem); otherwise nullopt with *outcome
   /// telling closed-or-cycled apart from a plain timeout — the transport's
-  /// failure detector treats only kTimeout as peer silence.
+  /// failure detector treats only kTimeout as peer silence. A close since
+  /// generation `since_gen` (close_generation()) counts as a cycle and
+  /// takes no item: whatever was queued after a close/reopen cycle belongs
+  /// to the receivers of the next membership epoch, not to this wait.
   std::optional<T> RecvFor(std::chrono::nanoseconds timeout,
-                           RecvOutcome* outcome) {
+                           RecvOutcome* outcome, std::uint64_t since_gen) {
     schedpoint::ScopedBlock block(schedpoint::Site::kChannelRecv);
     std::unique_lock<std::mutex> lock(mutex_);
-    const std::uint64_t gen = close_gen_;
     const bool ready = cv_.wait_for(lock, timeout, [&] {
-      return count_ > 0 || closed_ || close_gen_ != gen;
+      return count_ > 0 || closed_ || close_gen_ != since_gen;
     });
-    if (count_ > 0) {
+    if (count_ > 0 && close_gen_ == since_gen) {
       *outcome = RecvOutcome::kItem;
       return PopLocked();
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "comm/kernels.h"
 #include "comm/probe.h"
 #include "common/math_util.h"
 #include "common/logging.h"
@@ -68,9 +69,34 @@ void DistOptim::RebuildPlan() {
   plan_ = fusion::ByBufferBytes(spec_, options_.buffer_bytes);
   groups_.clear();
   groups_.resize(static_cast<std::size_t>(plan_.num_groups()));
+  launch_order_.clear();
+  launch_order_.reserve(groups_.size());
+  const bool decoupled = options_.mode == ScheduleMode::kDeAR ||
+                         options_.mode == ScheduleMode::kZeRO;
   for (int g = 0; g < plan_.num_groups(); ++g) {
-    groups_[static_cast<std::size_t>(g)].buffer.assign(
-        plan_.group(g).bytes / model::kBytesPerElement, 0.0f);
+    GroupState& state = groups_[static_cast<std::size_t>(g)];
+    state.buffer.assign(plan_.group(g).bytes / model::kBytesPerElement, 0.0f);
+    for (int t : plan_.group(g).tensors)
+      state.sources.emplace_back(bindings_[static_cast<std::size_t>(t)].grads);
+    if (decoupled) {
+      state.owned = comm::ReduceScatterOwnedRange(
+          options_.algorithm, state.buffer.size(), engine_->rank(),
+          engine_->size(), options_.ranks_per_node);
+    }
+  }
+}
+
+template <typename Fn>
+void DistOptim::ForEachTensorSlice(int g, Range r, Fn&& fn) const {
+  std::size_t tensor_start = 0;
+  for (int t : plan_.group(g).tensors) {
+    if (tensor_start >= r.end) return;
+    const std::size_t tensor_end =
+        tensor_start + bindings_[static_cast<std::size_t>(t)].values.size();
+    const std::size_t lo = std::max(r.begin, tensor_start);
+    const std::size_t hi = std::min(r.end, tensor_end);
+    if (lo < hi) fn(t, lo - tensor_start, lo, hi - lo);
+    tensor_start = tensor_end;
   }
 }
 
@@ -119,48 +145,38 @@ bool DistOptim::AwaitGroup(int g) {
   return true;
 }
 
-void DistOptim::PackGroup(int g) {
-  // One pass: gradients go straight into the fused buffer. Compression
-  // needs no second sweep here — the wire dtype rides on the submitted
-  // collective, and the transport's convert-on-pack rounds each payload to
-  // fp16/bf16 in the same pass that writes it into the pooled slab.
-  GroupState& state = groups_[static_cast<std::size_t>(g)];
-  std::size_t offset = 0;
-  for (int t : plan_.group(g).tensors) {
-    const auto& grads = bindings_[static_cast<std::size_t>(t)].grads;
-    std::copy(grads.begin(), grads.end(), state.buffer.begin() +
-                                              static_cast<std::ptrdiff_t>(
-                                                  offset));
-    offset += grads.size();
-  }
-}
-
 void DistOptim::UnpackAndApply(int g) {
   GroupState& state = groups_[static_cast<std::size_t>(g)];
-  std::size_t offset = 0;
+  const std::span<float> buffer(state.buffer);
   if (options_.mode == ScheduleMode::kZeRO) {
     // The buffer holds freshly gathered PARAMETERS (owners already applied
     // the sharded update); install them.
-    for (int t : plan_.group(g).tensors) {
-      auto& binding = bindings_[static_cast<std::size_t>(t)];
-      std::copy(state.buffer.begin() + static_cast<std::ptrdiff_t>(offset),
-                state.buffer.begin() + static_cast<std::ptrdiff_t>(
-                                           offset + binding.values.size()),
-                binding.values.begin());
-      offset += binding.values.size();
-    }
+    ForEachTensorSlice(g, Range{0, buffer.size()},
+                       [&](int t, std::size_t in_tensor, std::size_t lo,
+                           std::size_t len) {
+                         const auto src = buffer.subspan(lo, len);
+                         std::copy(src.begin(), src.end(),
+                                   bindings_[static_cast<std::size_t>(t)]
+                                           .values.begin() +
+                                       static_cast<std::ptrdiff_t>(in_tensor));
+                       });
   } else {
-    // Apply the SGD update straight from the fused gradient buffer.
-    // Deliberately does NOT write back into binding.grads: under FeedPipe
-    // this runs after the next iteration's ZeroGrad(), and autograd-style
-    // accumulation must not see stale averaged gradients.
-    for (int t : plan_.group(g).tensors) {
-      auto& binding = bindings_[static_cast<std::size_t>(t)];
-      const std::span<const float> avg_grad(state.buffer.data() + offset,
-                                            binding.grads.size());
-      offset += binding.grads.size();
-      sgd_->Step(t, binding.values, avg_grad);
-    }
+    // Apply the SGD update straight from the fused gradient buffer, to
+    // everything but the owned slice (ApplyOwnedUpdate did that after
+    // OP1). Elementwise, so splitting a tensor's update is bitwise the
+    // same as one pass. Deliberately does NOT write back into
+    // binding.grads: under FeedPipe this runs after the next iteration's
+    // ZeroGrad(), and autograd-style accumulation must not see stale
+    // averaged gradients.
+    const auto step = [&](int t, std::size_t in_tensor, std::size_t lo,
+                          std::size_t len) {
+      sgd_->StepSlice(
+          t, in_tensor,
+          bindings_[static_cast<std::size_t>(t)].values.subspan(in_tensor, len),
+          buffer.subspan(lo, len));
+    };
+    ForEachTensorSlice(g, Range{0, state.owned.begin}, step);
+    ForEachTensorSlice(g, Range{state.owned.end, buffer.size()}, step);
   }
   state.phase = GroupPhase::kIdle;
   state.tensors_ready = 0;
@@ -168,32 +184,43 @@ void DistOptim::UnpackAndApply(int g) {
                      state.op_seq);
 }
 
-void DistOptim::ApplyShardedUpdate(int g) {
+void DistOptim::ApplyOwnedUpdate(int g) {
   GroupState& state = groups_[static_cast<std::size_t>(g)];
-  const Range own = ChunkRange(state.buffer.size(),
-                               static_cast<std::size_t>(engine_->size()),
-                               static_cast<std::size_t>(engine_->rank()));
-  // Walk the group's tensors; for the part of each tensor that falls in
-  // our owned ring chunk, step the optimizer and write the new parameter
-  // values into the buffer, which the all-gather will distribute.
-  std::size_t tensor_start = 0;
-  for (int t : plan_.group(g).tensors) {
-    auto& binding = bindings_[static_cast<std::size_t>(t)];
-    const std::size_t tensor_end = tensor_start + binding.values.size();
-    const std::size_t lo = std::max(own.begin, tensor_start);
-    const std::size_t hi = std::min(own.end, tensor_end);
-    if (lo < hi) {
-      const std::size_t in_tensor = lo - tensor_start;
-      const std::size_t len = hi - lo;
-      const std::span<float> values =
-          binding.values.subspan(in_tensor, len);
-      const std::span<const float> avg_grad(state.buffer.data() + lo, len);
-      sgd_->StepSlice(t, in_tensor, values, avg_grad);
-      std::copy(values.begin(), values.end(),
-                state.buffer.begin() + static_cast<std::ptrdiff_t>(lo));
-    }
-    tensor_start = tensor_end;
+  const std::span<float> buffer(state.buffer);
+  const bool zero = options_.mode == ScheduleMode::kZeRO;
+  // kDeAR: OP2 rounds the owned slice to the wire dtype and sends that, so
+  // every peer applies the rounded gradient; apply the same. Rounding is
+  // idempotent, so OP2's own pass then changes nothing. (kZeRO's OP2 sends
+  // parameters at fp32; a one-rank OP2 sends nothing and rounds nothing.)
+  if (!zero && engine_->size() > 1) {
+    comm::kernels::QuantizeInPlace(
+        WireDType(options_.compression),
+        buffer.subspan(state.owned.begin, state.owned.size()));
   }
+  ForEachTensorSlice(
+      g, state.owned,
+      [&](int t, std::size_t in_tensor, std::size_t lo, std::size_t len) {
+        const std::span<float> values =
+            bindings_[static_cast<std::size_t>(t)].values.subspan(in_tensor,
+                                                                  len);
+        sgd_->StepSlice(t, in_tensor, values, buffer.subspan(lo, len));
+        // kZeRO: OP2 distributes the fresh parameters.
+        if (zero)
+          std::copy(values.begin(), values.end(),
+                    buffer.begin() + static_cast<std::ptrdiff_t>(lo));
+      });
+}
+
+std::size_t DistOptim::ApplyReadyOwnedUpdates(std::size_t applied) {
+  for (; applied < launch_order_.size(); ++applied) {
+    const int g = launch_order_[applied];
+    Status st;
+    // A failed OP1 updates nothing; AwaitGroup reports it.
+    if (!groups_[static_cast<std::size_t>(g)].handle.Ready(&st) || !st.ok())
+      break;
+    ApplyOwnedUpdate(g);
+  }
+  return applied;
 }
 
 comm::CollectiveHandle DistOptim::SubmitGather(GroupState& state) {
@@ -217,8 +244,13 @@ comm::CollectiveHandle DistOptim::SubmitGather(GroupState& state) {
 
 void DistOptim::LaunchGroup(int g) {
   GroupState& state = groups_[static_cast<std::size_t>(g)];
-  PackGroup(g);
   ++stats_.collectives;
+  // No pack pass: the op reads the gradient tensors in place (a gather
+  // list) and writes its result into the fused buffer. Compression needs
+  // no sweep either — the transport's convert-on-pack rounds each payload
+  // to fp16/bf16 in the same pass that writes it into the pooled slab.
+  const std::span<float> buffer(state.buffer);
+  const comm::GatherList sources(state.sources);
   const comm::DType wire = WireDType(options_.compression);
   switch (options_.mode) {
     case ScheduleMode::kDeAR:
@@ -226,26 +258,26 @@ void DistOptim::LaunchGroup(int g) {
       switch (options_.algorithm) {
         case comm::Algorithm::kHierarchical:
           state.handle = engine_->SubmitHierarchicalReduceScatter(
-              std::span<float>(state.buffer), options_.ranks_per_node,
-              comm::ReduceOp::kAvg, wire);
+              buffer, options_.ranks_per_node, comm::ReduceOp::kAvg, wire,
+              sources);
           break;
         case comm::Algorithm::kRecursiveHalvingDoubling:
           state.handle = engine_->SubmitRecursiveHalvingReduceScatter(
-              std::span<float>(state.buffer), comm::ReduceOp::kAvg, wire);
+              buffer, comm::ReduceOp::kAvg, wire, sources);
           break;
         default:
           state.handle = engine_->SubmitReduceScatter(
-              std::span<float>(state.buffer), comm::ReduceOp::kAvg, wire);
+              buffer, comm::ReduceOp::kAvg, wire, sources);
       }
-      state.phase = GroupPhase::kRsPending;
+      launch_order_.push_back(g);
       break;
     case ScheduleMode::kWFBP:
     case ScheduleMode::kSequential:
-      state.handle = engine_->SubmitAllReduce(std::span<float>(state.buffer),
-                                              comm::ReduceOp::kAvg, wire);
-      state.phase = GroupPhase::kRsPending;
+      state.handle = engine_->SubmitAllReduce(buffer, comm::ReduceOp::kAvg,
+                                              wire, sources);
       break;
   }
+  state.phase = GroupPhase::kRsPending;
   MarkLaunched(g, EventKind::kRsLaunch);
 }
 
@@ -315,17 +347,23 @@ void DistOptim::Step() {
       // End of BackPipe: synchronize all OP1 tasks (paper §III-B), then
       // enqueue OP2 all-gathers in feed-forward order. No waiting after
       // that — PreForward of the next iteration consumes them group by
-      // group. kZeRO additionally applies the sharded optimizer update
-      // between the two halves, so OP2 carries parameters.
+      // group. Between the halves each group's owned slice is updated
+      // (kZeRO's sharded optimizer step, so its OP2 carries parameters):
+      // in launch order, as soon as that group's OP1 has landed, so the
+      // update runs while later OP1s are still on the wire.
+      std::size_t applied = 0;
       for (int g = 0; g < plan_.num_groups(); ++g) {
         auto& state = groups_[static_cast<std::size_t>(g)];
         DEAR_CHECK_MSG(state.phase == GroupPhase::kRsPending,
                        "Step() before backward completed");
+        applied = ApplyReadyOwnedUpdates(applied);
         if (!AwaitGroup(g)) return;
       }
+      for (; applied < launch_order_.size(); ++applied)
+        ApplyOwnedUpdate(launch_order_[applied]);
+      launch_order_.clear();
       for (int g = 0; g < plan_.num_groups(); ++g) {
         auto& state = groups_[static_cast<std::size_t>(g)];
-        if (options_.mode == ScheduleMode::kZeRO) ApplyShardedUpdate(g);
         state.handle = SubmitGather(state);
         state.phase = GroupPhase::kAgPending;
         MarkLaunched(g, EventKind::kAgLaunch);
@@ -365,12 +403,12 @@ void DistOptim::Synchronize() {
       case GroupPhase::kRsPending:
         // Backward finished but Step() not called yet. In the decoupled
         // modes the buffer holds a scattered result, so complete the pair
-        // (kZeRO also applies its sharded update in between); in the
-        // all-reduce modes the data is already fully reduced.
+        // (updating the owned slice in between); in the all-reduce modes
+        // the data is already fully reduced.
         if (!AwaitGroup(g)) return;
         if (options_.mode == ScheduleMode::kDeAR ||
             options_.mode == ScheduleMode::kZeRO) {
-          if (options_.mode == ScheduleMode::kZeRO) ApplyShardedUpdate(g);
+          ApplyOwnedUpdate(g);
           state.handle = SubmitGather(state);
           state.phase = GroupPhase::kAgPending;
           MarkLaunched(g, EventKind::kAgLaunch);
@@ -384,6 +422,7 @@ void DistOptim::Synchronize() {
         break;
     }
   }
+  launch_order_.clear();
 }
 
 void DistOptim::SetBufferBytes(std::size_t bytes) {

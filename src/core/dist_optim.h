@@ -13,9 +13,12 @@
 //
 // In kDeAR mode, Step() synchronizes the reduce-scatters (OP1) and enqueues
 // the all-gathers (OP2) in feed-forward order; PreForward(l) waits only for
-// the group(s) covering layer l, copies the averaged gradients out, and
-// lazily applies that group's SGD update — so communication of iteration i
-// overlaps the feed-forward of iteration i+1, exactly the paper's FeedPipe.
+// the group(s) covering layer l and lazily applies that group's SGD update
+// — so communication of iteration i overlaps the feed-forward of iteration
+// i+1, exactly the paper's FeedPipe. The one slice of each group a rank
+// holds fully reduced after OP1 (its owned slice) is updated earlier,
+// inside Step() as soon as that group's OP1 lands; PreForward updates the
+// rest after OP2. The reduce-scatters read the gradient tensors in place.
 //
 // All ranks must drive the same sequence of hook calls (they do, since
 // replicas execute the same network) — this is the no-negotiation property
@@ -25,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "comm/async.h"
@@ -174,6 +178,13 @@ class DistOptim {
   };
   struct GroupState {
     std::vector<float> buffer;
+    /// The group's gradient tensors in buffer order: the gather list its
+    /// OP1 (or all-reduce) reads in place.
+    std::vector<std::span<const float>> sources;
+    /// Buffer range this rank holds fully reduced after OP1 and that OP2
+    /// sends from (comm::ReduceScatterOwnedRange). Empty outside the
+    /// decoupled modes.
+    Range owned;
     comm::CollectiveHandle handle;
     GroupPhase phase{GroupPhase::kIdle};
     int tensors_ready{0};
@@ -184,16 +195,28 @@ class DistOptim {
   };
 
   void RebuildPlan();
-  void PackGroup(int g);
+  /// After OP2 (or the all-reduce): kZeRO installs the gathered
+  /// parameters; the other modes update every parameter outside the owned
+  /// slice from the averaged gradients.
   void UnpackAndApply(int g);
   void LaunchGroup(int g);
   /// Waits on `handle`. Returns true on success; on failure, aborts — or,
   /// under options.elastic, records the failure and returns false.
   bool WaitHandle(const comm::CollectiveHandle& handle);
-  /// kZeRO: updates the owned ring chunk of group g's parameters from the
-  /// reduce-scattered gradients and writes the fresh parameter values back
-  /// into the buffer for the parameter all-gather.
-  void ApplyShardedUpdate(int g);
+  /// After OP1: updates the parameters of group g's owned slice from the
+  /// reduce-scattered gradients. kZeRO then writes the fresh values back
+  /// into the buffer for the parameter all-gather; kDeAR first rounds the
+  /// slice to the wire dtype, as the all-gather will.
+  void ApplyOwnedUpdate(int g);
+  /// Applies ApplyOwnedUpdate to the groups of launch_order_ from
+  /// `applied` on whose OP1 already completed OK, stopping at the first
+  /// that has not; returns the new count of applied groups.
+  std::size_t ApplyReadyOwnedUpdates(std::size_t applied);
+  /// Calls fn(t, in_tensor, lo, len) for each tensor t of group g that
+  /// overlaps buffer range `r`: the overlap is buffer [lo, lo + len), which
+  /// is elements [in_tensor, in_tensor + len) of tensor t.
+  template <typename Fn>
+  void ForEachTensorSlice(int g, Range r, Fn&& fn) const;
   /// Submits the OP2 collective (ring or hierarchical all-gather).
   comm::CollectiveHandle SubmitGather(GroupState& state);
 
@@ -216,6 +239,8 @@ class DistOptim {
   std::unique_ptr<train::Sgd> sgd_;
   fusion::FusionPlan plan_;
   std::vector<GroupState> groups_;
+  /// Groups whose OP1 is in flight, in launch (= completion) order.
+  std::vector<int> launch_order_;
   Stats stats_;
   bool failed_{false};
   Status failure_;

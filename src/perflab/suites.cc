@@ -19,6 +19,7 @@
 #include "comm/probe.h"
 #include "comm/worker_group.h"
 #include "common/half.h"
+#include "common/rng.h"
 #include "common/schedule_point.h"
 #include "common/sim_time.h"
 #include "core/trainer.h"
@@ -30,6 +31,7 @@
 #include "sched/runner.h"
 #include "telemetry/telemetry.h"
 #include "train/data.h"
+#include "train/mlp.h"
 #include "tune/gp.h"
 
 namespace dear::perflab {
@@ -491,6 +493,26 @@ std::vector<Row> BuildRows() {
           (void)gp.Fit(xs, ys);
           Escape(gp.Predict(20.0));
         });
+      }));
+
+  // One dense backward of a 512x512 hidden layer at batch 1, the shape of
+  // the dear-bw training layers: the compute thread's largest pass.
+  rows.push_back(MakeRow(
+      Kind::kTimed, "train.dense_backward_us",
+      {{"in", "512"}, {"out", "512"}, {"batch", "1"}}, "us", kFull,
+      [](const RowContext& c) -> Samples {
+        Rng rng(7);
+        train::DenseLayer layer;
+        layer.in = 512;
+        layer.out = 512;
+        layer.relu = true;
+        layer.Init(rng);
+        std::vector<float> x(512), dy(512);
+        for (float& v : x) v = static_cast<float>(rng.Uniform(-1, 1));
+        for (float& v : dy) v = static_cast<float>(rng.Uniform(-1, 1));
+        layer.Forward(x, 1);
+        return Scaled(TimedMs(c.repeats, [&] { Escape(layer.Backward(dy, 1)); }),
+                      1000.0);
       }));
 
   // Always-on hooks: per-call cost, allocations, and calls per small

@@ -5,6 +5,13 @@
 
 #include "common/logging.h"
 
+// SSE2 is part of the x86-64 baseline: the vector backward needs neither a
+// -m flag nor runtime dispatch. Other targets keep the portable loop.
+#if defined(__x86_64__)
+#define DEAR_DENSE_SSE2 1
+#include <emmintrin.h>
+#endif
+
 namespace dear::train {
 
 void DenseLayer::Init(Rng& rng) {
@@ -40,6 +47,107 @@ std::vector<float> DenseLayer::Forward(std::span<const float> x, int batch) {
   return y;
 }
 
+namespace {
+
+// One batch row of the dense backward: gw[i][j] += x[i] * d[j] and
+// dx[i] = sum_j w[i][j] * d[j], summed in j order from 0. Rows i in
+// [0, in); the portable loop below is the reference every path matches.
+void BackwardRowScalar(const float* w, const float* x, const float* d,
+                       float* gw, float* dx, int i_begin, int in, int out) {
+  for (int i = i_begin; i < in; ++i) {
+    float* gwr = gw + static_cast<std::size_t>(i) * out;
+    const float* wr = w + static_cast<std::size_t>(i) * out;
+    const float xi = x[i];
+    float acc = 0.0f;
+    for (int j = 0; j < out; ++j) {
+      gwr[j] += xi * d[j];
+      acc += wr[j] * d[j];
+    }
+    dx[i] = acc;
+  }
+}
+
+#if defined(DEAR_DENSE_SSE2)
+// Eight rows at a time. dx's chain over j cannot vectorize along j (that
+// would reassociate the sum), so it vectorizes across rows instead: each
+// 4x4 tile of W is transposed so that lane k holds w[i + k][j], and lane k
+// then accumulates exactly row i + k's serial chain — the same multiply
+// and add, in the same j order, as the scalar loop. gw's update is
+// elementwise and rides the same pass. SSE2 only (the x86-64 baseline):
+// no FMA, so nothing is contracted, and no runtime dispatch is needed.
+
+/// The four lanes of `v`, each broadcast to a whole register.
+struct Lanes4 {
+  __m128 l0, l1, l2, l3;
+};
+inline Lanes4 Splat(__m128 v) {
+  return {_mm_shuffle_ps(v, v, _MM_SHUFFLE(0, 0, 0, 0)),
+          _mm_shuffle_ps(v, v, _MM_SHUFFLE(1, 1, 1, 1)),
+          _mm_shuffle_ps(v, v, _MM_SHUFFLE(2, 2, 2, 2)),
+          _mm_shuffle_ps(v, v, _MM_SHUFFLE(3, 3, 3, 3))};
+}
+
+/// Rows r..r+3 (`w`, `gw` point at row r), columns j..j+3: gw row k +=
+/// x_k * d, and lane k of the returned `acc` adds w[r + k][j + c] * d[j + c]
+/// for c = 0..3 in order.
+inline __m128 Rows4(const float* w, float* gw, std::size_t out, int j,
+                    const Lanes4& x, __m128 d, const Lanes4& dj, __m128 acc) {
+  float* g = gw + j;
+  _mm_storeu_ps(g, _mm_add_ps(_mm_loadu_ps(g), _mm_mul_ps(x.l0, d)));
+  g += out;
+  _mm_storeu_ps(g, _mm_add_ps(_mm_loadu_ps(g), _mm_mul_ps(x.l1, d)));
+  g += out;
+  _mm_storeu_ps(g, _mm_add_ps(_mm_loadu_ps(g), _mm_mul_ps(x.l2, d)));
+  g += out;
+  _mm_storeu_ps(g, _mm_add_ps(_mm_loadu_ps(g), _mm_mul_ps(x.l3, d)));
+  const float* r = w + j;
+  __m128 c0 = _mm_loadu_ps(r);
+  __m128 c1 = _mm_loadu_ps(r + out);
+  __m128 c2 = _mm_loadu_ps(r + 2 * out);
+  __m128 c3 = _mm_loadu_ps(r + 3 * out);
+  _MM_TRANSPOSE4_PS(c0, c1, c2, c3);  // c_c = column j + c of the 4 rows
+  acc = _mm_add_ps(acc, _mm_mul_ps(c0, dj.l0));
+  acc = _mm_add_ps(acc, _mm_mul_ps(c1, dj.l1));
+  acc = _mm_add_ps(acc, _mm_mul_ps(c2, dj.l2));
+  return _mm_add_ps(acc, _mm_mul_ps(c3, dj.l3));
+}
+
+void BackwardRows8(const float* w, const float* x, const float* d, float* gw,
+                   float* dx, int i, int out) {
+  const auto o = static_cast<std::size_t>(out);
+  const float* w0 = w + static_cast<std::size_t>(i) * o;
+  float* g0 = gw + static_cast<std::size_t>(i) * o;
+  const Lanes4 x_lo = Splat(_mm_loadu_ps(x + i));
+  const Lanes4 x_hi = Splat(_mm_loadu_ps(x + i + 4));
+  __m128 lo = _mm_setzero_ps();  // dx[i .. i+3]
+  __m128 hi = _mm_setzero_ps();  // dx[i+4 .. i+7]
+  int j = 0;
+  for (; j + 4 <= out; j += 4) {
+    const __m128 dv = _mm_loadu_ps(d + j);
+    const Lanes4 dj = Splat(dv);
+    lo = Rows4(w0, g0, o, j, x_lo, dv, dj, lo);
+    hi = Rows4(w0 + 4 * o, g0 + 4 * o, o, j, x_hi, dv, dj, hi);
+  }
+  float acc[8];
+  _mm_storeu_ps(acc, lo);
+  _mm_storeu_ps(acc + 4, hi);
+  for (int k = 0; k < 8; ++k) {
+    // Columns past the last multiple of 4: the tail of each chain, still
+    // in j order.
+    const float* wr = w0 + static_cast<std::size_t>(k) * o;
+    float* gr = g0 + static_cast<std::size_t>(k) * o;
+    const float xk = x[i + k];
+    for (int jt = j; jt < out; ++jt) {
+      gr[jt] += xk * d[jt];
+      acc[k] += wr[jt] * d[jt];
+    }
+    dx[i + k] = acc[k];
+  }
+}
+#endif
+
+}  // namespace
+
 std::vector<float> DenseLayer::Backward(std::span<const float> dy, int batch) {
   DEAR_CHECK(static_cast<int>(dy.size()) == batch * out);
   DEAR_CHECK_MSG(static_cast<int>(last_input.size()) == batch * in,
@@ -50,22 +158,18 @@ std::vector<float> DenseLayer::Backward(std::span<const float> dy, int batch) {
       if (last_preact[i] <= 0.0f) dpre[i] = 0.0f;
   }
   std::vector<float> dx(static_cast<std::size_t>(batch) * in, 0.0f);
+  // Batch rows accumulate into gw/gb in n order, as a sequential sum would.
   for (int n = 0; n < batch; ++n) {
     const float* xr = last_input.data() + static_cast<std::size_t>(n) * in;
     const float* dr = dpre.data() + static_cast<std::size_t>(n) * out;
     float* dxr = dx.data() + static_cast<std::size_t>(n) * in;
     for (int j = 0; j < out; ++j) gb[static_cast<std::size_t>(j)] += dr[j];
-    for (int i = 0; i < in; ++i) {
-      float* gwr = gw.data() + static_cast<std::size_t>(i) * out;
-      const float* wr = w.data() + static_cast<std::size_t>(i) * out;
-      const float xi = xr[i];
-      float acc = 0.0f;
-      for (int j = 0; j < out; ++j) {
-        gwr[j] += xi * dr[j];
-        acc += wr[j] * dr[j];
-      }
-      dxr[i] = acc;
-    }
+    int i = 0;
+#if defined(DEAR_DENSE_SSE2)
+    for (; i + 8 <= in; i += 8)
+      BackwardRows8(w.data(), xr, dr, gw.data(), dxr, i, out);
+#endif
+    BackwardRowScalar(w.data(), xr, dr, gw.data(), dxr, i, in, out);
   }
   return dx;
 }

@@ -5,6 +5,8 @@
 #include "test_env.h"
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -197,6 +199,32 @@ TEST(ChannelTest, FifoSurvivesGrowthWhileWrapped) {
   for (int i = 0; i < 100; ++i) ch.Send(next_send++);  // forces regrowth
   for (int i = 0; i < 100; ++i) EXPECT_EQ(*ch.Recv(), next_recv++);
   EXPECT_EQ(ch.size(), 0u);
+}
+
+// A membership-epoch trip cycles the channel (close, clear, reopen). A
+// timed receive that began before the cycle must end without taking what
+// the next epoch's senders queued after it; a receive that begins after
+// the cycle takes it.
+TEST(ChannelTest, RecvForLeavesItemsQueuedAfterACycle) {
+  Channel<int> ch;
+  const std::uint64_t before = ch.close_generation();
+  ch.Close();
+  ch.Clear();
+  ch.Reopen();
+  ASSERT_TRUE(ch.Send(7));
+  RecvOutcome outcome = RecvOutcome::kItem;
+  EXPECT_FALSE(
+      ch.RecvFor(std::chrono::milliseconds(1), &outcome, before).has_value());
+  EXPECT_EQ(outcome, RecvOutcome::kClosed);
+  const auto item = ch.RecvFor(std::chrono::milliseconds(1), &outcome,
+                               ch.close_generation());
+  ASSERT_TRUE(item.has_value());
+  EXPECT_EQ(*item, 7);
+  EXPECT_EQ(outcome, RecvOutcome::kItem);
+  EXPECT_FALSE(ch.RecvFor(std::chrono::milliseconds(1), &outcome,
+                          ch.close_generation())
+                   .has_value());
+  EXPECT_EQ(outcome, RecvOutcome::kTimeout);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "analysis/timeline.h"
 #include "comm/worker_group.h"
@@ -99,6 +100,59 @@ INSTANTIATE_TEST_SUITE_P(
         ModeCase{ScheduleMode::kDeAR, 8, 600, "dear_p8_rhd_buckets",
                  comm::Algorithm::kRecursiveHalvingDoubling}),
     [](const auto& info) { return std::string(info.param.label); });
+
+// kDeAR, kWFBP and kSequential run the same ring reduce-scatter and
+// all-gather over the same fused buffers, and every SGD update is
+// elementwise, so their final parameters must be bitwise equal: where
+// kDeAR updates a group's owned slice (inside Step(), right after OP1) and
+// where it updates the rest (PreForward, after OP2) must not show in a
+// single bit, nor must the reduce-scatter reading gradients in place.
+// 200 B buffers at world 3 put owned-slice boundaries inside tensors; the
+// lossy wire dtypes check that the owned slice is rounded exactly as the
+// all-gather rounds it for the peers.
+TEST(DistOptimTest, SchedulesAgreeBitwise) {
+  const ScheduleMode modes[] = {ScheduleMode::kDeAR, ScheduleMode::kWFBP,
+                                ScheduleMode::kSequential};
+  const Compression wires[] = {Compression::kNone, Compression::kFp16,
+                               Compression::kBf16};
+  const int per_worker_batch = 4;
+  const int iterations = 8;
+  for (const int world : {2, 3, 4}) {
+    const Dataset data = MakeRegressionDataset(
+        world * per_worker_batch * 4, kDims.front(), kDims.back(), 77);
+    for (const std::size_t buffer : {std::size_t{64}, std::size_t{200},
+                                     std::size_t{1024}, std::size_t{1} << 20}) {
+      for (const Compression wire : wires) {
+        std::vector<DistributedResult> runs;
+        for (const ScheduleMode mode : modes) {
+          DistOptimOptions options;
+          options.mode = mode;
+          options.buffer_bytes = buffer;
+          options.compression = wire;
+          options.sgd = {.lr = 0.05f, .momentum = 0.9f};
+          runs.push_back(TrainDistributed(kDims, kModelSeed, data, iterations,
+                                          per_worker_batch, world, options));
+        }
+        SCOPED_TRACE(testing::Message()
+                     << "world " << world << " buffer " << buffer
+                     << " wire " << static_cast<int>(wire));
+        for (std::size_t m = 0; m < runs.size(); ++m) {
+          EXPECT_TRUE(runs[m].params_consistent) << "mode " << m;
+          ASSERT_EQ(runs[m].params.size(), runs[0].params.size());
+          for (std::size_t t = 0; t < runs[0].params.size(); ++t) {
+            const auto& got = runs[m].params[t];
+            const auto& want = runs[0].params[t];
+            ASSERT_EQ(got.size(), want.size());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  got.size() * sizeof(float)),
+                      0)
+                << "mode " << m << " tensor " << t;
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(DistOptimTest, LossDecreasesUnderDeAR) {
   const Dataset data = MakeRegressionDataset(64, 6, 2, 5);

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "comm/buffer_pool.h"
@@ -228,6 +229,71 @@ TEST(KernelsTest, PooledFp32ReduceMatchesSpanReduce) {
     EXPECT_TRUE(BitwiseEqual(pooled, spanned))
         << "op=" << static_cast<int>(op);
   }
+}
+
+// The separate-accumulator folds (a reduce-scatter's first fold of a
+// chunk, read from the caller's gradients) must equal copying `a` into
+// `out` and folding in place — for every dtype, op, payload offset and
+// tail length, on the vector and the scalar paths.
+TEST(KernelsTest, FoldFromSeparateAccumulatorEqualsCopyThenFold) {
+  BufferPool pool;
+  for (const DType dtype : {DType::kF32, DType::kF16, DType::kBF16}) {
+    const std::size_t total = 61;
+    const std::vector<float> src = RandomVec(666, total);
+    PooledBuffer buf = pool.Acquire(total, dtype);
+    kernels::Pack(dtype, buf.wire_data(), src);
+    for (const bool scalar : {false, true}) {
+      kernels::internal::ForceScalarForTest(scalar);
+      for (const std::size_t offset : {std::size_t{0}, std::size_t{5}}) {
+        for (std::size_t n = 0; n + offset <= total; n += 9) {
+          const std::vector<float> a = RandomVec(777 + n, n);
+          for (const ReduceOp op :
+               {ReduceOp::kSum, ReduceOp::kMax, ReduceOp::kMin}) {
+            std::vector<float> out(n, -1.0f);
+            kernels::ReduceInto(op, out, a, buf, offset);
+            std::vector<float> want = a;
+            const std::vector<float> in(src.begin() + offset,
+                                        src.begin() + offset + n);
+            PooledBuffer part = pool.Acquire(n, dtype);
+            kernels::Pack(dtype, part.wire_data(), in);
+            kernels::ReduceInto(op, want, part);
+            EXPECT_TRUE(BitwiseEqual(out, want))
+                << DTypeName(dtype) << " op=" << static_cast<int>(op)
+                << " n=" << n << " offset=" << offset << " scalar=" << scalar;
+          }
+          std::vector<float> out(n, -1.0f);
+          kernels::ReduceIntoScaled(out, a, buf, offset, 0.5f);
+          std::vector<float> want = a;
+          const std::vector<float> in(src.begin() + offset,
+                                      src.begin() + offset + n);
+          PooledBuffer part = pool.Acquire(n, dtype);
+          kernels::Pack(dtype, part.wire_data(), in);
+          kernels::ReduceIntoScaled(want, part, 0.5f);
+          EXPECT_TRUE(BitwiseEqual(out, want))
+              << DTypeName(dtype) << " scaled n=" << n
+              << " offset=" << offset << " scalar=" << scalar;
+        }
+      }
+    }
+    kernels::internal::ForceScalarForTest(false);
+  }
+}
+
+TEST(KernelsTest, GatherConcatenatesPieces) {
+  const std::vector<float> a{1, 2, 3}, b{}, c{4, 5};
+  const std::vector<std::span<const float>> pieces{a, b, c};
+  std::vector<float> out(5, 0.0f);
+  kernels::Gather(pieces, out);
+  EXPECT_EQ(out, (std::vector<float>{1, 2, 3, 4, 5}));
+  // ForEachPiece clips to a range and reports range-relative offsets.
+  std::vector<std::pair<std::size_t, std::size_t>> seen;
+  ForEachPiece(pieces, Range{2, 4},
+               [&](std::size_t off, std::span<const float> piece) {
+                 seen.emplace_back(off, piece.size());
+                 EXPECT_EQ(piece[0], out[2 + off]);
+               });
+  EXPECT_EQ(seen, (std::vector<std::pair<std::size_t, std::size_t>>{
+                      {0, 1}, {1, 1}}));
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <utility>
 
+#include "common/rng.h"
 #include "train/data.h"
 #include "train/sgd.h"
 
@@ -55,6 +59,89 @@ TEST(DenseLayerTest, BatchedForward) {
   EXPECT_FLOAT_EQ(y[0], 4.0f);
   EXPECT_FLOAT_EQ(y[1], 7.0f);
   EXPECT_FLOAT_EQ(y[2], 10.0f);
+}
+
+// The dense backward as it was written before the vector kernel: one
+// serial dot-product chain per input row. Kept verbatim as the bitwise
+// reference for DenseLayer::Backward.
+std::vector<float> ReferenceBackward(DenseLayer& layer,
+                                     std::span<const float> dy, int batch) {
+  const int in = layer.in;
+  const int out = layer.out;
+  std::vector<float> dpre(dy.begin(), dy.end());
+  if (layer.relu) {
+    for (std::size_t i = 0; i < dpre.size(); ++i)
+      if (layer.last_preact[i] <= 0.0f) dpre[i] = 0.0f;
+  }
+  std::vector<float> dx(static_cast<std::size_t>(batch) * in, 0.0f);
+  for (int n = 0; n < batch; ++n) {
+    const float* xr =
+        layer.last_input.data() + static_cast<std::size_t>(n) * in;
+    const float* dr = dpre.data() + static_cast<std::size_t>(n) * out;
+    float* dxr = dx.data() + static_cast<std::size_t>(n) * in;
+    for (int j = 0; j < out; ++j)
+      layer.gb[static_cast<std::size_t>(j)] += dr[j];
+    for (int i = 0; i < in; ++i) {
+      float* gwr = layer.gw.data() + static_cast<std::size_t>(i) * out;
+      const float* wr = layer.w.data() + static_cast<std::size_t>(i) * out;
+      const float xi = xr[i];
+      float acc = 0.0f;
+      for (int j = 0; j < out; ++j) {
+        gwr[j] += xi * dr[j];
+        acc += wr[j] * dr[j];
+      }
+      dxr[i] = acc;
+    }
+  }
+  return dx;
+}
+
+void ExpectBitwiseEqual(const std::vector<float>& got,
+                        const std::vector<float>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+TEST(DenseLayerTest, BackwardBitwiseEqualsSerialReference) {
+  // in % 8 != 0 and out % 4 != 0 exercise the scalar row and column
+  // tails; multiples of 8 and 4 run the vector path alone.
+  const std::pair<int, int> shapes[] = {{1, 1},   {7, 3},   {13, 6},
+                                        {19, 11}, {37, 23}, {16, 8},
+                                        {24, 12}, {9, 5},   {64, 33}};
+  Rng rng(2024);
+  for (const auto& [in, out] : shapes) {
+    for (const int batch : {1, 3}) {
+      for (const bool relu : {false, true}) {
+        DenseLayer layer;
+        layer.in = in;
+        layer.out = out;
+        layer.relu = relu;
+        layer.Init(rng);
+        for (float& v : layer.b) v = static_cast<float>(rng.Uniform(-1, 1));
+        DenseLayer ref = layer;
+        std::vector<float> x(static_cast<std::size_t>(batch) * in);
+        std::vector<float> dy(static_cast<std::size_t>(batch) * out);
+        // Two back-to-back backwards: the second accumulates into the
+        // first's gw/gb.
+        for (int pass = 0; pass < 2; ++pass) {
+          for (float& v : x) v = static_cast<float>(rng.Uniform(-2, 2));
+          for (float& v : dy) v = static_cast<float>(rng.Uniform(-1, 1));
+          layer.Forward(x, batch);
+          ref.Forward(x, batch);
+          const std::vector<float> dx = layer.Backward(dy, batch);
+          const std::vector<float> want = ReferenceBackward(ref, dy, batch);
+          SCOPED_TRACE(testing::Message()
+                       << in << "x" << out << " batch " << batch << " relu "
+                       << relu << " pass " << pass);
+          ExpectBitwiseEqual(dx, want, "dx");
+          ExpectBitwiseEqual(layer.gw, ref.gw, "gw");
+          ExpectBitwiseEqual(layer.gb, ref.gb, "gb");
+        }
+      }
+    }
+  }
 }
 
 // Numerical gradient check: perturb every parameter and input, compare the
