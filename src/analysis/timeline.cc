@@ -36,7 +36,7 @@ std::vector<Interval> BusyIntervals(const sim::TaskGraph& graph,
   DEAR_CHECK(result.timings.size() == graph.size());
   std::vector<Interval> raw;
   for (std::size_t i = 0; i < graph.size(); ++i) {
-    const auto& task = graph.task(static_cast<sim::TaskId>(i));
+    const sim::Task task = graph.task(static_cast<sim::TaskId>(i));
     const auto& timing = result.timings[i];
     if (task.stream != stream || !timing.executed ||
         timing.end == timing.start)
@@ -77,7 +77,7 @@ TimelineAnalysis Analyze(const sim::TaskGraph& graph,
   // Per-stream busy time.
   std::map<std::int16_t, SimTime> busy;
   for (std::size_t i = 0; i < graph.size(); ++i) {
-    const auto& task = graph.task(static_cast<sim::TaskId>(i));
+    const sim::Task task = graph.task(static_cast<sim::TaskId>(i));
     busy[task.stream] += task.duration;
   }
   for (const auto& [stream, time] : busy) {
@@ -104,14 +104,15 @@ TimelineAnalysis Analyze(const sim::TaskGraph& graph,
   std::vector<sim::TaskId> via(graph.size(), sim::kInvalidTask);
   sim::TaskId best = sim::kInvalidTask;
   for (std::size_t idx : order) {
-    const auto& task = graph.task(static_cast<sim::TaskId>(idx));
+    const auto id = static_cast<sim::TaskId>(idx);
+    const sim::Task task = graph.task(id);
     SimTime longest = 0;
-    for (sim::TaskId dep : graph.deps(static_cast<sim::TaskId>(idx))) {
+    graph.ForEachDep(id, [&](sim::TaskId dep) {
       if (chain[static_cast<std::size_t>(dep)] > longest) {
         longest = chain[static_cast<std::size_t>(dep)];
         via[idx] = dep;
       }
-    }
+    });
     chain[idx] = longest + task.duration;
     if (best == sim::kInvalidTask ||
         chain[idx] > chain[static_cast<std::size_t>(best)])
@@ -148,7 +149,7 @@ std::string RenderAsciiGantt(const sim::TaskGraph& graph,
                              const sim::SimResult& result, int width) {
   DEAR_CHECK(width > 0 && result.timings.size() == graph.size());
   std::int16_t max_stream = 0;
-  for (const auto& task : graph.tasks())
+  for (const sim::Task& task : graph.period_tasks())
     max_stream = std::max(max_stream, task.stream);
   if (result.makespan <= 0) return "(empty timeline)\n";
 
@@ -158,7 +159,7 @@ std::string RenderAsciiGantt(const sim::TaskGraph& graph,
     std::vector<std::map<char, SimTime>> buckets(
         static_cast<std::size_t>(width));
     for (std::size_t i = 0; i < graph.size(); ++i) {
-      const auto& task = graph.task(static_cast<sim::TaskId>(i));
+      const sim::Task task = graph.task(static_cast<sim::TaskId>(i));
       const auto& timing = result.timings[i];
       if (task.stream != s || !timing.executed || timing.end == timing.start)
         continue;

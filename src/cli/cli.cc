@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iomanip>
 #include <map>
+#include <thread>
 
 #include "analysis/calib.h"
 #include "analysis/causal.h"
@@ -368,6 +369,7 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
   }
   const int batch = flags.GetInt("batch-size") > 0 ? flags.GetInt("batch-size")
                                                    : 8;
+  err << OversubscriptionWarning(world, std::thread::hardware_concurrency());
 
   const auto m = model::ByName(model_name);
   const std::vector<int> dims = ProxyDims(m);
@@ -1278,6 +1280,14 @@ int CmdTimeline(FlagParser& flags, std::ostream& out, std::ostream& err) {
 }
 
 }  // namespace
+
+std::string OversubscriptionWarning(int world, unsigned cores) {
+  const long threads = 2L * world;
+  if (cores == 0 || threads <= static_cast<long>(cores)) return "";
+  return "warning: " + std::to_string(world) + " ranks run " +
+         std::to_string(threads) + " threads on " + std::to_string(cores) +
+         " cores; measured times include waiting for a core\n";
+}
 
 int RunCli(int argc, const char* const* argv, std::ostream& out,
            std::ostream& err) {

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <ostream>
+#include <string>
 
 namespace dear::cli {
 
@@ -34,5 +35,10 @@ namespace dear::cli {
 /// `err`. Returns a process exit code (0 on success).
 int RunCli(int argc, const char* const* argv, std::ostream& out,
            std::ostream& err);
+
+/// The warning `dearsim profile` prints when its `world` ranks, a compute
+/// and a communication thread each, outnumber `cores` (0 = unknown); empty
+/// when they fit.
+std::string OversubscriptionWarning(int world, unsigned cores);
 
 }  // namespace dear::cli

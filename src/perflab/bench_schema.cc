@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "common/stats.h"
 #include "perflab/json.h"
@@ -201,6 +202,8 @@ std::map<std::string, std::string> EnvironmentFingerprint() {
   env["assertions"] = "on";
 #endif
   env["pointer_bits"] = std::to_string(8 * sizeof(void*));
+  // 0 when the platform cannot tell.
+  env["cores"] = std::to_string(std::thread::hardware_concurrency());
   env["schema"] = kSchemaVersion;
   return env;
 }

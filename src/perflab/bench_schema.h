@@ -80,8 +80,9 @@ struct BenchSuite {
 };
 
 /// Build/platform identity recorded into every suite: compiler, C++
-/// standard, build type, OS, and pointer width. Deliberately excludes
-/// wall-clock timestamps so identical builds fingerprint identically.
+/// standard, build type, OS, pointer width and core count. Deliberately
+/// excludes wall-clock timestamps so identical builds on one machine
+/// fingerprint identically.
 std::map<std::string, std::string> EnvironmentFingerprint();
 
 }  // namespace dear::perflab

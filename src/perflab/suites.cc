@@ -471,6 +471,10 @@ std::vector<Row> BuildRows() {
                  kFull);
     }
   }
+  // The largest per-tensor graph (~1400 tasks per iteration), dispatched
+  // on the priority stream.
+  AddSimRows(rows, "densenet201", 64, sched::PolicyKind::kByteScheduler,
+             "bytescheduler", kFull);
   rows.push_back(MakeRow(Kind::kTimed, "fusion.plan_ms",
                          {{"model", "densenet201"}}, "ms", kFull,
                          [](const RowContext& c) -> Samples {

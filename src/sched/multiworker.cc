@@ -253,7 +253,7 @@ RunResult EvaluateMultiWorker(const model::ModelSpec& model,
   std::vector<SimTime> iter_end(static_cast<std::size_t>(options.iterations),
                                 0);
   for (std::size_t i = 0; i < graph.size(); ++i) {
-    const auto& task = graph.task(static_cast<sim::TaskId>(i));
+    const sim::Task task = graph.task(static_cast<sim::TaskId>(i));
     if (task.iteration < 0) continue;
     auto& end = iter_end[static_cast<std::size_t>(task.iteration)];
     end = std::max(end, sim->timings[i].end);

@@ -28,29 +28,11 @@ using sim::TaskGraph;
 using sim::TaskId;
 using sim::TaskKind;
 
-// Communication tasks of one iteration that gate the next iteration's
-// compute: per-layer dependency lists (empty list = no gate). One instance
-// is recycled across iterations: an iteration reads its predecessor's gates
-// while it builds FF and BP, then clears them (keeping their capacity)
-// before its communication tasks record the gates for the next one.
-struct CommGates {
-  // FF_l of the next iteration must wait for these tasks.
-  std::vector<std::vector<TaskId>> per_layer;
-  // BP_l of the next iteration must wait for these tasks (kZeRO's backward
-  // parameter re-gather; empty for every other policy).
-  std::vector<std::vector<TaskId>> per_layer_bp;
-  // ... and FF_0 additionally waits for these (whole-model barrier).
-  std::vector<TaskId> global;
-
-  explicit CommGates(int num_layers)
-      : per_layer(static_cast<std::size_t>(num_layers)),
-        per_layer_bp(static_cast<std::size_t>(num_layers)) {}
-
-  void Clear() {
-    for (auto& g : per_layer) g.clear();
-    for (auto& g : per_layer_bp) g.clear();
-    global.clear();
-  }
+// A gate: compute task `waiter` of the next iteration waits on
+// communication task `on` of this one.
+struct Gate {
+  TaskId waiter;
+  TaskId on;
 };
 
 class GraphBuilder {
@@ -63,14 +45,20 @@ class GraphBuilder {
         cost_(cluster.cost_model()),
         num_layers_(model.num_layers()),
         ff_(static_cast<std::size_t>(num_layers_)),
-        bp_(static_cast<std::size_t>(num_layers_)),
-        gates_(num_layers_) {}
+        bp_(static_cast<std::size_t>(num_layers_)) {}
 
+  // Every iteration is the same DAG, so the graph stores iteration 0 and
+  // repeats it: the gates one iteration hands to the next become carried
+  // dependencies.
   BuiltGraph Build(int iterations) {
-    const auto [tasks, deps] = GraphSize(iterations);
-    graph_.Reserve(tasks, deps);
-    for (int i = 0; i < iterations; ++i) BuildIteration(i);
-    DEAR_CHECK(graph_.size() == tasks && graph_.num_deps() == deps);
+    const auto [tasks, deps, carried] = GraphSize();
+    graph_.Reserve(tasks, deps, carried);
+    gates_.reserve(carried);
+    BuildIteration();
+    CarryGates();
+    DEAR_CHECK(graph_.period() == tasks && graph_.num_deps() == deps &&
+               graph_.num_carried() == carried);
+    graph_.Repeat(iterations);
     BuiltGraph out;
     out.graph = std::move(graph_);
     out.stream_policies = {sim::StreamPolicy::kFifoByReady,
@@ -85,11 +73,12 @@ class GraphBuilder {
   struct Size {
     std::size_t tasks;
     std::size_t deps;
+    std::size_t carried;
   };
 
-  // Exact task and dependency counts of `iterations` iterations, so the
-  // graph is allocated once.
-  [[nodiscard]] Size GraphSize(int iterations) const {
+  // Exact task, dependency and carried-dependency counts of one period, so
+  // the graph is allocated once.
+  [[nodiscard]] Size GraphSize() const {
     const auto& groups = config_.plan.groups();
     const std::size_t layers = static_cast<std::size_t>(num_layers_);
     const std::size_t g = groups.size();
@@ -97,8 +86,8 @@ class GraphBuilder {
     for (const auto& group : groups)
       spans += static_cast<std::size_t>(group.last_layer - group.first_layer +
                                         1);
-    // Per iteration: communication tasks, their dependencies, and the
-    // gates they hand to the next iteration's FF/BP.
+    // Communication tasks, their dependencies, and the gates they hand to
+    // the next iteration's FF/BP.
     std::size_t comm_tasks = g, comm_deps = g, gate_deps = g;
     switch (config_.kind) {
       case PolicyKind::kByteScheduler: {
@@ -121,11 +110,9 @@ class GraphBuilder {
       default:
         break;
     }
-    const auto iters = static_cast<std::size_t>(iterations);
     // FF and BP chains: 2L tasks, L-1 + L chain dependencies.
     const std::size_t chain_deps = layers > 0 ? 2 * layers - 1 : 0;
-    return {iters * (2 * layers + comm_tasks),
-            iters * (chain_deps + comm_deps) + (iters - 1) * gate_deps};
+    return {2 * layers + comm_tasks, chain_deps + comm_deps, gate_deps};
   }
 
   // Adds `t` with the dependencies collected in deps_, then empties deps_.
@@ -135,23 +122,18 @@ class GraphBuilder {
     return id;
   }
 
-  // Builds FF + BP chains and the policy's communication tasks for
-  // iteration `iter`, consuming the previous iteration's gates and
-  // recording the gates for the next one.
-  void BuildIteration(int iter) {
-    // Feed-forward chain, gated by the previous iteration's communication.
+  // Builds iteration 0: FF + BP chains and the policy's communication
+  // tasks, recording in gates_ what the next iteration must wait for.
+  void BuildIteration() {
+    // Feed-forward chain; the previous iteration's gates are carried.
     for (int l = 0; l < num_layers_; ++l) {
       Task t;
       t.kind = TaskKind::kForward;
       t.stream = kComputeStream;
       t.duration = model_.layer(l).ff_time;
-      t.iteration = iter;
+      t.iteration = 0;
       t.layer = l;
       if (l > 0) deps_.push_back(ff_[static_cast<std::size_t>(l - 1)]);
-      if (l == 0)
-        deps_.insert(deps_.end(), gates_.global.begin(), gates_.global.end());
-      const auto& layer_gates = gates_.per_layer[static_cast<std::size_t>(l)];
-      deps_.insert(deps_.end(), layer_gates.begin(), layer_gates.end());
       ff_[static_cast<std::size_t>(l)] = Add(t);
     }
 
@@ -161,37 +143,56 @@ class GraphBuilder {
       t.kind = TaskKind::kBackward;
       t.stream = kComputeStream;
       t.duration = model_.layer(l).bp_time;
-      t.iteration = iter;
+      t.iteration = 0;
       t.layer = l;
       deps_.push_back(l == num_layers_ - 1
                           ? ff_[static_cast<std::size_t>(l)]
                           : bp_[static_cast<std::size_t>(l + 1)]);
-      const auto& bp_gates = gates_.per_layer_bp[static_cast<std::size_t>(l)];
-      deps_.insert(deps_.end(), bp_gates.begin(), bp_gates.end());
       bp_[static_cast<std::size_t>(l)] = Add(t);
     }
 
-    gates_.Clear();
     switch (config_.kind) {
       case PolicyKind::kSequential:
-        return BuildBarrierComm(iter, /*overlap_bp=*/false,
-                                /*negotiate=*/false);
+        return BuildBarrierComm(/*overlap_bp=*/false, /*negotiate=*/false);
       case PolicyKind::kWFBP:
       case PolicyKind::kDDP:
       case PolicyKind::kMGWFBP:
-        return BuildBarrierComm(iter, /*overlap_bp=*/true,
-                                /*negotiate=*/false);
+        return BuildBarrierComm(/*overlap_bp=*/true, /*negotiate=*/false);
       case PolicyKind::kHorovod:
-        return BuildBarrierComm(iter, /*overlap_bp=*/true,
+        return BuildBarrierComm(/*overlap_bp=*/true,
                                 /*negotiate=*/config_.charge_negotiation);
       case PolicyKind::kByteScheduler:
-        return BuildByteScheduler(iter);
+        return BuildByteScheduler();
       case PolicyKind::kDeAR:
-        return BuildDeAR(iter);
+        return BuildDeAR();
       case PolicyKind::kZeRO:
-        return BuildZeRO(iter);
+        return BuildZeRO();
     }
     DEAR_CHECK_MSG(false, "unreachable policy kind");
+  }
+
+  // The next iteration's FF_l / BP_l waits on `on`.
+  void GateForward(int layer, TaskId on) {
+    gates_.push_back({ff_[static_cast<std::size_t>(layer)], on});
+  }
+  void GateBackward(int layer, TaskId on) {
+    gates_.push_back({bp_[static_cast<std::size_t>(layer)], on});
+  }
+
+  // Attaches gates_ as carried dependencies: waiters in task order, each
+  // waiter's gates in the order they were recorded.
+  void CarryGates() {
+    std::stable_sort(gates_.begin(), gates_.end(),
+                     [](const Gate& a, const Gate& b) {
+                       return a.waiter < b.waiter;
+                     });
+    for (std::size_t k = 0; k < gates_.size();) {
+      const TaskId waiter = gates_[k].waiter;
+      for (; k < gates_.size() && gates_[k].waiter == waiter; ++k)
+        deps_.push_back(gates_[k].on);
+      graph_.SetCarried(waiter, deps_);
+      deps_.clear();
+    }
   }
 
   // ByteScheduler: number of credit-sized chunks a tensor is split into.
@@ -255,7 +256,7 @@ class GraphBuilder {
   // WFBP-family: one all-reduce per fusion group, started when the group's
   // last gradient is ready (overlap_bp) or when all of BP is done
   // (sequential); the next iteration's FF_0 waits for every all-reduce.
-  void BuildBarrierComm(int iter, bool overlap_bp, bool negotiate) {
+  void BuildBarrierComm(bool overlap_bp, bool negotiate) {
     const auto& groups = config_.plan.groups();
     for (std::size_t g = 0; g < groups.size(); ++g) {
       Task t;
@@ -264,11 +265,11 @@ class GraphBuilder {
       t.duration = cost_.RingAllReduce(CommBytes(groups[g].bytes)) +
                    CompressionOverhead() + 2 * CopyOverhead(groups[g]);
       if (negotiate) t.duration += cost_.NegotiationLatency();
-      t.iteration = iter;
+      t.iteration = 0;
       t.group = static_cast<int>(g);
       const int ready_layer = overlap_bp ? groups[g].first_layer : 0;
       deps_.push_back(bp_[static_cast<std::size_t>(ready_layer)]);
-      gates_.global.push_back(Add(t));
+      GateForward(0, Add(t));
     }
   }
 
@@ -277,7 +278,7 @@ class GraphBuilder {
   // negotiation round, dispatched by layer priority; FF_l of the next
   // iteration waits only for its own layer's chunks (the fine-grained
   // dependency its re-ordering buys).
-  void BuildByteScheduler(int iter) {
+  void BuildByteScheduler() {
     for (int ti = 0; ti < model_.num_tensors(); ++ti) {
       const auto& tensor = model_.tensor(ti);
       const std::size_t bytes = tensor.bytes();
@@ -297,12 +298,11 @@ class GraphBuilder {
           t.duration += cost_.NegotiationLatency() +
                         Seconds(config_.coordinator_overhead_s);
         }
-        t.iteration = iter;
+        t.iteration = 0;
         t.layer = tensor.layer;
         t.priority = static_cast<double>(tensor.layer);
         deps_.push_back(bp_[static_cast<std::size_t>(tensor.layer)]);
-        gates_.per_layer[static_cast<std::size_t>(tensor.layer)].push_back(
-            Add(t));
+        GateForward(tensor.layer, Add(t));
       }
     }
   }
@@ -311,7 +311,7 @@ class GraphBuilder {
   // synchronization of all OP1 tasks (paper §III-B), then all-gathers in
   // FF order (FeedPipe); FF_l of the next iteration waits only for the
   // all-gather of the group(s) owning layer l's tensors.
-  void BuildDeAR(int iter) {
+  void BuildDeAR() {
     const auto& groups = config_.plan.groups();
 
     rs_.clear();
@@ -323,14 +323,14 @@ class GraphBuilder {
                        ? Op1Duration(groups[g].bytes) + CompressionOverhead() +
                              CopyOverhead(groups[g])
                        : 0;
-      t.iteration = iter;
+      t.iteration = 0;
       t.group = static_cast<int>(g);
       deps_.push_back(bp_[static_cast<std::size_t>(groups[g].first_layer)]);
       rs_.push_back(Add(t));
     }
 
     TaskId rs_done = sim::kInvalidTask;
-    if (config_.dear_op1_barrier) rs_done = AddOp1Sync(iter);
+    if (config_.dear_op1_barrier) rs_done = AddOp1Sync();
 
     // All-gathers added in ascending group (= FF) order; they all become
     // ready at rs_done, and the FIFO comm stream preserves insertion order.
@@ -344,22 +344,22 @@ class GraphBuilder {
                        ? Op2Duration(groups[g].bytes) + CompressionOverhead() +
                              CopyOverhead(groups[g])
                        : 0;
-      t.iteration = iter;
+      t.iteration = 0;
       t.group = static_cast<int>(g);
       deps_.push_back(config_.dear_op1_barrier ? rs_done : rs_[g]);
       const TaskId ag = Add(t);
       for (int l = groups[g].first_layer; l <= groups[g].last_layer; ++l)
-        gates_.per_layer[static_cast<std::size_t>(l)].push_back(ag);
+        GateForward(l, ag);
     }
   }
 
   // Zero-duration OP1 synchronization on every reduce-scatter in rs_.
-  TaskId AddOp1Sync(int iter) {
+  TaskId AddOp1Sync() {
     Task sync;
     sync.kind = TaskKind::kSync;
     sync.stream = kCommStream;
     sync.duration = 0;
-    sync.iteration = iter;
+    sync.iteration = 0;
     return graph_.Add(sync, rs_);
   }
 
@@ -368,7 +368,7 @@ class GraphBuilder {
   // forward AND again before its backward — three collectives per group.
   // All re-gathers are enqueued behind the OP1 sync (FSDP's prefetch order),
   // forward-order gathers first, then backward-order ones.
-  void BuildZeRO(int iter) {
+  void BuildZeRO() {
     const auto& groups = config_.plan.groups();
 
     rs_.clear();
@@ -379,12 +379,12 @@ class GraphBuilder {
       t.duration =
           cost_.ReduceScatter(CommBytes(groups[g].bytes)) +
           CompressionOverhead();
-      t.iteration = iter;
+      t.iteration = 0;
       t.group = static_cast<int>(g);
       deps_.push_back(bp_[static_cast<std::size_t>(groups[g].first_layer)]);
       rs_.push_back(Add(t));
     }
-    const TaskId rs_done = AddOp1Sync(iter);
+    const TaskId rs_done = AddOp1Sync();
 
     // Forward parameter gathers, ascending (FeedPipe-like).
     for (std::size_t g = 0; g < groups.size(); ++g) {
@@ -392,12 +392,12 @@ class GraphBuilder {
       t.kind = TaskKind::kAllGather;
       t.stream = kCommStream;
       t.duration = cost_.AllGather(groups[g].bytes);
-      t.iteration = iter;
+      t.iteration = 0;
       t.group = static_cast<int>(g);
       deps_.push_back(rs_done);
       const TaskId ag = Add(t);
       for (int l = groups[g].first_layer; l <= groups[g].last_layer; ++l)
-        gates_.per_layer[static_cast<std::size_t>(l)].push_back(ag);
+        GateForward(l, ag);
     }
     // Backward parameter re-gathers, descending (BP encounters the last
     // group first).
@@ -406,12 +406,12 @@ class GraphBuilder {
       t.kind = TaskKind::kAllGather;
       t.stream = kCommStream;
       t.duration = cost_.AllGather(groups[g].bytes);
-      t.iteration = iter;
+      t.iteration = 0;
       t.group = static_cast<int>(g);
       deps_.push_back(rs_done);
       const TaskId ag = Add(t);
       for (int l = groups[g].first_layer; l <= groups[g].last_layer; ++l)
-        gates_.per_layer_bp[static_cast<std::size_t>(l)].push_back(ag);
+        GateBackward(l, ag);
     }
   }
 
@@ -421,12 +421,11 @@ class GraphBuilder {
   comm::CostModel cost_;
   int num_layers_;
   TaskGraph graph_;
-  // Per-iteration scratch, reused so building allocates per graph, not
-  // per task.
-  std::vector<TaskId> ff_, bp_;  // this iteration's FF/BP task per layer
-  std::vector<TaskId> rs_;       // this iteration's reduce-scatters
+  // Scratch reused so building allocates per graph, not per task.
+  std::vector<TaskId> ff_, bp_;  // the period's FF/BP task per layer
+  std::vector<TaskId> rs_;       // the period's reduce-scatters
   std::vector<TaskId> deps_;     // dependencies of the task being added
-  CommGates gates_;
+  std::vector<Gate> gates_;       // what the next iteration waits on
 };
 
 }  // namespace

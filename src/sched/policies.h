@@ -110,13 +110,16 @@ constexpr std::int16_t kComputeStream = 0;
 constexpr std::int16_t kCommStream = 1;
 
 struct BuiltGraph {
+  /// One iteration, repeated `iterations` times.
   sim::TaskGraph graph;
   std::vector<sim::StreamPolicy> stream_policies;
   int iterations{0};
 };
 
-/// Builds `iterations` training iterations under the given policy.
-/// Iteration i's tasks are tagged with iteration=i for attribution.
+/// Builds `iterations` training iterations under the given policy. Every
+/// iteration is the same DAG, so the graph holds one period and repeats it;
+/// the unrolled task id / period() is the iteration, which task(id) also
+/// reports for attribution.
 BuiltGraph BuildTaskGraph(const model::ModelSpec& model,
                           const ClusterSpec& cluster,
                           const PolicyConfig& config, int iterations);

@@ -17,15 +17,14 @@ RunResult EvaluatePolicy(const model::ModelSpec& model,
 
   // Steady-state iteration time: average gap between successive iteration
   // completion times after warmup. An iteration "completes" when its last
-  // task (over both streams) finishes.
+  // task (over both streams) finishes; iteration i is the graph's i-th
+  // period.
   std::vector<SimTime> iter_end(static_cast<std::size_t>(options.iterations),
                                 0);
-  for (std::size_t i = 0; i < built.graph.size(); ++i) {
-    const auto& task = built.graph.task(static_cast<sim::TaskId>(i));
-    if (task.iteration < 0) continue;
-    auto& end = iter_end[static_cast<std::size_t>(task.iteration)];
-    end = std::max(end, sim->timings[i].end);
-  }
+  const std::size_t period = built.graph.period();
+  for (std::size_t i = 0, k = 0; i < iter_end.size(); ++i)
+    for (const std::size_t end = k + period; k < end; ++k)
+      iter_end[i] = std::max(iter_end[i], sim->timings[k].end);
   SimTime total_gap = 0;
   int gaps = 0;
   for (int i = options.warmup + 1; i < options.iterations; ++i) {

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <thread>
 
 #include "analysis/timeline.h"
 #include "common/stats.h"
@@ -379,6 +380,44 @@ TEST(CliTest, DoctorRejectsBadInputs) {
   EXPECT_NE(RunDearsim({"doctor", "--world=1"}).code, 0);
   EXPECT_NE(RunDearsim({"doctor", "--backend=sim", "--world=8",
                         "--json-out=/nonexistent-dir/d.json"}).code, 0);
+}
+
+TEST(CliTest, OversubscriptionWarningNamesThreadsAndCores) {
+  EXPECT_EQ(OversubscriptionWarning(2, 4), "");
+  EXPECT_EQ(OversubscriptionWarning(8, 16), "");
+  EXPECT_EQ(OversubscriptionWarning(64, 0), "");  // core count unknown
+  EXPECT_EQ(OversubscriptionWarning(3, 4),
+            "warning: 3 ranks run 6 threads on 4 cores; measured times "
+            "include waiting for a core\n");
+}
+
+// Occurrences of `needle` in `text`.
+std::size_t Count(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size()))
+    ++n;
+  return n;
+}
+
+TEST(CliTest, ProfileWarnsOnceWhenThreadsOutnumberCores) {
+  const unsigned cores = std::thread::hardware_concurrency();
+  const auto small = RunDearsim({"profile", "--model=alexnet", "--world=2",
+                                 "--iters=1"});
+  EXPECT_EQ(small.code, 0) << small.err;
+  EXPECT_EQ(Count(small.err, "warning:"), cores != 0 && cores < 4 ? 1u : 0u)
+      << small.err;
+  // Just past the cores on small machines (a world of many ranks would
+  // cost more than this test should on large ones).
+  if (cores == 0 || cores > 16) return;
+  const std::string world = "--world=" + std::to_string(cores / 2 + 1);
+  const auto over = RunDearsim({"profile", "--model=alexnet", world.c_str(),
+                                "--iters=1"});
+  EXPECT_EQ(over.code, 0) << over.err;
+  EXPECT_EQ(Count(over.err, "warning:"), 1u) << over.err;
+  EXPECT_NE(over.err.find(std::to_string(cores) + " cores"),
+            std::string::npos)
+      << over.err;
 }
 
 TEST(CliTest, ProfileReportsModelResidual) {

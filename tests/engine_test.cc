@@ -6,7 +6,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <vector>
+
+#include "sim_unroll.h"
 
 namespace dear::sim {
 namespace {
@@ -307,15 +310,19 @@ TEST(EngineTest, UnlistedStreamsDefaultToFifo) {
   EXPECT_EQ(r->makespan, 10);
 }
 
-// Property tests over randomized DAGs: for any graph, (1) dependencies are
-// never violated, (2) the makespan is at least the critical path, (3) each
-// stream's busy time fits within the makespan, and (4) results replay
-// identically.
-class RandomDagProperties : public ::testing::TestWithParam<std::uint64_t> {};
+// Property tests over randomized periodic DAGs, repeated 1, 2 or 5 times
+// with random carried edges (forward ones included): for any graph, (1)
+// dependencies are never violated, (2) the makespan is at least the
+// critical path, (3) each stream's busy time fits within the makespan, (4)
+// results replay identically, and (5) every task is timed exactly as in
+// the unrolled copy of the graph.
+class RandomDagProperties
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
 
 TEST_P(RandomDagProperties, InvariantsHold) {
+  const auto [seed, repeats] = GetParam();
   // Simple deterministic LCG so the graph depends only on the seed.
-  std::uint64_t state = GetParam() * 2654435761u + 12345;
+  std::uint64_t state = seed * 2654435761u + 12345;
   auto next = [&]() {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     return static_cast<std::uint32_t>(state >> 33);
@@ -337,6 +344,14 @@ TEST_P(RandomDagProperties, InvariantsHold) {
     g.Add(t, deps);
     deps.clear();
   }
+  for (int i = 0; i < n; ++i) {
+    for (int d = 0; d < 2; ++d)
+      if (next() % 4 == 0) deps.push_back(static_cast<TaskId>(next() % n));
+    if (!deps.empty()) g.SetCarried(i, deps);
+    deps.clear();
+  }
+  g.Repeat(repeats);
+  ASSERT_EQ(g.size(), static_cast<std::size_t>(n * repeats));
   std::vector<StreamPolicy> policies;
   for (int s = 0; s < streams; ++s)
     policies.push_back(s % 2 ? StreamPolicy::kPriority
@@ -349,15 +364,15 @@ TEST_P(RandomDagProperties, InvariantsHold) {
   std::vector<SimTime> critical(g.size(), 0);
   std::vector<SimTime> busy(static_cast<std::size_t>(streams), 0);
   for (std::size_t i = 0; i < g.size(); ++i) {
-    const Task& t = g.task(static_cast<TaskId>(i));
+    const Task t = g.task(static_cast<TaskId>(i));
     ASSERT_TRUE(r->timings[i].executed);
     SimTime earliest = 0;
-    for (TaskId dep : g.deps(static_cast<TaskId>(i))) {
+    g.ForEachDep(static_cast<TaskId>(i), [&](TaskId dep) {
       ASSERT_GE(r->timings[i].start,
                 r->timings[static_cast<std::size_t>(dep)].end);
       earliest =
           std::max(earliest, critical[static_cast<std::size_t>(dep)]);
-    }
+    });
     critical[i] = earliest + t.duration;
     busy[static_cast<std::size_t>(t.stream)] += t.duration;
   }
@@ -370,10 +385,64 @@ TEST_P(RandomDagProperties, InvariantsHold) {
   auto r2 = Simulate(g, policies);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(r->makespan, r2->makespan);
+
+  // (5) the periodic graph is its unrolled copy.
+  auto flat = Simulate(Unroll(g), policies);
+  ASSERT_TRUE(flat.ok());
+  ExpectSameTimings(*r, *flat);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagProperties,
-                         ::testing::Range<std::uint64_t>(1, 21));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, RandomDagProperties,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 21),
+                       ::testing::Values(1, 2, 5)));
+
+TEST(EngineTest, RepeatedGraphUnrollsIdsDepsAndIterations) {
+  // Period: a (iteration 0), b (untagged) waiting on a and, from the second
+  // repetition on, on the previous repetition's b and a.
+  TaskGraph g;
+  Task a;
+  a.duration = 10;
+  a.iteration = 0;
+  const TaskId ia = g.Add(a);
+  Task b;
+  b.stream = 1;
+  b.duration = 3;
+  const TaskId ib = g.Add(b, std::vector<TaskId>{ia});
+  g.SetCarried(ib, std::vector<TaskId>{ib, ia});
+  g.Repeat(3);
+  ASSERT_EQ(g.size(), 6u);
+  EXPECT_EQ(g.period(), 2u);
+  EXPECT_EQ(g.repeats(), 3u);
+  EXPECT_EQ(g.task(4).iteration, 2);
+  EXPECT_EQ(g.task(5).iteration, -1);  // untagged tasks stay untagged
+  EXPECT_EQ(g.task(5).duration, 3);
+
+  const auto deps_of = [&g](TaskId id) {
+    std::vector<TaskId> out;
+    g.ForEachDep(id, [&out](TaskId d) { out.push_back(d); });
+    return out;
+  };
+  EXPECT_EQ(deps_of(1), (std::vector<TaskId>{0}));
+  EXPECT_EQ(deps_of(3), (std::vector<TaskId>{2, 1, 0}));
+  EXPECT_EQ(deps_of(5), (std::vector<TaskId>{4, 3, 2}));
+
+  auto r = Simulate(g, {});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->timings[4].start, 20);  // the compute stream never waits
+  EXPECT_EQ(r->timings[5].start, 30);
+  EXPECT_EQ(r->makespan, 33);
+}
+
+TEST(EngineTest, DanglingCarriedDependencyIsRejected) {
+  TaskGraph g;
+  AddTask(g, 0, 10);
+  g.SetCarried(0, std::vector<TaskId>{1});
+  auto r = Simulate(g, {});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.status().message(), "dangling dependency");
+}
 
 TEST(EngineTest, DiamondDag) {
   TaskGraph g;

@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -135,6 +136,8 @@ TEST(BenchSchemaTest, JsonRoundTripPreservesResults) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->suite, "roundtrip");
   EXPECT_EQ(parsed->environment.at("schema"), kSchemaVersion);
+  EXPECT_EQ(parsed->environment.at("cores"),
+            std::to_string(std::thread::hardware_concurrency()));
   ASSERT_EQ(parsed->results.size(), 1u);
   const BenchResult& back = parsed->results[0];
   EXPECT_EQ(back.Key(), r.Key());

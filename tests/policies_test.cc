@@ -6,6 +6,7 @@
 
 #include "model/zoo.h"
 #include "sim/engine.h"
+#include "sim_unroll.h"
 
 namespace dear::sched {
 namespace {
@@ -29,8 +30,8 @@ PolicyConfig Config(PolicyKind kind, const model::ModelSpec& m) {
 
 int CountKind(const sim::TaskGraph& g, TaskKind kind) {
   int n = 0;
-  for (const auto& t : g.tasks())
-    if (t.kind == kind) ++n;
+  for (std::size_t i = 0; i < g.size(); ++i)
+    if (g.task(static_cast<sim::TaskId>(i)).kind == kind) ++n;
   return n;
 }
 
@@ -97,11 +98,11 @@ void ExpectDependencyCorrectness(const model::ModelSpec& m,
   ASSERT_TRUE(sim.ok());
   for (std::size_t i = 0; i < built.graph.size(); ++i) {
     ASSERT_TRUE(sim->timings[i].executed);
-    for (auto dep : built.graph.deps(static_cast<sim::TaskId>(i))) {
+    built.graph.ForEachDep(static_cast<sim::TaskId>(i), [&](sim::TaskId dep) {
       EXPECT_GE(sim->timings[i].start,
                 sim->timings[static_cast<std::size_t>(dep)].end)
           << PolicyName(kind);
-    }
+    });
   }
 }
 
@@ -296,9 +297,10 @@ TEST(PoliciesTest, DeARAlternateAlgorithmsBuildAndRespectDeps) {
     auto sim = Simulate(built.graph, built.stream_policies);
     ASSERT_TRUE(sim.ok()) << comm::AlgorithmName(alg);
     for (std::size_t i = 0; i < built.graph.size(); ++i) {
-      for (auto dep : built.graph.deps(static_cast<sim::TaskId>(i)))
+      built.graph.ForEachDep(static_cast<sim::TaskId>(i), [&](sim::TaskId dep) {
         ASSERT_GE(sim->timings[i].start,
                   sim->timings[static_cast<std::size_t>(dep)].end);
+      });
     }
   }
 }
@@ -354,6 +356,120 @@ TEST(PoliciesTest, SingleWorkerCommIsFree) {
   ASSERT_TRUE(sim.ok());
   EXPECT_EQ(sim->makespan, 2 * (m.total_ff_time() + m.total_bp_time()));
 }
+
+// A built graph stores one iteration and repeats it. Simulating it must
+// time every task exactly as its unrolled copy (repeats = 1) does, and
+// task(id) must report iteration id / period.
+void ExpectPeriodicMatchesUnrolled(const model::ModelSpec& m,
+                                   const ClusterSpec& cluster,
+                                   const PolicyConfig& cfg, int iterations) {
+  const auto built = BuildTaskGraph(m, cluster, cfg, iterations);
+  const auto& g = built.graph;
+  ASSERT_EQ(g.repeats(), static_cast<std::size_t>(iterations));
+  ASSERT_EQ(g.size(), g.period() * g.repeats());
+  for (std::size_t i = 0; i < g.size(); ++i)
+    ASSERT_EQ(g.task(static_cast<sim::TaskId>(i)).iteration,
+              static_cast<int>(i / g.period()));
+  const auto periodic = Simulate(g, built.stream_policies);
+  const auto flat = Simulate(sim::Unroll(g), built.stream_policies);
+  ASSERT_TRUE(periodic.ok() && flat.ok());
+  sim::ExpectSameTimings(*periodic, *flat);
+}
+
+/// The plan `dearsim compare` gives each policy.
+PolicyConfig CompareConfig(PolicyKind kind, const model::ModelSpec& m,
+                           const ClusterSpec& cluster) {
+  PolicyConfig cfg;
+  cfg.kind = kind;
+  if (kind == PolicyKind::kWFBP || kind == PolicyKind::kByteScheduler ||
+      kind == PolicyKind::kSequential)
+    cfg.plan = fusion::PerTensor(m);
+  else if (kind == PolicyKind::kMGWFBP)
+    cfg.plan = fusion::MergeGradientsWisely(m, cluster.network.alpha_s,
+                                            cluster.world_size);
+  else
+    cfg.plan = fusion::ByBufferBytes(m, 25u << 20);
+  return cfg;
+}
+
+std::vector<model::ModelSpec> ZooModels() {
+  auto models = model::PaperModels();
+  for (auto& m : model::ExtensionModels()) models.push_back(std::move(m));
+  return models;
+}
+
+class PeriodicEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(PeriodicEquivalence, EveryPolicyMatchesItsUnrolledGraph) {
+  const auto m = ZooModels()[static_cast<std::size_t>(GetParam())];
+  for (const int world : {16, 64}) {
+    for (const auto& net : {comm::NetworkModel::TenGbE(),
+                            comm::NetworkModel::HundredGbIB()}) {
+      ClusterSpec cluster;
+      cluster.world_size = world;
+      cluster.network = net;
+      for (const auto kind :
+           {PolicyKind::kSequential, PolicyKind::kWFBP, PolicyKind::kDDP,
+            PolicyKind::kHorovod, PolicyKind::kMGWFBP,
+            PolicyKind::kByteScheduler, PolicyKind::kDeAR,
+            PolicyKind::kZeRO}) {
+        for (const int iterations : {1, 2, 3, 8}) {
+          SCOPED_TRACE(m.name() + " x" + std::to_string(world) + " " +
+                       net.name + " " + PolicyName(kind) + " iterations " +
+                       std::to_string(iterations));
+          ExpectPeriodicMatchesUnrolled(
+              m, cluster, CompareConfig(kind, m, cluster), iterations);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(PeriodicEquivalence, AblationsMatchTheirUnrolledGraphs) {
+  const auto m = ZooModels()[static_cast<std::size_t>(GetParam())];
+  ClusterSpec cluster;
+  cluster.world_size = 16;
+  std::vector<std::pair<std::string, PolicyConfig>> variants;
+  const auto dear = CompareConfig(PolicyKind::kDeAR, m, cluster);
+  auto v = dear;
+  v.dear_op1_barrier = false;
+  variants.emplace_back("no OP1 barrier", v);
+  v = dear;
+  v.include_reduce_scatter = false;
+  variants.emplace_back("RS excluded", v);
+  v = dear;
+  v.include_all_gather = false;
+  variants.emplace_back("AG excluded", v);
+  for (const auto alg :
+       {comm::Algorithm::kHierarchical,
+        comm::Algorithm::kRecursiveHalvingDoubling,
+        comm::Algorithm::kDoubleBinaryTree}) {
+    v = dear;
+    v.dear_algorithm = alg;
+    variants.emplace_back(comm::AlgorithmName(alg), v);
+  }
+  for (const std::size_t bytes : {std::size_t{0}, std::size_t{1} << 20}) {
+    v = CompareConfig(PolicyKind::kByteScheduler, m, cluster);
+    v.partition_bytes = bytes;
+    variants.emplace_back("partition " + std::to_string(bytes), v);
+  }
+  for (const auto& [name, cfg] : variants) {
+    for (const int iterations : {1, 2, 3, 8}) {
+      SCOPED_TRACE(m.name() + " " + name + " iterations " +
+                   std::to_string(iterations));
+      ExpectPeriodicMatchesUnrolled(m, cluster, cfg, iterations);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, PeriodicEquivalence,
+                         ::testing::Range(0, static_cast<int>(
+                                                 ZooModels().size())),
+                         [](const auto& info) {
+                           return ZooModels()[static_cast<std::size_t>(
+                                                  info.param)]
+                               .name();
+                         });
 
 }  // namespace
 }  // namespace dear::sched

@@ -1,14 +1,18 @@
 // Heap allocations of the simulator and of the BO acquisition sweep,
 // counted exactly through the shared counting operator new
 // (perflab/alloc_counter.h): Simulate allocates per graph, never per task,
-// and the sweep's per-point prediction allocates nothing.
+// a policy's graph allocates per period, never per iteration, and the
+// sweep's per-point prediction allocates nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "fusion/plan.h"
+#include "model/zoo.h"
 #include "perflab/alloc_counter.h"
+#include "sched/policies.h"
 #include "sim/engine.h"
 #include "tune/gp.h"
 #include "tune/search.h"
@@ -57,6 +61,38 @@ TEST(SimAllocTest, SimulateAllocationsDoNotGrowWithTasks) {
   const long large_allocs = SimulateAllocs(large);
   EXPECT_EQ(small_allocs, large_allocs);
   EXPECT_LT(small_allocs, 20);  // a handful of per-graph arrays
+}
+
+/// Allocations made by building a policy's graph for `iterations`
+/// iterations and simulating it (graph and result included).
+long BuildAndSimulateAllocs(const model::ModelSpec& m,
+                            const sched::PolicyConfig& cfg, int iterations) {
+  sched::ClusterSpec cluster;
+  cluster.world_size = 16;
+  const long before = perflab::ThreadAllocs();
+  {
+    const auto built = sched::BuildTaskGraph(m, cluster, cfg, iterations);
+    const auto r = sim::Simulate(built.graph, built.stream_policies);
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r->timings.size(), built.graph.size());
+  }
+  return perflab::ThreadAllocs() - before;
+}
+
+// The graph stores one iteration however many it repeats, so building and
+// simulating 64 iterations allocates exactly as often as 8.
+TEST(SimAllocTest, BuildAndSimulateAllocationsDoNotGrowWithIterations) {
+  const auto m = model::ByName("resnet50");
+  for (const auto kind :
+       {sched::PolicyKind::kWFBP, sched::PolicyKind::kByteScheduler,
+        sched::PolicyKind::kDeAR, sched::PolicyKind::kZeRO}) {
+    sched::PolicyConfig cfg;
+    cfg.kind = kind;
+    cfg.plan = fusion::ByBufferBytes(m, 25u << 20);
+    EXPECT_EQ(BuildAndSimulateAllocs(m, cfg, 8),
+              BuildAndSimulateAllocs(m, cfg, 64))
+        << sched::PolicyName(kind);
+  }
 }
 
 TEST(SimAllocTest, PredictWithScratchAllocatesNothing) {

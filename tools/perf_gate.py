@@ -173,7 +173,8 @@ def run_gate(args: argparse.Namespace) -> int:
 
 
 def selftest() -> int:
-    """The gate must accept identical data and reject a 2x slowdown and a
+    """The gate must accept identical data, also from a machine with a
+    different environment fingerprint, and reject a 2x slowdown and a
     dropped metric."""
     rng_state = 12345
 
@@ -224,10 +225,17 @@ def selftest() -> int:
     dropped_suite = suite(base_samples)
     dropped_suite["results"] = []
     dropped = gate(suite(base_samples), dropped_suite)
-    ok = identical == 0 and slowdown == 1 and jitter == 0 and dropped == 1
+    # The environment block (compiler, cores, ...) describes the run; it is
+    # never gated, so a baseline from another machine still compares.
+    other_machine = suite(list(base_samples))
+    other_machine["environment"] = {"cores": "64", "compiler": "clang 17.0"}
+    environment = gate(suite(base_samples), other_machine)
+    ok = (identical == 0 and slowdown == 1 and jitter == 0 and dropped == 1
+          and environment == 0)
     print(f"selftest: identical={identical} (want 0), "
           f"2x-slowdown={slowdown} (want 1), small-jitter={jitter} (want 0), "
-          f"dropped-metric={dropped} (want 1)"
+          f"dropped-metric={dropped} (want 1), "
+          f"other-environment={environment} (want 0)"
           f" -> {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
