@@ -252,29 +252,12 @@ void BuildTimelineTrace(const CausalGraph& graph, TraceRecorder& out) {
   }
 
   for (std::size_t r = 0; r < graph.by_rank.size(); ++r) {
-    // Collective begin/end pairing: depth-0-only recording makes the
-    // per-rank bracket sequence well nested, so a simple stack pairs them.
-    std::vector<std::size_t> open;
     for (const std::size_t i : graph.by_rank[r]) {
       const CausalEvent& ev = graph.events[i];
       const auto kind = static_cast<EventKind>(ev.rec.kind);
       TraceEvent te;
       te.pid = static_cast<std::int64_t>(r);
       switch (kind) {
-        case EventKind::kCollectiveBegin:
-          open.push_back(i);
-          continue;
-        case EventKind::kCollectiveEnd: {
-          if (open.empty()) continue;
-          const CausalEvent& begin = graph.events[open.back()];
-          open.pop_back();
-          te.name = comm::CollectiveKindOf(begin.rec.tag).name;
-          te.category = "collective";
-          te.tid = kCollectiveLane;
-          te.start = static_cast<SimTime>(begin.rec.ts_ns);
-          te.duration = static_cast<SimTime>(ev.rec.ts_ns - begin.rec.ts_ns);
-          break;
-        }
         case EventKind::kSend:
         case EventKind::kRecv: {
           const bool is_send = kind == EventKind::kSend;
@@ -318,8 +301,8 @@ void BuildTimelineTrace(const CausalGraph& graph, TraceRecorder& out) {
       out.Record(std::move(te));
     }
 
-    // DistOptim's paired schedule spans: the compute thread's blocked
-    // waits and the iteration windows the attribution report decomposes.
+    // The paired spans: collective brackets, DistOptim's blocked waits and
+    // the iteration windows the attribution report decomposes.
     std::vector<Record> records;
     records.reserve(graph.by_rank[r].size());
     for (const std::size_t i : graph.by_rank[r])
@@ -336,6 +319,9 @@ void BuildTimelineTrace(const CausalGraph& graph, TraceRecorder& out) {
       te.duration = span.length();
       out.Record(std::move(te));
     };
+    for (const auto& c : spans.collectives)
+      slice(comm::CollectiveKindName(c.kind), "collective", kCollectiveLane,
+            c.span);
     for (const auto& w : spans.waits)
       slice(std::string(w.ag ? "wait ag g" : "wait rs g") +
                 std::to_string(w.group),

@@ -222,6 +222,10 @@ ScheduleSpans PairScheduleRecords(
   std::uint32_t last_step = 0;
   SimTime last_end = 0;
   std::map<std::pair<int, std::uint32_t>, SimTime> wait_begin;
+  // Only the outermost collective on a thread is journaled, so a rank's
+  // brackets are well nested and a stack pairs them. An end whose begin
+  // the ring already lost pairs with nothing.
+  std::vector<const flightrec::Record*> open;
   for (const flightrec::Record& rec : records) {
     const auto ts = static_cast<SimTime>(rec.ts_ns);
     const std::pair<int, std::uint32_t> op{static_cast<int>(rec.tag),
@@ -255,6 +259,16 @@ ScheduleSpans PairScheduleRecords(
         wait_begin.erase(it);
         break;
       }
+      case EventKind::kCollectiveBegin:
+        open.push_back(&rec);
+        break;
+      case EventKind::kCollectiveEnd:
+        if (open.empty()) break;
+        out.collectives.push_back(
+            {open.back()->tag, open.back()->payload,
+             {static_cast<SimTime>(open.back()->ts_ns), ts}});
+        open.pop_back();
+        break;
       default:
         break;
     }

@@ -94,7 +94,8 @@ std::string RenderAsciiGantt(const sim::TaskGraph& graph,
 // The four parts sum to the window by construction; the residual check
 // catches bookkeeping bugs (overlapping waits, clipping).
 
-/// One rank's DistOptim schedule records, paired into spans.
+/// One rank's journal, paired into spans: DistOptim's schedule records and
+/// the comm runtime's collective brackets.
 struct ScheduleSpans {
   struct Window {
     std::uint32_t step{0};  // index of the Step() that closed the window
@@ -110,6 +111,13 @@ struct ScheduleSpans {
   std::vector<Wait> waits;  // closed waits only, in begin order
   /// (group, op seq) -> launch time.
   std::map<std::pair<int, std::uint32_t>, SimTime> launches;
+  /// One top-level collective: a kCollectiveBegin/End pair.
+  struct Collective {
+    std::uint32_t kind{0};   // comm::CollectiveKind value (the record tag)
+    std::uint32_t elems{0};  // the begin record's element count
+    Interval span;
+  };
+  std::vector<Collective> collectives;  // closed brackets, in end order
 };
 [[nodiscard]] ScheduleSpans PairScheduleRecords(
     const std::vector<flightrec::Record>& records);

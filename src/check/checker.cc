@@ -498,7 +498,7 @@ std::string Checker::DumpLocked() const {
     }
     if (const flightrec::Record* open = context[idx].open) {
       out += std::string(", journal: inside ") +
-             comm::CollectiveKindOf(open->tag).name + " (" +
+             comm::CollectiveKindName(open->tag) + " (" +
              std::to_string(open->payload) + " elems)";
     }
     out += ", " + std::to_string(context[idx].sends) +

@@ -334,20 +334,11 @@ std::vector<int> ProxyDims(const model::ModelSpec& m) {
   return dims;
 }
 
-void PrintQuantiles(std::ostream& out, double p50, double p95, double p99) {
-  out << std::fixed << std::setprecision(3) << std::setw(10) << p50
-      << std::setw(10) << p95 << std::setw(10) << p99;
-}
-
-void PrintQuantiles(std::ostream& out, const Histogram& h, double scale) {
-  PrintQuantiles(out, h.Quantile(0.5) * scale, h.Quantile(0.95) * scale,
-                 h.Quantile(0.99) * scale);
-}
-
 /// Exact p50/p95/p99 over `samples`.
 void PrintQuantiles(std::ostream& out, const std::vector<double>& samples) {
-  PrintQuantiles(out, Percentile(samples, 50), Percentile(samples, 95),
-                 Percentile(samples, 99));
+  out << std::fixed << std::setprecision(3);
+  for (const double p : {50.0, 95.0, 99.0})
+    out << std::setw(10) << Percentile(samples, p);
 }
 
 int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
@@ -418,6 +409,26 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
 
   const auto journal = recorder.SnapshotAll();
   const auto attribution = analysis::AttributeIterations(journal, world);
+  // Which window of the run each rank's journal still holds. Once a writer
+  // lane has wrapped, the per-collective table, iter_ms and the attribution
+  // report below cover only that window.
+  std::string wrapped;
+  out << "journal window (ms):" << std::fixed << std::setprecision(3);
+  for (int r = 0; r < world && static_cast<std::size_t>(r) < journal.size();
+       ++r) {
+    const auto& records = journal[static_cast<std::size_t>(r)];
+    out << " r" << r << "="
+        << (records.empty() ? 0.0
+                            : static_cast<double>(records.back().ts_ns -
+                                                  records.front().ts_ns) *
+                                  1e-6);
+    if (recorder.journal(r)->wrapped()) wrapped += " " + std::to_string(r);
+  }
+  out << (wrapped.empty() ? "; complete, no lane wrapped"
+                          : "; wrapped (rank" + wrapped +
+                                "): the tables and attribution below cover "
+                                "only these windows")
+      << "\n\n";
   // iter_ms: exact quantiles of the rank's step-end -> step-end windows.
   // exposed_ms: Eq. 9's exposed RS + AG time from the attribution report;
   // exposed% is its share of the attributed iteration time.
@@ -506,33 +517,18 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
         << " KB, bf16=" << by_dtype[2] / 1024 << " KB\n";
   }
 
+  // Rank 0's collective brackets from the journal, one row per kind.
   out << "\nper-collective latency, rank 0 (ms):\n"
-      << "kind                   calls   p50       p95       p99\n";
-  if (auto* reg0 = rt.rank_metrics(0)) {
-    std::map<std::string, std::int64_t> calls;
-    for (const auto& [name, v] : reg0->Counters()) {
-      const std::string prefix = "comm.", suffix = ".calls";
-      if (name.size() > prefix.size() + suffix.size() &&
-          name.compare(0, prefix.size(), prefix) == 0 &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0) {
-        calls[name.substr(prefix.size(),
-                          name.size() - prefix.size() - suffix.size())] = v;
-      }
-    }
-    for (const auto& [name, h] : reg0->Histograms()) {
-      const std::string prefix = "comm.", suffix = ".seconds";
-      if (name.size() <= prefix.size() + suffix.size() ||
-          name.compare(0, prefix.size(), prefix) != 0 ||
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
-              0)
-        continue;
-      const std::string kind = name.substr(
-          prefix.size(), name.size() - prefix.size() - suffix.size());
-      if (calls[kind] == 0) continue;  // every family is pre-registered
-      out << std::left << std::setw(22) << kind << std::right << std::setw(6)
-          << calls[kind];
-      PrintQuantiles(out, h, 1e3);
+      << "kind                         calls   p50       p95       p99\n";
+  if (!journal.empty()) {
+    std::map<std::string, std::vector<double>> ms_by_kind;
+    for (const auto& c : analysis::PairScheduleRecords(journal[0]).collectives)
+      ms_by_kind[comm::CollectiveKindName(c.kind)].push_back(
+          static_cast<double>(c.span.length()) * 1e-6);
+    for (const auto& [kind, ms] : ms_by_kind) {
+      out << std::left << std::setw(26) << kind << std::right << std::setw(8)
+          << ms.size();
+      PrintQuantiles(out, ms);
       out << "\n";
     }
   }
@@ -1239,7 +1235,7 @@ int CmdTimeline(FlagParser& flags, std::ostream& out, std::ostream& err) {
   popts.world = world;
 
   // Fresh journals so the trace covers exactly this sweep, then drive all
-  // 18 collectives (with their oracles) under one controlled schedule.
+  // 15 collectives (with their oracles) under one controlled schedule.
   auto& recorder = flightrec::Recorder::Get();
   recorder.Reset();
   schedlab::RandomWalkPicker picker(

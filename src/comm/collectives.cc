@@ -18,9 +18,6 @@ using tags::kTagTreeBcast;
 using tags::kTagBarrier;
 using tags::kTagHierLeaderRs;
 using tags::kTagHierLeaderAg;
-using tags::kTagGather;
-using tags::kTagScatter;
-using tags::kTagAllToAll;
 using tags::kTagRecursiveRs;
 using tags::kTagRecursiveAg;
 
@@ -552,123 +549,6 @@ Status Barrier(Communicator& comm) {
       return Status::Unavailable("send failed: transport shut down");
     auto msg = comm.Recv(src, tag);
     if (!msg.ok()) return msg.status();
-  }
-  return Status::Ok();
-}
-
-Status Gather(Communicator& comm, std::span<const float> data,
-              std::vector<float>* out, Rank root) {
-  probe::CollectiveProbe bracket(comm, CollectiveKind::kGather, data.size());
-  const int p = comm.size();
-  DEAR_CHECK(root >= 0 && root < p && out != nullptr);
-  const std::size_t n = data.size();
-  // Flat gather: leaves send directly to the root. With the in-process
-  // transport there is no tree advantage for distinct payloads (no
-  // combining possible), and flat keeps chunk bookkeeping trivial.
-  if (comm.rank() == root) {
-    out->assign(n * static_cast<std::size_t>(p), 0.0f);
-    std::copy(data.begin(), data.end(),
-              out->begin() + static_cast<std::ptrdiff_t>(
-                                 n * static_cast<std::size_t>(root)));
-    // Lossy wire: round the root's own slot too, so the gathered result is
-    // uniformly wire-rounded regardless of which rank contributed it.
-    if (p > 1)
-      kernels::QuantizeInPlace(
-          comm.wire_dtype(),
-          std::span<float>(out->data() + n * static_cast<std::size_t>(root),
-                           n));
-    for (Rank r = 0; r < p; ++r) {
-      if (r == root) continue;
-      auto msg = comm.Recv(r, MakeTag(kTagGather, 0,
-                                      static_cast<std::uint32_t>(r & tags::kChunkMask)));
-      if (!msg.ok()) return msg.status();
-      if (msg->payload.size() != n)
-        return Status::InvalidArgument("gather size mismatch from rank " +
-                                       std::to_string(r));
-      kernels::UnpackInto(
-          std::span<float>(out->data() + n * static_cast<std::size_t>(r), n),
-          msg->payload);
-    }
-  } else {
-    if (!comm.Send(root,
-                   MakeTag(kTagGather, 0,
-                           static_cast<std::uint32_t>(comm.rank() & tags::kChunkMask)),
-                   data))
-      return Status::Unavailable("send failed: transport shut down");
-  }
-  return Status::Ok();
-}
-
-Status Scatter(Communicator& comm, std::span<const float> in,
-               std::vector<float>* out, Rank root) {
-  // Ledger elems = 0: only the root holds input, so sizes differ by rank;
-  // the bytes metric still counts this rank's input.
-  probe::CollectiveProbe bracket(comm, CollectiveKind::kScatter, 0, in.size());
-  const int p = comm.size();
-  DEAR_CHECK(root >= 0 && root < p && out != nullptr);
-  if (comm.rank() == root) {
-    for (Rank r = 0; r < p; ++r) {
-      const Range range = ChunkRange(in.size(), static_cast<std::size_t>(p),
-                                     static_cast<std::size_t>(r));
-      if (r == root) {
-        out->assign(in.begin() + static_cast<std::ptrdiff_t>(range.begin),
-                    in.begin() + static_cast<std::ptrdiff_t>(range.end));
-        // Lossy wire: every other rank's slice is wire-rounded in flight;
-        // round the root's retained slice to match.
-        if (p > 1)
-          kernels::QuantizeInPlace(comm.wire_dtype(), std::span<float>(*out));
-        continue;
-      }
-      if (!comm.Send(r,
-                     MakeTag(kTagScatter, 0,
-                             static_cast<std::uint32_t>(r & tags::kChunkMask)),
-                     in.subspan(range.begin, range.size())))
-        return Status::Unavailable("send failed: transport shut down");
-    }
-  } else {
-    auto msg = comm.Recv(
-        root, MakeTag(kTagScatter, 0,
-                      static_cast<std::uint32_t>(comm.rank() & tags::kChunkMask)));
-    if (!msg.ok()) return msg.status();
-    // Copy out: the pooled slab must not outlive the collective (it
-    // belongs to the hub's pool; see transport.h).
-    out->resize(msg->payload.size());
-    kernels::UnpackInto(std::span<float>(*out), msg->payload);
-  }
-  return Status::Ok();
-}
-
-Status AllToAll(Communicator& comm, std::span<float> data) {
-  probe::CollectiveProbe bracket(comm, CollectiveKind::kAllToAll, data.size());
-  const int p = comm.size();
-  if (data.size() % static_cast<std::size_t>(p) != 0)
-    return Status::InvalidArgument(
-        "all-to-all payload must divide evenly among ranks");
-  const std::size_t n = data.size() / static_cast<std::size_t>(p);
-  // Pairwise exchange: round s sends to (rank+s) and receives from
-  // (rank-s); the received data replaces chunk[src]. Outgoing chunks are
-  // snapshotted first — in later rounds (s > P/2) the in-place buffer
-  // already holds received data at the positions still to be sent.
-  const std::vector<float> original(data.begin(), data.end());
-  const std::span<const float> snapshot(original);
-  // Lossy wire: the diagonal block (rank's chunk addressed to itself)
-  // never travels; round it so every destination block is wire-rounded.
-  if (p > 1)
-    kernels::QuantizeInPlace(
-        comm.wire_dtype(),
-        data.subspan(static_cast<std::size_t>(comm.rank()) * n, n));
-  for (int s = 1; s < p; ++s) {
-    const Rank dst = (comm.rank() + s) % p;
-    const Rank src = (comm.rank() - s + p) % p;
-    const std::uint32_t tag =
-        MakeTag(kTagAllToAll, static_cast<std::uint32_t>(s));
-    if (!comm.Send(dst, tag,
-                   snapshot.subspan(static_cast<std::size_t>(dst) * n, n)))
-      return Status::Unavailable("send failed: transport shut down");
-    auto msg = comm.Recv(src, tag);
-    if (!msg.ok()) return msg.status();
-    kernels::UnpackInto(data.subspan(static_cast<std::size_t>(src) * n, n),
-                        msg->payload);
   }
   return Status::Ok();
 }

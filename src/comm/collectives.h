@@ -124,23 +124,6 @@ Range ReduceScatterOwnedRange(Algorithm algorithm, std::size_t n, Rank rank,
 /// Dissemination barrier (ceil(log2 P) rounds).
 Status Barrier(Communicator& comm);
 
-/// Gather: rank r's `data` (all ranks, equal size n) ends up in
-/// out[r*n, (r+1)*n) on `root`; `out` is untouched on non-root ranks.
-/// Flat (direct-to-root): payloads are distinct so no combining is
-/// possible, and the in-process transport has no per-hop contention.
-Status Gather(Communicator& comm, std::span<const float> data,
-              std::vector<float>* out, Rank root);
-
-/// Scatter from `root`: chunk ChunkRange(in.size(), P, r) of root's `in`
-/// lands in `out` on rank r. `in` is ignored on non-root ranks.
-Status Scatter(Communicator& comm, std::span<const float> in,
-               std::vector<float>* out, Rank root);
-
-/// Pairwise-exchange all-to-all: `data` holds P equal chunks; chunk i goes
-/// to rank i, and chunk j is replaced by rank j's chunk for this rank.
-/// data.size() must be divisible by P.
-Status AllToAll(Communicator& comm, std::span<float> data);
-
 /// Segmented (pipelined) ring all-reduce: the buffer is processed in
 /// segments of at most `segment_bytes`, each running its own RS+AG. Larger
 /// segment = fewer startups; smaller = finer interleaving (NCCL's chunking

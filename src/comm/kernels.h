@@ -94,8 +94,8 @@ void Gather(GatherList src, std::span<float> dst);
 
 /// data[i] = upconvert(downconvert(data[i])) — rounds fp32 values through
 /// the wire dtype without sending them. The copy-collectives apply this to
-/// the sender's *retained* regions (the chunk an all-gather keeps, the
-/// root's own scatter slice, …) so every rank ends with bitwise-identical
+/// the sender's *retained* regions (the chunk an all-gather keeps, a
+/// broadcast root's buffer, …) so every rank ends with bitwise-identical
 /// data whether or not its copy physically crossed the wire: what you
 /// send is what you keep. No-op for kF32. Idempotent, so re-sends of
 /// already-rounded data change nothing.

@@ -8,28 +8,14 @@ namespace {
 /// Nesting depth of CollectiveProbe on this thread; only depth 0 records.
 thread_local int t_collective_depth = 0;
 
-/// Wall time in seconds between two journal stamps (raw ticks).
-double ElapsedSeconds(std::uint64_t begin_ticks,
-                      std::uint64_t end_ticks) noexcept {
-  return static_cast<double>(
-             flightrec::detail::TicksToNs(end_ticks - begin_ticks)) *
-         1e-9;
-}
-
 }  // namespace
 
 CollectiveProbe::CollectiveProbe(int rank, CollectiveKind kind,
-                                 std::size_t elems, DType wire,
-                                 std::size_t metric_elems) noexcept
-    : outermost_(t_collective_depth++ == 0),
-      kind_(kind),
-      wire_(wire),
-      rank_(rank),
-      metric_elems_(metric_elems == kLedgerElems ? elems : metric_elems) {
+                                 std::size_t elems) noexcept
+    : outermost_(t_collective_depth++ == 0), kind_(kind), rank_(rank) {
   if (!outermost_) return;
-  begin_ticks_ = flightrec::Recorder::Get().OnCollectiveBegin(
+  flightrec::Recorder::Get().OnCollectiveBegin(
       rank, static_cast<std::uint16_t>(kind), elems);
-  timed_ = telemetry::Runtime::Get().enabled();
   check::Checker& checker = check::Checker::Get();
   checked_ = checker.enabled();
   if (checked_) {
@@ -37,33 +23,26 @@ CollectiveProbe::CollectiveProbe(int rank, CollectiveKind kind,
       begin_epoch_ = counter->load(std::memory_order_acquire);
       epoch_stamped_ = true;
     }
-    checker.OnCollectiveBegin(rank, CollectiveKindOf(kind).name, elems);
+    checker.OnCollectiveBegin(rank, CollectiveKindName(kind), elems);
   }
 }
 
 CollectiveProbe::~CollectiveProbe() {
   --t_collective_depth;
   if (!outermost_) return;
-  const std::uint64_t end_ticks = flightrec::Recorder::Get().OnCollectiveEnd(
-      rank_, static_cast<std::uint16_t>(kind_));
-  if (checked_) {
-    check::Checker& checker = check::Checker::Get();
-    checker.OnCollectiveEnd(rank_);
-    if (epoch_stamped_) {
-      if (const auto* counter = checker.epoch_counter()) {
-        const std::uint32_t end = counter->load(std::memory_order_acquire);
-        if (end != begin_epoch_) {
-          checker.OnCrossEpochOp(rank_, CollectiveKindOf(kind_).name,
-                                 begin_epoch_, end);
-        }
+  flightrec::Recorder::Get().OnCollectiveEnd(rank_,
+                                             static_cast<std::uint16_t>(kind_));
+  if (!checked_) return;
+  check::Checker& checker = check::Checker::Get();
+  checker.OnCollectiveEnd(rank_);
+  if (epoch_stamped_) {
+    if (const auto* counter = checker.epoch_counter()) {
+      const std::uint32_t end = counter->load(std::memory_order_acquire);
+      if (end != begin_epoch_) {
+        checker.OnCrossEpochOp(rank_, CollectiveKindName(kind_),
+                               begin_epoch_, end);
       }
     }
-  }
-  if (timed_) {
-    telemetry::OnCollective(
-        rank_, CollectiveKindOf(kind_).family,
-        ElapsedSeconds(begin_ticks_, end_ticks),
-        static_cast<double>(metric_elems_ * DTypeSize(wire_)));
   }
 }
 

@@ -1,19 +1,20 @@
 // One instrumentation spine for the comm runtime and DistOptim.
 //
 // Every hot-path site makes exactly one probe call, and the probe fans out
-// to the three consumers of runtime events:
+// to the consumers of runtime events:
 //
 //   - the always-on flight-recorder journal (src/flightrec), which writes
 //     one record per event and is what the Chrome trace, the attribution
-//     report and the checker dumps read back;
+//     report, `dearsim profile`'s per-collective table and the checker
+//     dumps read back;
 //   - the dearcheck verifier (src/check), only inside an enabled session;
-//   - telemetry metrics (src/telemetry), only inside an enabled session,
-//     through pre-resolved counters.
+//   - telemetry's transport counters (src/telemetry), only inside an
+//     enabled session. Collectives are counted by the journal alone.
 //
 // tools/lint.py rule `single-probe` forbids calling those hooks directly
-// from src/comm (outside this module) or src/core, so the three consumers
-// cannot drift apart again. The site → journal kind → consumer map is
-// DESIGN.md §7.
+// from src/comm (outside this module) or src/core, so the consumers cannot
+// drift apart again. The site → journal kind → consumer map is DESIGN.md
+// §7.
 #pragma once
 
 #include <cstddef>
@@ -29,28 +30,15 @@ namespace dear::comm::probe {
 
 /// Brackets one collective. Only the outermost probe on a thread records
 /// (composites such as RingAllReduce = RS + AG count once, under their own
-/// kind): it journals kCollectiveBegin/End with the kind as tag, feeds the
-/// checker ledger and its epoch stamps when a checker session is live, and
-/// records comm.<family>.calls/seconds/bytes when telemetry is live. The
-/// latency comes from the journal's own begin/end stamps, so timing adds no
-/// clock read.
-///
-/// `elems` is the size the journal records and the checker ledger compares
-/// across ranks. The bytes histogram counts `metric_elems` wire elements
-/// instead when one is given: Scatter's ledger size is 0 on every rank
-/// (only the root holds input) while its root's payload is not.
+/// kind): it journals kCollectiveBegin/End with the kind as tag and `elems`
+/// as payload, and feeds the checker ledger (which compares `elems` across
+/// ranks) and its epoch stamps when a checker session is live.
 class CollectiveProbe {
  public:
-  static constexpr std::size_t kLedgerElems = ~std::size_t{0};
-
-  CollectiveProbe(int rank, CollectiveKind kind, std::size_t elems,
-                  DType wire = DType::kF32,
-                  std::size_t metric_elems = kLedgerElems) noexcept;
+  CollectiveProbe(int rank, CollectiveKind kind, std::size_t elems) noexcept;
   CollectiveProbe(const Communicator& comm, CollectiveKind kind,
-                  std::size_t elems,
-                  std::size_t metric_elems = kLedgerElems) noexcept
-      : CollectiveProbe(comm.global_rank(), kind, elems, comm.wire_dtype(),
-                        metric_elems) {}
+                  std::size_t elems) noexcept
+      : CollectiveProbe(comm.global_rank(), kind, elems) {}
   ~CollectiveProbe();
   CollectiveProbe(const CollectiveProbe&) = delete;
   CollectiveProbe& operator=(const CollectiveProbe&) = delete;
@@ -58,14 +46,10 @@ class CollectiveProbe {
  private:
   bool outermost_;
   bool checked_{false};  // checker session live at begin
-  bool timed_{false};    // telemetry session live at begin
   bool epoch_stamped_{false};
   CollectiveKind kind_;
-  DType wire_;
   int rank_;
   std::uint32_t begin_epoch_{0};
-  std::size_t metric_elems_;
-  std::uint64_t begin_ticks_{0};
 };
 
 /// Transport send on `src` toward `dst`: journals the send edge (stamping

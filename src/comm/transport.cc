@@ -101,23 +101,24 @@ StatusOr<Message> TransportHub::Recv(Rank src, Rank dst,
                                      std::uint32_t expected_tag,
                                      std::uint32_t epoch) {
   Membership* m = membership();
+  Channel<Message>& channel = ChannelFor(src, dst);
   std::optional<Message> msg;
   {
     // Outermost schedule-block bracket: labels the wait with the
     // transport-level site (the nested one inside Channel::Recv is
     // suppressed by the controller's per-thread depth counter).
-    schedpoint::ScopedBlock block(schedpoint::Site::kTransportRecv);
+    schedpoint::ScopedBlock block(schedpoint::Site::kTransportRecv,
+                                  channel.ready_probe());
     // Register as a blocked receiver for the wait-for graph while inside
     // the (potentially blocking) channel Recv.
     check::ScopedRecvWait wait(dst, src, expected_tag);
     if (m == nullptr) {
-      msg = ChannelFor(src, dst).Recv();
+      msg = channel.Recv();
     } else {
       // Epoch-aware bounded wait. One RecvFor per deadline period — no
       // polling: every epoch transition cycles the channels, so a waiter
       // is always woken (kClosed) when its op is doomed.
       const auto deadline = std::chrono::nanoseconds(m->deadline_ns());
-      Channel<Message>& channel = ChannelFor(src, dst);
       for (;;) {
         // Generation first, epoch second: Suspect turns the epoch before
         // it cycles the channels, so a trip that lands after the epoch

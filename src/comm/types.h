@@ -80,8 +80,11 @@ constexpr std::string_view DTypeName(DType t) noexcept {
 }
 
 /// The collectives of comm/collectives.h, one value per entry point. The
-/// value is what the flight recorder journals as a collective bracket's tag,
-/// so it is stable (it appears in dump files); append, never reorder.
+/// value is what the flight recorder journals as a collective bracket's tag.
+/// Journals never leave the process that wrote them, and every reader
+/// (dumps, the checker, the trace, `dearsim profile`) prints the name from
+/// kCollectiveKindNames, so values may be renumbered freely; keep the enum
+/// and the name table in the same order.
 enum class CollectiveKind : std::uint16_t {
   kRingReduceScatter,
   kRingAllGather,
@@ -97,69 +100,33 @@ enum class CollectiveKind : std::uint16_t {
   kRecursiveAllGather,
   kRecursiveAllReduce,
   kBarrier,
-  kGather,
-  kScatter,
-  kAllToAll,
   kRingAllReduceSegmented,
 };
-inline constexpr int kNumCollectiveKinds = 18;
+inline constexpr int kNumCollectiveKinds = 15;
 
-/// Telemetry metric family of a collective ("comm.<family>.calls|seconds|
-/// bytes"), shared by every algorithm of the same collective. Telemetry
-/// resolves one metric set per family when a session starts.
-enum class CollectiveFamily : std::uint8_t {
-  kReduceScatter,
-  kAllGather,
-  kAllReduce,
-  kReduce,
-  kBroadcast,
-  kBarrier,
-  kGather,
-  kScatter,
-  kAllToAll,
-};
-inline constexpr int kNumCollectiveFamilies = 9;
-inline constexpr const char* kCollectiveFamilyNames[kNumCollectiveFamilies] =
-    {"reduce_scatter", "all_gather", "all_reduce", "reduce",    "broadcast",
-     "barrier",        "gather",     "scatter",    "all_to_all"};
-
-/// The one kind-name table every consumer reads: `name` is the
-/// protocol-level algorithm name the checker ledger and the journal use
-/// ("ring_all_reduce"); `family` is its telemetry metric family.
-struct CollectiveKindInfo {
-  const char* name;
-  CollectiveFamily family;
-};
-inline constexpr CollectiveKindInfo kCollectiveKinds[kNumCollectiveKinds] = {
-    {"ring_reduce_scatter", CollectiveFamily::kReduceScatter},
-    {"ring_all_gather", CollectiveFamily::kAllGather},
-    {"ring_all_reduce", CollectiveFamily::kAllReduce},
-    {"tree_reduce", CollectiveFamily::kReduce},
-    {"tree_broadcast", CollectiveFamily::kBroadcast},
-    {"tree_all_reduce", CollectiveFamily::kAllReduce},
-    {"dbt_all_reduce", CollectiveFamily::kAllReduce},
-    {"hier_reduce_scatter", CollectiveFamily::kReduceScatter},
-    {"hier_all_gather", CollectiveFamily::kAllGather},
-    {"hier_all_reduce", CollectiveFamily::kAllReduce},
-    {"recursive_reduce_scatter", CollectiveFamily::kReduceScatter},
-    {"recursive_all_gather", CollectiveFamily::kAllGather},
-    {"recursive_all_reduce", CollectiveFamily::kAllReduce},
-    {"barrier", CollectiveFamily::kBarrier},
-    {"gather", CollectiveFamily::kGather},
-    {"scatter", CollectiveFamily::kScatter},
-    {"all_to_all", CollectiveFamily::kAllToAll},
-    {"ring_all_reduce_segmented", CollectiveFamily::kAllReduce},
+/// The one kind-name table every consumer reads: the protocol-level
+/// algorithm name the checker ledger and the journal use
+/// ("ring_all_reduce").
+inline constexpr const char* kCollectiveKindNames[kNumCollectiveKinds] = {
+    "ring_reduce_scatter",      "ring_all_gather",
+    "ring_all_reduce",          "tree_reduce",
+    "tree_broadcast",           "tree_all_reduce",
+    "dbt_all_reduce",           "hier_reduce_scatter",
+    "hier_all_gather",          "hier_all_reduce",
+    "recursive_reduce_scatter", "recursive_all_gather",
+    "recursive_all_reduce",     "barrier",
+    "ring_all_reduce_segmented",
 };
 
-/// Table entry for a journaled kind value; out-of-range values (a corrupt
-/// or future dump) are named "?".
-constexpr CollectiveKindInfo CollectiveKindOf(std::uint32_t value) noexcept {
+/// Name of a journaled kind value; out-of-range values (a corrupt record)
+/// are named "?".
+constexpr const char* CollectiveKindName(std::uint32_t value) noexcept {
   return value < static_cast<std::uint32_t>(kNumCollectiveKinds)
-             ? kCollectiveKinds[value]
-             : CollectiveKindInfo{"?", CollectiveFamily::kAllReduce};
+             ? kCollectiveKindNames[value]
+             : "?";
 }
-constexpr CollectiveKindInfo CollectiveKindOf(CollectiveKind kind) noexcept {
-  return CollectiveKindOf(static_cast<std::uint32_t>(kind));
+constexpr const char* CollectiveKindName(CollectiveKind kind) noexcept {
+  return CollectiveKindName(static_cast<std::uint32_t>(kind));
 }
 
 /// Parses "f32"/"fp32"/"f16"/"fp16"/"bf16" (the CLI --dtype vocabulary).
@@ -214,9 +181,6 @@ enum TagKind : std::uint32_t {
   kTagHierLeaderAg = 7,   // ring AG across node leaders (hierarchical OP2)
   kTagDbtA = 8,
   kTagDbtB = 9,
-  kTagGather = 10,
-  kTagScatter = 11,
-  kTagAllToAll = 12,
   kTagRecursiveRs = 13,
   kTagRecursiveAg = 14,
 };
@@ -248,9 +212,6 @@ constexpr std::string_view KindName(std::uint32_t kind) noexcept {
     case kTagHierLeaderAg: return "hier_leader_all_gather";
     case kTagDbtA: return "dbt_tree_a";
     case kTagDbtB: return "dbt_tree_b";
-    case kTagGather: return "gather";
-    case kTagScatter: return "scatter";
-    case kTagAllToAll: return "all_to_all";
     case kTagRecursiveRs: return "recursive_reduce_scatter";
     case kTagRecursiveAg: return "recursive_all_gather";
     default: return "unknown";

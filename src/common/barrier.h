@@ -61,14 +61,21 @@ class Latch {
   }
 
   void Wait() {
-    schedpoint::ScopedBlock block(schedpoint::Site::kLatchWait);
+    schedpoint::ScopedBlock block(
+        schedpoint::Site::kLatchWait,
+        {[](const void* object) {
+           const auto& self = *static_cast<const Latch*>(object);
+           std::lock_guard<std::mutex> lock(self.mutex_);
+           return self.count_ == 0;
+         },
+         this});
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [&] { return count_ == 0; });
   }
 
  private:
   std::size_t count_;
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable cv_;
 };
 

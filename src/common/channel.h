@@ -66,11 +66,13 @@ class Channel {
   std::optional<T> Recv() {
     // Constructed before the lock so the block-exit hook (which may itself
     // wait on the schedlab controller) runs after the lock is released.
-    schedpoint::ScopedBlock block(schedpoint::Site::kChannelRecv);
+    schedpoint::ScopedBlock block(schedpoint::Site::kChannelRecv,
+                                  ready_probe());
     std::unique_lock<std::mutex> lock(mutex_);
     const std::uint64_t gen = close_gen_;
     cv_.wait(lock,
              [&] { return count_ > 0 || closed_ || close_gen_ != gen; });
+    block.Satisfied();
     if (count_ == 0) return std::nullopt;
     return PopLocked();
   }
@@ -93,17 +95,30 @@ class Channel {
   /// to the receivers of the next membership epoch, not to this wait.
   std::optional<T> RecvFor(std::chrono::nanoseconds timeout,
                            RecvOutcome* outcome, std::uint64_t since_gen) {
-    schedpoint::ScopedBlock block(schedpoint::Site::kChannelRecv);
+    schedpoint::ScopedBlock block(schedpoint::Site::kChannelRecv,
+                                  ready_probe());
     std::unique_lock<std::mutex> lock(mutex_);
     const bool ready = cv_.wait_for(lock, timeout, [&] {
       return count_ > 0 || closed_ || close_gen_ != since_gen;
     });
+    if (ready) block.Satisfied();
     if (count_ > 0 && close_gen_ == since_gen) {
       *outcome = RecvOutcome::kItem;
       return PopLocked();
     }
     *outcome = !ready ? RecvOutcome::kTimeout : RecvOutcome::kClosed;
     return std::nullopt;
+  }
+
+  /// A blocked receiver can return: an item is queued or the channel is
+  /// closed (a close/reopen cycle mid-wait is missed: the safe side).
+  [[nodiscard]] schedpoint::WaitProbe ready_probe() const noexcept {
+    return {[](const void* object) {
+              const auto& self = *static_cast<const Channel*>(object);
+              std::lock_guard<std::mutex> lock(self.mutex_);
+              return self.count_ > 0 || self.closed_;
+            },
+            this};
   }
 
   /// Non-blocking receive.

@@ -35,6 +35,15 @@ enum class Site : std::uint8_t {
 
 [[nodiscard]] const char* SiteName(Site site) noexcept;
 
+/// Whether a blocked wait can already return: `ready(object)` locks what the
+/// wait locks and is true once the wait's condition holds, so the waiter
+/// leaves as soon as the OS runs it. A null `ready` means the wait cannot
+/// say.
+struct WaitProbe {
+  bool (*ready)(const void* object){nullptr};
+  const void* object{nullptr};
+};
+
 /// Controller interface. All methods are invoked from the instrumented
 /// worker threads themselves; implementations must be thread-safe.
 class Hook {
@@ -54,9 +63,14 @@ class Hook {
 
   /// Brackets a potentially blocking OS-level wait: the thread must not
   /// hold its turn while blocked (the wait can only be satisfied by some
-  /// other worker running). OnBlockExit may block to re-acquire a turn.
-  virtual void OnBlockEnter(Site site) = 0;
+  /// other worker running). `probe` reports whether the wait can already
+  /// return. OnBlockExit may block to re-acquire a turn.
+  virtual void OnBlockEnter(Site site, WaitProbe probe) = 0;
   virtual void OnBlockExit(Site site) = 0;
+  /// The blocked thread saw its wait's condition hold and is about to
+  /// consume it (so its probe turns false before OnBlockExit). Called with
+  /// the wait's lock held: must not block or lock.
+  virtual void OnWaitSatisfied() noexcept {}
 };
 
 namespace internal {
@@ -84,11 +98,16 @@ inline void Point(Site site) {
 /// next scheduled worker could block on that lock while holding its turn.
 class ScopedBlock {
  public:
-  explicit ScopedBlock(Site site) noexcept : hook_(ActiveHook()), site_(site) {
-    if (hook_ != nullptr) hook_->OnBlockEnter(site_);
+  explicit ScopedBlock(Site site, WaitProbe probe = {}) noexcept
+      : hook_(ActiveHook()), site_(site) {
+    if (hook_ != nullptr) hook_->OnBlockEnter(site_, probe);
   }
   ~ScopedBlock() {
     if (hook_ != nullptr) hook_->OnBlockExit(site_);
+  }
+  /// Hook::OnWaitSatisfied, for the wait this block brackets.
+  void Satisfied() const noexcept {
+    if (hook_ != nullptr) hook_->OnWaitSatisfied();
   }
   ScopedBlock(const ScopedBlock&) = delete;
   ScopedBlock& operator=(const ScopedBlock&) = delete;

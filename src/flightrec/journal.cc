@@ -267,6 +267,16 @@ std::uint64_t Journal::total() const noexcept {
   return sum;
 }
 
+bool Journal::wrapped() const noexcept {
+  const int n = lane_count_.load(std::memory_order_acquire);
+  for (int l = 0; l < n; ++l) {
+    if (lanes_[static_cast<std::size_t>(l)]->head.load(
+            std::memory_order_acquire) > capacity())
+      return true;
+  }
+  return false;
+}
+
 std::uint32_t Journal::lamport() const noexcept {
   std::uint32_t max = 0;
   const int n = lane_count_.load(std::memory_order_acquire);

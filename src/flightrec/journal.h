@@ -202,9 +202,14 @@ class Journal {
   /// during the scan are skipped, never returned torn.
   void SnapshotInto(std::vector<Record>& out) const;
 
-  /// Records ever appended across all lanes (>= capacity means some lane
-  /// has wrapped).
+  /// Records ever appended across all lanes. Each lane holds `capacity()`
+  /// records of its own, so a total above capacity does not by itself mean
+  /// anything was lost; wrapped() says that.
   [[nodiscard]] std::uint64_t total() const noexcept;
+  /// True once some lane has appended more than `capacity()` records, i.e.
+  /// overwritten its oldest ones: a snapshot then covers only a recent
+  /// window of that lane.
+  [[nodiscard]] bool wrapped() const noexcept;
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
   /// Highest Lamport stamp issued by any lane of this journal.
   [[nodiscard]] std::uint32_t lamport() const noexcept;

@@ -101,30 +101,27 @@ void Recorder::EnsureRanks(int world) {
   ranks_.store(cur, std::memory_order_release);
 }
 
-std::uint64_t Recorder::OnCollectiveBegin(int rank, std::uint16_t kind,
-                                          std::size_t elems) noexcept {
+void Recorder::OnCollectiveBegin(int rank, std::uint16_t kind,
+                                 std::size_t elems) noexcept {
+  Journal* j = journal(rank);
+  if (j == nullptr) return;
   Record rec;
   rec.ts_ns = detail::NowTicks();
-  Journal* j = journal(rank);
-  if (j == nullptr) return rec.ts_ns;
   rec.tag = kind;
   rec.payload = elems > 0xFFFFFFFFu ? 0xFFFFFFFFu
                                     : static_cast<std::uint32_t>(elems);
   rec.kind = static_cast<std::uint16_t>(EventKind::kCollectiveBegin);
   j->AppendTicked(rec);
-  return rec.ts_ns;
 }
 
-std::uint64_t Recorder::OnCollectiveEnd(int rank,
-                                        std::uint16_t kind) noexcept {
+void Recorder::OnCollectiveEnd(int rank, std::uint16_t kind) noexcept {
+  Journal* j = journal(rank);
+  if (j == nullptr) return;
   Record rec;
   rec.ts_ns = detail::NowTicks();
-  Journal* j = journal(rank);
-  if (j == nullptr) return rec.ts_ns;
   rec.tag = kind;
   rec.kind = static_cast<std::uint16_t>(EventKind::kCollectiveEnd);
   j->AppendTicked(rec);
-  return rec.ts_ns;
 }
 
 void Recorder::OnGroupEvent(int rank, int group, EventKind kind,
@@ -212,7 +209,7 @@ std::string Recorder::DumpTail(std::size_t n) const {
         case EventKind::kCollectiveBegin:
         case EventKind::kCollectiveEnd:
           std::snprintf(buf, sizeof(buf), " %s (%u elems)",
-                        comm::CollectiveKindOf(rec.tag).name, rec.payload);
+                        comm::CollectiveKindName(rec.tag), rec.payload);
           out += buf;
           break;
         case EventKind::kRsLaunch:

@@ -219,13 +219,11 @@ class Recorder {
   }
 
   /// Top-level collective bracket: tag = `kind` (a comm::CollectiveKind
-  /// value, named through comm::kCollectiveKinds), payload = element count.
-  /// Each returns the raw tick stamp it journaled, so a caller can time the
-  /// bracket (detail::TicksToNs of the difference) without another clock
-  /// read.
-  std::uint64_t OnCollectiveBegin(int rank, std::uint16_t kind,
-                                  std::size_t elems) noexcept;
-  std::uint64_t OnCollectiveEnd(int rank, std::uint16_t kind) noexcept;
+  /// value, named through comm::kCollectiveKindNames), payload = element
+  /// count.
+  void OnCollectiveBegin(int rank, std::uint16_t kind,
+                         std::size_t elems) noexcept;
+  void OnCollectiveEnd(int rank, std::uint16_t kind) noexcept;
 
   /// DistOptim schedule record: a group transition (kRsLaunch..kUnpack,
   /// kWaitBegin; tag = group, payload = the group's in-flight op sequence

@@ -111,7 +111,9 @@ class LoadCountingHook final : public schedpoint::Hook {
   void OnWorkerBegin(const char*, int) override { Count(); }
   void OnWorkerEnd() override {}
   void OnPoint(schedpoint::Site) override { Count(); }
-  void OnBlockEnter(schedpoint::Site) override { Count(); }
+  void OnBlockEnter(schedpoint::Site, schedpoint::WaitProbe) override {
+    Count();
+  }
   void OnBlockExit(schedpoint::Site) override {}
 
   [[nodiscard]] std::int64_t loads() const {

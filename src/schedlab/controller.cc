@@ -25,6 +25,9 @@ thread_local std::ptrdiff_t t_self = -1;
 // Nesting depth of ScopedBlock on this thread; only the outermost bracket
 // participates in scheduling (e.g. TransportHub::Recv wraps Channel::Recv).
 thread_local int t_block_depth = 0;
+// Set when this thread's innermost wait saw its condition hold (lock-free),
+// cleared whenever it enters a wait; see WakeupInFlightLocked.
+thread_local std::atomic<bool> t_satisfied{false};
 
 std::atomic<bool> g_controller_active{false};
 
@@ -54,6 +57,7 @@ class Controller final : public schedpoint::Hook {
     w.role = role;
     w.id = id;
     w.name = std::string(role) + "." + std::to_string(id);
+    w.satisfied = &t_satisfied;
     w.state = passthrough_ ? State::kRunning : State::kReady;
     workers_.push_back(std::move(w));
     Bump();
@@ -84,17 +88,24 @@ class Controller final : public schedpoint::Hook {
     AwaitGrantLocked(lock, t_self);
   }
 
-  void OnBlockEnter(schedpoint::Site site) override {
+  void OnBlockEnter(schedpoint::Site site,
+                    schedpoint::WaitProbe probe) override {
     if (t_self < 0) return;
+    t_satisfied.store(false, std::memory_order_relaxed);
     if (++t_block_depth > 1) return;
     std::unique_lock<std::mutex> lock(mutex_);
     if (passthrough_) return;
     Worker& w = workers_[static_cast<std::size_t>(t_self)];
     w.state = State::kBlocked;
     w.site = site;
+    w.probe = probe;
     if (prev_candidate_ == t_self) prev_candidate_ = -1;
     if (current_ == t_self) current_ = -1;
     Bump();
+  }
+
+  void OnWaitSatisfied() noexcept override {
+    if (t_self >= 0) t_satisfied.store(true, std::memory_order_release);
   }
 
   void OnBlockExit(schedpoint::Site site) override {
@@ -108,6 +119,7 @@ class Controller final : public schedpoint::Hook {
     }
     w.state = State::kReady;
     w.site = site;
+    w.probe = {};
     Bump();
     AwaitGrantLocked(lock, t_self);
   }
@@ -120,6 +132,8 @@ class Controller final : public schedpoint::Hook {
     std::string name;
     State state{State::kReady};
     schedpoint::Site site{schedpoint::Site::kChannelSend};
+    schedpoint::WaitProbe probe;  // the wait it is blocked in, if kBlocked
+    const std::atomic<bool>* satisfied{nullptr};  // its thread's t_satisfied
   };
 
   /// Any worker-visible state change: bump the epoch and wake everyone
@@ -139,6 +153,20 @@ class Controller final : public schedpoint::Hook {
     for (const Worker& w : workers_)
       if (w.state != State::kDone) return false;
     return true;
+  }
+
+  /// True if some blocked worker will turn ready without anyone else
+  /// running: its wait can return, or has and the worker is on its way to
+  /// OnBlockExit. Probe first: the waiter flags under the wait's lock
+  /// before consuming, so a probe that misses the item sees the flag.
+  [[nodiscard]] bool WakeupInFlightLocked() const {
+    for (const Worker& w : workers_) {
+      if (w.state != State::kBlocked) continue;
+      if (w.probe.ready != nullptr && w.probe.ready(w.probe.object))
+        return true;
+      if (w.satisfied->load(std::memory_order_acquire)) return true;
+    }
+    return false;
   }
 
   [[nodiscard]] std::size_t BlockedLocked() const {
@@ -312,8 +340,16 @@ ScheduleResult Controller::Run(const std::function<void()>& workload) {
       }
       if (blocked > 0) {
         // A blocked worker may have a wakeup in flight (a send it was
-        // waiting on already happened): the ready set is only
-        // decision-grade once it stops changing.
+        // waiting on already happened): the ready set is decision-grade
+        // only once it has joined. A loaded host can take far longer than
+        // the settle window to run it, so a wakeup the wait reports is
+        // waited for (up to the deadlock timeout); the settle window
+        // covers waits that cannot say and threads outside the schedule.
+        if (WakeupInFlightLocked() &&
+            Clock::now() - last_change < deadlock_after) {
+          WaitTransitionUntilLocked(lock, Clock::now() + settle);
+          continue;
+        }
         if (!SettleLocked(lock, settle)) continue;
       }
       GrantLocked(ready);

@@ -4,15 +4,21 @@
 // thread (compute "rank.N" and comm-engine "comm.N" threads) onto a total
 // order chosen one step at a time by a Picker. At each schedule point the
 // running worker yields its turn; the controller waits for the worker set
-// to quiesce (no state transitions for a settle window — this is what
-// makes the ready set a pure function of the choice history rather than of
-// OS wakeup timing), then asks the Picker which ready worker runs next.
+// to quiesce, then asks the Picker which ready worker runs next. The ready
+// set must be a pure function of the choice history rather than of OS
+// wakeup timing, so a blocked worker whose wakeup is in flight (its wait
+// can already return, or has returned and the worker has not re-queued
+// yet) is waited for however long the OS takes to run it; the settle
+// window (no state transitions for a short while) only covers waits that
+// cannot say so.
 //
 // Blocking waits (channel recv, barrier, latch) are bracketed by
 // OnBlockEnter/OnBlockExit: a worker never holds its turn while blocked in
 // the OS, so the schedule can always make progress; when the wait is
 // satisfied the worker re-queues as ready and the controller decides when
-// it resumes.
+// it resumes. Channel and latch waits pass a schedpoint::WaitProbe, and a
+// channel receive also reports OnWaitSatisfied before it pops its item:
+// that is how the controller sees their wakeups in flight.
 //
 // Liveness: if every live worker is blocked and nothing transitions for
 // the deadlock timeout, the controller declares a deadlock, invokes the
@@ -65,12 +71,11 @@ struct ControllerOptions {
   /// The first schedule decision is deferred until all have arrived, which
   /// removes thread-spawn timing from the schedule.
   int expected_workers{0};
-  /// Quiescence window: a decision is made only after no worker changed
-  /// state for this long (scaled by DEAR_TIMEOUT_MULT). Must exceed the
-  /// OS's condvar wakeup latency for determinism — on a loaded machine a
-  /// woken worker can take well over a millisecond to reach its
-  /// OnBlockExit, and a wake that lands after the window shrinks the
-  /// ready set for this run only.
+  /// Quiescence window: with some worker blocked, a decision is made only
+  /// after no worker changed state for this long (scaled by
+  /// DEAR_TIMEOUT_MULT). Wakeups the blocked waits report as in flight are
+  /// waited for regardless (up to deadlock_timeout_s); the window is what
+  /// is left for waits without a probe and threads outside the schedule.
   double settle_window_s{0.002};
   /// All live workers blocked with no transitions for this long => deadlock
   /// (scaled by DEAR_TIMEOUT_MULT).

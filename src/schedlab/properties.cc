@@ -294,7 +294,6 @@ PropertyReport CheckAllCollectives(Picker& picker,
   const std::size_t n = options.elems;
   const bool pow2 = (world & (world - 1)) == 0;
   const int rpn = world % 2 == 0 ? 2 : 1;
-  const std::size_t n_a2a = uw * 4;  // all-to-all needs P | n
   const comm::Rank bcast_root = world - 1;
 
   std::vector<std::vector<float>> input;
@@ -343,13 +342,6 @@ PropertyReport CheckAllCollectives(Picker& picker,
   std::vector<std::vector<float>> ag_ring(uw, ag_expected);
   const std::vector<float> ag_oracle = Quantized(options.wire_dtype,
                                                  ag_expected);
-  std::vector<std::vector<float>> a2a;
-  for (int r = 0; r < world; ++r)
-    a2a.push_back(MakeInput(options.payload_seed + 7, r, n_a2a));
-  std::vector<std::vector<float>> a2a_in;  // pristine, wire-rounded oracle
-  for (const auto& v : a2a) a2a_in.push_back(Quantized(options.wire_dtype, v));
-  std::vector<std::vector<float>> gather_out(uw);
-  std::vector<std::vector<float>> scatter_out(uw);
 
   std::vector<Status> status(uw, Status::Ok());
 
@@ -388,11 +380,6 @@ PropertyReport CheckAllCollectives(Picker& picker,
         step(comm::TreeBroadcast(comm, span_of(bcast), bcast_root));
         step(comm::RingAllGather(comm, span_of(ag_ring)));
         step(comm::Barrier(comm));
-        step(comm::Gather(comm, std::span<const float>(input[r]),
-                          &gather_out[r], /*root=*/0));
-        step(comm::Scatter(comm, std::span<const float>(input[0]),
-                           &scatter_out[r], /*root=*/0));
-        step(comm::AllToAll(comm, span_of(a2a)));
         status[r] = s;
       });
 
@@ -439,28 +426,6 @@ PropertyReport CheckAllCollectives(Picker& picker,
     ExpectBitwiseAll(v, "tree broadcast", bcast[r],
                      q_input[static_cast<std::size_t>(bcast_root)]);
     ExpectBitwiseAll(v, "ring all-gather", ag_ring[r], ag_oracle);
-    // Gather: root sees every rank's data concatenated.
-    if (r == 0) {
-      v.Expect(gather_out[0].size() == uw * n, "gather: size");
-      for (std::size_t src = 0; src < uw && v.ok; ++src)
-        ExpectBitwiseAll(
-            v, "gather",
-            std::span<const float>(gather_out[0]).subspan(src * n, n),
-            q_input[src]);
-    }
-    // Scatter: rank r holds root's chunk r.
-    const Range chunk = ChunkRange(n, uw, r);
-    ExpectBitwiseAll(
-        v, "scatter", scatter_out[r],
-        std::span<const float>(q_input[0]).subspan(chunk.begin, chunk.size()));
-    // All-to-all: my chunk j is rank j's pristine chunk r.
-    const std::size_t chunk_elems = n_a2a / uw;
-    for (std::size_t j = 0; j < uw && v.ok; ++j)
-      ExpectBitwiseAll(
-          v, "all-to-all",
-          std::span<const float>(a2a[r]).subspan(j * chunk_elems, chunk_elems),
-          std::span<const float>(a2a_in[j]).subspan(r * chunk_elems,
-                                                    chunk_elems));
 
     digest = DigestFloats(digest, ar_sum[r]);
     digest = DigestFloats(digest, ar_avg[r]);
@@ -480,10 +445,7 @@ PropertyReport CheckAllCollectives(Picker& picker,
         std::span<const float>(rs_ring[r]).subspan(own.begin, own.size()));
     digest = DigestFloats(digest, bcast[r]);
     digest = DigestFloats(digest, ag_ring[r]);
-    digest = DigestFloats(digest, scatter_out[r]);
-    digest = DigestFloats(digest, a2a[r]);
   }
-  if (v.ok) digest = DigestFloats(digest, gather_out[0]);
 
   report.ok = v.ok;
   report.failure = std::move(v.failure);

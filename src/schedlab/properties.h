@@ -9,7 +9,7 @@
 //    able to change a single bit. The 0-ULP bound holds for EVERY wire
 //    dtype, including lossy fp16/bf16: the fused ring is literally the
 //    decoupled pair, so both sides round identically at every hop.
-//  * Collective correctness: all 18 collectives against exact oracles
+//  * Collective correctness: all 15 collectives against exact oracles
 //    (near-oracles for order-sensitive float sums), with a bitwise digest
 //    of every defined output region so callers can assert invariance
 //    across schedules. Under a lossy wire dtype the copy-collectives are

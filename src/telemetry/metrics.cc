@@ -79,8 +79,8 @@ std::string PrometheusName(const std::string& name) {
 }
 
 /// Help text for the # HELP line of each exported family. Exact names
-/// first, then prefix rules for the per-collective families minted at
-/// runtime ("comm.<kind>.calls" etc.), then a generic fallback so every
+/// first, then prefix rules for the families minted at runtime
+/// ("comm.model.residual.<shape>" etc.), then a generic fallback so every
 /// family always carries a HELP line.
 std::string HelpFor(const std::string& name, const char* family_kind) {
   static const std::map<std::string, const char*> kExact = {
@@ -109,14 +109,6 @@ std::string HelpFor(const std::string& name, const char* family_kind) {
   if (name.rfind("comm.model.divergence.", 0) == 0)
     return "EWMA |ln(measured/predicted)| vs the reference network model "
            "(0 = model matches reality).";
-  if (name.rfind("comm.", 0) == 0) {
-    if (name.size() >= 6 && name.compare(name.size() - 6, 6, ".calls") == 0)
-      return "Completed top-level collectives of this kind on this rank.";
-    if (name.size() >= 8 && name.compare(name.size() - 8, 8, ".seconds") == 0)
-      return "Wall-clock duration of this collective kind, in seconds.";
-    if (name.size() >= 6 && name.compare(name.size() - 6, 6, ".bytes") == 0)
-      return "Payload size of this collective kind, in bytes.";
-  }
   return std::string("DeAR runtime ") + family_kind + " \"" + name + "\".";
 }
 

@@ -1,10 +1,11 @@
 // Thread-safe metrics primitives and a named registry.
 //
 // A MetricsRegistry owns counters, gauges, and fixed-bucket histograms keyed
-// by dotted names ("comm.bytes_sent", "comm.all_gather.seconds"). Lookups
-// return stable references, so hot paths may cache the pointer; updates on
-// the returned objects are lock-free (counters/gauges) or take one short
-// mutex (histograms). Snapshots export as JSON or Prometheus-style text.
+// by dotted names ("comm.bytes_sent", "comm.model.residual.all_gather").
+// Lookups return stable references, so hot paths may cache the pointer;
+// updates on the returned objects are lock-free (counters/gauges) or take
+// one short mutex (histograms). Snapshots export as JSON or Prometheus-style
+// text.
 //
 // Metric-name <-> paper-quantity mapping lives in DESIGN.md §Observability.
 #pragma once

@@ -1,19 +1,6 @@
 #include "telemetry/telemetry.h"
 
-#include <string>
-
 namespace dear::telemetry {
-namespace {
-
-// Latency buckets: 100 ns .. ~55 s geometric; payload buckets: 64 B .. 4 GB.
-std::vector<double> SecondsEdges() {
-  return Histogram::ExponentialEdges(1e-7, 2.0, 30);
-}
-std::vector<double> BytesEdges() {
-  return Histogram::ExponentialEdges(64.0, 4.0, 14);
-}
-
-}  // namespace
 
 Runtime& Runtime::Get() {
   static Runtime* runtime = new Runtime();  // leaked: outlives all threads
@@ -34,14 +21,6 @@ void Runtime::Enable(int world_size) {
                                 {&reg.GetCounter("comm.wire_bytes.f32"),
                                  &reg.GetCounter("comm.wire_bytes.f16"),
                                  &reg.GetCounter("comm.wire_bytes.bf16")}};
-    for (int f = 0; f < comm::kNumCollectiveFamilies; ++f) {
-      const std::string base =
-          std::string("comm.") + comm::kCollectiveFamilyNames[f];
-      ranks_.back()->collective[static_cast<std::size_t>(f)] = {
-          &reg.GetCounter(base + ".calls"),
-          &reg.GetHistogram(base + ".seconds", SecondsEdges()),
-          &reg.GetHistogram(base + ".bytes", BytesEdges())};
-    }
   }
   global_.Reset();
   pool_ = {&global_.GetCounter("transport.pool.hits"),
@@ -49,7 +28,6 @@ void Runtime::Enable(int world_size) {
            &global_.GetCounter("transport.pool.releases"),
            &global_.GetCounter("transport.pool.bytes_acquired"),
            &global_.GetGauge("transport.pool.bytes_in_flight")};
-  session_.fetch_add(1, std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_release);
 }
 
@@ -89,17 +67,6 @@ void OnPoolRelease(std::int64_t in_flight_bytes) noexcept {
   Runtime::PoolCounters* pc = rt.pool_counters();
   pc->releases->Add(1);
   pc->bytes_in_flight->Set(static_cast<double>(in_flight_bytes));
-}
-
-void OnCollective(int rank, comm::CollectiveFamily family, double seconds,
-                  double wire_bytes) noexcept {
-  Runtime& rt = Runtime::Get();
-  if (!rt.enabled()) return;
-  const Runtime::CollectiveMetrics* m = rt.collective_metrics(rank, family);
-  if (m == nullptr) return;
-  m->calls->Add(1);
-  m->seconds->Observe(seconds);
-  m->bytes->Observe(wire_bytes);
 }
 
 }  // namespace dear::telemetry

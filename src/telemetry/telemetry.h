@@ -1,9 +1,11 @@
 // Ambient runtime-telemetry session for the real (threaded) runtime:
 // metrics only. A process-wide Runtime holds one MetricsRegistry per rank
 // and a process-global registry (for rank-less components like the BO
-// tuner). Timelines are not telemetry's job: the always-on flight recorder
-// (src/flightrec) journals every event, and the Chrome trace, attribution
-// and checker dumps all read that journal (DESIGN.md §7).
+// tuner). Timelines and collective counts are not telemetry's job: the
+// always-on flight recorder (src/flightrec) journals every event, and the
+// Chrome trace, attribution, `dearsim profile`'s per-collective table and
+// checker dumps all read that journal (DESIGN.md §7). Nothing here includes
+// a comm/ header (lint rule telemetry-no-collectives).
 //
 // The hot-path hooks below are called from one place, comm/probe.h, and
 // reduce to a single relaxed atomic load when telemetry is disabled (the
@@ -14,14 +16,12 @@
 // collectives) — typically around a whole training session.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "comm/types.h"  // header-only: the collective metric families
 #include "telemetry/metrics.h"
 
 namespace dear::telemetry {
@@ -40,12 +40,6 @@ class Runtime {
 
   [[nodiscard]] bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] int world_size() const noexcept { return world_size_; }
-  /// Increments on every Enable(); hot paths use it to invalidate cached
-  /// metric pointers from an earlier session.
-  [[nodiscard]] std::uint64_t session_id() const noexcept {
-    return session_.load(std::memory_order_relaxed);
   }
 
   /// Per-rank registry, or nullptr when no session covers `rank`.
@@ -76,22 +70,6 @@ class Runtime {
     return &ranks_[static_cast<std::size_t>(rank)]->transport;
   }
 
-  /// Pre-resolved per-rank metrics of one collective family:
-  /// "comm.<family>.calls", ".seconds" (latency) and ".bytes" (wire payload
-  /// size). Every family is registered at Enable(), so a family a run never
-  /// calls exports with zero calls.
-  struct CollectiveMetrics {
-    Counter* calls{nullptr};
-    HistogramMetric* seconds{nullptr};
-    HistogramMetric* bytes{nullptr};
-  };
-  [[nodiscard]] const CollectiveMetrics* collective_metrics(
-      int rank, comm::CollectiveFamily family) noexcept {
-    if (rank < 0 || rank >= world_size_) return nullptr;
-    return &ranks_[static_cast<std::size_t>(rank)]
-                ->collective[static_cast<std::size_t>(family)];
-  }
-
   /// Pre-resolved buffer-pool counters (global registry — pools are
   /// per-hub, not per-rank) so the Acquire/Release hooks stay two relaxed
   /// adds plus a gauge store.
@@ -109,10 +87,8 @@ class Runtime {
   struct RankState {
     MetricsRegistry metrics;
     TransportCounters transport;
-    std::array<CollectiveMetrics, comm::kNumCollectiveFamilies> collective{};
   };
   std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> session_{0};
   int world_size_{0};
   std::vector<std::unique_ptr<RankState>> ranks_;
   PoolCounters pool_;
@@ -135,11 +111,5 @@ void OnMessageReceived(int dst, std::size_t bytes) noexcept;
 void OnPoolAcquire(bool hit, std::size_t bytes,
                    std::int64_t in_flight_bytes) noexcept;
 void OnPoolRelease(std::int64_t in_flight_bytes) noexcept;
-
-/// One completed top-level collective of metric family `family` on `rank`:
-/// bumps the calls counter and observes its latency and wire-payload-size
-/// histograms.
-void OnCollective(int rank, comm::CollectiveFamily family, double seconds,
-                  double wire_bytes) noexcept;
 
 }  // namespace dear::telemetry

@@ -179,6 +179,39 @@ TEST(CliTest, ProfilePrintsAttributionReport) {
   }
 }
 
+// The per-collective table reads rank 0's journal: on a DeAR run every
+// rs-launch / ag-launch is one ring reduce-scatter / all-gather bracket.
+TEST(CliTest, ProfileCollectiveTableCountsJournalBrackets) {
+  const auto r = RunDearsim({"profile", "--model=alexnet", "--world=2",
+                             "--iters=3", "--batch-size=4"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_NE(r.out.find("journal window (ms): r0="), std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("no lane wrapped"), std::string::npos) << r.out;
+
+  const auto journal = flightrec::Recorder::Get().SnapshotAll();
+  ASSERT_FALSE(journal.empty());
+  long rs_launches = 0, ag_launches = 0;
+  for (const auto& rec : journal[0]) {
+    const auto kind = static_cast<flightrec::EventKind>(rec.kind);
+    if (kind == flightrec::EventKind::kRsLaunch) ++rs_launches;
+    if (kind == flightrec::EventKind::kAgLaunch) ++ag_launches;
+  }
+  EXPECT_GT(rs_launches, 0);
+  // The "calls" column of the table row named `kind`.
+  const auto calls = [&](const std::string& kind) -> long {
+    const std::size_t at = r.out.find("\n" + kind + " ");
+    if (at == std::string::npos) return -1;
+    std::istringstream row(r.out.substr(at + 1));
+    std::string name;
+    long n = -1;
+    row >> name >> n;
+    return n;
+  };
+  EXPECT_EQ(calls("ring_reduce_scatter"), rs_launches) << r.out;
+  EXPECT_EQ(calls("ring_all_gather"), ag_launches) << r.out;
+}
+
 TEST(CliTest, ProfileRejectsBadInputs) {
   EXPECT_NE(RunDearsim({"profile", "--schedule=warp"}).code, 0);
   EXPECT_NE(RunDearsim({"profile", "--world=1"}).code, 0);

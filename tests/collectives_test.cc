@@ -394,94 +394,6 @@ TEST(CollectivesTest, BackToBackCollectivesDoNotInterfere) {
   });
 }
 
-TEST(GatherTest, CollectsRankOrderedChunks) {
-  constexpr int kWorld = 5;
-  constexpr std::size_t kElems = 6;
-  for (Rank root = 0; root < kWorld; ++root) {
-    RunOnRanks(kWorld, [&](Communicator& comm) {
-      std::vector<float> mine(kElems);
-      for (std::size_t i = 0; i < kElems; ++i)
-        mine[i] = static_cast<float>(comm.rank() * 100 + static_cast<int>(i));
-      std::vector<float> out;
-      ASSERT_TRUE(Gather(comm, mine, &out, root).ok());
-      if (comm.rank() == root) {
-        ASSERT_EQ(out.size(), kElems * kWorld);
-        for (int r = 0; r < kWorld; ++r)
-          for (std::size_t i = 0; i < kElems; ++i)
-            ASSERT_EQ(out[static_cast<std::size_t>(r) * kElems + i],
-                      static_cast<float>(r * 100 + static_cast<int>(i)));
-      }
-    });
-  }
-}
-
-TEST(ScatterTest, DistributesChunksFromRoot) {
-  constexpr int kWorld = 4;
-  constexpr std::size_t kTotal = 22;  // uneven chunks
-  RunOnRanks(kWorld, [&](Communicator& comm) {
-    std::vector<float> in;
-    if (comm.rank() == 1) {
-      in.resize(kTotal);
-      for (std::size_t i = 0; i < kTotal; ++i)
-        in[i] = static_cast<float>(i) * 2.0f;
-    }
-    std::vector<float> out;
-    ASSERT_TRUE(Scatter(comm, in, &out, /*root=*/1).ok());
-    const Range r = ChunkRange(kTotal, kWorld,
-                               static_cast<std::size_t>(comm.rank()));
-    ASSERT_EQ(out.size(), r.size());
-    for (std::size_t i = 0; i < r.size(); ++i)
-      ASSERT_EQ(out[i], static_cast<float>(r.begin + i) * 2.0f);
-  });
-}
-
-TEST(ScatterGatherTest, ScatterThenGatherIsIdentity) {
-  constexpr int kWorld = 4;
-  constexpr std::size_t kPerRank = 8;
-  RunOnRanks(kWorld, [&](Communicator& comm) {
-    std::vector<float> in;
-    if (comm.rank() == 0) {
-      in.resize(kPerRank * kWorld);
-      for (std::size_t i = 0; i < in.size(); ++i)
-        in[i] = static_cast<float>(i) + 0.25f;
-    }
-    std::vector<float> mine, out;
-    ASSERT_TRUE(Scatter(comm, in, &mine, 0).ok());
-    ASSERT_TRUE(Gather(comm, mine, &out, 0).ok());
-    if (comm.rank() == 0) {
-      ASSERT_EQ(out, in);
-    }
-  });
-}
-
-TEST(AllToAllTest, TransposesChunksAcrossRanks) {
-  constexpr int kWorld = 4;
-  constexpr std::size_t kChunk = 3;
-  RunOnRanks(kWorld, [&](Communicator& comm) {
-    std::vector<float> data(kChunk * kWorld);
-    // Element j of chunk d on rank r encodes (r, d, j).
-    for (int d = 0; d < kWorld; ++d)
-      for (std::size_t j = 0; j < kChunk; ++j)
-        data[static_cast<std::size_t>(d) * kChunk + j] =
-            static_cast<float>(comm.rank() * 100 + d * 10 +
-                               static_cast<int>(j));
-    ASSERT_TRUE(AllToAll(comm, data).ok());
-    // After: chunk s holds rank s's chunk destined for us.
-    for (int s = 0; s < kWorld; ++s)
-      for (std::size_t j = 0; j < kChunk; ++j)
-        ASSERT_EQ(data[static_cast<std::size_t>(s) * kChunk + j],
-                  static_cast<float>(s * 100 + comm.rank() * 10 +
-                                     static_cast<int>(j)));
-  });
-}
-
-TEST(AllToAllTest, RejectsIndivisiblePayload) {
-  RunOnRanks(3, [&](Communicator& comm) {
-    std::vector<float> data(7, 0.0f);
-    EXPECT_EQ(AllToAll(comm, data).code(), StatusCode::kInvalidArgument);
-  });
-}
-
 TEST(SegmentedAllReduceTest, MatchesUnsegmented) {
   constexpr int kWorld = 4;
   constexpr std::size_t kElems = 1000;
@@ -611,7 +523,7 @@ TEST(FaultInjectionTest, ShutdownMidHierarchicalReleasesRanks) {
 // Rank 0 never arrives, so the remaining ranks block inside the collective.
 // Shutdown() must release every one of them with Unavailable (a collective
 // may also legitimately finish Ok if it never needed rank 0's data before
-// the close — e.g. gather senders), never hang and never crash. The
+// the close), never hang and never crash. The
 // dearcheck waiter registry must end empty: a leaked waiter means a Recv
 // path returned without unregistering from the wait-for graph.
 struct NamedCollective {
@@ -644,18 +556,6 @@ const NamedCollective kShutdownSweep[] = {
      }},
     {"barrier",
      [](Communicator& c, std::span<float>) { return Barrier(c); }},
-    {"all_to_all",
-     [](Communicator& c, std::span<float> d) { return AllToAll(c, d); }},
-    {"gather",
-     [](Communicator& c, std::span<float> d) {
-       std::vector<float> out;
-       return Gather(c, d, &out, /*root=*/0);
-     }},
-    {"scatter",
-     [](Communicator& c, std::span<float> d) {
-       std::vector<float> out;
-       return Scatter(c, d, &out, /*root=*/0);
-     }},
 };
 
 class ShutdownRaceSweep : public ::testing::TestWithParam<NamedCollective> {};

@@ -97,6 +97,46 @@ TEST(JournalTest, WraparoundKeepsExactlyTheLastCapacityRecords) {
   }
 }
 
+// Every writer lane holds `capacity` records, so the journal-wide total is
+// not a wrap signal: wrapped() is, and only once a lane passes capacity.
+TEST(JournalTest, WrappedOnlyWhenALaneOverwrites) {
+  {
+    // Two lanes of 40 in a 64-slot journal: 80 records, none lost.
+    Journal journal(64);
+    for (std::uint64_t i = 0; i < 40; ++i) journal.Append(MakeKeyed(i));
+    std::thread other([&] {
+      for (std::uint64_t i = 40; i < 80; ++i) journal.Append(MakeKeyed(i));
+    });
+    other.join();
+    EXPECT_EQ(journal.total(), 80u);
+    EXPECT_FALSE(journal.wrapped());
+    std::vector<Record> out;
+    journal.SnapshotInto(out);
+    EXPECT_EQ(out.size(), 80u);
+  }
+  {
+    // One lane of exactly capacity records loses nothing.
+    Journal journal(64);
+    for (std::uint64_t i = 0; i < 64; ++i) journal.Append(MakeKeyed(i));
+    EXPECT_FALSE(journal.wrapped());
+    std::vector<Record> out;
+    journal.SnapshotInto(out);
+    EXPECT_EQ(out.size(), 64u);
+  }
+  {
+    // One more and the oldest record is gone.
+    Journal journal(64);
+    for (std::uint64_t i = 0; i < 65; ++i) journal.Append(MakeKeyed(i));
+    EXPECT_TRUE(journal.wrapped());
+    std::vector<Record> out;
+    journal.SnapshotInto(out);
+    ASSERT_EQ(out.size(), 64u);
+    EXPECT_EQ(out.front().ts_ns, 1u);
+    journal.Reset();
+    EXPECT_FALSE(journal.wrapped());
+  }
+}
+
 TEST(JournalTest, ResetRewindsToEmpty) {
   Journal journal(64);
   for (std::uint64_t i = 0; i < 100; ++i) journal.Append(MakeKeyed(i));

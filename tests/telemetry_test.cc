@@ -14,7 +14,6 @@
 
 #include "analysis/timeline.h"
 #include "comm/async.h"
-#include "comm/collectives.h"
 #include "comm/communicator.h"
 #include "comm/probe.h"
 #include "comm/transport.h"
@@ -104,9 +103,9 @@ TEST(MetricsRegistryTest, PrometheusEveryFamilyHasHelpAndType) {
   // family of each kind plus names covered by the curated help table.
   MetricsRegistry reg;
   reg.GetCounter("comm.messages_sent").Add(3);
-  reg.GetCounter("comm.all_reduce.calls").Add(1);
+  reg.GetCounter("comm.wire_bytes.f16").Add(1);
   reg.GetGauge("transport.pool.bytes_in_flight").Set(42);
-  reg.GetHistogram("comm.all_reduce.seconds").Observe(0.5);
+  reg.GetHistogram("comm.model.residual.all_gather").Observe(0.5);
   const std::string text = reg.ToPrometheus("");
 
   std::istringstream lines(text);
@@ -144,8 +143,9 @@ TEST(MetricsRegistryTest, PrometheusEveryFamilyHasHelpAndType) {
   EXPECT_NE(
       text.find("# TYPE dear_transport_pool_bytes_in_flight gauge"),
       std::string::npos);
-  EXPECT_NE(text.find("# TYPE dear_comm_all_reduce_seconds summary"),
-            std::string::npos);
+  EXPECT_NE(
+      text.find("# TYPE dear_comm_model_residual_all_gather summary"),
+      std::string::npos);
 }
 
 // Validates one exposition-format metric line:
@@ -242,10 +242,8 @@ TEST(TelemetryRuntimeTest, DisabledHooksAreNoOps) {
   rt.Enable(2);
   rt.Disable();
   OnMessageSent(0, 100);
-  OnCollective(0, comm::CollectiveFamily::kAllReduce, 1e-6, 40.0);
   { comm::probe::CollectiveProbe probe(0, comm::CollectiveKind::kBarrier, 0); }
-  // Transport and collective metrics are pre-created at Enable() but must
-  // stay untouched.
+  // Transport metrics are pre-created at Enable() but must stay untouched.
   for (const auto& [name, v] : rt.rank_metrics(0)->Counters())
     EXPECT_EQ(v, 0) << name;
   for (const auto& [name, h] : rt.rank_metrics(0)->Histograms())
@@ -258,34 +256,46 @@ TEST(TelemetryRuntimeTest, RankOutOfRangeIsSafe) {
   EXPECT_EQ(rt.rank_metrics(-1), nullptr);
   EXPECT_EQ(rt.rank_metrics(2), nullptr);
   OnMessageSent(99, 10);  // must not crash
-  OnCollective(99, comm::CollectiveFamily::kAllReduce, 1e-6, 40.0);
   rt.Disable();
 }
 
+// Only the outermost probe on a thread journals: a composite collective is
+// one begin/end pair under its own kind.
 TEST(TelemetryRuntimeTest, NestedCollectiveProbesCountOnce) {
-  auto& rt = Runtime::Get();
-  rt.Enable(1);
+  auto& recorder = flightrec::Recorder::Get();
+  recorder.EnsureRanks(1);
+  recorder.Reset();
   {
     comm::probe::CollectiveProbe outer(0, comm::CollectiveKind::kRingAllReduce,
                                        64);
     comm::probe::CollectiveProbe inner(  // nested: suppressed
         0, comm::CollectiveKind::kRingReduceScatter, 64);
   }
-  rt.Disable();
-  auto* reg = rt.rank_metrics(0);
-  ASSERT_NE(reg, nullptr);
-  EXPECT_EQ(reg->GetCounter("comm.all_reduce.calls").value(), 1);
-  EXPECT_EQ(reg->GetCounter("comm.reduce_scatter.calls").value(), 0);
+  const auto journal = recorder.SnapshotAll();
+  int begins = 0, ends = 0;
+  for (const auto& rec : journal[0]) {
+    const auto kind = static_cast<flightrec::EventKind>(rec.kind);
+    if (kind != flightrec::EventKind::kCollectiveBegin &&
+        kind != flightrec::EventKind::kCollectiveEnd)
+      continue;
+    (kind == flightrec::EventKind::kCollectiveBegin ? begins : ends)++;
+    EXPECT_EQ(rec.tag,
+              static_cast<std::uint32_t>(comm::CollectiveKind::kRingAllReduce));
+  }
+  EXPECT_EQ(begins, 1);
+  EXPECT_EQ(ends, 1);
 }
 
-// The per-collective bytes histogram counts the payload at its *wire*
-// dtype: a world-2 fp16 ring all-reduce of n elements puts exactly n 2-byte
+// A world-2 fp16 ring all-reduce of n elements puts exactly n 2-byte
 // elements on the wire per rank (RS + AG each send one half), which is what
-// the transport's comm.wire_bytes.f16 counter sees.
-TEST(TelemetryRuntimeTest, BytesHistogramMatchesWireBytesUnderFp16) {
+// the transport's comm.wire_bytes.f16 counter sees; the journal's bracket
+// records the n elements the collective was called with.
+TEST(TelemetryRuntimeTest, WireBytesAndJournalAgreeUnderFp16) {
   constexpr int kWorld = 2;
   constexpr std::size_t kN = 64;
   comm::TransportHub hub(kWorld);
+  auto& recorder = flightrec::Recorder::Get();
+  recorder.Reset();
   auto& rt = Runtime::Get();
   rt.Enable(kWorld);
   {
@@ -303,58 +313,28 @@ TEST(TelemetryRuntimeTest, BytesHistogramMatchesWireBytesUnderFp16) {
     for (auto& h : handles) ASSERT_TRUE(h.Wait().ok());
   }
   rt.Disable();
+  const auto journal = recorder.SnapshotAll();
   for (int r = 0; r < kWorld; ++r) {
     auto* reg = rt.rank_metrics(r);
     ASSERT_NE(reg, nullptr);
-    const auto bytes = reg->GetHistogram("comm.all_reduce.bytes").Snapshot();
-    ASSERT_EQ(bytes.count(), 1u) << "rank " << r;
-    const auto wire = reg->GetCounter("comm.wire_bytes.f16").value();
-    EXPECT_EQ(wire, static_cast<std::int64_t>(kN * 2)) << "rank " << r;
-    EXPECT_DOUBLE_EQ(bytes.sum(), static_cast<double>(wire)) << "rank " << r;
-  }
-}
-
-// Scatter's ledger size is 0 on every rank (only the root holds input), but
-// its bytes histogram still counts what each rank passed in: the root's
-// whole input, nothing on the others.
-TEST(TelemetryRuntimeTest, ScatterBytesCountTheRootsInput) {
-  constexpr int kWorld = 2;
-  constexpr std::size_t kN = 64;
-  comm::TransportHub hub(kWorld);
-  auto& rt = Runtime::Get();
-  rt.Enable(kWorld);
-  {
-    const std::vector<float> input(kN, 1.0f);
-    std::vector<std::vector<float>> outs(kWorld);
-    std::vector<std::thread> threads;
-    for (int r = 0; r < kWorld; ++r) {
-      threads.emplace_back([&, r] {
-        comm::Communicator comm(&hub, r);
-        const std::span<const float> in =
-            r == 0 ? std::span<const float>(input) : std::span<const float>();
-        EXPECT_TRUE(
-            comm::Scatter(comm, in, &outs[static_cast<std::size_t>(r)], 0)
-                .ok());
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
-  rt.Disable();
-  const double expected[kWorld] = {kN * 4.0, 0.0};
-  for (int r = 0; r < kWorld; ++r) {
-    auto* reg = rt.rank_metrics(r);
-    ASSERT_NE(reg, nullptr);
-    EXPECT_EQ(reg->GetCounter("comm.scatter.calls").value(), 1);
-    const auto bytes = reg->GetHistogram("comm.scatter.bytes").Snapshot();
-    ASSERT_EQ(bytes.count(), 1u) << "rank " << r;
-    EXPECT_DOUBLE_EQ(bytes.sum(), expected[r]) << "rank " << r;
+    EXPECT_EQ(reg->GetCounter("comm.wire_bytes.f16").value(),
+              static_cast<std::int64_t>(kN * 2))
+        << "rank " << r;
+    const auto collectives =
+        analysis::PairScheduleRecords(journal[static_cast<std::size_t>(r)])
+            .collectives;
+    ASSERT_EQ(collectives.size(), 1u) << "rank " << r;
+    EXPECT_EQ(collectives[0].kind,
+              static_cast<std::uint32_t>(comm::CollectiveKind::kRingAllReduce));
+    EXPECT_EQ(collectives[0].elems, kN) << "rank " << r;
   }
 }
 
 // End-to-end: a real threaded DeAR training run must journal, for every
 // rank, reduce-scatter AND all-gather collective brackets (the decoupled
 // BackPipe/FeedPipe pair), strictly alternating begin/end — one CommEngine
-// thread per rank never overlaps itself — alongside the live metrics.
+// thread per rank never overlaps itself — alongside the live transport
+// metrics.
 TEST(TelemetryIntegrationTest, TrainDistributedJournalsPerRankCollectives) {
   constexpr int kWorld = 4;
   constexpr int kIterations = 3;
@@ -382,7 +362,7 @@ TEST(TelemetryIntegrationTest, TrainDistributedJournalsPerRankCollectives) {
       const auto kind = static_cast<flightrec::EventKind>(rec.kind);
       if (kind == flightrec::EventKind::kCollectiveBegin) {
         EXPECT_EQ(depth++, 0) << "rank " << r << ": overlapping collectives";
-        const std::string name = comm::CollectiveKindOf(rec.tag).name;
+        const std::string name = comm::CollectiveKindName(rec.tag);
         if (name == "ring_reduce_scatter") ++rs;
         if (name == "ring_all_gather") ++ag;
       } else if (kind == flightrec::EventKind::kCollectiveEnd) {
@@ -411,7 +391,6 @@ TEST(TelemetryIntegrationTest, TrainDistributedJournalsPerRankCollectives) {
     ASSERT_NE(reg, nullptr);
     EXPECT_GT(reg->GetCounter("comm.bytes_sent").value(), 0);
     EXPECT_GT(reg->GetCounter("comm.bytes_received").value(), 0);
-    EXPECT_GT(reg->GetCounter("comm.reduce_scatter.calls").value(), 0);
   }
 }
 

@@ -50,8 +50,15 @@ Rules (suppress one occurrence with `// lint: allow(<rule>)` on the line):
                       (comm/probe.h). A direct flightrec::Recorder::Get().On…
                       call, a checker collective/group hook
                       (OnCollectiveBegin/End, OnGroupEvent), or a
-                      telemetry::OnMessage…/OnCollective call brings back a
-                      second event pipeline for the same moment.
+                      telemetry::OnMessage… call brings back a second event
+                      pipeline for the same moment.
+  telemetry-no-collectives
+                      (src/telemetry only) The journal's collective
+                      brackets are the one record of every collective;
+                      `dearsim profile`'s per-collective table, the trace
+                      and attribution read them. A comm/ include under
+                      src/telemetry is how per-collective metrics would
+                      come back as a second count of the same calls.
   optim-journal-only  (src/core/dist_optim.* and src/core/trainer.*)
                       DistOptim's timing is the journal's: waits, iteration
                       times and the exposed-comm share are derived from its
@@ -209,8 +216,14 @@ SINGLE_PROBE_ALLOWED = ("src/comm/probe.h", "src/comm/probe.cc")
 SINGLE_PROBE_RE = re.compile(
     r"\bRecorder::Get\(\)\s*\.\s*On\w*\s*\("  # journal hooks
     r"|(?:\.|->)\s*(?:OnCollectiveBegin|OnCollectiveEnd|OnGroupEvent)\s*\("
-    r"|\btelemetry::On(?:Message\w*|Collective)\s*\("
+    r"|\btelemetry::OnMessage\w*\s*\("
 )
+
+# Directory that must not see the collective library: telemetry counts
+# transport traffic and pools, never collectives (the journal does).
+TELEMETRY_DIR = "src/telemetry/"
+# Matched against the raw line (the stripper blanks the include's path).
+COMM_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"comm/')
 
 # Files whose timing must come from the journal alone: no telemetry, no
 # clock reads of their own.
@@ -362,6 +375,17 @@ class Linter:
                         "comm::probe call per site (comm/probe.h)",
                         raw_line(i))
 
+        # Rule: telemetry-no-collectives (telemetry only).
+        if TELEMETRY_DIR in norm:
+            for i in range(len(lines)):
+                if COMM_INCLUDE_RE.search(raw_line(i)):
+                    self.report(
+                        path, i + 1, "telemetry-no-collectives",
+                        "comm/ include in telemetry — collectives are "
+                        "recorded once, as journal brackets (comm/probe.h); "
+                        "read them back with analysis::PairScheduleRecords",
+                        raw_line(i))
+
         # Rule: optim-journal-only (DistOptim and the training loop).
         if OPTIM_JOURNAL_ONLY_RE.search(norm):
             for i, line in enumerate(lines):
@@ -461,6 +485,14 @@ void Train() {
 }
 """
 
+# Linted as src/telemetry/selftest_snippet.h, where telemetry-no-collectives
+# applies.
+SELFTEST_TELEMETRY_SOURCE = """\
+#include "telemetry/metrics.h"
+#include "comm/types.h"  // finding: telemetry-no-collectives
+#include "comm/probe.h"  // suppressed: lint: allow(telemetry-no-collectives)
+"""
+
 SELFTEST_EXPECT = {
     "using-namespace-in-header": 1,
     "raw-mutex-lock": 1,  # the .unlock() is suppressed
@@ -472,6 +504,7 @@ SELFTEST_EXPECT = {
     "single-probe": 3,
     "single-alloc-counter": 1,
     "optim-journal-only": 4,  # the fifth is suppressed
+    "telemetry-no-collectives": 1,  # the second is suppressed
 }
 
 
@@ -481,14 +514,17 @@ def selftest():
     import tempfile
 
     # Each snippet lives where its path-scoped rules apply: src/comm/ for
-    # the transport rules, src/core/trainer.cc for optim-journal-only.
+    # the transport rules, src/core/trainer.cc for optim-journal-only,
+    # src/telemetry/ for telemetry-no-collectives.
     with tempfile.TemporaryDirectory() as tmpdir:
         linter = Linter()
         for rel, source in (
                 (os.path.join("src", "comm", "selftest_snippet.h"),
                  SELFTEST_SOURCE),
                 (os.path.join("src", "core", "trainer.cc"),
-                 SELFTEST_CORE_SOURCE)):
+                 SELFTEST_CORE_SOURCE),
+                (os.path.join("src", "telemetry", "selftest_snippet.h"),
+                 SELFTEST_TELEMETRY_SOURCE)):
             path = os.path.join(tmpdir, rel)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "w", encoding="utf-8") as f:
