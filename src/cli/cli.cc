@@ -632,9 +632,10 @@ void FeedSimBackend(comm::CalibrationMonitor& monitor,
   }
 }
 
-/// Multi-size collective sweep on real in-process engines: the measured
-/// wall times feed the monitor through the CommEngine hook itself.
-void RunRuntimeSweep(int world) {
+/// Multi-size collective sweep on real in-process engines, `passes` times
+/// over the size ladder: the measured wall times feed the monitor through
+/// the CommEngine hook itself.
+void RunRuntimeSweep(int world, int passes) {
   comm::TransportHub hub(world);
   std::vector<std::unique_ptr<comm::CommEngine>> engines;
   engines.reserve(static_cast<std::size_t>(world));
@@ -643,9 +644,8 @@ void RunRuntimeSweep(int world) {
         std::make_unique<comm::CommEngine>(comm::Communicator(&hub, r)));
   }
   const bool pow2 = (world & (world - 1)) == 0;
-  // Element counts per rank: geometric ladder, 3 passes each so every
-  // (shape, size) point is sampled more than once.
-  for (int pass = 0; pass < 3; ++pass) {
+  // Element counts per rank: a geometric ladder per pass.
+  for (int pass = 0; pass < passes; ++pass) {
     for (std::size_t elems = 1024; elems <= 262144; elems *= 4) {
       const std::size_t n = elems * static_cast<std::size_t>(world);
       std::vector<std::vector<float>> buffers(
@@ -705,7 +705,8 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
     auto& rt = telemetry::Runtime::Get();
     rt.Enable(world);
     monitor.Enable(*net, world);  // after telemetry: resolves its metrics
-    RunRuntimeSweep(world);
+    // Three passes, so every (shape, size) point is sampled more than once.
+    RunRuntimeSweep(world, 3);
     // A short training run on top of the raw sweep: samples the shapes a
     // real schedule uses, and its journal yields the pipeline-health share.
     auto& recorder = flightrec::Recorder::Get();
@@ -724,8 +725,6 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
       core::TrainDistributed(dims, /*model_seed=*/7, data, iters, batch,
                              world, options);
     }
-    monitor.Disable();
-    rt.Disable();
     // Fraction of iteration time the compute thread spent blocked on
     // collectives (0 = perfect overlap), worst rank.
     const auto attribution =
@@ -735,6 +734,19 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
         exposed_fraction = std::max(
             exposed_fraction, (rank.iter_ms - rank.compute_ms) / rank.iter_ms);
     }
+    // On a CPU-starved host, scheduling delays of milliseconds land on a
+    // few microsecond-scale collectives and can tilt every shape's line to
+    // a non-physical fit (negative alpha or non-positive beta). The
+    // streaming fit keeps those samples, so further passes do not wash them
+    // out; instead re-arm the monitor, which drops every sample so far, and
+    // sweep afresh, a bounded number of times, until some shape fits.
+    for (int retry = 0; retry < 4 && !monitor.calibrator().FitNetwork();
+         ++retry) {
+      monitor.Enable(*net, world);
+      RunRuntimeSweep(world, 3);
+    }
+    monitor.Disable();
+    rt.Disable();
   }
 
   // ---- Assemble the report ------------------------------------------------

@@ -33,6 +33,7 @@
 #include "train/data.h"
 #include "train/mlp.h"
 #include "tune/gp.h"
+#include "tune/search.h"
 
 namespace dear::perflab {
 namespace {
@@ -499,6 +500,35 @@ std::vector<Row> BuildRows() {
           (void)gp.Fit(xs, ys);
           Escape(gp.Predict(20.0));
         });
+      }));
+  // The suggest half of a BO trial: one SuggestNext (GP refit plus the
+  // acquisition sweep), averaged over a 10-trial tune of a buffer size in
+  // [1, 100] MB, as `dearsim tune` runs it.
+  rows.push_back(MakeRow(
+      Kind::kTimed, "tune.bo_suggest_us", {{"trials", "10"}, {"grid", "256"}},
+      "us", kFull, [](const RowContext& c) -> Samples {
+        using Clock = std::chrono::steady_clock;
+        constexpr int kTrials = 10;
+        std::vector<double> us;
+        for (int rep = 0; rep <= c.repeats; ++rep) {
+          tune::BoOptions opts;
+          opts.first_point = 25.0;
+          opts.acquisition_grid = 256;
+          tune::BayesianOptimizer bo(1.0, 100.0, opts);
+          Clock::duration suggesting{};
+          for (int t = 0; t < kTrials; ++t) {
+            const auto t0 = Clock::now();
+            const double mb = bo.SuggestNext();
+            suggesting += Clock::now() - t0;
+            bo.Observe(mb, 100.0 - (mb - 30.0) * (mb - 30.0) / 50.0);
+          }
+          // The first tune warms up; it is not a sample.
+          if (rep > 0)
+            us.push_back(
+                std::chrono::duration<double, std::micro>(suggesting).count() /
+                kTrials);
+        }
+        return us;
       }));
 
   // One dense backward of a 512x512 hidden layer at batch 1, the shape of

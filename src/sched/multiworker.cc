@@ -233,19 +233,25 @@ class MultiWorkerBuilder {
 
 }  // namespace
 
-RunResult EvaluateMultiWorker(const model::ModelSpec& model,
-                              const ClusterSpec& cluster,
-                              const PolicyConfig& config,
-                              const MultiWorkerOptions& options) {
-  DEAR_CHECK(options.iterations > options.warmup + 1);
+sim::TaskGraph BuildMultiWorkerGraph(const model::ModelSpec& model,
+                                     const ClusterSpec& cluster,
+                                     const PolicyConfig& config,
+                                     const MultiWorkerOptions& options) {
   DEAR_CHECK_MSG(config.kind != PolicyKind::kByteScheduler &&
                      config.kind != PolicyKind::kZeRO,
                  "ByteScheduler/ZeRO are not supported by the multi-worker "
                  "model");
   DEAR_CHECK_MSG(config.plan.num_groups() > 0, "policy requires a fusion plan");
+  return MultiWorkerBuilder(model, cluster, config, options).Build();
+}
 
-  MultiWorkerBuilder builder(model, cluster, config, options);
-  const sim::TaskGraph graph = builder.Build();
+RunResult EvaluateMultiWorker(const model::ModelSpec& model,
+                              const ClusterSpec& cluster,
+                              const PolicyConfig& config,
+                              const MultiWorkerOptions& options) {
+  DEAR_CHECK(options.iterations > options.warmup + 1);
+  const sim::TaskGraph graph =
+      BuildMultiWorkerGraph(model, cluster, config, options);
   // Every stream is FIFO; there is no priority policy in this family.
   auto sim = sim::Simulate(graph, {});
   DEAR_CHECK_MSG(sim.ok(), sim.status().ToString());

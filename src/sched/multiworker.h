@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "sched/runner.h"
+#include "sim/task_graph.h"
 
 namespace dear::sched {
 
@@ -25,6 +26,14 @@ struct MultiWorkerOptions {
   double jitter_sigma{0.0};
   std::uint64_t seed{1};
 };
+
+/// The task graph EvaluateMultiWorker simulates: one compute and one
+/// communication stream per worker (streams 2w and 2w + 1, all FIFO), every
+/// iteration written out (repeats() == 1).
+sim::TaskGraph BuildMultiWorkerGraph(const model::ModelSpec& model,
+                                     const ClusterSpec& cluster,
+                                     const PolicyConfig& config,
+                                     const MultiWorkerOptions& options = {});
 
 /// Simulates cluster.world_size explicit workers. Graph size grows linearly
 /// with workers; keep world_size moderate (<= 32) for large models.

@@ -1,6 +1,8 @@
 #include "tune/gp.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -47,6 +49,11 @@ std::vector<double> CholeskySolve(const std::vector<double>& chol,
   }
   return b;
 }
+
+PredictionGrid::PredictionGrid(std::vector<double> inputs,
+                               std::size_t capacity)
+    : inputs_(std::move(inputs)),
+      capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 double GaussianProcess::Kernel(double a, double b) const noexcept {
   const double d = (a - b) / params_.length_scale;
@@ -95,16 +102,9 @@ Status GaussianProcess::Fit(const std::vector<double>& xs,
 }
 
 Prediction GaussianProcess::Predict(double x) const {
-  std::vector<double> scratch;
-  return Predict(x, scratch);
-}
-
-Prediction GaussianProcess::Predict(double x,
-                                    std::vector<double>& scratch) const {
   DEAR_CHECK_MSG(fitted_, "Predict before Fit");
   const std::size_t n = xs_.size();
-  scratch.resize(n);
-  double* v = scratch.data();
+  std::vector<double> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = Kernel(x, xs_[i]);  // k*
 
   double mu = 0.0;
@@ -122,6 +122,55 @@ Prediction GaussianProcess::Predict(double x,
   if (variance < 0.0) variance = 0.0;
 
   return {y_mean_ + y_scale_ * mu, y_scale_ * y_scale_ * variance};
+}
+
+void GaussianProcess::Predict(PredictionGrid& grid,
+                              std::vector<Prediction>& out) const {
+  DEAR_CHECK_MSG(fitted_, "Predict before Fit");
+  const std::size_t n = xs_.size();
+  const std::size_t m = grid.inputs_.size();
+  // The cached rows stay valid while this fit's kernel is the cached one
+  // and its inputs extend the cached inputs.
+  const bool extends =
+      grid.resets_ > 0 && grid.params_ == params_ && grid.xs_.size() <= n &&
+      std::equal(grid.xs_.begin(), grid.xs_.end(), xs_.begin());
+  if (!extends || n > grid.capacity_) {
+    while (grid.capacity_ < n) grid.capacity_ *= 2;
+    grid.kstar_.assign(m * grid.capacity_, 0.0);
+    grid.solve_.assign(m * grid.capacity_, 0.0);
+    grid.vtv_.assign(m, 0.0);
+    grid.params_ = params_;
+    grid.xs_.clear();
+    grid.xs_.reserve(grid.capacity_);
+    ++grid.resets_;
+  }
+  const std::size_t cached = grid.xs_.size();
+
+  // The same arithmetic as Predict(x), in the same order, for rows
+  // [cached, n) only.
+  out.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const double x = grid.inputs_[i];
+    double* k = grid.kstar_.data() + i * grid.capacity_;
+    double* v = grid.solve_.data() + i * grid.capacity_;
+    double vtv = grid.vtv_[i];
+    for (std::size_t r = cached; r < n; ++r) {
+      k[r] = Kernel(x, xs_[r]);
+      double val = k[r];
+      for (std::size_t c = 0; c < r; ++c) val -= chol_[r * n + c] * v[c];
+      v[r] = val / chol_[r * n + r];
+      vtv += v[r] * v[r];
+    }
+    grid.vtv_[i] = vtv;
+
+    double mu = 0.0;
+    for (std::size_t r = 0; r < n; ++r) mu += k[r] * alpha_[r];
+    double variance = Kernel(x, x) - vtv;
+    if (variance < 0.0) variance = 0.0;
+    out[i] = {y_mean_ + y_scale_ * mu, y_scale_ * y_scale_ * variance};
+  }
+  grid.xs_.insert(grid.xs_.end(),
+                  xs_.begin() + static_cast<std::ptrdiff_t>(cached), xs_.end());
 }
 
 }  // namespace dear::tune

@@ -18,12 +18,51 @@ struct GpParams {
   double length_scale{0.15};   // RBF length scale, in input units
   double signal_variance{1.0}; // scaled by observed target variance at fit
   double noise_variance{1e-4}; // observation noise (after standardization)
+  bool operator==(const GpParams&) const = default;
 };
 
 struct Prediction {
   double mean{0.0};
   double variance{0.0};
   [[nodiscard]] double stddev() const noexcept;
+};
+
+/// A fixed list of inputs whose posterior is asked for after every fit, as
+/// Bayesian optimization's acquisition grid is: observations are only ever
+/// appended between fits. Appending leaves the leading block of the
+/// Cholesky factor unchanged, and with it each input's kernel column k*,
+/// the leading part of its forward solve L^-1 k* and the running sum of
+/// squares v^T v. The grid caches those, so a sweep after one more
+/// observation costs one kernel entry and one solve row per input, plus
+/// the mean against the new alpha. Filled by GaussianProcess::Predict.
+class PredictionGrid {
+ public:
+  /// `capacity`: observations cached before the cache resets with room
+  /// for twice as many.
+  explicit PredictionGrid(std::vector<double> inputs,
+                          std::size_t capacity = 16);
+
+  [[nodiscard]] const std::vector<double>& inputs() const noexcept {
+    return inputs_;
+  }
+  /// Times the cache was rebuilt from scratch: on first use, when a fit's
+  /// inputs or kernel do not extend the cached ones, and on outgrowing the
+  /// capacity.
+  [[nodiscard]] int resets() const noexcept { return resets_; }
+
+ private:
+  friend class GaussianProcess;
+
+  std::vector<double> inputs_;
+  std::size_t capacity_;
+  int resets_{0};
+  // The fit the cache was solved against: kernel and observed inputs.
+  GpParams params_;
+  std::vector<double> xs_;
+  // Per input i, entries [i * capacity_, i * capacity_ + xs_.size()).
+  std::vector<double> kstar_;  // k(input, xs_[j])
+  std::vector<double> solve_;  // L^-1 k*
+  std::vector<double> vtv_;    // per input: sum of solve_ squared, in order
 };
 
 class GaussianProcess {
@@ -42,11 +81,11 @@ class GaussianProcess {
 
   /// Posterior mean and variance at x. Precondition: fitted().
   [[nodiscard]] Prediction Predict(double x) const;
-  /// Same result, computed in the caller-owned `scratch` (resized to
-  /// num_observations()), so a sweep over many x allocates nothing after
-  /// its first point.
-  [[nodiscard]] Prediction Predict(double x,
-                                   std::vector<double>& scratch) const;
+  /// The posterior at every input of `grid` into `out` (resized), each bit
+  /// for bit Predict(grid.inputs()[i]), reusing what `grid` cached from
+  /// earlier fits whose inputs this fit's extend; once the grid and `out`
+  /// are sized, it allocates nothing. Precondition: fitted().
+  void Predict(PredictionGrid& grid, std::vector<Prediction>& out) const;
 
  private:
   [[nodiscard]] double Kernel(double a, double b) const noexcept;

@@ -41,6 +41,13 @@ BayesianOptimizer::BayesianOptimizer(double lo, double hi, BoOptions options)
       options_.length_scale_frac * (ToModel(hi) - ToModel(lo));
   params.noise_variance = options_.noise_variance;
   gp_ = GaussianProcess(params);
+  const int points = options_.acquisition_grid;
+  std::vector<double> inputs;
+  for (int i = 0; i < points; ++i) {
+    grid_x_.push_back(lo_ + (hi_ - lo_) * i / double(points - 1));
+    inputs.push_back(ToModel(grid_x_.back()));
+  }
+  grid_ = PredictionGrid(std::move(inputs));
 }
 
 double BayesianOptimizer::ToModel(double x) const {
@@ -92,18 +99,16 @@ double BayesianOptimizer::SuggestNext() {
 
   double best_score = -1e300;
   double best_point = 0.5 * (lo_ + hi_);
-  std::vector<double> scratch;  // reused by every grid point's prediction
-  for (int i = 0; i < options_.acquisition_grid; ++i) {
-    const double x =
-        lo_ + (hi_ - lo_) * i / double(options_.acquisition_grid - 1);
-    const Prediction pred = gp_.Predict(ToModel(x), scratch);
+  gp_.Predict(grid_, grid_pred_);
+  for (std::size_t i = 0; i < grid_x_.size(); ++i) {
+    const Prediction& pred = grid_pred_[i];
     const double score =
         options_.acquisition == Acquisition::kUpperConfidenceBound
             ? UpperConfidenceBound(pred, options_.kappa)
             : ExpectedImprovement(pred, best_y(), xi);
     if (score > best_score) {
       best_score = score;
-      best_point = x;
+      best_point = grid_x_[i];
     }
   }
   return best_point;

@@ -91,6 +91,11 @@ class BayesianOptimizer final : public Tuner {
   // does not change observable tuner state, hence mutable.
   mutable GaussianProcess gp_;
   mutable bool gp_stale_{true};
+  // The acquisition grid: its points in [lo, hi], and the posterior cache
+  // over their model inputs that every suggestion extends.
+  std::vector<double> grid_x_;
+  PredictionGrid grid_{{}};
+  std::vector<Prediction> grid_pred_;
   void Refit() const;
   [[nodiscard]] double ToModel(double x) const;
 };

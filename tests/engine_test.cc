@@ -1,14 +1,18 @@
 // Discrete-event engine: dependency semantics, stream serialization, FIFO
-// vs priority dispatch, determinism, and malformed-graph rejection.
+// vs priority dispatch, determinism, malformed-graph rejection, and
+// bit-for-bit agreement with the reference engine.
 #include "sim/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <tuple>
 #include <vector>
 
+#include "sim_reference.h"
 #include "sim_unroll.h"
 
 namespace dear::sim {
@@ -454,6 +458,118 @@ TEST(EngineTest, DiamondDag) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->timings[d].start, 40);
   EXPECT_EQ(r->makespan, 45);
+}
+
+// Bit-for-bit agreement with the reference engine (sim_reference.h) over
+// seeded random periodic DAGs: every stream FIFO, every stream priority, or
+// a mix; 2, 3 or 33 streams; 1, 2 or 5 repetitions. Priorities come from a
+// small set holding negatives and both signed zeros, so they tie within and
+// across repetitions; durations come from a small set holding zero, so
+// completions tie in time and fall back on dispatch order.
+enum class PolicyMix { kFifo, kPriority, kMixed };
+
+class ReferenceEquivalence
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint64_t, PolicyMix, int, int>> {};
+
+TEST_P(ReferenceEquivalence, TimingsMatchBitForBit) {
+  const auto [seed, mix, streams, repeats] = GetParam();
+  std::uint64_t state = seed * 0x9E3779B97F4A7C15ULL + 7;
+  auto next = [&]() {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<std::uint32_t>(state >> 33);
+  };
+  constexpr SimTime kDurations[] = {0, 5, 5, 10, 17};
+  constexpr double kPriorities[] = {-2.0, -0.0, 0.0, 1.0, 1.0, 3.5};
+
+  TaskGraph g;
+  const int n = 40 + static_cast<int>(next() % 80);
+  std::vector<TaskId> deps;
+  for (int i = 0; i < n; ++i) {
+    Task t;
+    t.stream = static_cast<std::int16_t>(next() % streams);
+    t.duration = kDurations[next() % 5];
+    t.priority = kPriorities[next() % 6];
+    for (int d = 0; d < std::min(i, 4); ++d)
+      if (next() % 3 == 0) deps.push_back(static_cast<TaskId>(next() % i));
+    g.Add(t, deps);
+    deps.clear();
+  }
+  for (int i = 0; i < n; ++i) {
+    for (int d = 0; d < 2; ++d)
+      if (next() % 3 == 0) deps.push_back(static_cast<TaskId>(next() % n));
+    if (!deps.empty()) g.SetCarried(i, deps);
+    deps.clear();
+  }
+  g.Repeat(repeats);
+
+  std::vector<StreamPolicy> policies;
+  for (int s = 0; s < streams; ++s) {
+    const bool priority = mix == PolicyMix::kPriority ||
+                          (mix == PolicyMix::kMixed && s % 2 == 1);
+    policies.push_back(priority ? StreamPolicy::kPriority
+                                : StreamPolicy::kFifoByReady);
+  }
+  const auto got = Simulate(g, policies);
+  const auto want = ReferenceSimulate(g, policies);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ExpectSameTimings(*got, *want);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ReferenceEquivalence,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 11),
+                       ::testing::Values(PolicyMix::kFifo,
+                                         PolicyMix::kPriority,
+                                         PolicyMix::kMixed),
+                       ::testing::Values(2, 3, 33),
+                       ::testing::Values(1, 2, 5)));
+
+TEST(EngineTest, NegativeAndSignedZeroPrioritiesKeepTheirOrder) {
+  // Four tasks become ready together behind a gate on a priority stream:
+  // the negative priority runs first, then 0.0 and -0.0, which compare
+  // equal and so keep insertion order, then 1.
+  TaskGraph g;
+  const TaskId gate = AddTask(g, 0, 10);
+  const TaskId zero = AddTask(g, 1, 1, {gate}, 0.0);
+  const TaskId one = AddTask(g, 1, 1, {gate}, 1.0);
+  const TaskId neg_zero = AddTask(g, 1, 1, {gate}, -0.0);
+  const TaskId neg = AddTask(g, 1, 1, {gate}, -3.0);
+  const std::vector<StreamPolicy> policies = {StreamPolicy::kFifoByReady,
+                                              StreamPolicy::kPriority};
+  const auto r = Simulate(g, policies);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->timings[neg].start, 10);
+  EXPECT_EQ(r->timings[zero].start, 11);
+  EXPECT_EQ(r->timings[neg_zero].start, 12);
+  EXPECT_EQ(r->timings[one].start, 13);
+  const auto want = ReferenceSimulate(g, policies);
+  ASSERT_TRUE(want.ok());
+  ExpectSameTimings(*r, *want);
+}
+
+TEST(EngineTest, NanPriorityIsRejectedOnPriorityStreams) {
+  // NaN is unordered against every priority, so a priority stream has no
+  // dispatch order for it (the reference engine's heap comparison stops
+  // being a strict weak order): Simulate rejects the graph. A FIFO stream
+  // never reads priorities, so there NaN is accepted and changes nothing.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TaskGraph g;
+  const TaskId a = AddTask(g, 0, 10);
+  AddTask(g, 1, 5, {a}, 1.0);
+  AddTask(g, 1, 5, {a}, nan);
+  const auto rejected =
+      Simulate(g, {StreamPolicy::kFifoByReady, StreamPolicy::kPriority});
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rejected.status().message(), "NaN priority on a priority stream");
+
+  const auto fifo = Simulate(g, {});
+  const auto want = ReferenceSimulate(g, {});
+  ASSERT_TRUE(fifo.ok() && want.ok());
+  ExpectSameTimings(*fifo, *want);
+  EXPECT_EQ(fifo->makespan, 20);
 }
 
 }  // namespace

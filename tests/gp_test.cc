@@ -1,10 +1,14 @@
 // Gaussian-process regression: linear-algebra kernels, interpolation and
-// uncertainty behavior, and robustness to degenerate inputs.
+// uncertainty behavior, robustness to degenerate inputs, and the cached
+// grid sweep matching Predict bit for bit.
 #include "tune/gp.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace dear::tune {
 namespace {
@@ -114,9 +118,113 @@ TEST(GpTest, RefitReplacesPosterior) {
   EXPECT_EQ(gp.num_observations(), 1u);
 }
 
+// The grid sweep against Predict(x), bit for bit (signed zeros included).
+void ExpectGridMatchesPredict(const GaussianProcess& gp, PredictionGrid& grid) {
+  std::vector<Prediction> swept;
+  gp.Predict(grid, swept);
+  ASSERT_EQ(swept.size(), grid.inputs().size());
+  for (std::size_t i = 0; i < swept.size(); ++i) {
+    const Prediction want = gp.Predict(grid.inputs()[i]);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(swept[i].mean),
+              std::bit_cast<std::uint64_t>(want.mean))
+        << "input " << i;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(swept[i].variance),
+              std::bit_cast<std::uint64_t>(want.variance))
+        << "input " << i;
+  }
+}
+
+std::vector<double> Inputs(int points, double lo, double hi) {
+  std::vector<double> xs;
+  for (int i = 0; i < points; ++i)
+    xs.push_back(lo + (hi - lo) * i / double(points - 1));
+  return xs;
+}
+
+TEST(PredictionGridTest, AppendedObservationsExtendTheCache) {
+  GpParams params;
+  params.length_scale = 0.2;
+  GaussianProcess gp(params);
+  PredictionGrid grid(Inputs(64, -0.5, 1.5));
+  std::vector<double> xs, ys;
+  for (int i = 0; i < 12; ++i) {
+    xs.push_back(std::fmod(0.37 * i, 1.0));
+    ys.push_back(std::sin(5.0 * xs.back()) + 0.1 * i);
+    ASSERT_TRUE(gp.Fit(xs, ys).ok());
+    ExpectGridMatchesPredict(gp, grid);
+  }
+  EXPECT_EQ(grid.resets(), 1);  // built once, then only extended
+}
+
+TEST(PredictionGridTest, NewTargetsOnTheSameInputsKeepTheCache) {
+  GaussianProcess gp;
+  PredictionGrid grid(Inputs(32, 0.0, 1.0));
+  ASSERT_TRUE(gp.Fit({0.1, 0.5, 0.9}, {1.0, 2.0, 0.5}).ok());
+  ExpectGridMatchesPredict(gp, grid);
+  ASSERT_TRUE(gp.Fit({0.1, 0.5, 0.9}, {-4.0, 7.0, 3.0}).ok());
+  ExpectGridMatchesPredict(gp, grid);
+  EXPECT_EQ(grid.resets(), 1);
+}
+
+TEST(PredictionGridTest, NonPrefixRefitResetsTheCache) {
+  GaussianProcess gp;
+  PredictionGrid grid(Inputs(32, 0.0, 1.0));
+  ASSERT_TRUE(gp.Fit({0.1, 0.5, 0.9}, {1.0, 2.0, 0.5}).ok());
+  ExpectGridMatchesPredict(gp, grid);
+  // The second input changed: the cached solve rows no longer apply.
+  ASSERT_TRUE(gp.Fit({0.1, 0.6, 0.9, 0.3}, {1.0, 2.0, 0.5, 1.5}).ok());
+  ExpectGridMatchesPredict(gp, grid);
+  EXPECT_EQ(grid.resets(), 2);
+  // Fewer observations than cached is not an extension either.
+  ASSERT_TRUE(gp.Fit({0.1, 0.6}, {1.0, 2.0}).ok());
+  ExpectGridMatchesPredict(gp, grid);
+  EXPECT_EQ(grid.resets(), 3);
+}
+
+TEST(PredictionGridTest, AnotherKernelResetsTheCache) {
+  PredictionGrid grid(Inputs(16, 0.0, 1.0));
+  GaussianProcess narrow(GpParams{0.05, 1.0, 1e-4});
+  GaussianProcess wide(GpParams{0.5, 1.0, 1e-4});
+  ASSERT_TRUE(narrow.Fit({0.2, 0.7}, {1.0, 3.0}).ok());
+  ASSERT_TRUE(wide.Fit({0.2, 0.7}, {1.0, 3.0}).ok());
+  ExpectGridMatchesPredict(narrow, grid);
+  ExpectGridMatchesPredict(wide, grid);
+  EXPECT_EQ(grid.resets(), 2);
+}
+
+TEST(PredictionGridTest, OutgrowingTheCapacityResetsAndStaysExact) {
+  GaussianProcess gp;
+  PredictionGrid grid(Inputs(20, 0.0, 2.0), 2);
+  std::vector<double> xs, ys;
+  for (int i = 0; i < 9; ++i) {
+    xs.push_back(0.21 * i);
+    ys.push_back(std::cos(3.0 * xs.back()));
+    ASSERT_TRUE(gp.Fit(xs, ys).ok());
+    ExpectGridMatchesPredict(gp, grid);
+  }
+  // Built at 1 observation, rebuilt past 2, 4 and 8.
+  EXPECT_EQ(grid.resets(), 4);
+}
+
+TEST(PredictionGridTest, DuplicateInputsMatchPredict) {
+  GaussianProcess gp;  // noise keeps K positive definite
+  PredictionGrid grid(Inputs(33, 0.0, 2.0));
+  std::vector<double> xs, ys;
+  for (const double x : {1.0, 1.0, 0.5, 1.0, 1.5, 0.5}) {
+    xs.push_back(x);
+    ys.push_back(2.0 + x + 0.01 * static_cast<double>(xs.size()));
+    ASSERT_TRUE(gp.Fit(xs, ys).ok());
+    ExpectGridMatchesPredict(gp, grid);
+  }
+  EXPECT_EQ(grid.resets(), 1);
+}
+
 TEST(GpDeathTest, PredictBeforeFit) {
   GaussianProcess gp;
   EXPECT_DEATH((void)gp.Predict(0.0), "Predict before Fit");
+  PredictionGrid grid({0.0});
+  std::vector<Prediction> out;
+  EXPECT_DEATH(gp.Predict(grid, out), "Predict before Fit");
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 // Multi-worker simulation: equivalence with the symmetric single-timeline
-// model at zero jitter, and sane straggler behavior under noise.
+// model at zero jitter, sane straggler behavior under noise, and the
+// engine timing its 2W-stream graphs exactly as the reference engine does.
 #include "sched/multiworker.h"
 
 #include <gtest/gtest.h>
 
 #include "model/zoo.h"
+#include "sim/engine.h"
+#include "sim_reference.h"
+#include "sim_unroll.h"
 
 namespace dear::sched {
 namespace {
@@ -112,6 +116,32 @@ TEST(MultiWorkerTest, DeterministicPerSeed) {
   opts.seed = 2;
   const auto c = EvaluateMultiWorker(m, cluster, cfg, opts);
   EXPECT_NE(c.iter_time, a.iter_time);
+}
+
+TEST(MultiWorkerTest, World16GraphsMatchTheReferenceEngine) {
+  // 32 FIFO streams (a compute and a communication stream per worker) and
+  // no repetition: every task timed exactly as sim_reference.h times it,
+  // with and without straggler jitter.
+  const auto cluster = Cluster(16);
+  for (const auto& m :
+       {model::ByName("resnet50"), model::UniformTestModel(12, 200000)}) {
+    for (const auto kind : {PolicyKind::kWFBP, PolicyKind::kDDP,
+                            PolicyKind::kMGWFBP, PolicyKind::kDeAR}) {
+      for (const double sigma : {0.0, 0.3}) {
+        SCOPED_TRACE(m.name() + " " + PolicyName(kind) + " sigma " +
+                     std::to_string(sigma));
+        MultiWorkerOptions opts;
+        opts.jitter_sigma = sigma;
+        const auto g = BuildMultiWorkerGraph(m, cluster,
+                                             Config(kind, m, 1 << 20), opts);
+        ASSERT_EQ(g.repeats(), 1u);
+        const auto got = sim::Simulate(g, {});
+        const auto want = sim::ReferenceSimulate(g, {});
+        ASSERT_TRUE(got.ok() && want.ok());
+        sim::ExpectSameTimings(*got, *want);
+      }
+    }
+  }
 }
 
 TEST(MultiWorkerDeathTest, ByteSchedulerRejected) {

@@ -6,6 +6,7 @@
 
 #include "model/zoo.h"
 #include "sim/engine.h"
+#include "sim_reference.h"
 #include "sim_unroll.h"
 
 namespace dear::sched {
@@ -358,8 +359,9 @@ TEST(PoliciesTest, SingleWorkerCommIsFree) {
 }
 
 // A built graph stores one iteration and repeats it. Simulating it must
-// time every task exactly as its unrolled copy (repeats = 1) does, and
-// task(id) must report iteration id / period.
+// time every task exactly as its unrolled copy (repeats = 1) does, and as
+// the reference engine (sim_reference.h) does; task(id) must report
+// iteration id / period.
 void ExpectPeriodicMatchesUnrolled(const model::ModelSpec& m,
                                    const ClusterSpec& cluster,
                                    const PolicyConfig& cfg, int iterations) {
@@ -372,8 +374,10 @@ void ExpectPeriodicMatchesUnrolled(const model::ModelSpec& m,
               static_cast<int>(i / g.period()));
   const auto periodic = Simulate(g, built.stream_policies);
   const auto flat = Simulate(sim::Unroll(g), built.stream_policies);
-  ASSERT_TRUE(periodic.ok() && flat.ok());
+  const auto reference = sim::ReferenceSimulate(g, built.stream_policies);
+  ASSERT_TRUE(periodic.ok() && flat.ok() && reference.ok());
   sim::ExpectSameTimings(*periodic, *flat);
+  sim::ExpectSameTimings(*periodic, *reference);
 }
 
 /// The plan `dearsim compare` gives each policy.

@@ -1,11 +1,14 @@
 // Search strategies: EI acquisition math, BO convergence on synthetic
-// objectives, and the Fig. 10 claim that BO needs far fewer trials than
-// random/grid search.
+// objectives, the Fig. 10 claim that BO needs far fewer trials than
+// random/grid search, and BO's cached acquisition sweep suggesting exactly
+// what a sweep of uncached predictions suggests.
 #include "tune/search.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace dear::tune {
 namespace {
@@ -126,6 +129,79 @@ TEST(BoTest, TracksBestObservation) {
   EXPECT_DOUBLE_EQ(bo.best_y(), 9.0);
   EXPECT_EQ(bo.num_observations(), 3);
 }
+
+/// BO's next suggestion computed without the acquisition cache: a fresh
+/// GP fit and one Predict(x) per grid point.
+double UncachedSuggestion(double lo, double hi, const BoOptions& opts,
+                          const std::vector<double>& xs,
+                          const std::vector<double>& ys) {
+  const auto to_model = [&](double x) {
+    return opts.log_scale ? std::log(x) : x;
+  };
+  GpParams params;
+  params.length_scale = opts.length_scale_frac * (to_model(hi) - to_model(lo));
+  params.noise_variance = opts.noise_variance;
+  GaussianProcess gp(params);
+  std::vector<double> model_xs;
+  for (double x : xs) model_xs.push_back(to_model(x));
+  EXPECT_TRUE(gp.Fit(model_xs, ys).ok());
+  const double best = *std::max_element(ys.begin(), ys.end());
+  double spread = 0.0;
+  for (double y : ys) spread = std::max(spread, std::abs(y - best));
+  const double xi = opts.xi * (spread > 1e-12 ? spread : 1.0);
+  double best_score = -1e300;
+  double best_point = 0.5 * (lo + hi);
+  for (int i = 0; i < opts.acquisition_grid; ++i) {
+    const double x = lo + (hi - lo) * i / double(opts.acquisition_grid - 1);
+    const Prediction pred = gp.Predict(to_model(x));
+    const double score =
+        opts.acquisition == Acquisition::kUpperConfidenceBound
+            ? UpperConfidenceBound(pred, opts.kappa)
+            : ExpectedImprovement(pred, best, xi);
+    if (score > best_score) {
+      best_score = score;
+      best_point = x;
+    }
+  }
+  return best_point;
+}
+
+class CachedSweep
+    : public ::testing::TestWithParam<std::tuple<Acquisition, bool>> {};
+
+TEST_P(CachedSweep, SuggestsWhatAnUncachedSweepSuggests) {
+  const auto [acquisition, log_scale] = GetParam();
+  BoOptions opts;
+  opts.acquisition = acquisition;
+  opts.log_scale = log_scale;
+  opts.first_point = 25.0;
+  BayesianOptimizer bo(1.0, 100.0, opts);
+  std::vector<double> xs, ys;
+  // More trials than the cache's initial capacity, so it is rebuilt once
+  // on the way; a converged BO re-suggests points, so inputs repeat.
+  for (int t = 0; t < 24; ++t) {
+    const double x = bo.SuggestNext();
+    if (!xs.empty()) {
+      ASSERT_EQ(x, UncachedSuggestion(1.0, 100.0, opts, xs, ys))
+          << "trial " << t;
+    }
+    const double y = Objective(x) + 0.05 * std::sin(7.0 * x);
+    bo.Observe(x, y);
+    xs.push_back(x);
+    ys.push_back(y);
+  }
+  // Observing a point twice is a duplicate input the sweep must absorb.
+  bo.Observe(xs.back(), ys.back());
+  xs.push_back(xs.back());
+  ys.push_back(ys.back());
+  EXPECT_EQ(bo.SuggestNext(), UncachedSuggestion(1.0, 100.0, opts, xs, ys));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AcquisitionsAndScales, CachedSweep,
+    ::testing::Combine(::testing::Values(Acquisition::kExpectedImprovement,
+                                         Acquisition::kUpperConfidenceBound),
+                       ::testing::Bool()));
 
 TEST(UcbTest, BasicProperties) {
   EXPECT_DOUBLE_EQ(UpperConfidenceBound({3.0, 4.0}, 2.0), 7.0);

@@ -2,7 +2,7 @@
 // counted exactly through the shared counting operator new
 // (perflab/alloc_counter.h): Simulate allocates per graph, never per task,
 // a policy's graph allocates per period, never per iteration, and the
-// sweep's per-point prediction allocates nothing.
+// acquisition sweep over a sized grid allocates nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -95,7 +95,7 @@ TEST(SimAllocTest, BuildAndSimulateAllocationsDoNotGrowWithIterations) {
   }
 }
 
-TEST(SimAllocTest, PredictWithScratchAllocatesNothing) {
+TEST(SimAllocTest, GridPredictionAllocatesNothingOnceSized) {
   tune::GaussianProcess gp;
   std::vector<double> xs, ys;
   for (int i = 0; i < 10; ++i) {
@@ -103,25 +103,22 @@ TEST(SimAllocTest, PredictWithScratchAllocatesNothing) {
     ys.push_back(static_cast<double>((i * 7) % 5));
   }
   ASSERT_TRUE(gp.Fit(xs, ys).ok());
+  std::vector<double> inputs;
+  for (int i = 0; i < 256; ++i) inputs.push_back(i / 255.0);
+  tune::PredictionGrid grid(inputs);
+  std::vector<tune::Prediction> out;
+  gp.Predict(grid, out);  // sizes the cache and `out`
 
-  std::vector<double> scratch;
-  (void)gp.Predict(0.0, scratch);  // sizes the scratch buffer
+  // One more observation: the sweep extends the cache in place.
+  xs.push_back(0.95);
+  ys.push_back(2.0);
+  ASSERT_TRUE(gp.Fit(xs, ys).ok());
   const long before = perflab::ThreadAllocs();
-  double sum = 0.0;
-  for (int i = 0; i < 256; ++i) {
-    const auto p = gp.Predict(i / 255.0, scratch);
-    sum += p.mean + p.variance;
-  }
+  gp.Predict(grid, out);
   EXPECT_EQ(perflab::ThreadAllocs() - before, 0);
-  EXPECT_TRUE(sum == sum);  // keep the loop observable
-
-  // The scratch overload is the same computation, bit for bit.
-  for (double x : {-0.3, 0.05, 0.5, 0.77, 2.0}) {
-    const auto a = gp.Predict(x);
-    const auto b = gp.Predict(x, scratch);
-    EXPECT_EQ(a.mean, b.mean);
-    EXPECT_EQ(a.variance, b.variance);
-  }
+  double sum = 0.0;
+  for (const auto& p : out) sum += p.mean + p.variance;
+  EXPECT_TRUE(sum == sum);  // keep the sweep observable
 }
 
 /// Allocations of one SuggestNext over a `grid`-point sweep, after five

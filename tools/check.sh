@@ -2,12 +2,16 @@
 # Full local check: concurrency lint, plain build + ctest, then the same
 # suite under ThreadSanitizer and UndefinedBehaviorSanitizer (the runtime is
 # aggressively threaded — one comm thread per rank — so TSan is the check
-# that matters most here; UBSan guards the tag bit-packing and span math).
+# that matters most here; UBSan guards the tag bit-packing and span math),
+# and the simulator and tuner tests under AddressSanitizer + UBSan (the
+# engine's packed task refs and the acquisition cache's strided rows).
 #
 #   tools/check.sh             # lint + plain + perf gate/bars + tsan + ubsan
+#                              #   + asan/ubsan (simulator and tuner)
 #   tools/check.sh --quick     # lint + plain build + unit tests + short chaos
 #   tools/check.sh --no-tsan   # skip the TSan pass (e.g. unsupported host)
 #   tools/check.sh --no-ubsan  # skip the UBSan pass
+#   tools/check.sh --no-asan   # skip the ASan + UBSan pass
 #   tools/check.sh --no-bench  # skip the perf-lab gate and bars
 #
 # Test tiers are CTest LABELS (unit/integration/stress/fuzz/chaos); the full
@@ -23,6 +27,7 @@ cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 4)
 run_tsan=1
 run_ubsan=1
+run_asan=1
 run_bench=1
 quick=0
 for arg in "$@"; do
@@ -30,6 +35,7 @@ for arg in "$@"; do
     --quick) quick=1 ;;
     --no-tsan) run_tsan=0 ;;
     --no-ubsan) run_ubsan=0 ;;
+    --no-asan) run_asan=0 ;;
     --no-bench) run_bench=0 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
@@ -88,6 +94,16 @@ if [[ "$run_ubsan" == 1 ]]; then
   cmake --build build-ubsan -j "$jobs" >/dev/null
   DEAR_TIMEOUT_MULT="${DEAR_TIMEOUT_MULT:-2}" \
     ctest --test-dir build-ubsan --output-on-failure
+fi
+
+if [[ "$run_asan" == 1 ]]; then
+  echo "== address + undefined-behavior sanitizer build (simulator, tuner) =="
+  asan_tests=(engine_test policies_test multiworker_test runner_test
+              golden_sim_test gp_test search_test)
+  cmake -B build-asan -S . -DDEAR_SANITIZE=address,undefined >/dev/null
+  cmake --build build-asan -j "$jobs" --target "${asan_tests[@]}" >/dev/null
+  ctest --test-dir build-asan --output-on-failure \
+    -R "^($(IFS='|'; echo "${asan_tests[*]}"))\$"
 fi
 
 echo "OK"
