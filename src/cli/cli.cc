@@ -632,10 +632,9 @@ void FeedSimBackend(comm::CalibrationMonitor& monitor,
   }
 }
 
-/// Multi-size collective sweep on real in-process engines, `passes` times
-/// over the size ladder: the measured wall times feed the monitor through
-/// the CommEngine hook itself.
-void RunRuntimeSweep(int world, int passes) {
+/// Multi-size collective sweep on real in-process engines: the measured
+/// wall times feed the monitor through the CommEngine hook itself.
+void RunRuntimeSweep(int world) {
   comm::TransportHub hub(world);
   std::vector<std::unique_ptr<comm::CommEngine>> engines;
   engines.reserve(static_cast<std::size_t>(world));
@@ -644,8 +643,9 @@ void RunRuntimeSweep(int world, int passes) {
         std::make_unique<comm::CommEngine>(comm::Communicator(&hub, r)));
   }
   const bool pow2 = (world & (world - 1)) == 0;
-  // Element counts per rank: a geometric ladder per pass.
-  for (int pass = 0; pass < passes; ++pass) {
+  // Element counts per rank: geometric ladder, 3 passes each so every
+  // (shape, size) point is sampled more than once.
+  for (int pass = 0; pass < 3; ++pass) {
     for (std::size_t elems = 1024; elems <= 262144; elems *= 4) {
       const std::size_t n = elems * static_cast<std::size_t>(world);
       std::vector<std::vector<float>> buffers(
@@ -696,6 +696,7 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
 
   auto& monitor = comm::CalibrationMonitor::Get();
   double exposed_fraction = -1.0;
+  int resweeps = 0;  // fresh sweeps after a first fit with no usable shape
 
   if (backend == "sim") {
     monitor.Enable(*net, world);
@@ -705,8 +706,7 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
     auto& rt = telemetry::Runtime::Get();
     rt.Enable(world);
     monitor.Enable(*net, world);  // after telemetry: resolves its metrics
-    // Three passes, so every (shape, size) point is sampled more than once.
-    RunRuntimeSweep(world, 3);
+    RunRuntimeSweep(world);
     // A short training run on top of the raw sweep: samples the shapes a
     // real schedule uses, and its journal yields the pipeline-health share.
     auto& recorder = flightrec::Recorder::Get();
@@ -740,10 +740,9 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
     // streaming fit keeps those samples, so further passes do not wash them
     // out; instead re-arm the monitor, which drops every sample so far, and
     // sweep afresh, a bounded number of times, until some shape fits.
-    for (int retry = 0; retry < 4 && !monitor.calibrator().FitNetwork();
-         ++retry) {
+    for (; resweeps < 4 && !monitor.calibrator().FitNetwork(); ++resweeps) {
       monitor.Enable(*net, world);
-      RunRuntimeSweep(world, 3);
+      RunRuntimeSweep(world);
     }
     monitor.Disable();
     rt.Disable();
@@ -832,6 +831,13 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
                                s.shape);
       }
     }
+  }
+  if (resweeps > 0) {
+    report.notes.push_back(
+        "no shape fitted the first sweep and training run; fits, samples "
+        "and stragglers come from fresh collective sweep " +
+        std::to_string(resweeps) +
+        " alone, without the training run's collectives");
   }
   if (!stragglers.empty()) {
     report.notes.push_back(

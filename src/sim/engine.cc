@@ -259,6 +259,11 @@ StatusOr<SimResult> Simulate(
   dispatch_touched(0);
 
   for (;;) {
+    // The next event is the least over all stream slots, a branchless scan
+    // of O(streams) per event. It assumes few streams: against the binary
+    // heap it replaced it wins clearly at 2-3 streams (the single-timeline
+    // policies), breaks even at 64 (a world-32 multi-worker graph) and is
+    // ~25% slower per task at 128 (world 64).
     std::size_t s = 0;
     for (std::size_t k = 1; k < events.size(); ++k) {
       const Event& e = events[k];

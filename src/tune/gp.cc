@@ -50,11 +50,6 @@ std::vector<double> CholeskySolve(const std::vector<double>& chol,
   return b;
 }
 
-PredictionGrid::PredictionGrid(std::vector<double> inputs,
-                               std::size_t capacity)
-    : inputs_(std::move(inputs)),
-      capacity_(std::max<std::size_t>(capacity, 1)) {}
-
 double GaussianProcess::Kernel(double a, double b) const noexcept {
   const double d = (a - b) / params_.length_scale;
   return fitted_signal_ * std::exp(-0.5 * d * d);
@@ -134,43 +129,54 @@ void GaussianProcess::Predict(PredictionGrid& grid,
   const bool extends =
       grid.resets_ > 0 && grid.params_ == params_ && grid.xs_.size() <= n &&
       std::equal(grid.xs_.begin(), grid.xs_.end(), xs_.begin());
-  if (!extends || n > grid.capacity_) {
-    while (grid.capacity_ < n) grid.capacity_ *= 2;
-    grid.kstar_.assign(m * grid.capacity_, 0.0);
-    grid.solve_.assign(m * grid.capacity_, 0.0);
-    grid.vtv_.assign(m, 0.0);
+  if (!extends) {
     grid.params_ = params_;
     grid.xs_.clear();
-    grid.xs_.reserve(grid.capacity_);
+    grid.vtv_.assign(m, 0.0);
     ++grid.resets_;
   }
   const std::size_t cached = grid.xs_.size();
+  grid.kstar_.resize(n * m);
+  grid.solve_.resize(n * m);
+  const double* x = grid.inputs_.data();
+  double* vtv = grid.vtv_.data();
 
-  // The same arithmetic as Predict(x), in the same order, for rows
-  // [cached, n) only.
-  out.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const double x = grid.inputs_[i];
-    double* k = grid.kstar_.data() + i * grid.capacity_;
-    double* v = grid.solve_.data() + i * grid.capacity_;
-    double vtv = grid.vtv_[i];
-    for (std::size_t r = cached; r < n; ++r) {
-      k[r] = Kernel(x, xs_[r]);
-      double val = k[r];
-      for (std::size_t c = 0; c < r; ++c) val -= chol_[r * n + c] * v[c];
-      v[r] = val / chol_[r * n + r];
-      vtv += v[r] * v[r];
+  // The same arithmetic as Predict(x), in the same order for each input,
+  // one new row at a time for every input at once.
+  for (std::size_t r = cached; r < n; ++r) {
+    double* k = grid.kstar_.data() + r * m;
+    double* v = grid.solve_.data() + r * m;
+    for (std::size_t i = 0; i < m; ++i) {
+      k[i] = Kernel(x[i], xs_[r]);
+      v[i] = k[i];
     }
-    grid.vtv_[i] = vtv;
-
-    double mu = 0.0;
-    for (std::size_t r = 0; r < n; ++r) mu += k[r] * alpha_[r];
-    double variance = Kernel(x, x) - vtv;
-    if (variance < 0.0) variance = 0.0;
-    out[i] = {y_mean_ + y_scale_ * mu, y_scale_ * y_scale_ * variance};
+    for (std::size_t c = 0; c < r; ++c) {
+      const double l = chol_[r * n + c];
+      const double* vc = grid.solve_.data() + c * m;
+      for (std::size_t i = 0; i < m; ++i) v[i] -= l * vc[i];
+    }
+    const double diag = chol_[r * n + r];
+    for (std::size_t i = 0; i < m; ++i) {
+      v[i] /= diag;
+      vtv[i] += v[i] * v[i];
+    }
   }
   grid.xs_.insert(grid.xs_.end(),
                   xs_.begin() + static_cast<std::ptrdiff_t>(cached), xs_.end());
+
+  // Means against this fit's alpha, accumulated row by row in `out`.
+  out.assign(m, Prediction{});
+  for (std::size_t r = 0; r < n; ++r) {
+    const double a = alpha_[r];
+    const double* k = grid.kstar_.data() + r * m;
+    for (std::size_t i = 0; i < m; ++i) out[i].mean += k[i] * a;
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    double variance = Kernel(x[i], x[i]) - vtv[i];
+    if (variance < 0.0) variance = 0.0;
+    out[i] = {y_mean_ + y_scale_ * out[i].mean,
+              y_scale_ * y_scale_ * variance};
+  }
 }
 
 }  // namespace dear::tune

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -37,30 +38,27 @@ struct Prediction {
 /// the mean against the new alpha. Filled by GaussianProcess::Predict.
 class PredictionGrid {
  public:
-  /// `capacity`: observations cached before the cache resets with room
-  /// for twice as many.
-  explicit PredictionGrid(std::vector<double> inputs,
-                          std::size_t capacity = 16);
+  explicit PredictionGrid(std::vector<double> inputs)
+      : inputs_(std::move(inputs)) {}
 
   [[nodiscard]] const std::vector<double>& inputs() const noexcept {
     return inputs_;
   }
-  /// Times the cache was rebuilt from scratch: on first use, when a fit's
-  /// inputs or kernel do not extend the cached ones, and on outgrowing the
-  /// capacity.
+  /// Times the cache was rebuilt from scratch: on first use, and when a
+  /// fit's inputs or kernel do not extend the cached ones.
   [[nodiscard]] int resets() const noexcept { return resets_; }
 
  private:
   friend class GaussianProcess;
 
   std::vector<double> inputs_;
-  std::size_t capacity_;
   int resets_{0};
   // The fit the cache was solved against: kernel and observed inputs.
   GpParams params_;
   std::vector<double> xs_;
-  // Per input i, entries [i * capacity_, i * capacity_ + xs_.size()).
-  std::vector<double> kstar_;  // k(input, xs_[j])
+  // Observation-major: row r holds every input's entry for xs_[r], input i
+  // at [r * inputs_.size() + i], so a new observation appends one row.
+  std::vector<double> kstar_;  // k(input, xs_[r])
   std::vector<double> solve_;  // L^-1 k*
   std::vector<double> vtv_;    // per input: sum of solve_ squared, in order
 };
@@ -83,8 +81,8 @@ class GaussianProcess {
   [[nodiscard]] Prediction Predict(double x) const;
   /// The posterior at every input of `grid` into `out` (resized), each bit
   /// for bit Predict(grid.inputs()[i]), reusing what `grid` cached from
-  /// earlier fits whose inputs this fit's extend; once the grid and `out`
-  /// are sized, it allocates nothing. Precondition: fitted().
+  /// earlier fits whose inputs this fit's extend. Allocates only to grow
+  /// the cache by new observations' rows. Precondition: fitted().
   void Predict(PredictionGrid& grid, std::vector<Prediction>& out) const;
 
  private:

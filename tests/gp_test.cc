@@ -192,18 +192,17 @@ TEST(PredictionGridTest, AnotherKernelResetsTheCache) {
   EXPECT_EQ(grid.resets(), 2);
 }
 
-TEST(PredictionGridTest, OutgrowingTheCapacityResetsAndStaysExact) {
+TEST(PredictionGridTest, LongSequenceExtendsOneCacheExactly) {
   GaussianProcess gp;
-  PredictionGrid grid(Inputs(20, 0.0, 2.0), 2);
+  PredictionGrid grid(Inputs(20, 0.0, 2.0));
   std::vector<double> xs, ys;
-  for (int i = 0; i < 9; ++i) {
-    xs.push_back(0.21 * i);
+  for (int i = 0; i < 40; ++i) {
+    xs.push_back(std::fmod(0.21 * i, 2.0));
     ys.push_back(std::cos(3.0 * xs.back()));
     ASSERT_TRUE(gp.Fit(xs, ys).ok());
     ExpectGridMatchesPredict(gp, grid);
   }
-  // Built at 1 observation, rebuilt past 2, 4 and 8.
-  EXPECT_EQ(grid.resets(), 4);
+  EXPECT_EQ(grid.resets(), 1);
 }
 
 TEST(PredictionGridTest, DuplicateInputsMatchPredict) {

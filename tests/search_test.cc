@@ -177,8 +177,7 @@ TEST_P(CachedSweep, SuggestsWhatAnUncachedSweepSuggests) {
   opts.first_point = 25.0;
   BayesianOptimizer bo(1.0, 100.0, opts);
   std::vector<double> xs, ys;
-  // More trials than the cache's initial capacity, so it is rebuilt once
-  // on the way; a converged BO re-suggests points, so inputs repeat.
+  // Many trials: a converged BO re-suggests points, so inputs repeat.
   for (int t = 0; t < 24; ++t) {
     const double x = bo.SuggestNext();
     if (!xs.empty()) {

@@ -95,30 +95,44 @@ TEST(SimAllocTest, BuildAndSimulateAllocationsDoNotGrowWithIterations) {
   }
 }
 
-TEST(SimAllocTest, GridPredictionAllocatesNothingOnceSized) {
+/// Allocations of one cached grid sweep over `points` inputs: the sweep
+/// after `observations` observations (`extend`) or a second sweep of the
+/// same fit.
+long GridSweepAllocs(int points, int observations, bool extend) {
   tune::GaussianProcess gp;
   std::vector<double> xs, ys;
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < observations; ++i) {
     xs.push_back(0.1 * i);
     ys.push_back(static_cast<double>((i * 7) % 5));
   }
-  ASSERT_TRUE(gp.Fit(xs, ys).ok());
+  EXPECT_TRUE(gp.Fit(xs, ys).ok());
   std::vector<double> inputs;
-  for (int i = 0; i < 256; ++i) inputs.push_back(i / 255.0);
+  for (int i = 0; i < points; ++i) inputs.push_back(i / (points - 1.0));
   tune::PredictionGrid grid(inputs);
   std::vector<tune::Prediction> out;
-  gp.Predict(grid, out);  // sizes the cache and `out`
-
-  // One more observation: the sweep extends the cache in place.
-  xs.push_back(0.95);
-  ys.push_back(2.0);
-  ASSERT_TRUE(gp.Fit(xs, ys).ok());
+  gp.Predict(grid, out);  // builds the cache and sizes `out`
+  if (extend) {
+    xs.push_back(0.95);
+    ys.push_back(2.0);
+    EXPECT_TRUE(gp.Fit(xs, ys).ok());
+  }
   const long before = perflab::ThreadAllocs();
   gp.Predict(grid, out);
-  EXPECT_EQ(perflab::ThreadAllocs() - before, 0);
+  const long allocs = perflab::ThreadAllocs() - before;
   double sum = 0.0;
   for (const auto& p : out) sum += p.mean + p.variance;
   EXPECT_TRUE(sum == sum);  // keep the sweep observable
+  return allocs;
+}
+
+TEST(SimAllocTest, GridSweepAllocationsDoNotGrowWithTheGrid) {
+  // Re-sweeping the same fit allocates nothing.
+  EXPECT_EQ(GridSweepAllocs(256, 10, false), 0);
+  // One more observation appends a row to each cached array: at most one
+  // growth each (k*, the solve, the observed inputs), whatever the grid.
+  const long small = GridSweepAllocs(16, 10, true);
+  EXPECT_LE(small, 3);
+  EXPECT_EQ(GridSweepAllocs(4096, 10, true), small);
 }
 
 /// Allocations of one SuggestNext over a `grid`-point sweep, after five
