@@ -1,6 +1,11 @@
 #include "analysis/calib.h"
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+
+#include "analysis/timeline.h"
+#include "comm/types.h"  // header-only: kind and dtype values of the brackets
 
 namespace dear::analysis {
 namespace {
@@ -116,6 +121,23 @@ std::optional<LinearFit::Line> LinearFit::Fit(
   return line;
 }
 
+std::optional<LinearFit::Line> LinearFit::FitNonNegativeIntercept(
+    std::size_t min_samples) const noexcept {
+  auto line = Fit(min_samples);
+  if (!line || line->intercept >= 0.0) return line;
+  // Uncentered sums from the centered moments: the line through the
+  // origin minimizes Σ(y - s·x)² at s = Σxy / Σxx.
+  const double n = static_cast<double>(n_);
+  const double sum_xx = sxx_ + n * mean_x_ * mean_x_;
+  const double sum_xy = sxy_ + n * mean_x_ * mean_y_;
+  const double sum_yy = syy_ + n * mean_y_ * mean_y_;
+  line->intercept = 0.0;
+  line->slope = sum_xy / sum_xx;
+  const double sse = sum_yy - sum_xy * line->slope;
+  line->r2 = syy_ > 0.0 ? std::fmax(0.0, 1.0 - sse / syy_) : 1.0;
+  return line;
+}
+
 std::optional<AlphaBeta> AlphaBetaFromLine(
     CollectiveShape shape, int world, const LinearFit::Line& line) noexcept {
   const ShapeCoeffs c = ShapeCoefficients(shape, world);
@@ -130,122 +152,185 @@ std::optional<AlphaBeta> AlphaBetaFromLine(
   return ab;
 }
 
-Calibrator::Slot* Calibrator::FindOrClaim(CollectiveShape shape,
-                                          int world) noexcept {
-  // Fast path: bounded scan over already-claimed slots. `used_` is
-  // published with release after the slot's identity is written, so an
-  // acquire load here sees complete entries.
-  const std::size_t used = used_.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < used; ++i) {
-    Slot& s = slots_[i];
-    if (s.live.load(std::memory_order_acquire) && s.shape == shape &&
-        s.world == world) {
-      return &s;
-    }
+std::optional<CollectiveShape> ShapeOfKind(std::uint32_t kind) noexcept {
+  using comm::CollectiveKind;
+  if (kind >= static_cast<std::uint32_t>(comm::kNumCollectiveKinds))
+    return std::nullopt;
+  switch (static_cast<CollectiveKind>(kind)) {
+    case CollectiveKind::kRingReduceScatter:
+      return CollectiveShape::kReduceScatter;
+    case CollectiveKind::kRingAllGather:
+      return CollectiveShape::kAllGather;
+    case CollectiveKind::kRingAllReduce:
+      return CollectiveShape::kRingAllReduce;
+    case CollectiveKind::kTreeReduce:  // same line as the broadcast
+    case CollectiveKind::kTreeBroadcast:
+      return CollectiveShape::kTreeBroadcast;
+    case CollectiveKind::kTreeAllReduce:
+      return CollectiveShape::kTreeAllReduce;
+    case CollectiveKind::kDbtAllReduce:
+      return CollectiveShape::kDoubleBinaryTreeAllReduce;
+    case CollectiveKind::kRecursiveReduceScatter:
+      return CollectiveShape::kRecursiveHalvingReduceScatter;
+    case CollectiveKind::kRecursiveAllGather:
+      return CollectiveShape::kRecursiveDoublingAllGather;
+    case CollectiveKind::kRecursiveAllReduce:
+      return CollectiveShape::kRecursiveHalvingDoublingAllReduce;
+    case CollectiveKind::kBarrier:
+      return CollectiveShape::kBarrier;
+    case CollectiveKind::kHierReduceScatter:
+    case CollectiveKind::kHierAllGather:
+    case CollectiveKind::kHierAllReduce:
+    case CollectiveKind::kRingAllReduceSegmented:
+      return std::nullopt;
   }
-  // Slow path (once per distinct population): claim the next slot.
-  std::lock_guard<std::mutex> lock(claim_mutex_);
-  const std::size_t now_used = used_.load(std::memory_order_acquire);
-  for (std::size_t i = used; i < now_used; ++i) {
-    Slot& s = slots_[i];
-    if (s.live.load(std::memory_order_acquire) && s.shape == shape &&
-        s.world == world) {
-      return &s;
-    }
-  }
-  if (now_used >= kMaxSlots) return nullptr;
-  Slot& s = slots_[now_used];
-  s.shape = shape;
-  s.world = world;
-  s.live.store(true, std::memory_order_release);
-  used_.store(now_used + 1, std::memory_order_release);
-  return &s;
+  return std::nullopt;
 }
 
-void Calibrator::AddSample(CollectiveShape shape, int world, double bytes,
-                           double seconds) noexcept {
-  if (!std::isfinite(bytes) || !std::isfinite(seconds) || bytes < 0.0 ||
-      seconds < 0.0) {
-    return;
-  }
-  Slot* slot = FindOrClaim(shape, world);
-  if (slot == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  total_samples_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(slot->mutex);
-  slot->fit.Add(bytes, seconds);
-}
-
-std::vector<ShapeFit> Calibrator::FitAll(std::size_t min_samples) const {
-  std::vector<ShapeFit> out;
-  const std::size_t used = used_.load(std::memory_order_acquire);
-  out.reserve(used);
-  for (std::size_t i = 0; i < used; ++i) {
-    const Slot& s = slots_[i];
-    if (!s.live.load(std::memory_order_acquire)) continue;
-    LinearFit fit_copy;
-    {
-      std::lock_guard<std::mutex> lock(s.mutex);
-      fit_copy = s.fit;
+std::vector<CollectiveSample> CollectiveSamples(
+    const std::vector<std::vector<flightrec::Record>>& per_rank) {
+  std::vector<CollectiveSample> out;
+  for (std::size_t r = 0; r < per_rank.size(); ++r) {
+    for (const auto& c : PairScheduleRecords(per_rank[r]).collectives) {
+      const auto shape = ShapeOfKind(c.kind);
+      if (!shape || c.elems == 0xFFFFFFFFu ||
+          c.dtype >= static_cast<std::uint32_t>(comm::kNumDTypes)) {
+        continue;
+      }
+      out.push_back(
+          {static_cast<int>(r), *shape,
+           static_cast<double>(c.elems) *
+               static_cast<double>(
+                   comm::DTypeSize(static_cast<comm::DType>(c.dtype))),
+           static_cast<double>(c.span.length())});
     }
-    ShapeFit sf;
-    sf.shape = s.shape;
-    sf.world = s.world;
-    sf.samples = fit_copy.count();
-    const auto line = fit_copy.Fit(min_samples);
-    if (!line) {
-      sf.why = fit_copy.count() < min_samples
-                   ? "insufficient data: too few samples"
-                   : "insufficient data: no payload-size spread";
-      out.push_back(sf);
-      continue;
-    }
-    const auto ab = AlphaBetaFromLine(s.shape, s.world, *line);
-    if (!ab) {
-      sf.line = *line;
-      sf.why = ShapeCoefficients(s.shape, s.world).b <= 0.0
-                   ? "insufficient data: latency-only shape"
-                   : "insufficient data: non-physical fit";
-      out.push_back(sf);
-      continue;
-    }
-    sf.ok = true;
-    sf.line = *line;
-    sf.ab = *ab;
-    out.push_back(sf);
   }
   return out;
 }
 
-std::optional<AlphaBeta> Calibrator::FitNetwork(
-    std::size_t min_samples) const {
-  double weight = 0.0;
-  AlphaBeta pooled;
-  for (const ShapeFit& sf : FitAll(min_samples)) {
-    if (!sf.ok) continue;
-    const double w = static_cast<double>(sf.samples);
-    pooled.alpha_s += w * sf.ab.alpha_s;
-    pooled.beta_s_per_byte += w * sf.ab.beta_s_per_byte;
-    weight += w;
-  }
-  if (weight <= 0.0) return std::nullopt;
-  pooled.alpha_s /= weight;
-  pooled.beta_s_per_byte /= weight;
-  return pooled;
+double PredictedNs(CollectiveShape shape, int world, const AlphaBeta& net,
+                   double bytes) noexcept {
+  const ShapeCoeffs c = ShapeCoefficients(shape, world);
+  return (c.a * net.alpha_s + c.b * net.beta_s_per_byte * bytes) * 1e9;
 }
 
-void Calibrator::Reset() noexcept {
-  const std::size_t used = used_.load(std::memory_order_acquire);
-  for (std::size_t i = 0; i < used; ++i) {
-    std::lock_guard<std::mutex> lock(slots_[i].mutex);
-    slots_[i].fit.Reset();
-    slots_[i].live.store(false, std::memory_order_release);
+std::vector<std::uint64_t> Calibration::AnomaliesByRank() const {
+  std::vector<std::uint64_t> out;
+  for (const auto& cells : ranks) {
+    std::uint64_t n = 0;
+    for (const ResidualStats& cell : cells) n += cell.anomalies;
+    out.push_back(n);
   }
-  used_.store(0, std::memory_order_release);
-  total_samples_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
+  return out;
+}
+
+Calibration Calibrate(const std::vector<CollectiveSample>& samples,
+                      int world, const AlphaBeta& reference) {
+  Calibration out;
+  out.ranks.resize(static_cast<std::size_t>(std::max(world, 0)));
+  // Per (rank, shape): EWMA mean and deviation of the raw duration, the
+  // straggler band's state.
+  struct Band {
+    double mean_ns{0.0};
+    double dev_ns{0.0};
+  };
+  std::vector<std::array<Band, kShapeCount>> bands(out.ranks.size());
+  // Per shape: the fastest duration seen at each payload size.
+  std::array<std::map<double, double>, kShapeCount> fastest;
+  constexpr double w = kEwmaWeight;
+
+  for (const CollectiveSample& sample : samples) {
+    const auto s = static_cast<std::size_t>(sample.shape);
+    if (static_cast<unsigned>(sample.rank) >= out.ranks.size() ||
+        s >= kShapeCount || !std::isfinite(sample.bytes) ||
+        !std::isfinite(sample.ns) || sample.bytes < 0.0 || sample.ns < 0.0) {
+      continue;
+    }
+    ++out.samples;
+    auto [it, fresh] = fastest[s].try_emplace(sample.bytes, sample.ns);
+    if (!fresh) it->second = std::min(it->second, sample.ns);
+
+    ResidualStats& cell = out.ranks[static_cast<std::size_t>(sample.rank)][s];
+    Band& band = bands[static_cast<std::size_t>(sample.rank)][s];
+    const bool first = cell.samples == 0;
+    if (cell.samples >= static_cast<std::uint64_t>(kWarmupSamples) &&
+        sample.ns > band.mean_ns + kBandDeviations * band.dev_ns) {
+      ++cell.anomalies;
+    }
+    if (first) {
+      band.mean_ns = sample.ns;
+    } else {
+      band.dev_ns += w * (std::fabs(sample.ns - band.mean_ns) - band.dev_ns);
+      band.mean_ns += w * (sample.ns - band.mean_ns);
+    }
+    // Residual against the reference line; no ratio when the model
+    // predicts zero (a zero-byte payload on a latency-free shape).
+    const double predicted =
+        PredictedNs(sample.shape, world, reference, sample.bytes);
+    if (predicted > 0.0) {
+      const double ratio = sample.ns / predicted;
+      const double log_abs = std::fabs(std::log(ratio > 0.0 ? ratio : 1e-12));
+      cell.divergence =
+          first ? log_abs : cell.divergence + w * (log_abs - cell.divergence);
+      cell.mean_ratio =
+          first ? ratio : cell.mean_ratio + w * (ratio - cell.mean_ratio);
+    }
+    ++cell.samples;
+  }
+
+  double pooled_weight = 0.0;
+  AlphaBeta pooled;
+  for (std::size_t s = 0; s < kShapeCount; ++s) {
+    if (fastest[s].empty()) continue;
+    ShapeFit sf;
+    sf.shape = static_cast<CollectiveShape>(s);
+    sf.world = world;
+    for (const auto& cells : out.ranks) {
+      const ResidualStats& cell = cells[s];
+      const double n = static_cast<double>(cell.samples);
+      sf.residual.samples += cell.samples;
+      sf.residual.divergence += n * cell.divergence;
+      sf.residual.mean_ratio += n * cell.mean_ratio;
+      sf.residual.anomalies += cell.anomalies;
+    }
+    sf.samples = sf.residual.samples;
+    sf.residual.divergence /= static_cast<double>(sf.samples);
+    sf.residual.mean_ratio /= static_cast<double>(sf.samples);
+
+    LinearFit fit;
+    for (const auto& [bytes, ns] : fastest[s]) fit.Add(bytes, ns * 1e-9);
+    // Two sizes suffice once the population holds kMinSamples samples:
+    // each point is already a minimum over repetitions.
+    const auto line = sf.samples < LinearFit::kMinSamples
+                          ? std::nullopt
+                          : fit.FitNonNegativeIntercept(/*min_samples=*/2);
+    const auto ab =
+        line ? AlphaBetaFromLine(sf.shape, world, *line) : std::nullopt;
+    if (line) sf.line = *line;
+    if (!line) {
+      sf.why = sf.samples < LinearFit::kMinSamples
+                   ? "insufficient data: too few samples"
+                   : "insufficient data: no payload-size spread";
+    } else if (!ab) {
+      sf.why = ShapeCoefficients(sf.shape, world).b <= 0.0
+                   ? "insufficient data: latency-only shape"
+                   : "insufficient data: non-physical fit";
+    } else {
+      sf.ok = true;
+      sf.ab = *ab;
+      const double n = static_cast<double>(sf.samples);
+      pooled.alpha_s += n * ab->alpha_s;
+      pooled.beta_s_per_byte += n * ab->beta_s_per_byte;
+      pooled_weight += n;
+    }
+    out.shapes.push_back(sf);
+  }
+  if (pooled_weight > 0.0) {
+    pooled.alpha_s /= pooled_weight;
+    pooled.beta_s_per_byte /= pooled_weight;
+    out.network = pooled;
+  }
+  return out;
 }
 
 }  // namespace dear::analysis

@@ -1,34 +1,33 @@
-// Online α–β calibration: streaming least-squares fits of the Hockney model
-// from measured (bytes, seconds) collective samples.
+// Offline α–β calibration: least-squares fits of the Hockney model from
+// the collective brackets a run's flight-recorder journal already holds.
 //
 // The paper's pipelining argument (Eq. 3–5) assumes collective time is
 // t(d) = A·α + B·d·β with per-algorithm structure constants A and B (the
 // message count and the effective bytes-on-the-wire factor). This module
-// inverts that relationship: feed it measured completions per
-// (collective shape, world size) and it recovers the network's (α, β) —
-// the measured counterpart of comm::NetworkModel's hand-fitted presets,
-// and the input the ROADMAP-2 topology-aware algorithm selector needs.
+// inverts that relationship, the way the paper fits α and β on its testbed:
+// after a run, every top-level collective bracket (kCollectiveBegin/End,
+// comm/probe.h) becomes one (bytes, ns) sample of its shape, and the fit
+// recovers the network's (α, β) — the measured counterpart of
+// comm::NetworkModel's hand-fitted presets.
 //
-// Accumulation is Welford-style (centered second moments), so AddSample is
-// O(1), allocation-free, and numerically stable over long runs; the comm
-// engine calls it on every collective completion (see comm/calibration.h)
-// under the same <1%-of-smallest-collective budget the perf-lab row
-// doctor.overhead_pct enforces.
+// Nothing here runs while the collectives do: the bracket is the one
+// timing of a collective, and `dearsim doctor` / `dearsim profile` call
+// Calibrate on the journal snapshot they already take.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <vector>
+
+#include "flightrec/journal.h"
 
 namespace dear::analysis {
 
 /// Cost *shapes* — collective algorithms with distinct (A, B) structure
-/// constants in t = A·α + B·d·β. Values are stable: they appear in
-/// flightrec anomaly records and dear.doctor/1 reports.
+/// constants in t = A·α + B·d·β. Values are stable: reports and metric
+/// keys name them through ShapeName.
 enum class CollectiveShape : std::uint8_t {
   kReduceScatter = 0,         // ring RS,    Eq. 3
   kAllGather = 1,             // ring AG,    Eq. 4
@@ -57,16 +56,12 @@ struct ShapeCoeffs {
 [[nodiscard]] ShapeCoeffs ShapeCoefficients(CollectiveShape shape,
                                             int world) noexcept;
 
-/// Streaming simple linear regression y = intercept + slope·x using
-/// centered (Welford) accumulators. O(1) state, no allocation; not
-/// thread-safe (Calibrator guards each instance with a per-slot mutex).
+/// Simple linear regression y = intercept + slope·x using centered
+/// (Welford) accumulators. O(1) state, no allocation.
 class LinearFit {
  public:
   void Add(double x, double y) noexcept;
 
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean_x() const noexcept { return mean_x_; }
-  [[nodiscard]] double mean_y() const noexcept { return mean_y_; }
   /// True when at least two distinct x values have been seen — without
   /// that the slope is undetermined (e.g. every sample the same size, or
   /// all zero-byte barriers).
@@ -83,8 +78,11 @@ class LinearFit {
   /// data" — never a garbage fit).
   [[nodiscard]] std::optional<Line> Fit(
       std::size_t min_samples = kMinSamples) const noexcept;
-
-  void Reset() noexcept { *this = LinearFit{}; }
+  /// Fit() under intercept >= 0: when the free line's intercept is
+  /// negative, the least-squares line through the origin (r2 then
+  /// measured against the same mean as the free fit's).
+  [[nodiscard]] std::optional<Line> FitNonNegativeIntercept(
+      std::size_t min_samples = kMinSamples) const noexcept;
 
   static constexpr std::size_t kMinSamples = 3;
 
@@ -112,73 +110,95 @@ struct AlphaBeta {
 [[nodiscard]] std::optional<AlphaBeta> AlphaBetaFromLine(
     CollectiveShape shape, int world, const LinearFit::Line& line) noexcept;
 
-/// One (shape, world) population's fit outcome, for reports.
+/// The shape whose line prices a journaled collective of `kind` (a
+/// comm::CollectiveKind value), or nullopt when no single line does: the
+/// hierarchical pair and the segmented ring depend on parameters the
+/// bracket does not carry (ranks_per_node, segment size), and unknown
+/// values are not collectives at all.
+[[nodiscard]] std::optional<CollectiveShape> ShapeOfKind(
+    std::uint32_t kind) noexcept;
+
+/// One measured collective: `rank` moved `bytes` of wire payload through a
+/// collective of `shape` in `ns`.
+struct CollectiveSample {
+  int rank{0};
+  CollectiveShape shape{CollectiveShape::kReduceScatter};
+  double bytes{0.0};
+  double ns{0.0};
+};
+
+/// Every closed bracket of every rank's journal (index = rank, as
+/// flightrec::Recorder::SnapshotAll returns them) whose kind has a shape,
+/// as a sample: bytes = elems × the wire dtype's size, ns = the bracket's
+/// span. Rank-major, journal order within a rank. A damaged journal yields
+/// fewer samples, never wrong ones: an end without its begin (a wrapped
+/// lane), a begin without its end, an unknown kind or dtype, and a
+/// saturated element count (0xFFFFFFFF, the journal's clamp) are skipped.
+[[nodiscard]] std::vector<CollectiveSample> CollectiveSamples(
+    const std::vector<std::vector<flightrec::Record>>& per_rank);
+
+/// Model duration (ns) of `shape` moving `bytes` on `world` ranks over
+/// `net`: the straight line a·α + b·β·bytes.
+[[nodiscard]] double PredictedNs(CollectiveShape shape, int world,
+                                 const AlphaBeta& net, double bytes) noexcept;
+
+/// Model-vs-measured residual of one population: EWMA over its samples in
+/// order, with the straggler band below.
+struct ResidualStats {
+  std::uint64_t samples{0};
+  double divergence{0.0};  // EWMA |ln(measured/predicted)|, 0 = model exact
+  double mean_ratio{0.0};  // EWMA measured/predicted
+  std::uint64_t anomalies{0};  // samples above the EWMA straggler band
+};
+
+/// EWMA step for the duration and residual trackers.
+inline constexpr double kEwmaWeight = 0.125;
+/// A sample is anomalous when its duration exceeds the (rank, shape)
+/// population's EWMA mean + kBandDeviations · EWMA deviation...
+inline constexpr double kBandDeviations = 6.0;
+/// ...once that population has seen kWarmupSamples samples.
+inline constexpr int kWarmupSamples = 8;
+
+/// One shape's fit outcome and residuals (over every rank), for reports.
 struct ShapeFit {
   CollectiveShape shape{CollectiveShape::kReduceScatter};
   int world{0};
   std::size_t samples{0};
   bool ok{false};
   const char* why{""};  // static reason string when !ok
-  LinearFit::Line line;  // valid when ok
+  LinearFit::Line line;  // over the per-size minima; valid when ok
   AlphaBeta ab;          // valid when ok
+  ResidualStats residual;  // sample-weighted over ranks
 };
 
-/// Always-on streaming calibrator over a fixed slot table, one slot per
-/// observed (shape, world) pair.
+struct Calibration {
+  /// Every shape with at least one sample, in CollectiveShape order.
+  std::vector<ShapeFit> shapes;
+  /// Pooled network estimate: sample-count-weighted mean of every shape
+  /// that produced a valid (α, β); nullopt when none did.
+  std::optional<AlphaBeta> network;
+  std::uint64_t samples{0};  // samples calibrated (ranks in [0, world))
+  /// [rank][shape] residual cells, size = world.
+  std::vector<std::array<ResidualStats, kShapeCount>> ranks;
+  /// Anomalies per rank (the straggler ranking input), size = world.
+  [[nodiscard]] std::vector<std::uint64_t> AnomaliesByRank() const;
+};
+
+/// Fits (α, β) per shape from `samples` taken on `world` ranks and tracks
+/// each (rank, shape) population's residual against `reference`.
 ///
-/// Concurrency: AddSample is safe from any thread and allocation-free —
-/// slot lookup is a bounded scan over pre-claimed entries (published with
-/// release stores), and each slot's accumulator is guarded by its own
-/// mutex (a handful of double updates, nanoseconds of hold time). Samples
-/// arriving when all kMaxSlots are claimed are counted in dropped(), never
-/// blocked on.
-class Calibrator {
- public:
-  static constexpr std::size_t kMaxSlots = 64;
-
-  /// Records one measured collective: `bytes` of payload took `seconds`
-  /// on `world` ranks. Zero-byte samples are accepted (they simply never
-  /// produce spread, so a zero-byte-only population reports insufficient
-  /// data); non-finite or negative inputs are ignored.
-  void AddSample(CollectiveShape shape, int world, double bytes,
-                 double seconds) noexcept;
-
-  /// Fit of every claimed slot (including the insufficient-data ones,
-  /// with `ok == false` and a reason), ordered by claim time.
-  [[nodiscard]] std::vector<ShapeFit> FitAll(
-      std::size_t min_samples = LinearFit::kMinSamples) const;
-
-  /// Pooled network estimate: sample-count-weighted mean of every slot
-  /// that produced a valid (α, β). nullopt when no slot did.
-  [[nodiscard]] std::optional<AlphaBeta> FitNetwork(
-      std::size_t min_samples = LinearFit::kMinSamples) const;
-
-  [[nodiscard]] std::uint64_t total_samples() const noexcept {
-    return total_samples_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
-  /// NOT thread-safe: requires no concurrent AddSample.
-  void Reset() noexcept;
-
- private:
-  struct Slot {
-    std::atomic<bool> live{false};
-    CollectiveShape shape{CollectiveShape::kReduceScatter};
-    int world{0};
-    mutable std::mutex mutex;
-    LinearFit fit;
-  };
-
-  Slot* FindOrClaim(CollectiveShape shape, int world) noexcept;
-
-  std::array<Slot, kMaxSlots> slots_;
-  std::atomic<std::size_t> used_{0};
-  std::mutex claim_mutex_;
-  std::atomic<std::uint64_t> total_samples_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-};
+/// The fit is robust to scheduling delay: it keeps the minimum duration
+/// per (shape, bytes) and fits the line through those minima. A delay only
+/// ever adds time, so the minimum over repetitions drops it; a population
+/// needs LinearFit::kMinSamples samples over at least two sizes. α is a
+/// startup cost and cannot be negative, so the line is the least-squares
+/// one under intercept >= 0 (LinearFit::FitNonNegativeIntercept): a wire
+/// whose per-byte cost rises with size, like an in-process memcpy past
+/// the caches, bends the free line below the origin while α is ~0. Samples
+/// of ranks outside [0, world) or with negative or non-finite values are
+/// ignored.
+[[nodiscard]] Calibration Calibrate(
+    const std::vector<CollectiveSample>& samples, int world,
+    const AlphaBeta& reference);
 
 }  // namespace dear::analysis

@@ -265,7 +265,7 @@ ScheduleSpans PairScheduleRecords(
       case EventKind::kCollectiveEnd:
         if (open.empty()) break;
         out.collectives.push_back(
-            {open.back()->tag, open.back()->payload,
+            {open.back()->tag, open.back()->payload, rec.payload,
              {static_cast<SimTime>(open.back()->ts_ns), ts}});
         open.pop_back();
         break;

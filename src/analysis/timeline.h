@@ -115,6 +115,7 @@ struct ScheduleSpans {
   struct Collective {
     std::uint32_t kind{0};   // comm::CollectiveKind value (the record tag)
     std::uint32_t elems{0};  // the begin record's element count
+    std::uint32_t dtype{0};  // the end record's wire comm::DType (0 = f32)
     Interval span;
   };
   std::vector<Collective> collectives;  // closed brackets, in end order

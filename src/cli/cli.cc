@@ -13,7 +13,6 @@
 #include "check/checker.h"
 #include "flightrec/recorder.h"
 #include "comm/async.h"
-#include "comm/calibration.h"
 #include "comm/communicator.h"
 #include "comm/cost_model.h"
 #include "comm/transport.h"
@@ -341,6 +340,51 @@ void PrintQuantiles(std::ostream& out, const std::vector<double>& samples) {
     out << std::setw(10) << Percentile(samples, p);
 }
 
+/// Residual histogram edges: geometric ladder around ratio 1 covering
+/// 1/64x .. 64x model error at ~19% resolution.
+std::vector<double> ResidualEdges() {
+  return Histogram::ExponentialEdges(1.0 / 64.0, std::pow(2.0, 0.25), 48);
+}
+
+/// Fills each rank's comm.model.* metrics from the run's calibration: per
+/// shape a comm.model.residual.<shape> histogram of measured/predicted
+/// ratios and a comm.model.divergence.<shape> gauge (the EWMA), and one
+/// comm.model.anomalies counter. Every rank gets every shape's metrics,
+/// zero when the run had no such collective.
+void ExportModelMetrics(const analysis::Calibration& calib,
+                        const std::vector<analysis::CollectiveSample>& samples,
+                        int world, const analysis::AlphaBeta& reference,
+                        telemetry::Runtime& rt) {
+  using analysis::CollectiveShape;
+  const auto shape_metric = [](const char* family, std::size_t s) {
+    return std::string("comm.model.") + family + "." +
+           analysis::ShapeName(static_cast<CollectiveShape>(s));
+  };
+  for (int r = 0; r < world; ++r) {
+    telemetry::MetricsRegistry* reg = rt.rank_metrics(r);
+    if (reg == nullptr) continue;
+    const auto& cells = calib.ranks[static_cast<std::size_t>(r)];
+    std::uint64_t anomalies = 0;
+    for (std::size_t s = 0; s < analysis::kShapeCount; ++s) {
+      reg->GetHistogram(shape_metric("residual", s), ResidualEdges());
+      reg->GetGauge(shape_metric("divergence", s)).Set(cells[s].divergence);
+      anomalies += cells[s].anomalies;
+    }
+    reg->GetCounter("comm.model.anomalies")
+        .Add(static_cast<std::int64_t>(anomalies));
+  }
+  for (const auto& sample : samples) {
+    telemetry::MetricsRegistry* reg = rt.rank_metrics(sample.rank);
+    const double predicted = analysis::PredictedNs(sample.shape, world,
+                                                   reference, sample.bytes);
+    if (reg == nullptr || predicted <= 0.0) continue;
+    reg->GetHistogram(
+           shape_metric("residual", static_cast<std::size_t>(sample.shape)),
+           ResidualEdges())
+        .Observe(sample.ns / predicted);
+  }
+}
+
 int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
   const std::string model_name = flags.GetString("model");
   if (!KnownModel(model_name)) {
@@ -390,13 +434,8 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
   recorder.Reset();
   auto& rt = telemetry::Runtime::Get();
   rt.Enable(world);
-  // Model-vs-measured residual tracking rides along with every profile run
-  // (enabled after telemetry so its comm.model.* metrics resolve).
-  auto& monitor = comm::CalibrationMonitor::Get();
-  monitor.Enable(*net, world);
   core::TrainDistributed(dims, /*model_seed=*/7, data, iters, batch, world,
                          options);
-  monitor.Disable();
   rt.Disable();
 
   out << "profile: " << model_name << " proxy (";
@@ -409,6 +448,12 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
 
   const auto journal = recorder.SnapshotAll();
   const auto attribution = analysis::AttributeIterations(journal, world);
+  // Model-vs-measured residuals of every collective bracket against the
+  // --network reference, exported as the comm.model.* metrics.
+  const analysis::AlphaBeta reference{net->alpha_s, net->beta_s_per_byte};
+  const auto samples = analysis::CollectiveSamples(journal);
+  const auto calib = analysis::Calibrate(samples, world, reference);
+  ExportModelMetrics(calib, samples, world, reference, rt);
   // Which window of the run each rank's journal still holds. Once a writer
   // lane has wrapped, the per-collective table, iter_ms and the attribution
   // report below cover only that window.
@@ -536,20 +581,17 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
   // Model-vs-measured residuals: how far each collective's wall time sits
   // from the --network reference's Hockney prediction (the same numbers the
   // comm.model.residual.* histograms export).
-  {
-    const auto model_stats = monitor.Stats();
-    if (!model_stats.empty()) {
-      out << "\nmodel residual vs " << monitor.network().name
-          << " (divergence = EWMA |ln measured/predicted|):\n"
-          << "shape                    samples  divergence  mean-ratio  "
-             "anomalies\n";
-      for (const auto& s : model_stats) {
-        out << std::left << std::setw(24) << analysis::ShapeName(s.shape)
-            << std::right << std::setw(8) << s.samples << std::fixed
-            << std::setprecision(3) << std::setw(12) << s.divergence
-            << std::setw(12) << s.mean_ratio << std::setw(11) << s.anomalies
-            << "\n";
-      }
+  if (!calib.shapes.empty()) {
+    out << "\nmodel residual vs " << net->name
+        << " (divergence = EWMA |ln measured/predicted|):\n"
+        << "shape                    samples  divergence  mean-ratio  "
+           "anomalies\n";
+    for (const auto& s : calib.shapes) {
+      out << std::left << std::setw(24) << analysis::ShapeName(s.shape)
+          << std::right << std::setw(8) << s.residual.samples << std::fixed
+          << std::setprecision(3) << std::setw(12) << s.residual.divergence
+          << std::setw(12) << s.residual.mean_ratio << std::setw(11)
+          << s.residual.anomalies << "\n";
     }
   }
 
@@ -595,19 +637,22 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-/// Drives every monitorable collective shape through the CalibrationMonitor
-/// with CostModel-predicted durations over a geometric size ladder. This is
-/// a genuine selftest, not a tautology: the predictions come from
-/// cost_model.cc's formulas while the recovery inverts calib.h's
-/// ShapeCoefficients — any divergence between the two shows up as fit error.
-void FeedSimBackend(comm::CalibrationMonitor& monitor,
-                    const comm::CostModel& cost) {
+/// The sample list a run of every calibrated collective shape would
+/// journal if its durations were exactly CostModel's, over a geometric size
+/// ladder. This is a genuine selftest, not a tautology: the predictions
+/// come from cost_model.cc's formulas while the recovery inverts calib.h's
+/// ShapeCoefficients — any divergence between the two shows up as fit
+/// error.
+std::vector<analysis::CollectiveSample> SimBackendSamples(
+    const comm::CostModel& cost) {
   using analysis::CollectiveShape;
+  std::vector<analysis::CollectiveSample> samples;
   constexpr int kSizes = 7;
   for (int i = 0; i < kSizes; ++i) {
     const std::size_t bytes = std::size_t{65536} << i;  // 64 KiB .. 4 MiB
     const auto feed = [&](CollectiveShape shape, SimTime t) {
-      monitor.OnCollective(0, shape, bytes, static_cast<std::uint64_t>(t));
+      samples.push_back({0, shape, static_cast<double>(bytes),
+                         static_cast<double>(t)});
     };
     feed(CollectiveShape::kReduceScatter, cost.ReduceScatter(bytes));
     feed(CollectiveShape::kAllGather, cost.AllGather(bytes));
@@ -626,14 +671,14 @@ void FeedSimBackend(comm::CalibrationMonitor& monitor,
   // Zero-byte barriers: latency-only, so the fit must honestly report
   // "insufficient data" for this shape rather than invent a β.
   for (int i = 0; i < 3; ++i) {
-    monitor.OnCollective(
-        0, CollectiveShape::kBarrier, 0,
-        static_cast<std::uint64_t>(cost.NegotiationLatency()));
+    samples.push_back({0, CollectiveShape::kBarrier, 0.0,
+                       static_cast<double>(cost.NegotiationLatency())});
   }
+  return samples;
 }
 
-/// Multi-size collective sweep on real in-process engines: the measured
-/// wall times feed the monitor through the CommEngine hook itself.
+/// Multi-size collective sweep on real in-process engines: each collective
+/// leaves its bracket in the journal, which the fit reads afterwards.
 void RunRuntimeSweep(int world) {
   comm::TransportHub hub(world);
   std::vector<std::unique_ptr<comm::CommEngine>> engines;
@@ -665,17 +710,18 @@ void RunRuntimeSweep(int world) {
       }
       for (auto& h : handles) {
         const Status st = h.Wait();
-        (void)st;  // a failed collective simply contributes no sample
+        (void)st;  // the fit reads the brackets, not the statuses
       }
     }
   }
   for (auto& engine : engines) engine->Shutdown();
 }
 
-/// `dearsim doctor` — online α–β calibration health report: fits the
-/// network parameters from measured (or, with --backend sim, model-predicted)
-/// collective times, compares model vs measurement per shape, ranks
-/// stragglers, and emits a pass/warn/fail verdict. --json-out writes the
+/// `dearsim doctor` — α–β calibration health report: fits the network
+/// parameters offline from the journal's collective brackets (or, with
+/// --backend sim, from model-predicted collective times), compares model
+/// vs measurement per shape, ranks stragglers, and emits a pass/warn/fail
+/// verdict. --json-out writes the
 /// `dear.doctor/1` report, which --network accepts back as a fitted model.
 int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
   const std::string backend = flags.GetString("backend");
@@ -694,23 +740,20 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
     return 1;
   }
 
-  auto& monitor = comm::CalibrationMonitor::Get();
+  const analysis::AlphaBeta reference{net->alpha_s, net->beta_s_per_byte};
   double exposed_fraction = -1.0;
-  int resweeps = 0;  // fresh sweeps after a first fit with no usable shape
+  std::vector<analysis::CollectiveSample> samples;
 
   if (backend == "sim") {
-    monitor.Enable(*net, world);
-    FeedSimBackend(monitor, comm::CostModel(*net, world));
-    monitor.Disable();
+    samples = SimBackendSamples(comm::CostModel(*net, world));
   } else {
-    auto& rt = telemetry::Runtime::Get();
-    rt.Enable(world);
-    monitor.Enable(*net, world);  // after telemetry: resolves its metrics
-    RunRuntimeSweep(world);
-    // A short training run on top of the raw sweep: samples the shapes a
-    // real schedule uses, and its journal yields the pipeline-health share.
+    // Fresh journals: the raw sweep and a short training run on top of it
+    // (which samples the shapes a real schedule uses) leave one bracket per
+    // collective, and the training run's schedule records yield the
+    // pipeline-health share.
     auto& recorder = flightrec::Recorder::Get();
     recorder.Reset();
+    RunRuntimeSweep(world);
     {
       const auto m = model::ByName(flags.GetString("model"));
       const std::vector<int> dims = ProxyDims(m);
@@ -725,28 +768,19 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
       core::TrainDistributed(dims, /*model_seed=*/7, data, iters, batch,
                              world, options);
     }
+    const auto journal = recorder.SnapshotAll();
+    samples = analysis::CollectiveSamples(journal);
     // Fraction of iteration time the compute thread spent blocked on
     // collectives (0 = perfect overlap), worst rank.
-    const auto attribution =
-        analysis::AttributeIterations(recorder.SnapshotAll(), world);
+    const auto attribution = analysis::AttributeIterations(journal, world);
     for (const auto& rank : attribution.ranks) {
       if (rank.iter_ms > 0.0)
         exposed_fraction = std::max(
             exposed_fraction, (rank.iter_ms - rank.compute_ms) / rank.iter_ms);
     }
-    // On a CPU-starved host, scheduling delays of milliseconds land on a
-    // few microsecond-scale collectives and can tilt every shape's line to
-    // a non-physical fit (negative alpha or non-positive beta). The
-    // streaming fit keeps those samples, so further passes do not wash them
-    // out; instead re-arm the monitor, which drops every sample so far, and
-    // sweep afresh, a bounded number of times, until some shape fits.
-    for (; resweeps < 4 && !monitor.calibrator().FitNetwork(); ++resweeps) {
-      monitor.Enable(*net, world);
-      RunRuntimeSweep(world);
-    }
-    monitor.Disable();
-    rt.Disable();
   }
+  const analysis::Calibration calib =
+      analysis::Calibrate(samples, world, reference);
 
   // ---- Assemble the report ------------------------------------------------
   perflab::DoctorReport report;
@@ -756,10 +790,7 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
                       net->bound_beta_s_per_byte};
   report.exposed_comm_fraction = exposed_fraction;
 
-  const auto& calib = monitor.calibrator();
-  const auto fits = calib.FitAll();
-  const auto stats = monitor.Stats();
-  for (const auto& f : fits) {
+  for (const auto& f : calib.shapes) {
     perflab::DoctorShape s;
     s.shape = analysis::ShapeName(f.shape);
     s.world = f.world;
@@ -772,25 +803,21 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
     } else {
       s.why = f.why;
     }
-    for (const auto& st : stats) {
-      if (st.shape == f.shape) {
-        s.divergence = st.divergence;
-        s.mean_ratio = st.mean_ratio;
-        s.anomalies = st.anomalies;
-      }
-    }
+    s.divergence = f.residual.divergence;
+    s.mean_ratio = f.residual.mean_ratio;
+    s.anomalies = f.residual.anomalies;
     report.shapes.push_back(std::move(s));
   }
 
-  const auto pooled = calib.FitNetwork();
-  if (pooled) {
+  if (calib.network) {
     report.has_fit = true;
-    report.fitted = {std::string("fitted:") + net->name, pooled->alpha_s,
-                     pooled->beta_s_per_byte, net->bound_beta_s_per_byte};
-    report.fit_samples = calib.total_samples();
+    report.fitted = {std::string("fitted:") + net->name,
+                     calib.network->alpha_s, calib.network->beta_s_per_byte,
+                     net->bound_beta_s_per_byte};
+    report.fit_samples = calib.samples;
   }
 
-  const auto anomalies = monitor.AnomaliesByRank();
+  const auto anomalies = calib.AnomaliesByRank();
   std::vector<perflab::DoctorStraggler> stragglers;
   for (int r = 0; r < static_cast<int>(anomalies.size()); ++r) {
     if (anomalies[static_cast<std::size_t>(r)] > 0)
@@ -831,13 +858,6 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
                                s.shape);
       }
     }
-  }
-  if (resweeps > 0) {
-    report.notes.push_back(
-        "no shape fitted the first sweep and training run; fits, samples "
-        "and stragglers come from fresh collective sweep " +
-        std::to_string(resweeps) +
-        " alone, without the training run's collectives");
   }
   if (!stragglers.empty()) {
     report.notes.push_back(

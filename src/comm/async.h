@@ -154,10 +154,6 @@ class CommEngine {
                           GatherList sources = {});
   /// Runs one request's collective synchronously on the loop thread.
   Status Execute(const Request& req);
-  /// Execute plus the CalibrationMonitor model-vs-measured hook: brackets
-  /// the collective with the flight-recorder clock and feeds (shape, bytes,
-  /// duration) to the monitor. One branch when the monitor is disabled.
-  Status Monitored(const Request& req);
   static void Complete(const Request& req, Status st);
   void Loop();
 

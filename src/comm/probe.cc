@@ -11,8 +11,11 @@ thread_local int t_collective_depth = 0;
 }  // namespace
 
 CollectiveProbe::CollectiveProbe(int rank, CollectiveKind kind,
-                                 std::size_t elems) noexcept
-    : outermost_(t_collective_depth++ == 0), kind_(kind), rank_(rank) {
+                                 std::size_t elems, DType dtype) noexcept
+    : outermost_(t_collective_depth++ == 0),
+      kind_(kind),
+      dtype_(dtype),
+      rank_(rank) {
   if (!outermost_) return;
   flightrec::Recorder::Get().OnCollectiveBegin(
       rank, static_cast<std::uint16_t>(kind), elems);
@@ -30,8 +33,9 @@ CollectiveProbe::CollectiveProbe(int rank, CollectiveKind kind,
 CollectiveProbe::~CollectiveProbe() {
   --t_collective_depth;
   if (!outermost_) return;
-  flightrec::Recorder::Get().OnCollectiveEnd(rank_,
-                                             static_cast<std::uint16_t>(kind_));
+  flightrec::Recorder::Get().OnCollectiveEnd(
+      rank_, static_cast<std::uint16_t>(kind_),
+      static_cast<std::uint8_t>(dtype_));
   if (!checked_) return;
   check::Checker& checker = check::Checker::Get();
   checker.OnCollectiveEnd(rank_);

@@ -30,15 +30,19 @@ namespace dear::comm::probe {
 
 /// Brackets one collective. Only the outermost probe on a thread records
 /// (composites such as RingAllReduce = RS + AG count once, under their own
-/// kind): it journals kCollectiveBegin/End with the kind as tag and `elems`
-/// as payload, and feeds the checker ledger (which compares `elems` across
-/// ranks) and its epoch stamps when a checker session is live.
+/// kind): it journals kCollectiveBegin/End with the kind as tag, `elems` as
+/// the begin's payload and the wire `dtype` as the end's, and feeds the
+/// checker ledger (which compares `elems` across ranks) and its epoch
+/// stamps when a checker session is live. The bracket is the one timing of
+/// a collective: analysis::CollectiveSamples prices it as
+/// elems × DTypeSize(dtype) wire bytes over the bracket's span.
 class CollectiveProbe {
  public:
-  CollectiveProbe(int rank, CollectiveKind kind, std::size_t elems) noexcept;
+  CollectiveProbe(int rank, CollectiveKind kind, std::size_t elems,
+                  DType dtype = DType::kF32) noexcept;
   CollectiveProbe(const Communicator& comm, CollectiveKind kind,
                   std::size_t elems) noexcept
-      : CollectiveProbe(comm.global_rank(), kind, elems) {}
+      : CollectiveProbe(comm.global_rank(), kind, elems, comm.wire_dtype()) {}
   ~CollectiveProbe();
   CollectiveProbe(const CollectiveProbe&) = delete;
   CollectiveProbe& operator=(const CollectiveProbe&) = delete;
@@ -48,6 +52,7 @@ class CollectiveProbe {
   bool checked_{false};  // checker session live at begin
   bool epoch_stamped_{false};
   CollectiveKind kind_;
+  DType dtype_;
   int rank_;
   std::uint32_t begin_epoch_{0};
 };
@@ -86,13 +91,6 @@ void Group(int rank, int group, flightrec::EventKind kind,
 void EpochTransition(int detector, std::uint32_t epoch, int kind,
                      int subject, std::uint64_t live_mask);
 void EpochObserved(int rank, std::uint32_t epoch);
-
-/// Collective-duration anomaly from the calibration monitor's straggler
-/// band (`shape` = analysis::CollectiveShape value).
-inline void Anomaly(int rank, std::uint32_t shape,
-                    std::uint64_t duration_ns) noexcept {
-  flightrec::Recorder::Get().OnAnomaly(rank, shape, duration_ns);
-}
 
 /// TransportHub::Shutdown of a `world`-rank hub.
 inline void Shutdown(int world) noexcept {

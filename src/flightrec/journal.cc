@@ -69,7 +69,6 @@ const char* KindName(EventKind kind) noexcept {
     case EventKind::kAgComplete: return "ag-complete";
     case EventKind::kUnpack: return "unpack";
     case EventKind::kShutdown: return "shutdown";
-    case EventKind::kAnomaly: return "anomaly";
     case EventKind::kEpoch: return "epoch";
     case EventKind::kStaleDrop: return "stale-drop";
     case EventKind::kWaitBegin: return "wait-begin";

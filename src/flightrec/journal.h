@@ -57,15 +57,16 @@ enum class EventKind : std::uint16_t {
   kRecv = 2,             // transport dequeue; causal = matching send's ID
   kCollectiveBegin = 3,  // top-level collective entered (tag = comm::
                          // CollectiveKind, payload = element count)
-  kCollectiveEnd = 4,    // top-level collective left   (tag = CollectiveKind)
+  kCollectiveEnd = 4,    // top-level collective left   (tag = CollectiveKind,
+                         // payload = wire comm::DType, 0 = f32)
   kRsLaunch = 5,         // DistOptim group: OP1 submitted   (tag = group,
   kRsComplete = 6,       //                  OP1 waited       payload = op
   kAgLaunch = 7,         //                  OP2 submitted    sequence number
   kAgComplete = 8,       //                  OP2 waited       of the group's
   kUnpack = 9,           //                  group consumed   in-flight op)
   kShutdown = 10,        // TransportHub::Shutdown observed by this rank
-  kAnomaly = 11,         // collective duration outside its EWMA band
-                         // (tag = CollectiveShape, payload = duration ns)
+  // 11 is retired (the online calibration monitor's anomaly record);
+  // reserved so old dump files keep their meaning.
   kEpoch = 12,           // membership epoch event (tag = epoch; payload =
                          // TransitionKind:16 | subject+1:16, 0 = observed)
   kStaleDrop = 13,       // wrong-epoch message rejected (causal = dropped

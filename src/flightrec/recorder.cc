@@ -5,8 +5,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
+#include <string_view>
 
-#include "comm/types.h"  // header-only tag/kind decode for the dump text
+#include "comm/types.h"  // header-only tag/kind/dtype decode for the dump text
 
 namespace dear::flightrec {
 
@@ -114,12 +115,14 @@ void Recorder::OnCollectiveBegin(int rank, std::uint16_t kind,
   j->AppendTicked(rec);
 }
 
-void Recorder::OnCollectiveEnd(int rank, std::uint16_t kind) noexcept {
+void Recorder::OnCollectiveEnd(int rank, std::uint16_t kind,
+                               std::uint8_t dtype) noexcept {
   Journal* j = journal(rank);
   if (j == nullptr) return;
   Record rec;
   rec.ts_ns = detail::NowTicks();
   rec.tag = kind;
+  rec.payload = dtype;
   rec.kind = static_cast<std::uint16_t>(EventKind::kCollectiveEnd);
   j->AppendTicked(rec);
 }
@@ -133,20 +136,6 @@ void Recorder::OnGroupEvent(int rank, int group, EventKind kind,
   rec.tag = group >= 0 ? static_cast<std::uint32_t>(group) : 0;
   rec.payload = payload;
   rec.kind = static_cast<std::uint16_t>(kind);
-  j->AppendTicked(rec);
-}
-
-void Recorder::OnAnomaly(int rank, std::uint32_t shape,
-                         std::uint64_t duration_ns) noexcept {
-  Journal* j = journal(rank);
-  if (j == nullptr) return;
-  Record rec;
-  rec.ts_ns = detail::NowTicks();
-  rec.tag = shape;
-  rec.payload = duration_ns > 0xFFFFFFFFu
-                    ? 0xFFFFFFFFu
-                    : static_cast<std::uint32_t>(duration_ns);
-  rec.kind = static_cast<std::uint16_t>(EventKind::kAnomaly);
   j->AppendTicked(rec);
 }
 
@@ -207,11 +196,21 @@ std::string Recorder::DumpTail(std::size_t n) const {
           out += buf;
           break;
         case EventKind::kCollectiveBegin:
-        case EventKind::kCollectiveEnd:
           std::snprintf(buf, sizeof(buf), " %s (%u elems)",
                         comm::CollectiveKindName(rec.tag), rec.payload);
           out += buf;
           break;
+        case EventKind::kCollectiveEnd: {
+          const std::string_view dtype =
+              rec.payload < comm::kNumDTypes
+                  ? comm::DTypeName(static_cast<comm::DType>(rec.payload))
+                  : "unknown";
+          std::snprintf(buf, sizeof(buf), " %s (%.*s wire)",
+                        comm::CollectiveKindName(rec.tag),
+                        static_cast<int>(dtype.size()), dtype.data());
+          out += buf;
+          break;
+        }
         case EventKind::kRsLaunch:
         case EventKind::kRsComplete:
         case EventKind::kAgLaunch:
@@ -224,11 +223,6 @@ std::string Recorder::DumpTail(std::size_t n) const {
           break;
         case EventKind::kStepEnd:
           std::snprintf(buf, sizeof(buf), " step=%u", rec.payload);
-          out += buf;
-          break;
-        case EventKind::kAnomaly:
-          std::snprintf(buf, sizeof(buf), " shape=%u dur=%uns", rec.tag,
-                        rec.payload);
           out += buf;
           break;
         case EventKind::kEpoch: {

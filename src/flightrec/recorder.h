@@ -219,23 +219,19 @@ class Recorder {
   }
 
   /// Top-level collective bracket: tag = `kind` (a comm::CollectiveKind
-  /// value, named through comm::kCollectiveKindNames), payload = element
-  /// count.
+  /// value, named through comm::kCollectiveKindNames); the begin's payload
+  /// is the element count, the end's the wire dtype (a comm::DType value,
+  /// 0 = f32) the payloads travelled as.
   void OnCollectiveBegin(int rank, std::uint16_t kind,
                          std::size_t elems) noexcept;
-  void OnCollectiveEnd(int rank, std::uint16_t kind) noexcept;
+  void OnCollectiveEnd(int rank, std::uint16_t kind,
+                       std::uint8_t dtype) noexcept;
 
   /// DistOptim schedule record: a group transition (kRsLaunch..kUnpack,
   /// kWaitBegin; tag = group, payload = the group's in-flight op sequence
   /// number) or an iteration boundary (kStepEnd; payload = step index).
   void OnGroupEvent(int rank, int group, EventKind kind,
                     std::uint32_t payload = 0) noexcept;
-
-  /// Collective-duration anomaly flagged by the EWMA straggler detector
-  /// (comm::CalibrationMonitor): `shape` is the analysis::CollectiveShape
-  /// and `duration_ns` the outlier's measured duration (saturating).
-  void OnAnomaly(int rank, std::uint32_t shape,
-                 std::uint64_t duration_ns) noexcept;
 
   /// TransportHub::Shutdown: journals a kShutdown record on every rank of
   /// the hub and, when DEAR_FLIGHTREC_DUMP is set, writes the tail dump to

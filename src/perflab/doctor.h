@@ -3,7 +3,7 @@
 //
 // A DoctorReport captures one calibration run end to end: the reference
 // NetworkModel the measurements were compared against, the pooled (α, β)
-// the streaming calibrator recovered, the per-shape fit and divergence
+// the offline calibration recovered, the per-shape fit and divergence
 // table, the straggler ranking, and the pass/warn/fail verdict with its
 // reasons. The JSON form is the feed-forward artifact: `dearsim simulate
 // --network <report.json>` loads the fitted model back into the simulator,

@@ -4,7 +4,7 @@
 //
 //  * count    — an exact count per op over a warmed window (heap
 //               allocations through the counting operator new, journal
-//               records, hook loads, monitor samples).
+//               records, hook loads).
 //  * per-call — a tight loop of one hook alone, in ns/call.
 //  * A/B      — interleaved (a, b) pairs, the first pair discarded; the
 //               ratio of the two arms' 10th percentiles (best sustained

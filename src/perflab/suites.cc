@@ -9,9 +9,7 @@
 #include <span>
 #include <utility>
 
-#include "analysis/calib.h"
 #include "check/checker.h"
-#include "comm/calibration.h"
 #include "comm/collectives.h"
 #include "comm/cost_model.h"
 #include "comm/kernels.h"
@@ -147,22 +145,6 @@ std::int64_t CollectiveBegins(std::uint64_t since_ns) {
     }
   }
   return begins;
-}
-
-std::int64_t MonitorSamples() {
-  std::int64_t samples = 0;
-  for (const auto& shape : comm::CalibrationMonitor::Get().Stats()) {
-    samples += static_cast<std::int64_t>(shape.samples);
-  }
-  return samples;
-}
-
-/// One OnCollective sample: a 4 KiB ring all-reduce near its predicted
-/// time, jittered so the EWMA tracker does real update work every call.
-void MonitorSample(int i) {
-  comm::CalibrationMonitor::Get().OnCollective(
-      0, analysis::CollectiveShape::kRingAllReduce, 4096,
-      100'000 + static_cast<std::uint64_t>(i & 1023));
 }
 
 /// One recorded event on the hottest journal hook.
@@ -587,33 +569,6 @@ std::vector<Row> BuildRows() {
                                              SmallAllReduce);
                          }));
   rows.push_back(MakeRow(
-      Kind::kPerCall, "doctor.sample_ns", {}, "ns", kBoth,
-      [](const RowContext& c) -> Samples {
-        auto& monitor = comm::CalibrationMonitor::Get();
-        monitor.Enable(comm::NetworkModel::TenGbE(), 2);
-        auto ns = PerCallNs(c.repeats, 1'000'000, MonitorSample);
-        monitor.Disable();
-        return ns;
-      }));
-  rows.push_back(AllocRow("doctor.alloc_per_sample", {}, [](int repeats) {
-    auto& monitor = comm::CalibrationMonitor::Get();
-    monitor.Enable(comm::NetworkModel::TenGbE(), 2);
-    int i = 0;
-    auto allocs = AllocsPerOp(repeats, 1000, [&] { MonitorSample(i++); });
-    monitor.Disable();
-    return allocs;
-  }));
-  rows.push_back(MakeRow(
-      Kind::kCount, "doctor.samples_per_op", kSmallParams, "samples", kBoth,
-      [](const RowContext& c) -> Samples {
-        auto& monitor = comm::CalibrationMonitor::Get();
-        monitor.Enable(comm::NetworkModel::TenGbE(), 2);
-        auto samples =
-            CountPerOp(c.repeats, 4, MonitorSamples, SmallAllReduce);
-        monitor.Disable();
-        return samples;
-      }));
-  rows.push_back(MakeRow(
       Kind::kPerCall, "check.bracket_ns", {}, "ns", kBoth,
       [](const RowContext& c) -> Samples {
         check::Checker::Get().Disable();
@@ -694,10 +649,6 @@ std::vector<Row> BuildRows() {
                              "flightrec.event_ns",
                              "flightrec.records_per_op|kb=4|world=2",
                              small_op, 1.0));
-  rows.push_back(OverheadRow("doctor.overhead_pct", kSmallParams,
-                             "doctor.sample_ns",
-                             "doctor.samples_per_op|kb=4|world=2", small_op,
-                             1.0));
   rows.push_back(OverheadRow("check.overhead_pct", kSmallParams,
                              "check.bracket_ns",
                              "check.brackets_per_op|kb=4|world=2", small_op,

@@ -6,13 +6,17 @@
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
+#include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 
+#include "analysis/calib.h"
 #include "analysis/timeline.h"
 #include "common/stats.h"
 #include "flightrec/recorder.h"
 #include "perflab/doctor.h"
+#include "perflab/json.h"
 
 namespace dear::cli {
 namespace {
@@ -453,11 +457,68 @@ TEST(CliTest, ProfileWarnsOnceWhenThreadsOutnumberCores) {
       << over.err;
 }
 
+// The comm.model.* metrics and the residual table come from the run's
+// journal after it ends: every rank exports every shape's residual
+// histogram and divergence gauge plus its anomaly counter, and the table
+// lists the shapes DeAR's schedule ran, with the histograms' sample counts.
 TEST(CliTest, ProfileReportsModelResidual) {
+  const std::string metrics_path =
+      ::testing::TempDir() + "/cli_profile_model.json";
+  const std::string metrics_flag = "--metrics-out=" + metrics_path;
   const auto r = RunDearsim({"profile", "--model=alexnet", "--world=2",
-                             "--iters=2"});
+                             "--iters=2", metrics_flag.c_str()});
   EXPECT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("model residual"), std::string::npos) << r.out;
+  const auto at = r.out.find("model residual");
+  ASSERT_NE(at, std::string::npos) << r.out;
+  std::map<std::string, double> table;  // shape -> samples
+  std::istringstream rows(r.out.substr(at));
+  std::string line;
+  std::getline(rows, line);  // title
+  std::getline(rows, line);  // column header
+  while (std::getline(rows, line) && !line.empty()) {
+    std::istringstream cols(line);
+    std::string shape;
+    double samples = 0.0;
+    cols >> shape >> samples;
+    table[shape] = samples;
+  }
+  EXPECT_EQ(table.size(), 2u) << r.out;
+  EXPECT_GT(table["reduce_scatter"], 0.0) << r.out;
+  EXPECT_GT(table["all_gather"], 0.0) << r.out;
+
+  std::ifstream f(metrics_path);
+  ASSERT_TRUE(f.good());
+  const std::string text((std::istreambuf_iterator<char>(f)),
+                         std::istreambuf_iterator<char>());
+  const auto doc = perflab::Json::Parse(text);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  std::set<std::string> expected = {"comm.model.anomalies"};
+  for (std::size_t s = 0; s < analysis::kShapeCount; ++s) {
+    const std::string shape =
+        analysis::ShapeName(static_cast<analysis::CollectiveShape>(s));
+    expected.insert("comm.model.residual." + shape);
+    expected.insert("comm.model.divergence." + shape);
+  }
+  std::map<std::string, double> observed;  // residual histogram counts
+  for (const char* rank : {"rank0", "rank1"}) {
+    const perflab::Json* reg = doc->Get(rank);
+    ASSERT_NE(reg, nullptr) << rank;
+    std::set<std::string> names;
+    for (const char* family : {"counters", "gauges", "histograms"}) {
+      const perflab::Json* metrics = reg->Get(family);
+      ASSERT_NE(metrics, nullptr) << rank << " " << family;
+      for (const auto& [name, value] : metrics->members()) {
+        if (name.rfind("comm.model.", 0) != 0) continue;
+        names.insert(name);
+        if (std::string(family) == "histograms")
+          observed[name] += value.GetNumber("count");
+      }
+    }
+    EXPECT_EQ(names, expected) << rank;
+  }
+  for (const auto& [shape, samples] : table)
+    EXPECT_EQ(observed["comm.model.residual." + shape], samples) << shape;
+  std::remove(metrics_path.c_str());
 }
 
 TEST(CliTest, ProfileDtypeRoutesWireBytesToThatFormat) {

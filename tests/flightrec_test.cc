@@ -22,6 +22,7 @@
 
 #include "analysis/causal.h"
 #include "comm/collectives.h"
+#include "comm/probe.h"
 #include "comm/transport.h"
 #include "test_env.h"
 
@@ -350,6 +351,31 @@ TEST(RecorderTest, DumpTailNamesKindsPeersAndCausalIds) {
   EXPECT_NE(dump.find("send"), std::string::npos);
   EXPECT_NE(dump.find("recv"), std::string::npos);
   EXPECT_NE(dump.find("msg=0:"), std::string::npos);  // causal src:seq
+}
+
+TEST(RecorderTest, CollectiveEndCarriesTheWireDtype) {
+  auto& recorder = Recorder::Get();
+  recorder.Reset();
+  recorder.EnsureRanks(1);
+  {
+    comm::probe::CollectiveProbe f32(0, comm::CollectiveKind::kRingAllGather,
+                                     64);
+  }
+  {
+    comm::probe::CollectiveProbe f16(
+        0, comm::CollectiveKind::kRingReduceScatter, 64, comm::DType::kF16);
+  }
+  const auto records = recorder.SnapshotAll()[0];
+  ASSERT_EQ(records.size(), 4u);
+  // fp32 brackets are byte-identical to a journal without the field.
+  EXPECT_EQ(records[1].payload, 0u);
+  EXPECT_EQ(records[3].payload,
+            static_cast<std::uint32_t>(comm::DType::kF16));
+  const std::string dump = recorder.DumpTail(4);
+  EXPECT_NE(dump.find("ring_all_gather (f32 wire)"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find("ring_reduce_scatter (f16 wire)"), std::string::npos)
+      << dump;
 }
 
 TEST(RecorderTest, MaybeWriteDumpWritesTailFile) {

@@ -3,11 +3,12 @@
 # suite under ThreadSanitizer and UndefinedBehaviorSanitizer (the runtime is
 # aggressively threaded — one comm thread per rank — so TSan is the check
 # that matters most here; UBSan guards the tag bit-packing and span math),
-# and the simulator and tuner tests under AddressSanitizer + UBSan (the
-# engine's packed task refs and the acquisition cache's strided rows).
+# and the simulator, tuner and calibration tests under AddressSanitizer +
+# UBSan (the engine's packed task refs, the acquisition cache's strided
+# rows, the offline fit's reads of damaged journals).
 #
 #   tools/check.sh             # lint + plain + perf gate/bars + tsan + ubsan
-#                              #   + asan/ubsan (simulator and tuner)
+#                              #   + asan/ubsan (simulator, tuner, calib)
 #   tools/check.sh --quick     # lint + plain build + unit tests + short chaos
 #   tools/check.sh --no-tsan   # skip the TSan pass (e.g. unsupported host)
 #   tools/check.sh --no-ubsan  # skip the UBSan pass
@@ -57,9 +58,9 @@ if [[ "$quick" == 1 ]]; then
   DEAR_CHAOS_SCHEDULES="${DEAR_CHAOS_SCHEDULES:-2}" \
     ctest --test-dir build --output-on-failure -L chaos
   echo "== doctor selftest =="
-  # Model self-consistency: the sim backend feeds CostModel-predicted
-  # durations back through the monitor, so the fitted alpha-beta must
-  # recover the preset and the verdict must be "pass" (exit 0).
+  # Model self-consistency: the sim backend fits CostModel-predicted
+  # durations, so the fitted alpha-beta must recover the preset and the
+  # verdict must be "pass" (exit 0).
   ./build/tools/dearsim doctor --backend sim --world 16
   echo "OK (quick: unit label + short chaos budget + doctor selftest)"
   exit 0
@@ -97,9 +98,9 @@ if [[ "$run_ubsan" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== address + undefined-behavior sanitizer build (simulator, tuner) =="
+  echo "== address + undefined-behavior sanitizer build (simulator, tuner, calib) =="
   asan_tests=(engine_test policies_test multiworker_test runner_test
-              golden_sim_test gp_test search_test)
+              golden_sim_test gp_test search_test calib_test)
   cmake -B build-asan -S . -DDEAR_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j "$jobs" --target "${asan_tests[@]}" >/dev/null
   ctest --test-dir build-asan --output-on-failure \

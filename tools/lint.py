@@ -59,6 +59,13 @@ Rules (suppress one occurrence with `// lint: allow(<rule>)` on the line):
                       and attribution read them. A comm/ include under
                       src/telemetry is how per-collective metrics would
                       come back as a second count of the same calls.
+  comm-no-analysis    (src/comm only) The comm runtime records; analysis
+                      reads the record afterwards. Collectives are timed
+                      once, by their journal bracket (comm/probe.h), and
+                      the α–β fit runs offline over a journal snapshot
+                      (analysis::Calibrate). An analysis/ include under
+                      src/comm is how an online second timing of the same
+                      collectives would come back.
   optim-journal-only  (src/core/dist_optim.* and src/core/trainer.*)
                       DistOptim's timing is the journal's: waits, iteration
                       times and the exposed-comm share are derived from its
@@ -225,6 +232,12 @@ TELEMETRY_DIR = "src/telemetry/"
 # Matched against the raw line (the stripper blanks the include's path).
 COMM_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"comm/')
 
+# Directory that must not see the analysis layer: it writes the journal
+# that analysis reads after the run.
+COMM_DIR = "src/comm/"
+# Matched against the raw line (the stripper blanks the include's path).
+ANALYSIS_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"analysis/')
+
 # Files whose timing must come from the journal alone: no telemetry, no
 # clock reads of their own.
 OPTIM_JOURNAL_ONLY_RE = re.compile(r"src/core/(?:dist_optim|trainer)\.[^/]*$")
@@ -386,6 +399,17 @@ class Linter:
                         "read them back with analysis::PairScheduleRecords",
                         raw_line(i))
 
+        # Rule: comm-no-analysis (comm only).
+        if COMM_DIR in norm:
+            for i in range(len(lines)):
+                if ANALYSIS_INCLUDE_RE.search(raw_line(i)):
+                    self.report(
+                        path, i + 1, "comm-no-analysis",
+                        "analysis/ include in comm — collectives are timed "
+                        "once, by their journal bracket; fit them offline "
+                        "from a journal snapshot (analysis::Calibrate)",
+                        raw_line(i))
+
         # Rule: optim-journal-only (DistOptim and the training loop).
         if OPTIM_JOURNAL_ONLY_RE.search(norm):
             for i, line in enumerate(lines):
@@ -436,6 +460,8 @@ def collect_files(root, explicit):
 
 
 SELFTEST_SOURCE = """\
+#include "analysis/calib.h"  // finding: comm-no-analysis
+#include "analysis/timeline.h"  // suppressed: lint: allow(comm-no-analysis)
 using namespace std;  // finding: using-namespace-in-header
 struct Bad {
   std::mutex mutex_;
@@ -505,6 +531,7 @@ SELFTEST_EXPECT = {
     "single-alloc-counter": 1,
     "optim-journal-only": 4,  # the fifth is suppressed
     "telemetry-no-collectives": 1,  # the second is suppressed
+    "comm-no-analysis": 1,  # the second is suppressed
 }
 
 
@@ -514,7 +541,7 @@ def selftest():
     import tempfile
 
     # Each snippet lives where its path-scoped rules apply: src/comm/ for
-    # the transport rules, src/core/trainer.cc for optim-journal-only,
+    # the transport rules and comm-no-analysis, src/core/trainer.cc for optim-journal-only,
     # src/telemetry/ for telemetry-no-collectives.
     with tempfile.TemporaryDirectory() as tmpdir:
         linter = Linter()
