@@ -21,11 +21,17 @@ namespace dear::perflab {
 
 namespace internal {
 inline thread_local std::int64_t t_allocs = 0;
+inline thread_local std::int64_t t_alloc_bytes = 0;
 }  // namespace internal
 
 /// Allocations the calling thread has made through the counting
 /// operator new (always 0 in a binary that does not link it).
 inline std::int64_t ThreadAllocs() noexcept { return internal::t_allocs; }
+
+/// Bytes those allocations asked for.
+inline std::int64_t ThreadAllocBytes() noexcept {
+  return internal::t_alloc_bytes;
+}
 
 /// True when the counting operator new is linked in: one probe
 /// allocation must register on this thread's count.

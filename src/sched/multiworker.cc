@@ -264,27 +264,10 @@ RunResult EvaluateMultiWorker(const model::ModelSpec& model,
     auto& end = iter_end[static_cast<std::size_t>(task.iteration)];
     end = std::max(end, sim->timings[i].end);
   }
-  SimTime total = 0;
-  int gaps = 0;
-  for (int i = options.warmup + 1; i < options.iterations; ++i) {
-    total += iter_end[static_cast<std::size_t>(i)] -
-             iter_end[static_cast<std::size_t>(i - 1)];
-    ++gaps;
-  }
-
-  RunResult result;
-  result.iter_time = total / gaps;
-  result.breakdown.ff = model.total_ff_time();
-  result.breakdown.bp = model.total_bp_time();
-  result.breakdown.comm_exposed = std::max<SimTime>(
-      0, result.iter_time - result.breakdown.ff - result.breakdown.bp);
-  result.throughput_samples_per_s = cluster.world_size * model.batch_size() /
-                                    ToSeconds(result.iter_time);
-  result.speedup_vs_single_gpu =
-      cluster.world_size *
-      ToSeconds(model.total_ff_time() + model.total_bp_time()) /
-      ToSeconds(result.iter_time);
-  return result;
+  const auto last = static_cast<std::size_t>(options.iterations - 1);
+  const auto warm = static_cast<std::size_t>(options.warmup);
+  return SteadyState(model, cluster, iter_end[last] - iter_end[warm],
+                     options.iterations - 1 - options.warmup);
 }
 
 }  // namespace dear::sched

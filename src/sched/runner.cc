@@ -12,30 +12,22 @@ RunResult EvaluatePolicy(const model::ModelSpec& model,
                          const RunOptions& options) {
   DEAR_CHECK(options.iterations > options.warmup + 1);
   BuiltGraph built = BuildTaskGraph(model, cluster, config, options.iterations);
-  auto sim = sim::Simulate(built.graph, built.stream_policies);
-  DEAR_CHECK_MSG(sim.ok(), sim.status().ToString());
+  // Iteration i is the graph's i-th repetition, and it completes when its
+  // last task (over both streams) finishes.
+  auto ends =
+      sim::SimulateRepetitionEnds(built.graph, built.stream_policies);
+  DEAR_CHECK_MSG(ends.ok(), ends.status().ToString());
+  const auto last = static_cast<std::size_t>(options.iterations - 1);
+  const auto warm = static_cast<std::size_t>(options.warmup);
+  return SteadyState(model, cluster, (*ends)[last] - (*ends)[warm],
+                     options.iterations - 1 - options.warmup);
+}
 
-  // Steady-state iteration time: average gap between successive iteration
-  // completion times after warmup. An iteration "completes" when its last
-  // task (over both streams) finishes; iteration i is the graph's i-th
-  // period.
-  std::vector<SimTime> iter_end(static_cast<std::size_t>(options.iterations),
-                                0);
-  const std::size_t period = built.graph.period();
-  for (std::size_t i = 0, k = 0; i < iter_end.size(); ++i)
-    for (const std::size_t end = k + period; k < end; ++k)
-      iter_end[i] = std::max(iter_end[i], sim->timings[k].end);
-  SimTime total_gap = 0;
-  int gaps = 0;
-  for (int i = options.warmup + 1; i < options.iterations; ++i) {
-    total_gap += iter_end[static_cast<std::size_t>(i)] -
-                 iter_end[static_cast<std::size_t>(i - 1)];
-    ++gaps;
-  }
+RunResult SteadyState(const model::ModelSpec& model,
+                      const ClusterSpec& cluster, SimTime span, int gaps) {
   DEAR_CHECK(gaps > 0);
-
   RunResult result;
-  result.iter_time = total_gap / gaps;
+  result.iter_time = span / gaps;
   result.breakdown.ff = model.total_ff_time();
   result.breakdown.bp = model.total_bp_time();
   result.breakdown.comm_exposed = std::max<SimTime>(

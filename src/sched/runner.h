@@ -26,12 +26,21 @@ struct RunOptions {
 };
 
 /// Builds the policy's task graph, simulates it, and extracts steady-state
-/// per-iteration metrics. CHECK-fails on simulation errors (malformed
-/// graphs indicate policy bugs, not runtime conditions).
+/// per-iteration metrics: the mean gap between successive iteration ends
+/// after `warmup`. The simulation stops once the schedule repeats
+/// (sim::SimulateRepetitionEnds); the result is the full horizon's, bit
+/// for bit. CHECK-fails on simulation errors (malformed graphs indicate
+/// policy bugs, not runtime conditions).
 RunResult EvaluatePolicy(const model::ModelSpec& model,
                          const ClusterSpec& cluster,
                          const PolicyConfig& config,
                          const RunOptions& options = {});
+
+/// Steady-state metrics of a run whose iterations after warmup took `span`
+/// over `gaps` iteration gaps: the mean gap is the iteration time (integer
+/// division), and the rest follows from it.
+RunResult SteadyState(const model::ModelSpec& model,
+                      const ClusterSpec& cluster, SimTime span, int gaps);
 
 /// Eq. 6: the theoretical maximum speedup of any overlap-based scheduler on
 /// this model/cluster, using the bandwidth-bound all-reduce time

@@ -6,6 +6,7 @@
 // tasks is ready.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "common/status.h"
@@ -32,5 +33,37 @@ struct SimResult {
 /// unexecuted.
 StatusOr<SimResult> Simulate(const TaskGraph& graph,
                              const std::vector<StreamPolicy>& stream_policies);
+
+/// When each repetition of a graph ended: the latest end among its tasks
+/// (0 for a repetition whose tasks all end at 0). Repetitions [0,
+/// head.size()) and the last tail.size() ones were simulated; the
+/// `skipped` ones between them were not, and each ends `period` after the
+/// one before it.
+struct RepetitionEnds {
+  std::vector<SimTime> head;
+  std::size_t skipped{0};
+  SimTime period{0};
+  std::vector<SimTime> tail;
+
+  /// The graph's repeats().
+  [[nodiscard]] std::size_t size() const noexcept {
+    return head.size() + skipped + tail.size();
+  }
+  [[nodiscard]] SimTime operator[](std::size_t rep) const;
+};
+
+/// Each repetition's end, equal to SimulateRepetitionEndsFullHorizon's on
+/// every graph, but simulated only until the schedule provably repeats: at
+/// the first repetition boundary whose engine state is the previous
+/// boundary's shifted by one repetition, the run jumps to the last boundary
+/// and simulates the tail from there (DESIGN.md §4.8). Falls back to the
+/// full horizon when no state repeats. Errors are Simulate's.
+StatusOr<RepetitionEnds> SimulateRepetitionEnds(
+    const TaskGraph& graph, const std::vector<StreamPolicy>& stream_policies);
+
+/// The fallback: each repetition's end, every repetition simulated
+/// (`skipped` is 0).
+StatusOr<RepetitionEnds> SimulateRepetitionEndsFullHorizon(
+    const TaskGraph& graph, const std::vector<StreamPolicy>& stream_policies);
 
 }  // namespace dear::sim

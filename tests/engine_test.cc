@@ -1,6 +1,7 @@
 // Discrete-event engine: dependency semantics, stream serialization, FIFO
-// vs priority dispatch, determinism, malformed-graph rejection, and
-// bit-for-bit agreement with the reference engine.
+// vs priority dispatch, determinism, malformed-graph rejection, bit-for-bit
+// agreement with the reference engine, and per-repetition ends with and
+// without the early stop at a repeated state.
 #include "sim/engine.h"
 
 #include <gtest/gtest.h>
@@ -8,7 +9,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -570,6 +573,165 @@ TEST(EngineTest, NanPriorityIsRejectedOnPriorityStreams) {
   ASSERT_TRUE(fifo.ok() && want.ok());
   ExpectSameTimings(*fifo, *want);
   EXPECT_EQ(fifo->makespan, 20);
+}
+
+// Per-repetition ends: SimulateRepetitionEnds (early stop) and its fallback
+// against the reference engine's timings.
+
+/// Each repetition's end from the reference engine's per-task timings.
+std::vector<SimTime> ReferenceEnds(const TaskGraph& g,
+                                   const std::vector<StreamPolicy>& policies) {
+  const auto r = ReferenceSimulate(g, policies);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  std::vector<SimTime> ends(g.repeats(), 0);
+  if (!r.ok()) return ends;
+  for (std::size_t i = 0; i < g.size(); ++i) {
+    SimTime& end = ends[i / g.period()];
+    end = std::max(end, r->timings[i].end);
+  }
+  return ends;
+}
+
+/// Both functions return the reference's ends; returns the early path's
+/// skipped count.
+std::size_t ExpectReferenceEnds(const TaskGraph& g,
+                                const std::vector<StreamPolicy>& policies) {
+  const std::vector<SimTime> want = ReferenceEnds(g, policies);
+  const auto early = SimulateRepetitionEnds(g, policies);
+  const auto full = SimulateRepetitionEndsFullHorizon(g, policies);
+  EXPECT_TRUE(early.ok()) << early.status().ToString();
+  EXPECT_TRUE(full.ok()) << full.status().ToString();
+  if (!early.ok() || !full.ok()) return 0;
+  EXPECT_EQ(early->size(), want.size());
+  EXPECT_EQ(full->size(), want.size());
+  EXPECT_EQ(full->skipped, 0u);
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ((*early)[r], want[r]) << "repetition " << r;
+    EXPECT_EQ((*full)[r], want[r]) << "repetition " << r;
+  }
+  return early->skipped;
+}
+
+// Seeded random periodic DAGs that try to break the state-repeat argument:
+// FIFO and priority streams, priorities that tie (negatives and both signed
+// zeros), zero durations, carried deps that point forward. Half the graphs
+// are gated (every task without in-period deps waits on the previous
+// repetition), so the early path can apply; the others may leave tasks of
+// every repetition ready at t = 0, which forces the fallback. Every
+// repetition's end must equal the reference engine's, and both paths must
+// occur.
+TEST(RepetitionEndsTest, RandomDagsMatchTheReferenceEngine) {
+  constexpr SimTime kDurations[] = {0, 3, 5, 5, 10, 17};
+  constexpr double kPriorities[] = {-2.0, -0.0, 0.0, 1.0, 1.0, 3.5};
+  constexpr int kRepeats[] = {3, 5, 8, 13, 20};
+  int early = 0, fallback = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    std::cout << "RandomDagsMatchTheReferenceEngine seed " << seed
+              << std::endl;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::uint64_t state = seed * 0xD1B54A32D192ED03ULL + 11;
+    auto next = [&]() {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      return static_cast<std::uint32_t>(state >> 33);
+    };
+    const bool gated = seed % 2 == 0;
+    const int streams = 1 + static_cast<int>(next() % 4);
+    const int n = 4 + static_cast<int>(next() % 40);
+    TaskGraph g;
+    std::vector<TaskId> deps;
+    std::vector<bool> has_deps(static_cast<std::size_t>(n), false);
+    for (int i = 0; i < n; ++i) {
+      Task t;
+      t.stream = static_cast<std::int16_t>(next() % streams);
+      t.duration = kDurations[next() % 6];
+      t.priority = kPriorities[next() % 6];
+      for (int d = 0; d < std::min(i, 3); ++d)
+        if (next() % 3 == 0) deps.push_back(static_cast<TaskId>(next() % i));
+      has_deps[static_cast<std::size_t>(i)] = !deps.empty();
+      g.Add(t, deps);
+      deps.clear();
+    }
+    for (int i = 0; i < n; ++i) {
+      for (int d = 0; d < 2; ++d)
+        if (next() % 4 == 0) deps.push_back(static_cast<TaskId>(next() % n));
+      if (gated && deps.empty() && !has_deps[static_cast<std::size_t>(i)])
+        deps.push_back(static_cast<TaskId>(next() % n));
+      if (!deps.empty()) g.SetCarried(i, deps);
+      deps.clear();
+    }
+    g.Repeat(kRepeats[next() % 5]);
+    std::vector<StreamPolicy> policies;
+    for (int s = 0; s < streams; ++s)
+      policies.push_back(next() % 2 ? StreamPolicy::kPriority
+                                    : StreamPolicy::kFifoByReady);
+    (ExpectReferenceEnds(g, policies) > 0 ? early : fallback) += 1;
+  }
+  std::cout << "early path " << early << ", fallback " << fallback
+            << std::endl;
+  EXPECT_GT(early, 0);
+  EXPECT_GT(fallback, 0);
+}
+
+// A period whose last repetition is not the interior ones shifted. Stream 0
+// chains A (10); B (6, stream 1) waits on A, D (8, stream 2) on B and C (3,
+// stream 1) on D. C becomes ready after the next repetition's B, which
+// therefore runs first and delays it; the last repetition has no next B,
+// so its C, and its end, come earlier than the interior period predicts. A
+// run cut short at any horizon shows the same short last gap, so a check
+// of a truncated run's timings would misread the period. The early path
+// must find the repeat from the engine state and still end the last
+// repetition early.
+TEST(RepetitionEndsTest, LastRepetitionIsNotTheInteriorShifted) {
+  TaskGraph g;
+  const TaskId a = AddTask(g, 0, 10);
+  const TaskId b = AddTask(g, 1, 6, {a});
+  const TaskId d = AddTask(g, 2, 8, {b});
+  AddTask(g, 1, 3, {d});
+  g.SetCarried(a, std::vector<TaskId>{a});
+  g.Repeat(12);
+  const std::vector<StreamPolicy> policies(3, StreamPolicy::kFifoByReady);
+  EXPECT_GT(ExpectReferenceEnds(g, policies), 0u);
+  const auto ends = SimulateRepetitionEnds(g, policies);
+  ASSERT_TRUE(ends.ok());
+  // A ends at 10 r + 10, B at + 6, D at + 14; C waits for the next B and
+  // ends at + 19, except in the last repetition, where it ends at + 17.
+  EXPECT_EQ(ends->period, 10);
+  EXPECT_EQ((*ends)[10], 129);
+  EXPECT_EQ((*ends)[11], 137);
+}
+
+// Stream 1's task takes 15 per repetition while stream 0's chain hands it
+// one every 10: the backlog grows without bound, no state repeats and the
+// live repetitions outgrow the ring, so the run falls back to the full
+// horizon.
+TEST(RepetitionEndsTest, GrowingBacklogFallsBackToTheFullHorizon) {
+  TaskGraph g;
+  const TaskId a = AddTask(g, 0, 10);
+  AddTask(g, 1, 15, {a});
+  g.SetCarried(a, std::vector<TaskId>{a});
+  g.Repeat(40);
+  EXPECT_EQ(ExpectReferenceEnds(g, {}), 0u);
+}
+
+TEST(RepetitionEndsTest, ErrorsAreSimulates) {
+  TaskGraph cycle;
+  const TaskId a = AddTask(cycle, 0, 10, {1});
+  AddTask(cycle, 0, 10, {a});
+  cycle.Repeat(5);
+  TaskGraph dangling;
+  AddTask(dangling, 0, 10);
+  dangling.SetCarried(0, std::vector<TaskId>{3});
+  dangling.Repeat(5);
+  for (const TaskGraph* g : {&cycle, &dangling}) {
+    const auto want = Simulate(*g, {});
+    ASSERT_FALSE(want.ok());
+    for (const auto& got : {SimulateRepetitionEnds(*g, {}),
+                            SimulateRepetitionEndsFullHorizon(*g, {})}) {
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().code(), want.status().code());
+      EXPECT_EQ(got.status().message(), want.status().message());
+    }
+  }
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // buffer sizes a BO tune of that policy suggests. Times are exact integer
 // nanoseconds and suggestions are hex floats, so any change to the task
 // graph, the engine's event order or the tuner's arithmetic shows up as a
-// byte difference.
+// byte difference. Every one of those evaluations must also stop early at a
+// repeated engine state.
 //
 // Regenerate only after an *intentional* change to simulated timings:
 //   ./golden_sim_test --regen
@@ -14,6 +15,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -23,6 +25,7 @@
 #include "model/zoo.h"
 #include "sched/policies.h"
 #include "sched/runner.h"
+#include "sim/engine.h"
 #include "tune/search.h"
 
 namespace {
@@ -68,8 +71,13 @@ std::string HexFloat(double x) {
   return buf;
 }
 
+/// Called with each configuration RenderCells evaluates, before it does.
+using Visit = std::function<void(const dear::model::ModelSpec&,
+                                 const sched::ClusterSpec&,
+                                 const sched::PolicyConfig&)>;
+
 /// One line per (model, policy, world, network) combination.
-std::string RenderCells() {
+std::string RenderCells(const Visit& visit = {}) {
   auto models = dear::model::PaperModels();
   for (auto& m : dear::model::ExtensionModels()) models.push_back(m);
   std::ostringstream out;
@@ -81,8 +89,9 @@ std::string RenderCells() {
           sched::ClusterSpec cluster;
           cluster.world_size = world;
           cluster.network = net;
-          const auto r =
-              sched::EvaluatePolicy(m, cluster, CompareConfig(kind, m, cluster));
+          const auto compare = CompareConfig(kind, m, cluster);
+          if (visit) visit(m, cluster, compare);
+          const auto r = sched::EvaluatePolicy(m, cluster, compare);
           out << m.name() << " " << sched::PolicyName(kind) << " w" << world
               << " " << net.name << " iter=" << r.iter_time
               << " exposed=" << r.breakdown.comm_exposed << " bo=";
@@ -96,6 +105,7 @@ std::string RenderCells() {
             sched::PolicyConfig cfg;
             cfg.kind = kind;
             cfg.plan = dear::fusion::ByBufferBytes(m, BufferBytes(mb));
+            if (visit) visit(m, cluster, cfg);
             const auto trial = sched::EvaluatePolicy(m, cluster, cfg);
             bo.Observe(mb, trial.throughput_samples_per_s);
             out << (t ? "," : "") << HexFloat(mb);
@@ -134,6 +144,30 @@ TEST(GoldenSim, ZooCellsMatchGolden) {
   EXPECT_FALSE(std::getline(got, got_line))
       << "output has more lines than the golden";
   EXPECT_EQ(actual, golden);
+}
+
+// EvaluatePolicy stops at the first repeated engine state. A silent
+// fallback to the full horizon would keep every number above and lose the
+// speed, so every evaluation of the grid (the 224 cells' compare
+// configurations and their BO trials) must take the early path.
+TEST(GoldenSim, EveryEvaluationTakesTheEarlyPath) {
+  int evaluations = 0, early = 0, cells_early = 0;
+  RenderCells([&](const dear::model::ModelSpec& m,
+                  const sched::ClusterSpec& cluster,
+                  const sched::PolicyConfig& cfg) {
+    const auto built = sched::BuildTaskGraph(m, cluster, cfg,
+                                             sched::RunOptions{}.iterations);
+    const auto ends = dear::sim::SimulateRepetitionEnds(
+        built.graph, built.stream_policies);
+    ASSERT_TRUE(ends.ok()) << ends.status().ToString();
+    const bool skipped = ends->skipped > 0;
+    if (evaluations % (kTuneTrials + 1) == 0) cells_early += skipped;
+    early += skipped;
+    ++evaluations;
+  });
+  EXPECT_EQ(evaluations, 224 * (kTuneTrials + 1));
+  EXPECT_EQ(cells_early, 224);
+  EXPECT_EQ(early, evaluations);
 }
 
 }  // namespace

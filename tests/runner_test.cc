@@ -1,10 +1,13 @@
 // EvaluatePolicy metrics: steady-state iteration time, breakdown identity,
-// throughput/speedup arithmetic, and the Eq. 6-9 helpers.
+// throughput/speedup arithmetic, equality with the full-horizon
+// simulation, and the Eq. 6-9 helpers.
 #include "sched/runner.h"
 
 #include <gtest/gtest.h>
 
+#include "fusion/plan.h"
 #include "model/zoo.h"
+#include "sim/engine.h"
 
 namespace dear::sched {
 namespace {
@@ -74,6 +77,68 @@ TEST(RunnerTest, SteadyStateIndependentOfIterationCount) {
   const auto ra = EvaluatePolicy(m, cluster, Config(PolicyKind::kDeAR, m), a);
   const auto rb = EvaluatePolicy(m, cluster, Config(PolicyKind::kDeAR, m), b);
   EXPECT_EQ(ra.iter_time, rb.iter_time);
+}
+
+// EvaluatePolicy stops simulating once the schedule repeats. Over every
+// RunOptions with 5-12 iterations and each legal warmup, on four zoo models
+// and every policy, its result must equal, field by field, the one computed
+// from the fallback's full-horizon iteration ends, and the early path's
+// ends must be the full horizon's.
+TEST(RunnerTest, EvaluatePolicyEqualsTheFullHorizon) {
+  const PolicyKind kinds[] = {
+      PolicyKind::kSequential, PolicyKind::kWFBP, PolicyKind::kByteScheduler,
+      PolicyKind::kHorovod,    PolicyKind::kDDP,  PolicyKind::kMGWFBP,
+      PolicyKind::kZeRO,       PolicyKind::kDeAR};
+  int early = 0, runs = 0;
+  for (const char* name : {"resnet50", "vgg16", "bert_base", "inception_v4"}) {
+    const auto m = model::ByName(name);
+    const bool ib = m.name() == "vgg16" || m.name() == "bert_base";
+    const auto cluster =
+        Cluster(ib ? 64 : 16, ib ? comm::NetworkModel::HundredGbIB()
+                                 : comm::NetworkModel::TenGbE());
+    for (const PolicyKind kind : kinds) {
+      PolicyConfig cfg = Config(kind, m);
+      if (kind != PolicyKind::kSequential && kind != PolicyKind::kWFBP &&
+          kind != PolicyKind::kByteScheduler)
+        cfg.plan = fusion::ByBufferBytes(m, 25u << 20);
+      for (int iterations = 5; iterations <= 12; ++iterations) {
+        SCOPED_TRACE(m.name() + " " + PolicyName(kind) + " x" +
+                     std::to_string(iterations));
+        const BuiltGraph built = BuildTaskGraph(m, cluster, cfg, iterations);
+        const auto full = sim::SimulateRepetitionEndsFullHorizon(
+            built.graph, built.stream_policies);
+        const auto ends =
+            sim::SimulateRepetitionEnds(built.graph, built.stream_policies);
+        ASSERT_TRUE(full.ok() && ends.ok());
+        ASSERT_EQ(full->size(), static_cast<std::size_t>(iterations));
+        ASSERT_EQ(ends->size(), static_cast<std::size_t>(iterations));
+        for (int i = 0; i < iterations; ++i)
+          EXPECT_EQ((*ends)[i], (*full)[i]) << "iteration " << i;
+        early += ends->skipped > 0;
+        ++runs;
+        for (int warmup = 0; warmup + 1 < iterations; ++warmup) {
+          const auto want = SteadyState(
+              m, cluster, (*full)[iterations - 1] - (*full)[warmup],
+              iterations - 1 - warmup);
+          const auto got =
+              EvaluatePolicy(m, cluster, cfg, RunOptions{iterations, warmup});
+          EXPECT_EQ(got.iter_time, want.iter_time) << "warmup " << warmup;
+          EXPECT_EQ(got.throughput_samples_per_s,
+                    want.throughput_samples_per_s)
+              << "warmup " << warmup;
+          EXPECT_EQ(got.speedup_vs_single_gpu, want.speedup_vs_single_gpu)
+              << "warmup " << warmup;
+          EXPECT_EQ(got.breakdown.ff, want.breakdown.ff);
+          EXPECT_EQ(got.breakdown.bp, want.breakdown.bp);
+          EXPECT_EQ(got.breakdown.comm_exposed, want.breakdown.comm_exposed)
+              << "warmup " << warmup;
+        }
+      }
+    }
+  }
+  // Every run here has a boundary to skip; a silent fallback everywhere
+  // would still pass the equalities above.
+  EXPECT_EQ(early, runs);
 }
 
 TEST(RunnerTest, MaxSpeedupReproducesTableTwo10GbE) {

@@ -1,8 +1,9 @@
 // Heap allocations of the simulator and of the BO acquisition sweep,
 // counted exactly through the shared counting operator new
 // (perflab/alloc_counter.h): Simulate allocates per graph, never per task,
-// a policy's graph allocates per period, never per iteration, and the
-// acquisition sweep over a sized grid allocates nothing.
+// a policy's graph allocates per period, never per iteration,
+// EvaluatePolicy's heap bytes do not grow with the iterations it averages,
+// and the acquisition sweep over a sized grid allocates nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "model/zoo.h"
 #include "perflab/alloc_counter.h"
 #include "sched/policies.h"
+#include "sched/runner.h"
 #include "sim/engine.h"
 #include "tune/gp.h"
 #include "tune/search.h"
@@ -92,6 +94,39 @@ TEST(SimAllocTest, BuildAndSimulateAllocationsDoNotGrowWithIterations) {
     EXPECT_EQ(BuildAndSimulateAllocs(m, cfg, 8),
               BuildAndSimulateAllocs(m, cfg, 64))
         << sched::PolicyName(kind);
+  }
+}
+
+/// Heap bytes one EvaluatePolicy call asks for, at `iterations`.
+long EvaluateBytes(const model::ModelSpec& m, const sched::PolicyConfig& cfg,
+                   int iterations) {
+  sched::ClusterSpec cluster;
+  cluster.world_size = 16;
+  const long before = perflab::ThreadAllocBytes();
+  const auto r =
+      sched::EvaluatePolicy(m, cluster, cfg, sched::RunOptions{iterations, 3});
+  EXPECT_GT(r.iter_time, 0);
+  return perflab::ThreadAllocBytes() - before;
+}
+
+// EvaluatePolicy simulates until the schedule repeats and keeps only
+// per-repetition ends, in rings sized by the period: no per-task timing
+// vector and no per-iteration array, so 64 iterations take exactly the
+// bytes of 8.
+TEST(SimAllocTest, EvaluatePolicyBytesDoNotGrowWithIterations) {
+  const auto m = model::ByName("resnet50");
+  for (const auto kind :
+       {sched::PolicyKind::kWFBP, sched::PolicyKind::kByteScheduler,
+        sched::PolicyKind::kDeAR, sched::PolicyKind::kZeRO}) {
+    sched::PolicyConfig cfg;
+    cfg.kind = kind;
+    cfg.plan = kind == sched::PolicyKind::kDeAR ||
+                       kind == sched::PolicyKind::kZeRO
+                   ? fusion::ByBufferBytes(m, 25u << 20)
+                   : fusion::PerTensor(m);
+    const long bytes = EvaluateBytes(m, cfg, 8);
+    EXPECT_GT(bytes, 0) << sched::PolicyName(kind);
+    EXPECT_EQ(EvaluateBytes(m, cfg, 64), bytes) << sched::PolicyName(kind);
   }
 }
 
