@@ -25,6 +25,7 @@
 #include "fusion/plan.h"
 #include "model/zoo.h"
 #include "perflab/samplers.h"
+#include "sched/multiworker.h"
 #include "sched/policies.h"
 #include "sched/runner.h"
 #include "telemetry/telemetry.h"
@@ -460,6 +461,21 @@ std::vector<Row> BuildRows() {
   // on the priority stream.
   AddSimRows(rows, "densenet201", 64, sched::PolicyKind::kByteScheduler,
              "bytescheduler", kFull);
+  // A multi-worker graph has two streams per worker, 128 here, so its next
+  // event comes from the engine's min-tree; the policy graphs above (2-3
+  // streams) take the scan.
+  rows.push_back(MakeRow(
+      Kind::kTimed, "sim.multiworker_ms",
+      {{"model", "resnet50"}, {"gpus", "64"}, {"policy", "dear"},
+       {"network", "10gbe"}},
+      "ms", kFull, [](const RowContext& c) -> Samples {
+        const SimCell cell =
+            MakeSimCell("resnet50", 64, sched::PolicyKind::kDeAR);
+        return TimedMs(c.repeats, [&] {
+          Escape(sched::EvaluateMultiWorker(cell.model, cell.cluster,
+                                            cell.config));
+        });
+      }));
   rows.push_back(MakeRow(Kind::kTimed, "fusion.plan_ms",
                          {{"model", "densenet201"}}, "ms", kFull,
                          [](const RowContext& c) -> Samples {

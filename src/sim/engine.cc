@@ -206,8 +206,9 @@ inline bool Earlier(const Event& a, const Event& b) {
 // holds stream s's event and each inner node the earlier of its two
 // children, so the root is the next event and changing one stream's event
 // re-plays its path to the root, O(log streams). Up to kScanStreams the
-// next event is a branchless scan of the leaves instead, which at the
-// single-timeline policies' 2-3 streams costs less than keeping a tree.
+// next event is a branchless scan of the leaves instead. Measured per task
+// (DESIGN.md §4.8), the tree costs ~40% more than the scan at the
+// single-timeline policies' 2-3 streams, the same at 8 and less from 16.
 class EventTree {
  public:
   static constexpr std::size_t kScanStreams = 8;
@@ -520,8 +521,9 @@ class Loop {
     return true;
   }
 
-  /// Tasks dispatched, skipped ones included; every dispatched task
-  /// completed, so it counts executed tasks for the cycle check.
+  /// Tasks dispatched, skipped repetitions counted whole; every dispatched
+  /// task completed, so without a jump it counts executed tasks for the
+  /// cycle check.
   [[nodiscard]] std::size_t executed() const { return executed_; }
   [[nodiscard]] SimTime makespan() const { return makespan_; }
 
@@ -754,9 +756,10 @@ StatusOr<RepetitionEnds> SimulateRepetitionEnds(
   Loop<Mode::kPeriodic> loop(
       plan, std::min(kRingRepetitions, std::bit_ceil(plan.repeats)), nullptr,
       &ends);
-  if (!loop.Run()) return FullHorizonEnds(plan);
-  const std::size_t n = plan.period * plan.repeats;
-  if (loop.executed() != n) return CycleError(n, loop.executed());
+  // A cycle leaves tasks of every repetition unrun, but a jump counts the
+  // skipped repetitions whole, so only the full horizon counts them.
+  if (!loop.Run() || loop.executed() != plan.period * plan.repeats)
+    return FullHorizonEnds(plan);
   loop.Finish();
   return ends;
 }

@@ -722,7 +722,16 @@ TEST(RepetitionEndsTest, ErrorsAreSimulates) {
   AddTask(dangling, 0, 10);
   dangling.SetCarried(0, std::vector<TaskId>{3});
   dangling.Repeat(5);
-  for (const TaskGraph* g : {&cycle, &dangling}) {
+  // A chain that repeats from the first boundary beside an in-period cycle
+  // that never runs: the early run must not count skipped cycle tasks as
+  // executed.
+  TaskGraph partial;
+  const TaskId chain = AddTask(partial, 0, 10);
+  partial.SetCarried(chain, std::vector<TaskId>{chain});
+  const TaskId b = AddTask(partial, 1, 10, {2});
+  AddTask(partial, 1, 10, {b});
+  partial.Repeat(5);
+  for (const TaskGraph* g : {&cycle, &dangling, &partial}) {
     const auto want = Simulate(*g, {});
     ASSERT_FALSE(want.ok());
     for (const auto& got : {SimulateRepetitionEnds(*g, {}),
