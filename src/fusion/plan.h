@@ -2,16 +2,18 @@
 // communication buffer.
 //
 // A plan partitions the model's tensors into contiguous groups (contiguity
-// is in feed-forward tensor order). Groups fill up in *backpropagation*
-// arrival order — from the last tensor toward the first — matching how
-// PyTorch-DDP/Horovod buckets and the paper's §IV-B fill their buffers as
-// hooks fire. In DeAR a group is the unit of both the reduce-scatter
-// (BackPipe) and the all-gather (FeedPipe), so group boundaries trade
-// startup savings against feed-forward pipelining granularity — the exact
-// tension the BO tuner resolves.
+// is in feed-forward tensor order), so a group is a range of tensor ids
+// and a plan is its list of cut points. Groups fill up in
+// *backpropagation* arrival order — from the last tensor toward the
+// first — matching how PyTorch-DDP/Horovod buckets and the paper's §IV-B
+// fill their buffers as hooks fire. In DeAR a group is the unit of both
+// the reduce-scatter (BackPipe) and the all-gather (FeedPipe), so group
+// boundaries trade startup savings against feed-forward pipelining
+// granularity — the exact tension the BO tuner resolves.
 #pragma once
 
 #include <cstddef>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -19,9 +21,12 @@
 
 namespace dear::fusion {
 
-/// One fused communication buffer: tensor indices in ascending (FF) order.
+/// A half-open, ascending run of tensor or group indices.
+using IndexRange = std::ranges::iota_view<int, int>;
+
+/// One fused communication buffer: a range of tensors in FF order.
 struct Group {
-  std::vector<int> tensors;
+  IndexRange tensors;
   std::size_t bytes{0};
   int first_layer{0};  // lowest owning layer — gates the next FF
   int last_layer{0};   // highest owning layer — last BP contribution
@@ -30,11 +35,10 @@ struct Group {
 class FusionPlan {
  public:
   FusionPlan() = default;
-  /// Groups must jointly cover tensors [0, model.num_tensors()) exactly
-  /// once, each group ascending and the list ascending by first tensor;
-  /// violations CHECK-fail (plans are produced by code, not user input).
-  FusionPlan(const model::ModelSpec& model,
-             std::vector<std::vector<int>> groups);
+  /// Group g holds tensors [cuts[g], cuts[g + 1]). The cuts must rise
+  /// strictly from 0 to model.num_tensors(); violations CHECK-fail (plans
+  /// are produced by code, not user input).
+  FusionPlan(const model::ModelSpec& model, const std::vector<int>& cuts);
 
   [[nodiscard]] int num_groups() const noexcept {
     return static_cast<int>(groups_.size());
@@ -49,8 +53,9 @@ class FusionPlan {
   [[nodiscard]] int group_of_tensor(int t) const {
     return tensor_to_group_.at(static_cast<std::size_t>(t));
   }
-  /// Group indices owning any tensor of layer l (ascending, deduplicated).
-  [[nodiscard]] const std::vector<int>& groups_of_layer(int l) const {
+  /// Groups owning any tensor of layer l: a layer's tensors are
+  /// contiguous, so its groups are too.
+  [[nodiscard]] IndexRange groups_of_layer(int l) const {
     return layer_to_groups_.at(static_cast<std::size_t>(l));
   }
   [[nodiscard]] std::size_t max_group_bytes() const noexcept;
@@ -60,7 +65,7 @@ class FusionPlan {
  private:
   std::vector<Group> groups_;
   std::vector<int> tensor_to_group_;
-  std::vector<std::vector<int>> layer_to_groups_;
+  std::vector<IndexRange> layer_to_groups_;
 };
 
 /// No fusion: one group per tensor (WFBP / "DeAR w/o TF").

@@ -67,6 +67,18 @@ void BackwardRowScalar(const float* w, const float* x, const float* d,
   }
 }
 
+// gw[i][j] += x[i] * d[j] alone, for a layer whose dx nobody reads. Each
+// element gets the multiply and add of the loop above, so gw is bitwise
+// the same; skipping dx skips every read of W.
+void WeightGradRows(const float* x, const float* d, float* gw, int in,
+                    int out) {
+  for (int i = 0; i < in; ++i) {
+    float* gwr = gw + static_cast<std::size_t>(i) * out;
+    const float xi = x[i];
+    for (int j = 0; j < out; ++j) gwr[j] += xi * d[j];
+  }
+}
+
 #if defined(DEAR_DENSE_SSE2)
 // Eight rows at a time. dx's chain over j cannot vectorize along j (that
 // would reassociate the sum), so it vectorizes across rows instead: each
@@ -148,7 +160,8 @@ void BackwardRows8(const float* w, const float* x, const float* d, float* gw,
 
 }  // namespace
 
-std::vector<float> DenseLayer::Backward(std::span<const float> dy, int batch) {
+std::vector<float> DenseLayer::Backward(std::span<const float> dy, int batch,
+                                        bool want_dx) {
   DEAR_CHECK(static_cast<int>(dy.size()) == batch * out);
   DEAR_CHECK_MSG(static_cast<int>(last_input.size()) == batch * in,
                  "Backward without matching Forward");
@@ -157,13 +170,18 @@ std::vector<float> DenseLayer::Backward(std::span<const float> dy, int batch) {
     for (std::size_t i = 0; i < dpre.size(); ++i)
       if (last_preact[i] <= 0.0f) dpre[i] = 0.0f;
   }
-  std::vector<float> dx(static_cast<std::size_t>(batch) * in, 0.0f);
+  std::vector<float> dx(want_dx ? static_cast<std::size_t>(batch) * in : 0,
+                        0.0f);
   // Batch rows accumulate into gw/gb in n order, as a sequential sum would.
   for (int n = 0; n < batch; ++n) {
     const float* xr = last_input.data() + static_cast<std::size_t>(n) * in;
     const float* dr = dpre.data() + static_cast<std::size_t>(n) * out;
-    float* dxr = dx.data() + static_cast<std::size_t>(n) * in;
     for (int j = 0; j < out; ++j) gb[static_cast<std::size_t>(j)] += dr[j];
+    if (!want_dx) {
+      WeightGradRows(xr, dr, gw.data(), in, out);
+      continue;
+    }
+    float* dxr = dx.data() + static_cast<std::size_t>(n) * in;
     int i = 0;
 #if defined(DEAR_DENSE_SSE2)
     for (; i + 8 <= in; i += 8)
@@ -202,7 +220,8 @@ void Mlp::Backward(std::span<const float> dy, int batch,
   DEAR_CHECK_MSG(batch == last_batch_, "Backward batch mismatch");
   std::vector<float> grad(dy.begin(), dy.end());
   for (int l = num_layers() - 1; l >= 0; --l) {
-    grad = layers_[static_cast<std::size_t>(l)].Backward(grad, batch);
+    grad = layers_[static_cast<std::size_t>(l)].Backward(grad, batch,
+                                                         /*want_dx=*/l > 0);
     if (post_layer) post_layer(l);
   }
 }

@@ -33,8 +33,10 @@ struct DenseLayer {
   /// x: batch x in. Returns batch x out.
   std::vector<float> Forward(std::span<const float> x, int batch);
   /// dy: batch x out gradient. Accumulates into gw/gb (caller zeroes),
-  /// returns batch x in gradient.
-  std::vector<float> Backward(std::span<const float> dy, int batch);
+  /// returns batch x in gradient — or nothing when `want_dx` is false (the
+  /// first layer's input gradient has no consumer).
+  std::vector<float> Backward(std::span<const float> dy, int batch,
+                              bool want_dx = true);
 };
 
 /// Parameter tensor exposed to the distributed optimizer.

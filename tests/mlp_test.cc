@@ -121,6 +121,7 @@ TEST(DenseLayerTest, BackwardBitwiseEqualsSerialReference) {
         layer.Init(rng);
         for (float& v : layer.b) v = static_cast<float>(rng.Uniform(-1, 1));
         DenseLayer ref = layer;
+        DenseLayer no_dx = layer;  // the first layer's path: gw, gb only
         std::vector<float> x(static_cast<std::size_t>(batch) * in);
         std::vector<float> dy(static_cast<std::size_t>(batch) * out);
         // Two back-to-back backwards: the second accumulates into the
@@ -130,7 +131,10 @@ TEST(DenseLayerTest, BackwardBitwiseEqualsSerialReference) {
           for (float& v : dy) v = static_cast<float>(rng.Uniform(-1, 1));
           layer.Forward(x, batch);
           ref.Forward(x, batch);
+          no_dx.Forward(x, batch);
           const std::vector<float> dx = layer.Backward(dy, batch);
+          const std::vector<float> none =
+              no_dx.Backward(dy, batch, /*want_dx=*/false);
           const std::vector<float> want = ReferenceBackward(ref, dy, batch);
           SCOPED_TRACE(testing::Message()
                        << in << "x" << out << " batch " << batch << " relu "
@@ -138,6 +142,9 @@ TEST(DenseLayerTest, BackwardBitwiseEqualsSerialReference) {
           ExpectBitwiseEqual(dx, want, "dx");
           ExpectBitwiseEqual(layer.gw, ref.gw, "gw");
           ExpectBitwiseEqual(layer.gb, ref.gb, "gb");
+          EXPECT_TRUE(none.empty());
+          ExpectBitwiseEqual(no_dx.gw, ref.gw, "gw without dx");
+          ExpectBitwiseEqual(no_dx.gb, ref.gb, "gb without dx");
         }
       }
     }

@@ -3,11 +3,13 @@
 // (perflab/alloc_counter.h): Simulate allocates per graph, never per task,
 // a policy's graph allocates per period, never per iteration,
 // EvaluatePolicy's heap bytes do not grow with the iterations it averages,
-// and the acquisition sweep over a sized grid allocates nothing.
+// the acquisition sweep over a sized grid allocates nothing, and a fusion
+// plan allocates per plan, never per group or per layer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fusion/plan.h"
@@ -127,6 +129,45 @@ TEST(SimAllocTest, EvaluatePolicyBytesDoNotGrowWithIterations) {
     const long bytes = EvaluateBytes(m, cfg, 8);
     EXPECT_GT(bytes, 0) << sched::PolicyName(kind);
     EXPECT_EQ(EvaluateBytes(m, cfg, 64), bytes) << sched::PolicyName(kind);
+  }
+}
+
+/// Builds one fusion plan.
+using PlanBuilder = fusion::FusionPlan (*)(const model::ModelSpec&);
+
+/// Allocations made by one fusion-plan builder (the plan included).
+long PlanAllocs(PlanBuilder build, const model::ModelSpec& m) {
+  const long before = perflab::ThreadAllocs();
+  {
+    const fusion::FusionPlan plan = build(m);
+    EXPECT_GT(plan.num_groups(), 0);
+  }
+  return perflab::ThreadAllocs() - before;
+}
+
+// A plan is flat: its groups, tensor -> group and layer -> group range are
+// one array each, and the builders collect cut points into one array sized
+// up front, so 1000 tensors allocate exactly as often as 10. Every builder
+// but SingleGroup makes about 100x the groups on the larger model.
+TEST(SimAllocTest, PlanAllocationsDoNotGrowWithTensors) {
+  const auto small = model::UniformTestModel(10, 100);  // 400 B tensors
+  const auto large = model::UniformTestModel(1000, 100);
+  const std::pair<const char*, PlanBuilder> builders[] = {
+      {"PerTensor", fusion::PerTensor},
+      {"SingleGroup", fusion::SingleGroup},
+      {"ByBufferBytes",
+       [](const model::ModelSpec& m) {
+         return fusion::ByBufferBytes(m, 1200);
+       }},
+      {"ByLayerCount",
+       [](const model::ModelSpec& m) { return fusion::ByLayerCount(m, 3); }},
+      {"MergeGradientsWisely", [](const model::ModelSpec& m) {
+         return fusion::MergeGradientsWisely(m, 8e-6, 64);
+       }}};
+  for (const auto& [name, build] : builders) {
+    const long allocs = PlanAllocs(build, small);
+    EXPECT_GT(allocs, 0) << name;
+    EXPECT_EQ(PlanAllocs(build, large), allocs) << name;
   }
 }
 

@@ -3,13 +3,16 @@
 # suite under ThreadSanitizer and UndefinedBehaviorSanitizer (the runtime is
 # aggressively threaded — one comm thread per rank — so TSan is the check
 # that matters most here; UBSan guards the tag bit-packing and span math),
-# and the simulator, tuner, calibration, perf-lab and flag tests under
-# AddressSanitizer + UBSan (the engine's packed task refs and repetition
-# rings, the acquisition cache's strided rows, the offline fit's reads of
-# damaged journals, the loaders' and flag parser's reads of mutated input).
+# and the simulator, tuner, calibration, perf-lab, flag, fusion-plan and
+# dense-kernel tests under AddressSanitizer + UBSan (the engine's packed
+# task refs and repetition rings, the acquisition cache's strided rows, the
+# offline fit's reads of damaged journals, the loaders' and flag parser's
+# reads of mutated input, the plans' cut and range indices, the SSE tile
+# offsets).
 #
 #   tools/check.sh             # lint + plain + perf gate/bars + tsan + ubsan
-#                              #   + asan/ubsan (sim, tuner, calib, perflab, flags)
+#                              #   + asan/ubsan (sim, tuner, calib, perflab, flags,
+#                              #     fusion plans, dense kernels)
 #   tools/check.sh --quick     # lint + plain build + unit tests + short chaos
 #   tools/check.sh --no-tsan   # skip the TSan pass (e.g. unsupported host)
 #   tools/check.sh --no-ubsan  # skip the UBSan pass
@@ -99,10 +102,10 @@ if [[ "$run_ubsan" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== address + undefined-behavior sanitizer build (simulator, tuner, calib, perf lab, flags) =="
+  echo "== address + undefined-behavior sanitizer build (simulator, tuner, calib, perf lab, flags, fusion plans, dense kernels) =="
   asan_tests=(engine_test policies_test multiworker_test runner_test
               golden_sim_test gp_test search_test calib_test perflab_test
-              flags_test)
+              flags_test plan_test mlp_test)
   cmake -B build-asan -S . -DDEAR_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j "$jobs" --target "${asan_tests[@]}" >/dev/null
   ctest --test-dir build-asan --output-on-failure \
