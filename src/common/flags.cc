@@ -1,6 +1,9 @@
 #include "common/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -53,19 +56,33 @@ Status FlagParser::SetValue(const std::string& name,
   switch (flag.type) {
     case Type::kString:
       break;
-    case Type::kInt:
-      std::strtol(value.c_str(), &end, 10);
+    case Type::kInt: {
+      errno = 0;
+      const long v = std::strtol(value.c_str(), &end, 10);
       if (value.empty() || *end != '\0')
         return Status::InvalidArgument("--" + name +
                                        " expects an integer, got '" + value +
                                        "'");
+      // GetInt reads an int: a wider value would wrap.
+      if (errno == ERANGE || v < std::numeric_limits<int>::min() ||
+          v > std::numeric_limits<int>::max())
+        return Status::InvalidArgument("--" + name +
+                                       " is out of range, got '" + value +
+                                       "'");
       break;
-    case Type::kDouble:
-      std::strtod(value.c_str(), &end);
+    }
+    case Type::kDouble: {
+      const double v = std::strtod(value.c_str(), &end);
       if (value.empty() || *end != '\0')
         return Status::InvalidArgument("--" + name + " expects a number, got '" +
                                        value + "'");
+      // No flag takes NaN or an infinity; 1e999 overflows to one.
+      if (!std::isfinite(v))
+        return Status::InvalidArgument("--" + name +
+                                       " expects a finite number, got '" +
+                                       value + "'");
       break;
+    }
     case Type::kBool:
       if (value != "true" && value != "false")
         return Status::InvalidArgument("--" + name +

@@ -19,6 +19,10 @@ namespace {
 // whose live repetitions outgrow the ring falls back to the full horizon.
 constexpr std::size_t kRingRepetitions = 8;
 
+// A plan folds when at least one period task in this many joins a segment
+// (see Prepare).
+constexpr std::size_t kFoldShare = 16;
+
 // What a run records.
 enum class Mode {
   kTimings,   // every task's start and end (Simulate)
@@ -27,7 +31,9 @@ enum class Mode {
 };
 
 // The period as the event loop reads it: compact per-task arrays, never the
-// 40-byte Task records. Built once per call; every mode runs over it.
+// 40-byte Task records. Built once per call; every mode runs over it. A
+// folded plan's tasks are segments of graph tasks (see Prepare); otherwise
+// they are the graph's period tasks.
 struct Plan {
   std::size_t period{0};
   std::size_t repeats{0};
@@ -56,10 +62,28 @@ struct Plan {
     std::size_t tasks{0};  // period tasks on the stream
   };
   std::vector<Stream> streams;
+  // Folded plans only, else empty: a task's run time before its last member
+  // starts (its lead), or -1 for a task that is one graph task.
+  std::vector<SimTime> lead;
 };
 
+// Builds the plan of `graph`. With `fold`, on a graph the periodic loop
+// runs, each same-stream chain of graph tasks becomes one plan task, a
+// segment (DESIGN.md §4.10), if at least one task in kFoldShare joins
+// one. Graph task v joins the segment of its in-period dependency u when
+//   - u and v are on one FIFO stream, u < v, and u's only successor,
+//     in-period or carried, is v (so v lists u once);
+//   - every other in-period dependency of v is one of u's, and every
+//     carried one one of u's carried ones. Those finished before u started,
+//     so their edges to v are dropped.
+// A segment has its head's dependencies, its members' summed duration and
+// its tail's successors. Every successor a segment keeps is a head, so
+// numbering segments in head order keeps the graph's release, FIFO and
+// priority orders. The loop checks at run time that folding cannot change
+// the schedule (see Loop).
 Status Prepare(const TaskGraph& graph,
-               const std::vector<StreamPolicy>& stream_policies, Plan& plan) {
+               const std::vector<StreamPolicy>& stream_policies, bool fold,
+               Plan& plan) {
   const std::size_t p = graph.period();
   const std::size_t reps = graph.repeats();
   const std::span<const Task> tasks = graph.period_tasks();
@@ -71,6 +95,8 @@ Status Prepare(const TaskGraph& graph,
   plan.repeats = reps;
   plan.duration.resize(p);
   plan.stream_of.resize(p);
+  plan.later_roots = false;
+  plan.lead.clear();
   int max_stream = -1;
   bool any_priority = false;
   for (std::size_t i = 0; i < p; ++i) {
@@ -90,13 +116,6 @@ Status Prepare(const TaskGraph& graph,
   }
   if (p == 0) return Status::Ok();
 
-  plan.local_bits = std::bit_width(p - 1);
-  plan.stride = std::uint64_t{1} << plan.local_bits;
-  plan.local_mask = plan.stride - 1;
-  plan.ref_end = reps * plan.stride;
-  // Ids are 32-bit, so n < 2^31 and refs, below 2n, fit in 32 bits.
-  DEAR_CHECK(plan.ref_end - 1 <= std::numeric_limits<std::uint32_t>::max());
-
   // Successor lists of one period, by counting sort: period task d's
   // successors are its in-period ones, then its carried ones (in the next
   // repetition), each ascending (a task listing d twice appears twice and
@@ -108,6 +127,9 @@ Status Prepare(const TaskGraph& graph,
   std::vector<std::size_t> mid(p, 0);
   plan.first.assign(p + 1, 0);
   std::vector<std::size_t>& first = plan.first;
+  // Folding reads each task's last in-period successor: its only one when
+  // it has one.
+  std::vector<std::uint32_t> next(fold ? p : 0);
   const auto dangling = [p](TaskId dep) {
     return dep < 0 || static_cast<std::size_t>(dep) >= p;
   };
@@ -117,6 +139,8 @@ Status Prepare(const TaskGraph& graph,
     for (TaskId dep : deps) {
       if (dangling(dep)) return Status::InvalidArgument("dangling dependency");
       ++first[static_cast<std::size_t>(dep)];
+      if (fold)
+        next[static_cast<std::size_t>(dep)] = static_cast<std::uint32_t>(i);
     }
     for (TaskId dep : carried) {
       if (dangling(dep)) return Status::InvalidArgument("dangling dependency");
@@ -127,47 +151,143 @@ Status Prepare(const TaskGraph& graph,
         static_cast<std::int32_t>(deps.size() + carried.size());
     if (plan.fresh[p + i] == 0) plan.later_roots = true;
   }
+
+  // Folding: seg[i] is graph task i's segment, head[k] segment k's first
+  // member. Only the periodic loop runs folded plans. Compacting the plan
+  // costs a pass over the period, which a few folded tasks do not repay:
+  // on ByteScheduler graphs, where one task in 656 folds, it made a call
+  // 4-5% slower.
+  fold = fold && reps >= 3 && !plan.later_roots;
+  std::vector<std::uint32_t> seg, head;
+  std::size_t n = p;  // plan tasks
+  if (fold) {
+    const auto contains = [](std::span<const TaskId> deps, TaskId d) {
+      return std::find(deps.begin(), deps.end(), d) != deps.end();
+    };
+    // Whether v's dependencies other than u are all u's.
+    const auto covered = [&](std::size_t u, std::size_t v) {
+      const auto u_deps = graph.period_deps(u);
+      for (TaskId d : graph.period_deps(v))
+        if (static_cast<std::size_t>(d) != u && !contains(u_deps, d))
+          return false;
+      const auto u_carried = graph.carried_deps(u);
+      for (TaskId d : graph.carried_deps(v))
+        if (!contains(u_carried, d)) return false;
+      return true;
+    };
+    constexpr auto kUnset = std::numeric_limits<std::uint32_t>::max();
+    seg.assign(p, kUnset);
+    head.resize(p);
+    n = 0;
+    for (std::size_t u = 0; u < p; ++u) {
+      if (seg[u] == kUnset) {
+        seg[u] = static_cast<std::uint32_t>(n);
+        head[n++] = static_cast<std::uint32_t>(u);
+      }
+      if (first[u] != 1 || mid[u] != 0) continue;
+      const std::size_t v = next[u];
+      const auto s = static_cast<std::size_t>(plan.stream_of[u]);
+      if (v > u && plan.stream_of[v] == plan.stream_of[u] && !is_priority(s) &&
+          covered(u, v))
+        seg[v] = seg[u];
+    }
+    fold = n < p && kFoldShare * (p - n) >= p;
+    if (!fold) n = p;
+  }
+  if (fold) {
+    // Drop the edges into members that are not heads. That leaves a
+    // member's successor counts at zero unless it is its segment's tail.
+    for (std::size_t v = 0; v < p; ++v) {
+      if (head[seg[v]] == v) continue;
+      for (TaskId dep : graph.period_deps(v))
+        --first[static_cast<std::size_t>(dep)];
+      for (TaskId dep : graph.carried_deps(v))
+        --mid[static_cast<std::size_t>(dep)];
+    }
+    // Compact the per-task arrays to segments, members in ascending order.
+    // A segment's index is at most its members', so each write lands on a
+    // slot already read.
+    plan.lead.assign(p, -1);
+    for (std::size_t i = 0; i < p; ++i) {
+      const std::size_t k = seg[i];
+      if (head[k] == i) {
+        plan.duration[k] = plan.duration[i];
+        plan.stream_of[k] = plan.stream_of[i];
+        first[k] = first[i];
+        mid[k] = mid[i];
+      } else {
+        plan.lead[k] = plan.duration[k];
+        plan.duration[k] += plan.duration[i];
+        first[k] += first[i];
+        mid[k] += mid[i];
+      }
+    }
+    // head[k] >= k ascends, so these copies also read ahead of their writes.
+    for (std::size_t k = 0; k < n; ++k) plan.fresh[k] = plan.fresh[head[k]];
+    for (std::size_t k = 0; k < n; ++k)
+      plan.fresh[n + k] = plan.fresh[p + head[k]];
+    plan.period = n;
+    plan.duration.resize(n);
+    plan.stream_of.resize(n);
+    plan.fresh.resize(2 * n);
+    plan.lead.resize(n);
+    first.resize(n + 1);
+  }
+
+  plan.local_bits = std::bit_width(n - 1);
+  plan.stride = std::uint64_t{1} << plan.local_bits;
+  plan.local_mask = plan.stride - 1;
+  plan.ref_end = reps * plan.stride;
+  // Ids are 32-bit, so n < 2^31 and refs, below 2n, fit in 32 bits.
+  DEAR_CHECK(plan.ref_end - 1 <= std::numeric_limits<std::uint32_t>::max());
+
   // End offsets of each list; filling backwards leaves them at the starts.
+  const auto id = [&](TaskId t) {
+    const auto i = static_cast<std::size_t>(t);
+    return fold ? seg[i] : i;
+  };
   std::size_t edges = 0;
-  for (std::size_t d = 0; d < p; ++d) {
+  for (std::size_t d = 0; d < n; ++d) {
     edges += first[d];
     first[d] = edges;
     edges += mid[d];
     mid[d] = edges;
   }
-  first[p] = edges;
+  first[n] = edges;
   plan.succ.resize(edges);
-  for (std::size_t i = p; i-- > 0;) {
+  for (std::size_t k = n; k-- > 0;) {
+    const std::size_t i = fold ? head[k] : k;
     const auto deps = graph.period_deps(i);
-    for (std::size_t k = deps.size(); k-- > 0;)
-      plan.succ[--first[static_cast<std::size_t>(deps[k])]] =
-          static_cast<std::uint32_t>(i);
+    for (std::size_t j = deps.size(); j-- > 0;)
+      plan.succ[--first[id(deps[j])]] = static_cast<std::uint32_t>(k);
     const auto carried = graph.carried_deps(i);
-    for (std::size_t k = carried.size(); k-- > 0;)
-      plan.succ[--mid[static_cast<std::size_t>(carried[k])]] =
-          static_cast<std::uint32_t>(plan.stride + i);
+    for (std::size_t j = carried.size(); j-- > 0;)
+      plan.succ[--mid[id(carried[j])]] =
+          static_cast<std::uint32_t>(plan.stride + k);
   }
 
   // On a priority stream the heap holds key = rank << rank_shift | ref,
   // where rank is the task's place among the period's distinct priorities
   // (0 = highest). A ref orders as the unrolled id does, so comparing two
   // keys compares (priority, id) without loading either priority. Only a
-  // graph with a priority stream needs the ranks.
+  // graph with a priority stream needs the ranks. Priority streams never
+  // fold, so each of their tasks is a segment of its own.
   const int rank_shift = std::bit_width(plan.ref_end - 1);
   plan.ref_mask = (std::uint64_t{1} << rank_shift) - 1;
   if (any_priority) {
-    DEAR_CHECK(rank_shift + std::bit_width(p) < 64);  // ranks are below p
+    DEAR_CHECK(rank_shift + std::bit_width(n) < 64);  // ranks are below n
     std::vector<std::pair<double, std::uint32_t>> order;
-    order.reserve(p);
+    order.reserve(n);
     for (std::size_t i = 0; i < p; ++i)
-      if (is_priority(static_cast<std::size_t>(plan.stream_of[i])))
-        order.emplace_back(tasks[i].priority, static_cast<std::uint32_t>(i));
+      if (is_priority(static_cast<std::size_t>(tasks[i].stream)))
+        order.emplace_back(tasks[i].priority, static_cast<std::uint32_t>(
+                                                  id(static_cast<TaskId>(i))));
     const auto by_priority = [](const auto& a, const auto& b) {
       return a.first < b.first;
     };
     if (!std::is_sorted(order.begin(), order.end(), by_priority))
       std::sort(order.begin(), order.end(), by_priority);
-    plan.rank_key.assign(p, 0);
+    plan.rank_key.assign(n, 0);
     std::uint64_t rank = 0;
     for (std::size_t k = 0; k < order.size(); ++k) {
       // -0.0 and 0.0 compare equal, so they share a rank.
@@ -176,11 +296,11 @@ Status Prepare(const TaskGraph& graph,
     }
   }
 
-  plan.streams.resize(static_cast<std::size_t>(max_stream + 1));
+  plan.streams.assign(static_cast<std::size_t>(max_stream + 1), {});
   for (std::size_t s = 0; s < plan.streams.size(); ++s)
     plan.streams[s].priority = is_priority(s);
-  for (std::size_t i = 0; i < p; ++i)
-    ++plan.streams[static_cast<std::size_t>(plan.stream_of[i])].tasks;
+  for (std::size_t k = 0; k < n; ++k)
+    ++plan.streams[static_cast<std::size_t>(plan.stream_of[k])].tasks;
   return Status::Ok();
 }
 
@@ -295,6 +415,9 @@ struct StreamState {
   std::size_t head{0};
   std::size_t tail{0};
   std::uint64_t running{0};  // ref of the running task
+  // While a folded task runs: when its last member starts, the end of its
+  // window (see Loop). -1 otherwise.
+  SimTime window{-1};
 };
 
 // A repetition in the ring: when its dispatched tasks end, at the latest,
@@ -335,6 +458,19 @@ std::unique_ptr<T[]> Slots(std::size_t count) {
 
 // The event loop. kTimings and kEnds hold every repetition; kPeriodic holds
 // a ring of them and watches the repetition boundaries (see Boundary).
+//
+// Only kPeriodic runs folded plans. A folded task stands for its members
+// run back to back, which is what the graph's own tasks do when nothing
+// else reaches the stream between them and their ends order no tie
+// differently. The loop checks both and stops (Run returns false, fault()
+// names the check) when
+//   (a) a folded task starts with another task queued on its stream;
+//   (b) while it runs, a task joins its stream at or before its window
+//       end, the time its last member starts. The window closes when its
+//       completion is popped, so its own releases are allowed;
+//   (c) when its completion is popped, another pending event has the same
+//       time: its seq is its head's dispatch, not its last member's, so the
+//       graph's own tasks could order that tie the other way.
 template <Mode kMode>
 class Loop {
   static constexpr bool kRing = kMode == Mode::kPeriodic;
@@ -356,6 +492,7 @@ class Loop {
             plan.streams.size())),
         timings_(timings),
         ends_(ends) {
+    DEAR_CHECK(kRing || plan.lead.empty());
     std::size_t fifo_slots = 0, heap_slots = 0;
     for (std::size_t s = 0; s < streams_.size(); ++s) {
       StreamState& st = streams_[s];
@@ -368,10 +505,25 @@ class Loop {
     fifo_ = Slots<std::uint32_t>(fifo_slots);
     heap_ = Slots<std::uint64_t>(heap_slots);
     if constexpr (kMode != Mode::kTimings) reps_.resize(ring);
+    // Sized once, so that a call allocates as often whatever the period: a
+    // snapshot holds one running task per stream and, unless the queues
+    // hold more than a period of tasks at a boundary, its queued tasks
+    // (reserving every queue slot instead made ByteScheduler calls 14%
+    // slower); the simulated ends before and after a jump fit the ring
+    // unless the state repeats late.
+    if constexpr (kRing) {
+      ends_->head.reserve(ring);
+      ends_->tail.reserve(ring);
+      for (Snapshot* snap : {&prev_, &cur_}) {
+        snap->queued.reserve(plan.period);
+        snap->queue_end.reserve(streams_.size());
+        snap->running.reserve(streams_.size());
+      }
+    }
   }
 
-  /// Runs to completion, or until the live repetitions outgrow the ring
-  /// (returns false; kPeriodic only).
+  /// Runs to completion, or until the live repetitions outgrow the ring or
+  /// a fold check fails (returns false; kPeriodic only).
   bool Run() {
     // The hot loop reads its constants from locals: a store to a queue, a
     // counter or a timing could otherwise alias them and force reloads.
@@ -387,6 +539,8 @@ class Loop {
     const std::size_t* const first = plan_.first.data();
     const std::uint32_t* const succ = plan_.succ.data();
     const std::uint64_t* const rank_key = plan_.rank_key.data();
+    const SimTime* const lead =
+        plan_.lead.empty() ? nullptr : plan_.lead.data();
     std::int32_t* const pending = pending_.get();
     std::uint32_t* const fifo = fifo_.get();
     std::uint64_t* const heap = heap_.get();
@@ -400,6 +554,7 @@ class Loop {
     std::uint32_t next_seq = 0;
     std::uint64_t boundary_ref = 0;  // first ref of the next repetition
     bool at_boundary = false;
+    Folding fault = Folding::kNone;
 
     const auto rep_slot = [rep_mask](std::uint64_t rep) {
       return kRing ? rep & rep_mask : rep;
@@ -413,7 +568,7 @@ class Loop {
     // dispatch happens only after every task readied by the same event has
     // been pushed, so priority streams see the full candidate set. Streams
     // dispatch in the order they were first touched.
-    const auto push = [&](std::uint64_t ref) {
+    const auto push = [&](std::uint64_t ref, SimTime now) {
       if constexpr (kRing) {
         if (ref >= boundary_ref) {
           // The first ready task of the next repetition.
@@ -430,6 +585,8 @@ class Loop {
       } else {
         fifo[st.tail] = static_cast<std::uint32_t>(ref);
         if (++st.tail == st.limit && kRing) st.tail = st.base;
+        if constexpr (kRing)
+          if (now <= st.window) fault = Folding::kPushInWindow;  // (b)
       }
       touch(s);
     };
@@ -443,6 +600,12 @@ class Loop {
       } else {
         ref = fifo[st.head];
         if (++st.head == st.limit && kRing) st.head = st.base;
+        if constexpr (kRing) {
+          if (lead != nullptr && lead[ref & local_mask] >= 0) {
+            if (st.head != st.tail) fault = Folding::kQueueNotEmpty;  // (a)
+            st.window = now + lead[ref & local_mask];
+          }
+        }
       }
       const std::size_t local = ref & local_mask;
       const SimTime end = now + duration[local];
@@ -480,16 +643,18 @@ class Loop {
       // Repetition 0 starts the first boundary; the others wait on it.
       InitRep(0);
       for (std::size_t i = 0; i < p; ++i)
-        if (pending[i] == 0) push(i);
+        if (pending[i] == 0) push(i, 0);
     } else {
       for (std::size_t r = 0; r < plan_.repeats; ++r) InitRep(r);
       for (std::uint64_t block = 0; block < ref_end; block += plan_.stride)
         for (std::size_t i = 0; i < p; ++i)
-          if (pending[block + i] == 0) push(block + i);
+          if (pending[block + i] == 0) push(block + i, 0);
     }
     dispatch(0);
-    if constexpr (kRing)
+    if constexpr (kRing) {
+      if (fault != Folding::kNone) return Fault(fault);
       if (at_boundary && !boundary(0)) return false;
+    }
 
     for (;;) {
       const std::size_t s = EventTree::Next(events, leaves);
@@ -498,6 +663,13 @@ class Loop {
       if constexpr (kMode == Mode::kTimings) makespan_ = now;  // in order
       StreamState& st = streams[s];
       EventTree::Clear(events, leaves, s);
+      if constexpr (kRing) {
+        if (st.window >= 0) {  // a folded task ends
+          st.window = -1;
+          for (std::size_t k = 0; k < leaves; ++k)  // (c)
+            if (events[leaves + k].time == now) fault = Folding::kTiedEnd;
+        }
+      }
       // Release the successors; the last repetition's carried ones fall
       // past ref_end and do not exist.
       const std::uint64_t done = st.running;
@@ -507,15 +679,17 @@ class Loop {
       for (std::size_t k = first[d]; k < first[d + 1]; ++k) {
         const std::uint64_t ref = block + succ[k];
         if (ref < ref_end && --pending[kRing ? ref & pending_mask : ref] == 0)
-          push(ref);
+          push(ref, now);
       }
       touch(s);
       dispatch(now);
       if (leaves > EventTree::kScanStreams &&
           events[leaves + s].seq == kIdleSeq)
         EventTree::Replay(events, leaves, s);
-      if constexpr (kRing)
+      if constexpr (kRing) {
+        if (fault != Folding::kNone) return Fault(fault);
         if (at_boundary && !boundary(now)) return false;
+      }
     }
     executed_ = next_seq;
     return true;
@@ -526,6 +700,8 @@ class Loop {
   /// cycle check.
   [[nodiscard]] std::size_t executed() const { return executed_; }
   [[nodiscard]] SimTime makespan() const { return makespan_; }
+  /// The fold check that stopped the run, if one did.
+  [[nodiscard]] Folding fault() const { return fault_; }
 
   /// Hands the repetitions not yet retired to `ends`.
   void Finish() {
@@ -538,6 +714,11 @@ class Loop {
   }
   [[nodiscard]] std::int32_t* RepPending(std::size_t rep) const {
     return pending_.get() + ((rep * plan_.stride) & pending_mask_);
+  }
+
+  bool Fault(Folding fault) {
+    fault_ = fault;
+    return false;
   }
 
   void InitRep(std::size_t rep) {
@@ -601,8 +782,6 @@ class Loop {
     snap.queued.clear();
     snap.queue_end.clear();
     snap.running.clear();
-    snap.queue_end.reserve(streams_.size());
-    snap.running.reserve(streams_.size());
     for (std::size_t s = 0; s < streams_.size(); ++s) {
       const StreamState& st = streams_[s];
       // A heap is recorded as laid out: equal layouts hold equal keys.
@@ -648,6 +827,7 @@ class Loop {
     std::vector<std::int32_t> counters;
     std::vector<RepState> live;
     counters.reserve((b + 1 - lo_) * p);
+    live.reserve(b + 1 - lo_);
     for (std::size_t r = lo_; r <= b; ++r) {
       counters.insert(counters.end(), RepPending(r), RepPending(r) + p);
       live.push_back(reps_[RepSlot(r)]);
@@ -664,6 +844,8 @@ class Loop {
         slot += static_cast<std::remove_reference_t<decltype(slot)>>(shift);
       });
       if (events_.leaf(s).seq != kIdleSeq) streams_[s].running += shift;
+      // A folded task's window moves with it.
+      if (streams_[s].window >= 0) streams_[s].window += dt;
     }
     events_.Shift(dt);
     jumped_ = true;
@@ -682,6 +864,7 @@ class Loop {
   RepetitionEnds* ends_;
   std::size_t executed_{0};
   SimTime makespan_{0};
+  Folding fault_{Folding::kNone};
   // Repetitions: the ring, and the oldest unfinished one (those below it
   // are retired into ends_).
   std::vector<RepState> reps_;
@@ -725,7 +908,7 @@ SimTime RepetitionEnds::operator[](std::size_t rep) const {
 StatusOr<SimResult> Simulate(
     const TaskGraph& graph, const std::vector<StreamPolicy>& stream_policies) {
   Plan plan;
-  DEAR_RETURN_IF_ERROR(Prepare(graph, stream_policies, plan));
+  DEAR_RETURN_IF_ERROR(Prepare(graph, stream_policies, /*fold=*/false, plan));
   if (plan.period == 0) return SimResult{};
   const std::size_t n = graph.size();
   SimResult result;
@@ -740,27 +923,52 @@ StatusOr<SimResult> Simulate(
 StatusOr<RepetitionEnds> SimulateRepetitionEndsFullHorizon(
     const TaskGraph& graph, const std::vector<StreamPolicy>& stream_policies) {
   Plan plan;
-  DEAR_RETURN_IF_ERROR(Prepare(graph, stream_policies, plan));
+  DEAR_RETURN_IF_ERROR(Prepare(graph, stream_policies, /*fold=*/false, plan));
   return FullHorizonEnds(plan);
 }
 
 StatusOr<RepetitionEnds> SimulateRepetitionEnds(
     const TaskGraph& graph, const std::vector<StreamPolicy>& stream_policies) {
   Plan plan;
-  DEAR_RETURN_IF_ERROR(Prepare(graph, stream_policies, plan));
+  DEAR_RETURN_IF_ERROR(Prepare(graph, stream_policies, /*fold=*/true, plan));
   // The boundaries need every repetition after the first to wait on
   // something, and a jump needs a boundary to skip: three repetitions.
+  // Prepare folds nothing on other graphs.
   if (plan.period == 0 || plan.later_roots || plan.repeats < 3)
     return FullHorizonEnds(plan);
-  RepetitionEnds ends;
-  Loop<Mode::kPeriodic> loop(
-      plan, std::min(kRingRepetitions, std::bit_ceil(plan.repeats)), nullptr,
-      &ends);
+  const std::size_t ring =
+      std::min(kRingRepetitions, std::bit_ceil(plan.repeats));
   // A cycle leaves tasks of every repetition unrun, but a jump counts the
   // skipped repetitions whole, so only the full horizon counts them.
-  if (!loop.Run() || loop.executed() != plan.period * plan.repeats)
-    return FullHorizonEnds(plan);
-  loop.Finish();
+  const auto periodic = [&](RepetitionEnds& ends) {
+    Loop<Mode::kPeriodic> loop(plan, ring, nullptr, &ends);
+    const bool done =
+        loop.Run() && loop.executed() == plan.period * plan.repeats;
+    if (done) loop.Finish();
+    return std::pair{done, loop.fault()};
+  };
+  Folding folding = Folding::kNone;
+  if (!plan.lead.empty()) {
+    RepetitionEnds ends;
+    const auto [done, fault] = periodic(ends);
+    if (done) {
+      ends.folding = Folding::kKept;
+      return ends;
+    }
+    // A failed check: the fold could change the schedule, so run the
+    // graph's own tasks. Without one, the folded run so far was the
+    // unfolded one, which would outgrow its ring or leave tasks unrun too.
+    folding = fault == Folding::kNone ? Folding::kUnfinished : fault;
+    DEAR_RETURN_IF_ERROR(
+        Prepare(graph, stream_policies, /*fold=*/false, plan));
+  }
+  RepetitionEnds ends;
+  if (folding == Folding::kUnfinished || !periodic(ends).first) {
+    auto full = FullHorizonEnds(plan);
+    if (!full.ok()) return full;
+    ends = *std::move(full);
+  }
+  ends.folding = folding;
   return ends;
 }
 

@@ -1,14 +1,17 @@
 // Discrete-event engine: dependency semantics, stream serialization, FIFO
 // vs priority dispatch, determinism, malformed-graph rejection, bit-for-bit
-// agreement with the reference engine, and per-repetition ends with and
-// without the early stop at a repeated state.
+// agreement with the reference engine, per-repetition ends with and without
+// the early stop at a repeated state, and the folding of same-stream chains
+// (with its run-time checks) that the early stop runs on.
 #include "sim/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -17,6 +20,7 @@
 
 #include "sim_reference.h"
 #include "sim_unroll.h"
+#include "test_env.h"
 
 namespace dear::sim {
 namespace {
@@ -593,15 +597,15 @@ std::vector<SimTime> ReferenceEnds(const TaskGraph& g,
 }
 
 /// Both functions return the reference's ends; returns the early path's
-/// skipped count.
-std::size_t ExpectReferenceEnds(const TaskGraph& g,
-                                const std::vector<StreamPolicy>& policies) {
+/// result (empty if it failed).
+RepetitionEnds ExpectReferenceEnds(const TaskGraph& g,
+                                   const std::vector<StreamPolicy>& policies) {
   const std::vector<SimTime> want = ReferenceEnds(g, policies);
   const auto early = SimulateRepetitionEnds(g, policies);
   const auto full = SimulateRepetitionEndsFullHorizon(g, policies);
   EXPECT_TRUE(early.ok()) << early.status().ToString();
   EXPECT_TRUE(full.ok()) << full.status().ToString();
-  if (!early.ok() || !full.ok()) return 0;
+  if (!early.ok() || !full.ok()) return {};
   EXPECT_EQ(early->size(), want.size());
   EXPECT_EQ(full->size(), want.size());
   EXPECT_EQ(full->skipped, 0u);
@@ -609,7 +613,7 @@ std::size_t ExpectReferenceEnds(const TaskGraph& g,
     EXPECT_EQ((*early)[r], want[r]) << "repetition " << r;
     EXPECT_EQ((*full)[r], want[r]) << "repetition " << r;
   }
-  return early->skipped;
+  return *early;
 }
 
 // Seeded random periodic DAGs that try to break the state-repeat argument:
@@ -664,7 +668,7 @@ TEST(RepetitionEndsTest, RandomDagsMatchTheReferenceEngine) {
     for (int s = 0; s < streams; ++s)
       policies.push_back(next() % 2 ? StreamPolicy::kPriority
                                     : StreamPolicy::kFifoByReady);
-    (ExpectReferenceEnds(g, policies) > 0 ? early : fallback) += 1;
+    (ExpectReferenceEnds(g, policies).skipped > 0 ? early : fallback) += 1;
   }
   std::cout << "early path " << early << ", fallback " << fallback
             << std::endl;
@@ -690,7 +694,7 @@ TEST(RepetitionEndsTest, LastRepetitionIsNotTheInteriorShifted) {
   g.SetCarried(a, std::vector<TaskId>{a});
   g.Repeat(12);
   const std::vector<StreamPolicy> policies(3, StreamPolicy::kFifoByReady);
-  EXPECT_GT(ExpectReferenceEnds(g, policies), 0u);
+  EXPECT_GT(ExpectReferenceEnds(g, policies).skipped, 0u);
   const auto ends = SimulateRepetitionEnds(g, policies);
   ASSERT_TRUE(ends.ok());
   // A ends at 10 r + 10, B at + 6, D at + 14; C waits for the next B and
@@ -710,7 +714,7 @@ TEST(RepetitionEndsTest, GrowingBacklogFallsBackToTheFullHorizon) {
   AddTask(g, 1, 15, {a});
   g.SetCarried(a, std::vector<TaskId>{a});
   g.Repeat(40);
-  EXPECT_EQ(ExpectReferenceEnds(g, {}), 0u);
+  EXPECT_EQ(ExpectReferenceEnds(g, {}).skipped, 0u);
 }
 
 TEST(RepetitionEndsTest, ErrorsAreSimulates) {
@@ -741,6 +745,290 @@ TEST(RepetitionEndsTest, ErrorsAreSimulates) {
       EXPECT_EQ(got.status().message(), want.status().message());
     }
   }
+}
+
+// Folding: SimulateRepetitionEnds runs each same-stream chain as one task
+// and re-runs unfolded when a run-time check finds the fold could change
+// the schedule (DESIGN.md §4.10). Each graph below breaks one check's
+// premise; the folded run without that check would end the repetitions
+// at the times noted, so the re-run must happen for the ends to match.
+
+const std::vector<StreamPolicy> kFifo4(4, StreamPolicy::kFifoByReady);
+
+// (a) H (10) and X (5) become ready together on stream 0, H first. The
+// graph runs H, X, then H's successor M (10), so Y (7, stream 1) ends each
+// repetition at 32; H and M as one task would run X last and end it at 27.
+TEST(FoldTest, TaskQueuedBehindAFoldedTaskStopsTheFold) {
+  TaskGraph g;
+  const TaskId h = AddTask(g, 0, 10);
+  const TaskId m = AddTask(g, 0, 10, {h});
+  const TaskId x = AddTask(g, 0, 5);
+  const TaskId y = AddTask(g, 1, 7, {m});
+  g.SetCarried(h, std::vector<TaskId>{y});
+  g.SetCarried(x, std::vector<TaskId>{y});
+  g.Repeat(6);
+  const auto ends = ExpectReferenceEnds(g, kFifo4);
+  EXPECT_EQ(ends.folding, Folding::kQueueNotEmpty);
+  EXPECT_EQ(ends[0], 32);
+}
+
+// (b) H (10) runs on stream 0 while Y (5, stream 1) readies X (3, stream 0)
+// at 5, before H's successor M (10) starts: the graph runs X before M and
+// K (10, stream 2, after M) ends each repetition at 33; H and M as one task
+// would end it at 30.
+TEST(FoldTest, PushInsideTheWindowStopsTheFold) {
+  TaskGraph g;
+  const TaskId h = AddTask(g, 0, 10);
+  const TaskId m = AddTask(g, 0, 10, {h});
+  const TaskId y = AddTask(g, 1, 5);
+  AddTask(g, 0, 3, {y});
+  const TaskId k = AddTask(g, 2, 10, {m});
+  g.SetCarried(h, std::vector<TaskId>{k});
+  g.SetCarried(y, std::vector<TaskId>{k});
+  g.Repeat(6);
+  const auto ends = ExpectReferenceEnds(g, kFifo4);
+  EXPECT_EQ(ends.folding, Folding::kPushInWindow);
+  EXPECT_EQ(ends[0], 33);
+}
+
+// (c) H (5) then M (10) on stream 0 end at 15, as Z (15, stream 1) does. Z
+// was dispatched after H but before M, so the graph pops Z first: Q (1)
+// takes stream 2 before P (10), and R (20, after Q) ends each repetition
+// at 36. H and M as one task carry H's dispatch and pop first, so P would
+// run first and R end at 46.
+TEST(FoldTest, TiedEndStopsTheFold) {
+  TaskGraph g;
+  const TaskId h = AddTask(g, 0, 5);
+  const TaskId m = AddTask(g, 0, 10, {h});
+  const TaskId z = AddTask(g, 1, 15);
+  AddTask(g, 2, 10, {m});
+  const TaskId q = AddTask(g, 2, 1, {z});
+  const TaskId r = AddTask(g, 3, 20, {q});
+  g.SetCarried(h, std::vector<TaskId>{r});
+  g.SetCarried(z, std::vector<TaskId>{r});
+  g.Repeat(6);
+  const auto ends = ExpectReferenceEnds(g, kFifo4);
+  EXPECT_EQ(ends.folding, Folding::kTiedEnd);
+  EXPECT_EQ(ends[0], 36);
+}
+
+// The chain F0 (4), F1 (3), F2 (5) on stream 0 folds into one task. Its
+// window closes at 7, when F2 starts; G (10, stream 2) readies X (2,
+// stream 0) at 10, inside F2's run but after the window, so X queues behind
+// the chain exactly as it does behind F2, and the fold is kept. Each
+// repetition starts when the previous C (9, stream 1, after F2) ends, so
+// the chain runs across the jump, window and all.
+TEST(FoldTest, ChainAcrossTheJumpKeepsTheFold) {
+  TaskGraph g;
+  const TaskId f0 = AddTask(g, 0, 4);
+  const TaskId f1 = AddTask(g, 0, 3, {f0});
+  const TaskId f2 = AddTask(g, 0, 5, {f1});
+  const TaskId gate = AddTask(g, 2, 10);
+  AddTask(g, 0, 2, {gate});
+  const TaskId c = AddTask(g, 1, 9, {f2});
+  g.SetCarried(f0, std::vector<TaskId>{c});
+  g.SetCarried(gate, std::vector<TaskId>{c});
+  g.Repeat(12);
+  const auto ends = ExpectReferenceEnds(g, kFifo4);
+  EXPECT_EQ(ends.folding, Folding::kKept);
+  EXPECT_GT(ends.skipped, 0u);
+  EXPECT_EQ(ends.period, 21);
+  EXPECT_EQ(ends[11], 12 * 21);
+}
+
+// A chain whose tail has two successors folds; one whose interior task is
+// also another task's dependency, or lists its predecessor twice, or waits
+// on a task its predecessor does not, does not. Priority streams never
+// fold. Each plan must give the reference engine's ends.
+TEST(FoldTest, OnlyChainsThatMatchTheRuleFold) {
+  struct Case {
+    const char* name;
+    std::vector<std::vector<TaskId>> deps;  // one list per task
+    std::vector<StreamPolicy> policies;
+    Folding want;
+  };
+  // Tasks 0 -> 1 -> 2 on stream 0, a task 3 on stream 1; 0 waits on the
+  // previous repetition's 2 and 3, and 3 on its 2.
+  const std::vector<Case> cases = {
+      {"chain", {{}, {0}, {1}, {2}}, kFifo4, Folding::kKept},
+      {"interior tasks waited on", {{}, {0}, {1}, {0, 1}}, kFifo4,
+       Folding::kNone},
+      {"predecessor listed twice", {{}, {0, 0}, {1}, {2}}, kFifo4,
+       Folding::kKept},  // 1 -> 2 still folds
+      {"dependency the predecessor lacks", {{}, {0}, {1, 3}, {}}, kFifo4,
+       Folding::kKept},  // 0 -> 1 still folds
+      {"redundant dependency", {{}, {0}, {1, 0}, {2}}, kFifo4,
+       Folding::kKept},
+      {"priority stream", {{}, {0}, {1}, {2}},
+       {StreamPolicy::kPriority, StreamPolicy::kFifoByReady},
+       Folding::kNone},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    TaskGraph g;
+    for (std::size_t i = 0; i < c.deps.size(); ++i)
+      AddTask(g, i < 3 ? 0 : 1, static_cast<SimTime>(3 + i), c.deps[i]);
+    g.SetCarried(0, std::vector<TaskId>{2, 3});
+    g.SetCarried(3, std::vector<TaskId>{2});
+    g.Repeat(5);
+    EXPECT_EQ(ExpectReferenceEnds(g, c.policies).folding, c.want);
+  }
+}
+
+// Seeded random periodic graphs built to fold: interleaved same-stream
+// chains whose members repeat some of their predecessor's dependencies,
+// in-period and carried; now and then a member that breaks the rule (an
+// extra dependency, its predecessor listed twice, a second successor);
+// zero durations and small durations that end tasks together; 2 to 16
+// streams, so both the scan and the tree run, with priority streams among
+// them. Every repetition's end must equal the reference engine's, each
+// check must stop some folded run, and most runs must keep the fold. The
+// seed count scales with DEAR_FUZZ_SCHEDULES.
+TEST(FoldProperty, RandomChainsMatchTheReferenceEngine) {
+  constexpr SimTime kDurations[] = {0, 0, 2, 3, 5, 5, 10};
+  constexpr double kPriorities[] = {-1.0, 0.0, 1.0, 1.0, 2.5};
+  constexpr int kRepeats[] = {3, 4, 6, 9, 13};
+  const int seeds = 300 * testenv::FuzzSchedules(1);
+  std::array<int, 6> outcomes{};
+  for (int seed = 1; seed <= seeds; ++seed) {
+    // A crash (a sanitizer abort) leaves its seed as the last one printed.
+    std::fprintf(stderr, "\rfold property seed %d", seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::uint64_t state =
+        static_cast<std::uint64_t>(seed) * 0xA0761D6478BD642FULL + 3;
+    auto next = [&]() {
+      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+      return static_cast<std::uint32_t>(state >> 33);
+    };
+    const int streams = 2 + static_cast<int>(next() % 15);
+    const int n = 6 + static_cast<int>(next() % 30);
+    struct Spec {
+      std::int16_t stream;
+      TaskId pred;  // the chain member before it, or -1
+      std::vector<TaskId> deps, carried;
+    };
+    std::vector<Spec> spec;
+    std::vector<TaskId> tails;  // chains' last members so far
+    // Two in three graphs are calm: each chain on a stream of its own as
+    // far as the streams go, and no member breaks the rule.
+    const bool calm = seed % 3 != 0;
+    const auto streams_u = static_cast<std::uint32_t>(streams);
+    int chains = 0;
+    // An earlier task: a chain's last member in a calm graph, usually one
+    // in a rough graph.
+    const auto pick = [&](int below) {
+      if (!tails.empty() && (calm || next() % 8 != 0))
+        return tails[next() % tails.size()];
+      return static_cast<TaskId>(next() % static_cast<std::uint32_t>(below));
+    };
+    struct Open {
+      TaskId last;
+      int left;
+    };
+    std::vector<Open> open;
+    std::vector<TaskId> first_on(static_cast<std::size_t>(streams), -1);
+    std::vector<TaskId> last_on(static_cast<std::size_t>(streams), -1);
+    for (int i = 0; i < n; ++i) {
+      Spec t;
+      if (!open.empty() && next() % 4 != 0) {
+        const std::size_t c = next() % open.size();
+        const Spec& u = spec[static_cast<std::size_t>(open[c].last)];
+        t.stream = u.stream;
+        t.pred = open[c].last;
+        t.deps.push_back(t.pred);
+        for (TaskId d : u.deps)
+          if (next() % 2 == 0) t.deps.push_back(d);
+        if (!calm && next() % 10 == 0) t.deps.push_back(pick(i));
+        if (!calm && next() % 20 == 0) t.deps.push_back(t.pred);
+        open[c].last = i;
+        if (--open[c].left == 0) {
+          tails.push_back(i);
+          open.erase(open.begin() + static_cast<std::ptrdiff_t>(c));
+        }
+      } else {
+        // A calm graph deals its chains out to the streams in turn; a rough
+        // one now and then crowds one onto the first two streams.
+        t.stream = static_cast<std::int16_t>(
+            calm              ? chains++ % streams
+            : next() % 8 == 0 ? static_cast<int>(next() % 2)
+                              : static_cast<int>(next() % streams_u));
+        t.pred = -1;
+        const TaskId before = last_on[static_cast<std::size_t>(t.stream)];
+        if (calm && before >= 0) {
+          // A calm stream runs its chains one after another: close the
+          // open one, if any, and wait on the last.
+          const auto mine =
+              std::find_if(open.begin(), open.end(),
+                           [&](const Open& o) { return o.last == before; });
+          if (mine != open.end()) {
+            tails.push_back(before);
+            open.erase(mine);
+          }
+          t.deps.push_back(before);
+        }
+        for (int d = static_cast<int>(next() % 3); d > 0 && i > 0; --d)
+          t.deps.push_back(pick(i));
+        open.push_back({i, 1 + static_cast<int>(next() % 5)});
+      }
+      if (first_on[static_cast<std::size_t>(t.stream)] < 0)
+        first_on[static_cast<std::size_t>(t.stream)] = i;
+      last_on[static_cast<std::size_t>(t.stream)] = i;
+      spec.push_back(std::move(t));
+    }
+    for (const Open& o : open) tails.push_back(o.last);
+    // A calm stream's first chain also waits on its last task in the
+    // previous repetition.
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+      Spec& t = spec[i];
+      const auto st = static_cast<std::size_t>(t.stream);
+      if (calm && first_on[st] == static_cast<TaskId>(i))
+        t.carried.push_back(last_on[st]);
+      if (t.pred < 0) {
+        // Gated: a task without in-period deps waits on the previous
+        // repetition.
+        if (t.deps.empty() || next() % 3 == 0) t.carried.push_back(pick(n));
+      } else {
+        for (TaskId d : spec[static_cast<std::size_t>(t.pred)].carried)
+          if (next() % 2 == 0) t.carried.push_back(d);
+        if (!calm && next() % 12 == 0) t.carried.push_back(pick(n));
+      }
+    }
+    TaskGraph g;
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+      Task task;
+      task.stream = spec[i].stream;
+      // Rough graphs draw from a small set, zeros included, so tasks end
+      // together; calm ones rarely tie.
+      task.duration = calm ? 1 + next() % 10007 : kDurations[next() % 7];
+      task.priority = kPriorities[next() % 5];
+      g.Add(task, spec[i].deps);
+    }
+    for (std::size_t i = 0; i < spec.size(); ++i)
+      if (!spec[i].carried.empty())
+        g.SetCarried(static_cast<TaskId>(i), spec[i].carried);
+    g.Repeat(kRepeats[next() % 5]);
+    std::vector<StreamPolicy> policies(1, StreamPolicy::kFifoByReady);
+    for (int s = 1; s < streams; ++s)
+      policies.push_back(next() % 3 == 0 ? StreamPolicy::kPriority
+                                         : StreamPolicy::kFifoByReady);
+    ++outcomes[static_cast<std::size_t>(
+        ExpectReferenceEnds(g, policies).folding)];
+    if (HasFailure()) break;
+  }
+  std::fprintf(stderr, "\n");
+  const auto count = [&](Folding f) {
+    return outcomes[static_cast<std::size_t>(f)];
+  };
+  std::cout << "kept " << count(Folding::kKept) << ", not folded "
+            << count(Folding::kNone) << ", stopped by (a) "
+            << count(Folding::kQueueNotEmpty) << " (b) "
+            << count(Folding::kPushInWindow) << " (c) "
+            << count(Folding::kTiedEnd) << ", unfinished "
+            << count(Folding::kUnfinished) << " of " << seeds << std::endl;
+  EXPECT_GT(count(Folding::kQueueNotEmpty), 0);
+  EXPECT_GT(count(Folding::kPushInWindow), 0);
+  EXPECT_GT(count(Folding::kTiedEnd), 0);
+  EXPECT_GT(2 * count(Folding::kKept), seeds);
 }
 
 }  // namespace

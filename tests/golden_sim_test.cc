@@ -146,12 +146,13 @@ TEST(GoldenSim, ZooCellsMatchGolden) {
   EXPECT_EQ(actual, golden);
 }
 
-// EvaluatePolicy stops at the first repeated engine state. A silent
-// fallback to the full horizon would keep every number above and lose the
-// speed, so every evaluation of the grid (the 224 cells' compare
-// configurations and their BO trials) must take the early path.
+// EvaluatePolicy stops at the first repeated engine state, on a plan with
+// same-stream chains folded. A silent fallback to the full horizon or to
+// the unfolded plan would keep every number above and lose the speed, so
+// every evaluation of the grid (the 224 cells' compare configurations and
+// their BO trials) must take the early path, and none may re-run unfolded.
 TEST(GoldenSim, EveryEvaluationTakesTheEarlyPath) {
-  int evaluations = 0, early = 0, cells_early = 0;
+  int evaluations = 0, early = 0, cells_early = 0, unfolded = 0;
   RenderCells([&](const dear::model::ModelSpec& m,
                   const sched::ClusterSpec& cluster,
                   const sched::PolicyConfig& cfg) {
@@ -163,11 +164,15 @@ TEST(GoldenSim, EveryEvaluationTakesTheEarlyPath) {
     const bool skipped = ends->skipped > 0;
     if (evaluations % (kTuneTrials + 1) == 0) cells_early += skipped;
     early += skipped;
+    const auto folding = ends->folding;
+    unfolded += folding != dear::sim::Folding::kKept &&
+                folding != dear::sim::Folding::kNone;
     ++evaluations;
   });
   EXPECT_EQ(evaluations, 224 * (kTuneTrials + 1));
   EXPECT_EQ(cells_early, 224);
   EXPECT_EQ(early, evaluations);
+  EXPECT_EQ(unfolded, 0);
 }
 
 }  // namespace

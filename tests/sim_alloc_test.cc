@@ -2,6 +2,7 @@
 // counted exactly through the shared counting operator new
 // (perflab/alloc_counter.h): Simulate allocates per graph, never per task,
 // a policy's graph allocates per period, never per iteration,
+// SimulateRepetitionEnds allocates per call, never per task of the period,
 // EvaluatePolicy's heap bytes do not grow with the iterations it averages,
 // the acquisition sweep over a sized grid allocates nothing, and a fusion
 // plan allocates per plan, never per group or per layer.
@@ -95,6 +96,48 @@ TEST(SimAllocTest, BuildAndSimulateAllocationsDoNotGrowWithIterations) {
     cfg.plan = fusion::ByBufferBytes(m, 25u << 20);
     EXPECT_EQ(BuildAndSimulateAllocs(m, cfg, 8),
               BuildAndSimulateAllocs(m, cfg, 64))
+        << sched::PolicyName(kind);
+  }
+}
+
+/// Allocations made by one SimulateRepetitionEnds call (result included) on
+/// a policy's graph of `m`, built beforehand.
+long RepetitionEndsAllocs(const model::ModelSpec& m,
+                          const sched::PolicyConfig& cfg) {
+  sched::ClusterSpec cluster;
+  cluster.world_size = 16;
+  const auto built = sched::BuildTaskGraph(m, cluster, cfg,
+                                           sched::RunOptions{}.iterations);
+  const long before = perflab::ThreadAllocs();
+  {
+    const auto ends =
+        sim::SimulateRepetitionEnds(built.graph, built.stream_policies);
+    EXPECT_TRUE(ends.ok());
+    EXPECT_GT(ends->skipped, 0u);
+  }
+  return perflab::ThreadAllocs() - before;
+}
+
+// The plan, the loop's rings and queues, the snapshots, the jump's copies
+// and the fold's arrays are each sized once per call, so a period of 100x
+// the tasks allocates exactly as often.
+TEST(SimAllocTest, RepetitionEndsAllocationsDoNotGrowWithThePeriod) {
+  const auto small = model::UniformTestModel(10, 100);  // 400 B tensors
+  const auto large = model::UniformTestModel(1000, 100);
+  for (const auto kind :
+       {sched::PolicyKind::kWFBP, sched::PolicyKind::kDeAR,
+        sched::PolicyKind::kByteScheduler}) {
+    const auto config = [kind](const model::ModelSpec& m) {
+      sched::PolicyConfig cfg;
+      cfg.kind = kind;
+      cfg.plan = kind == sched::PolicyKind::kDeAR
+                     ? fusion::ByBufferBytes(m, 4096)
+                     : fusion::PerTensor(m);
+      return cfg;
+    };
+    const long allocs = RepetitionEndsAllocs(small, config(small));
+    EXPECT_GT(allocs, 0) << sched::PolicyName(kind);
+    EXPECT_EQ(RepetitionEndsAllocs(large, config(large)), allocs)
         << sched::PolicyName(kind);
   }
 }
