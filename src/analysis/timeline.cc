@@ -7,6 +7,7 @@
 #include <map>
 #include <utility>
 
+#include "comm/types.h"  // header-only: the dtype values of the brackets
 #include "common/logging.h"
 
 namespace dear::analysis {
@@ -223,9 +224,10 @@ ScheduleSpans PairScheduleRecords(
   SimTime last_end = 0;
   std::map<std::pair<int, std::uint32_t>, SimTime> wait_begin;
   // Only the outermost collective on a thread is journaled, so a rank's
-  // brackets are well nested and a stack pairs them. An end whose begin
-  // the ring already lost pairs with nothing.
-  std::vector<const flightrec::Record*> open;
+  // brackets are well nested and a stack pairs them, each entry summing
+  // the sends journaled inside it. An end whose begin the ring already lost
+  // pairs with nothing.
+  std::vector<std::pair<const flightrec::Record*, std::uint64_t>> open;
   for (const flightrec::Record& rec : records) {
     const auto ts = static_cast<SimTime>(rec.ts_ns);
     const std::pair<int, std::uint32_t> op{static_cast<int>(rec.tag),
@@ -260,20 +262,47 @@ ScheduleSpans PairScheduleRecords(
         break;
       }
       case EventKind::kCollectiveBegin:
-        open.push_back(&rec);
+        open.emplace_back(&rec, 0);
         break;
-      case EventKind::kCollectiveEnd:
+      case EventKind::kCollectiveEnd: {
         if (open.empty()) break;
+        const auto [begin, sent_bytes] = open.back();
         out.collectives.push_back(
-            {open.back()->tag, open.back()->payload, rec.payload,
-             {static_cast<SimTime>(open.back()->ts_ns), ts}});
+            {begin->tag, begin->payload, rec.payload,
+             {static_cast<SimTime>(begin->ts_ns), ts}, sent_bytes});
         open.pop_back();
+        break;
+      }
+      case EventKind::kSend:
+        out.sent.messages += 1;
+        out.sent.bytes += rec.payload;
+        if (!open.empty()) open.back().second += rec.payload;
+        break;
+      case EventKind::kRecv:
+        out.received.messages += 1;
+        out.received.bytes += rec.payload;
         break;
       default:
         break;
     }
   }
   return out;
+}
+
+void ExportTransportMetrics(const ScheduleSpans& spans,
+                            telemetry::MetricsRegistry& reg) {
+  reg.GetCounter("comm.messages_sent").Add(spans.sent.messages);
+  reg.GetCounter("comm.bytes_sent").Add(spans.sent.bytes);
+  reg.GetCounter("comm.messages_received").Add(spans.received.messages);
+  reg.GetCounter("comm.bytes_received").Add(spans.received.bytes);
+  telemetry::Counter* wire[comm::kNumDTypes];
+  for (int d = 0; d < comm::kNumDTypes; ++d)
+    wire[d] = &reg.GetCounter(
+        "comm.wire_bytes." +
+        std::string(comm::DTypeName(static_cast<comm::DType>(d))));
+  for (const auto& c : spans.collectives)
+    wire[c.dtype < static_cast<std::uint32_t>(comm::kNumDTypes) ? c.dtype : 0]
+        ->Add(static_cast<std::int64_t>(c.sent_bytes));
 }
 
 AttributionReport AttributeIterations(

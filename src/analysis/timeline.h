@@ -13,6 +13,7 @@
 #include "flightrec/journal.h"
 #include "sim/engine.h"
 #include "sim/task_graph.h"
+#include "telemetry/metrics.h"
 
 namespace dear::analysis {
 
@@ -95,7 +96,7 @@ std::string RenderAsciiGantt(const sim::TaskGraph& graph,
 // catches bookkeeping bugs (overlapping waits, clipping).
 
 /// One rank's journal, paired into spans: DistOptim's schedule records and
-/// the comm runtime's collective brackets.
+/// the comm runtime's collective brackets, plus its transport traffic.
 struct ScheduleSpans {
   struct Window {
     std::uint32_t step{0};  // index of the Step() that closed the window
@@ -117,11 +118,25 @@ struct ScheduleSpans {
     std::uint32_t elems{0};  // the begin record's element count
     std::uint32_t dtype{0};  // the end record's wire comm::DType (0 = f32)
     Interval span;
+    std::uint64_t sent_bytes{0};  // payload bytes of the sends inside it
   };
   std::vector<Collective> collectives;  // closed brackets, in end order
+  /// Count and payload (wire) bytes of the kSend / kRecv records.
+  struct Traffic {
+    std::int64_t messages{0};
+    std::int64_t bytes{0};
+  };
+  Traffic sent, received;
 };
 [[nodiscard]] ScheduleSpans PairScheduleRecords(
     const std::vector<flightrec::Record>& records);
+
+/// Adds one rank's transport counters, read from its spans, to `reg`:
+/// comm.messages_sent/received and comm.bytes_sent/received count its
+/// send/recv records, and comm.wire_bytes.<f32|f16|bf16> sums the sends
+/// inside each collective bracket under the bracket's wire dtype.
+void ExportTransportMetrics(const ScheduleSpans& spans,
+                            telemetry::MetricsRegistry& reg);
 
 struct GroupAttribution {
   int group{0};

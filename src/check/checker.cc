@@ -448,9 +448,9 @@ std::string Checker::DumpLocked() const {
   for (const auto& gens : ledgers_) {
     max_ledger = std::max(max_ledger, TotalOps(gens));
   }
-  // Journal context, independent of any telemetry session: per rank, the
-  // collective bracket still open (begin without an end — the op the rank
-  // is stuck in) and the transport sends its ring still holds.
+  // Journal context: per rank, the collective bracket still open (begin
+  // without an end — the op the rank is stuck in) and the transport sends
+  // its ring still holds.
   const auto journal = flightrec::Recorder::Get().SnapshotAll();
   struct JournalContext {
     const flightrec::Record* open{nullptr};

@@ -26,16 +26,15 @@
 //     request, so tests can skip, shrink, or reorder one rank's collective
 //     and prove each detector class fires before ctest would hang.
 //
-// The checker follows the telemetry Runtime enable pattern: a process-wide
-// singleton whose hooks (called only from comm/probe.h) reduce to one
-// relaxed atomic load when disabled (the default), so they stay compiled
-// into the hot paths. On detection the checker "trips": it freezes a
-// report and invokes the registered trip handler (typically
-// TransportHub::Shutdown) so every blocked rank is released with
-// Status::Unavailable instead of hanging forever.
+// The checker is a process-wide singleton whose hooks (called only from
+// comm/probe.h) reduce to one relaxed atomic load when disabled (the
+// default), so they stay compiled into the hot paths. On detection the
+// checker "trips": it freezes a report and invokes the registered trip
+// handler (typically TransportHub::Shutdown) so every blocked rank is
+// released with Status::Unavailable instead of hanging forever.
 //
 // Enable()/Disable() must be called from a quiescent point (no in-flight
-// collectives), like telemetry::Runtime.
+// collectives).
 #pragma once
 
 #include <atomic>
@@ -80,7 +79,7 @@ struct CheckerOptions {
 
 class Checker {
  public:
-  /// Process-wide instance (leaked, like telemetry::Runtime — it must
+  /// Process-wide instance (leaked, like flightrec::Recorder — it must
   /// outlive every comm thread).
   static Checker& Get();
 

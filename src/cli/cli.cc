@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
 #include <thread>
 
@@ -27,7 +28,7 @@
 #include "schedlab/chaos.h"
 #include "schedlab/properties.h"
 #include "sim/engine.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/metrics.h"
 #include "train/data.h"
 #include "tune/search.h"
 
@@ -353,36 +354,50 @@ std::vector<double> ResidualEdges() {
 /// zero when the run had no such collective.
 void ExportModelMetrics(const analysis::Calibration& calib,
                         const std::vector<analysis::CollectiveSample>& samples,
-                        int world, const analysis::AlphaBeta& reference,
-                        telemetry::Runtime& rt) {
+                        const analysis::AlphaBeta& reference,
+                        std::vector<telemetry::MetricsRegistry>& ranks) {
   using analysis::CollectiveShape;
+  const int world = static_cast<int>(ranks.size());
   const auto shape_metric = [](const char* family, std::size_t s) {
     return std::string("comm.model.") + family + "." +
            analysis::ShapeName(static_cast<CollectiveShape>(s));
   };
   for (int r = 0; r < world; ++r) {
-    telemetry::MetricsRegistry* reg = rt.rank_metrics(r);
-    if (reg == nullptr) continue;
+    telemetry::MetricsRegistry& reg = ranks[static_cast<std::size_t>(r)];
     const auto& cells = calib.ranks[static_cast<std::size_t>(r)];
     std::uint64_t anomalies = 0;
     for (std::size_t s = 0; s < analysis::kShapeCount; ++s) {
-      reg->GetHistogram(shape_metric("residual", s), ResidualEdges());
-      reg->GetGauge(shape_metric("divergence", s)).Set(cells[s].divergence);
+      reg.GetHistogram(shape_metric("residual", s), ResidualEdges());
+      reg.GetGauge(shape_metric("divergence", s)).Set(cells[s].divergence);
       anomalies += cells[s].anomalies;
     }
-    reg->GetCounter("comm.model.anomalies")
+    reg.GetCounter("comm.model.anomalies")
         .Add(static_cast<std::int64_t>(anomalies));
   }
   for (const auto& sample : samples) {
-    telemetry::MetricsRegistry* reg = rt.rank_metrics(sample.rank);
     const double predicted = analysis::PredictedNs(sample.shape, world,
                                                    reference, sample.bytes);
-    if (reg == nullptr || predicted <= 0.0) continue;
-    reg->GetHistogram(
-           shape_metric("residual", static_cast<std::size_t>(sample.shape)),
-           ResidualEdges())
+    if (sample.rank < 0 || sample.rank >= world || predicted <= 0.0) continue;
+    ranks[static_cast<std::size_t>(sample.rank)]
+        .GetHistogram(
+            shape_metric("residual", static_cast<std::size_t>(sample.shape)),
+            ResidualEdges())
         .Observe(sample.ns / predicted);
   }
+}
+
+/// The transport pool's transport.pool.* metrics from its end-of-run
+/// stats: every acquire is a hit or a miss, and every buffer no longer in
+/// flight was released.
+void ExportPoolMetrics(const comm::PoolStats& pool,
+                       telemetry::MetricsRegistry& reg) {
+  reg.GetCounter("transport.pool.hits").Add(pool.hits);
+  reg.GetCounter("transport.pool.misses").Add(pool.misses);
+  reg.GetCounter("transport.pool.releases")
+      .Add(pool.hits + pool.misses - pool.in_flight_buffers);
+  reg.GetCounter("transport.pool.bytes_acquired").Add(pool.acquired_bytes);
+  reg.GetGauge("transport.pool.bytes_in_flight")
+      .Set(static_cast<double>(pool.in_flight_bytes));
 }
 
 int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
@@ -428,15 +443,12 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
     err << net.status().ToString() << "\n";
     return 1;
   }
-  // Fresh journals at this quiescent start: the attribution report and the
-  // Chrome trace read exactly this run back from the flight recorder.
+  // Fresh journals at this quiescent start: every table, metric and the
+  // Chrome trace below read exactly this run back from the flight recorder.
   auto& recorder = flightrec::Recorder::Get();
   recorder.Reset();
-  auto& rt = telemetry::Runtime::Get();
-  rt.Enable(world);
-  core::TrainDistributed(dims, /*model_seed=*/7, data, iters, batch, world,
-                         options);
-  rt.Disable();
+  const auto result = core::TrainDistributed(
+      dims, /*model_seed=*/7, data, iters, batch, world, options);
 
   out << "profile: " << model_name << " proxy (";
   for (std::size_t i = 0; i < dims.size(); ++i)
@@ -446,21 +458,35 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
       << ", buffer=" << options.buffer_bytes / 1024
       << "KB, dtype=" << flags.GetString("dtype") << "\n\n";
 
+  // Metrics are a view of the run, built once it is over: per-rank
+  // transport counts and model residuals from the journal, the pool's from
+  // the hub's end-of-run stats.
   const auto journal = recorder.SnapshotAll();
+  DEAR_CHECK(journal.size() >= static_cast<std::size_t>(world));
   const auto attribution = analysis::AttributeIterations(journal, world);
+  std::vector<analysis::ScheduleSpans> spans;
+  std::vector<telemetry::MetricsRegistry> metrics(
+      static_cast<std::size_t>(world));
+  telemetry::MetricsRegistry global_metrics;
+  for (int r = 0; r < world; ++r) {
+    spans.push_back(
+        analysis::PairScheduleRecords(journal[static_cast<std::size_t>(r)]));
+    analysis::ExportTransportMetrics(spans.back(),
+                                     metrics[static_cast<std::size_t>(r)]);
+  }
+  ExportPoolMetrics(result.pool, global_metrics);
   // Model-vs-measured residuals of every collective bracket against the
   // --network reference, exported as the comm.model.* metrics.
   const analysis::AlphaBeta reference{net->alpha_s, net->beta_s_per_byte};
   const auto samples = analysis::CollectiveSamples(journal);
   const auto calib = analysis::Calibrate(samples, world, reference);
-  ExportModelMetrics(calib, samples, world, reference, rt);
+  ExportModelMetrics(calib, samples, reference, metrics);
   // Which window of the run each rank's journal still holds. Once a writer
-  // lane has wrapped, the per-collective table, iter_ms and the attribution
-  // report below cover only that window.
+  // lane has wrapped, that rank's counts, the per-collective table, iter_ms
+  // and the attribution report below cover only that window.
   std::string wrapped;
   out << "journal window (ms):" << std::fixed << std::setprecision(3);
-  for (int r = 0; r < world && static_cast<std::size_t>(r) < journal.size();
-       ++r) {
+  for (int r = 0; r < world; ++r) {
     const auto& records = journal[static_cast<std::size_t>(r)];
     out << " r" << r << "="
         << (records.empty() ? 0.0
@@ -471,8 +497,8 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
   }
   out << (wrapped.empty() ? "; complete, no lane wrapped"
                           : "; wrapped (rank" + wrapped +
-                                "): the tables and attribution below cover "
-                                "only these windows")
+                                "): the counts, tables and attribution "
+                                "below cover only these windows")
       << "\n\n";
   // iter_ms: exact quantiles of the rank's step-end -> step-end windows.
   // exposed_ms: Eq. 9's exposed RS + AG time from the attribution report;
@@ -481,28 +507,18 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
   out << "rank   sent(KB)   recv(KB)  msgs   iter_ms(p50/p95/p99)"
       << "   exposed_ms  exposed%\n";
   for (int r = 0; r < world; ++r) {
-    auto* reg = rt.rank_metrics(r);
-    if (!reg) continue;
+    const analysis::ScheduleSpans& rank_spans =
+        spans[static_cast<std::size_t>(r)];
     const analysis::RankAttribution& attr =
         attribution.ranks[static_cast<std::size_t>(r)];
     const double exposed_ms = attr.exposed_rs_ms + attr.exposed_ag_ms;
-
-    std::int64_t sent = 0, recv = 0, msgs = 0;
-    for (const auto& [name, v] : reg->Counters()) {
-      if (name == "comm.bytes_sent") sent = v;
-      if (name == "comm.bytes_received") recv = v;
-      if (name == "comm.messages_sent") msgs += v;
-    }
     out << std::setw(4) << r << std::fixed << std::setprecision(1)
-        << std::setw(11) << sent / 1024.0 << std::setw(11) << recv / 1024.0
-        << std::setw(6) << msgs;
+        << std::setw(11) << rank_spans.sent.bytes / 1024.0 << std::setw(11)
+        << rank_spans.received.bytes / 1024.0 << std::setw(6)
+        << rank_spans.sent.messages;
     std::vector<double> iter_ms;
-    if (static_cast<std::size_t>(r) < journal.size()) {
-      for (const auto& w : analysis::PairScheduleRecords(
-                               journal[static_cast<std::size_t>(r)])
-                               .windows)
-        iter_ms.push_back(static_cast<double>(w.span.length()) * 1e-6);
-    }
+    for (const auto& w : rank_spans.windows)
+      iter_ms.push_back(static_cast<double>(w.span.length()) * 1e-6);
     if (iter_ms.empty()) {
       out << std::setw(32) << "-";
     } else {
@@ -513,7 +529,7 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
     out << std::fixed << std::setprecision(3) << std::setw(13) << exposed_ms
         << std::setw(9) << std::setprecision(1)
         << (attr.iter_ms > 0.0 ? 100.0 * exposed_ms / attr.iter_ms : 0.0)
-        << "%\n";
+        << "%" << (recorder.journal(r)->wrapped() ? "  partial" : "") << "\n";
   }
 
   // Job-level iteration-time row: every (rank, iteration) window — the
@@ -524,50 +540,40 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
     out << "\n";
   }
 
-  // Transport buffer-pool accounting (global registry: pools are per-hub,
-  // not per-rank). Hit rate near 1.0 means steady-state sends recycled
-  // slabs instead of allocating (see DESIGN.md §10).
+  // Transport buffer-pool accounting (one pool per hub, not per rank). Hit
+  // rate near 1.0 means steady-state sends recycled slabs instead of
+  // allocating (see DESIGN.md §10).
   {
-    std::int64_t hits = 0, misses = 0, acquired_bytes = 0;
-    for (const auto& [name, v] : rt.global_metrics().Counters()) {
-      if (name == "transport.pool.hits") hits = v;
-      if (name == "transport.pool.misses") misses = v;
-      if (name == "transport.pool.bytes_acquired") acquired_bytes = v;
-    }
-    const std::int64_t total = hits + misses;
-    out << "\ntransport pool: " << hits << " hits / " << misses
+    const comm::PoolStats& pool = result.pool;
+    const std::int64_t total = pool.hits + pool.misses;
+    out << "\ntransport pool: " << pool.hits << " hits / " << pool.misses
         << " misses";
     if (total > 0)
       out << " (hit rate " << std::fixed << std::setprecision(3)
-          << static_cast<double>(hits) / static_cast<double>(total) << ")";
-    out << ", " << acquired_bytes / 1024 << " KB acquired\n";
+          << static_cast<double>(pool.hits) / static_cast<double>(total)
+          << ")";
+    out << ", " << pool.acquired_bytes / 1024 << " KB acquired\n";
   }
 
   // Wire bytes by payload dtype, summed over ranks: what mixed precision
   // actually saved on the wire. (comm.bytes_sent counts the same traffic;
   // under --dtype f16/bf16 the gradient share of it shows up here halved.)
-  {
-    std::int64_t by_dtype[3] = {0, 0, 0};
-    for (int r = 0; r < world; ++r) {
-      auto* reg = rt.rank_metrics(r);
-      if (!reg) continue;
-      for (const auto& [name, v] : reg->Counters()) {
-        if (name == "comm.wire_bytes.f32") by_dtype[0] += v;
-        if (name == "comm.wire_bytes.f16") by_dtype[1] += v;
-        if (name == "comm.wire_bytes.bf16") by_dtype[2] += v;
-      }
-    }
-    out << "wire bytes by dtype: f32=" << by_dtype[0] / 1024
-        << " KB, f16=" << by_dtype[1] / 1024
-        << " KB, bf16=" << by_dtype[2] / 1024 << " KB\n";
+  out << "wire bytes by dtype:";
+  for (int d = 0; d < comm::kNumDTypes; ++d) {
+    const std::string name(comm::DTypeName(static_cast<comm::DType>(d)));
+    std::int64_t bytes = 0;
+    for (auto& reg : metrics)
+      bytes += reg.GetCounter("comm.wire_bytes." + name).value();
+    out << (d ? ", " : " ") << name << "=" << bytes / 1024 << " KB";
   }
+  out << "\n";
 
   // Rank 0's collective brackets from the journal, one row per kind.
   out << "\nper-collective latency, rank 0 (ms):\n"
       << "kind                         calls   p50       p95       p99\n";
-  if (!journal.empty()) {
+  {
     std::map<std::string, std::vector<double>> ms_by_kind;
-    for (const auto& c : analysis::PairScheduleRecords(journal[0]).collectives)
+    for (const auto& c : spans[0].collectives)
       ms_by_kind[comm::CollectiveKindName(c.kind)].push_back(
           static_cast<double>(c.span.length()) * 1e-6);
     for (const auto& [kind, ms] : ms_by_kind) {
@@ -613,25 +619,27 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
   if (!metrics_out.empty()) {
     std::string json = "{";
     for (int r = 0; r < world; ++r) {
-      if (auto* reg = rt.rank_metrics(r)) {
-        if (r) json += ",";
-        json += "\"rank" + std::to_string(r) + "\":" + reg->ToJson();
-      }
+      if (r) json += ",";
+      json += "\"rank" + std::to_string(r) + "\":" +
+              metrics[static_cast<std::size_t>(r)].ToJson();
     }
-    json += ",\"global\":" + rt.global_metrics().ToJson() + "}";
+    json += ",\"global\":" + global_metrics.ToJson() + "}";
     std::ofstream file(metrics_out, std::ios::binary);
     file << json;
     if (!file) {
       err << "failed to write metrics to '" << metrics_out << "'\n";
       return 1;
     }
-    out << "wrote metrics JSON to " << metrics_out << "\n";
+    out << "wrote metrics JSON to " << metrics_out
+        << (wrapped.empty() ? "" : " (comm.* counts of wrapped ranks are "
+                                   "partial)")
+        << "\n";
   }
   if (flags.GetBool("prometheus")) {
     out << "\n";
     for (int r = 0; r < world; ++r) {
-      if (auto* reg = rt.rank_metrics(r))
-        out << reg->ToPrometheus("rank=\"" + std::to_string(r) + "\"");
+      out << metrics[static_cast<std::size_t>(r)].ToPrometheus(
+          "rank=\"" + std::to_string(r) + "\"");
     }
   }
   return 0;
@@ -1381,6 +1389,24 @@ int RunCli(int argc, const char* const* argv, std::ostream& out,
   if (flags.GetBool("help")) {
     out << kUsage << flags.Usage();
     return 0;
+  }
+
+  // The simulator commands price a cluster of --gpus ranks (sweep sets its
+  // own) with a --buffer-mb fusion buffer (tune searches its own), which
+  // MakeConfig converts to a byte count.
+  const bool sim_cmd = cmd == "simulate" || cmd == "compare";
+  if ((sim_cmd || cmd == "tune") && flags.GetInt("gpus") < 1) {
+    err << "--gpus must be at least 1\n" << kUsage;
+    return 1;
+  }
+  const double buffer_bytes = flags.GetDouble("buffer-mb") * 1024 * 1024;
+  if ((sim_cmd || cmd == "sweep") &&
+      !(buffer_bytes >= 1.0 &&  // false for NaN too
+        buffer_bytes <
+            static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
+    err << "--buffer-mb must be positive and fit a size_t byte count\n"
+        << kUsage;
+    return 1;
   }
 
   if (cmd == "models") return CmdModels(out);

@@ -12,9 +12,10 @@
 //                                        scaling table over cluster sizes
 //   profile  [--model --world --iters --schedule --buffer-kb --trace-out
 //             --metrics-out --prometheus]
-//                                        run the REAL threaded runtime with
-//                                        telemetry on, print per-rank
-//                                        metrics + exposed-comm breakdown +
+//                                        run the REAL threaded runtime,
+//                                        print per-rank metrics read back
+//                                        from the journal + exposed-comm
+//                                        breakdown +
 //                                        cross-rank critical-path
 //                                        attribution, optionally dump a
 //                                        Chrome trace

@@ -122,7 +122,7 @@ class CommEngine {
   /// Logical rank / size on the communicator's (possibly shrunken) ring.
   [[nodiscard]] Rank rank() const noexcept { return comm_.rank(); }
   [[nodiscard]] int size() const noexcept { return comm_.size(); }
-  /// Physical hub rank — the identity for checker/telemetry/flightrec.
+  /// Physical hub rank — the identity for checker/flightrec.
   [[nodiscard]] Rank global_rank() const noexcept {
     return comm_.global_rank();
   }

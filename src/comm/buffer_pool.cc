@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/telemetry.h"
-
 namespace dear::comm {
 namespace {
 
@@ -79,7 +77,6 @@ PooledBuffer BufferPool::Acquire(std::size_t n, DType dtype) {
   std::unique_ptr<float[]> slab;
   std::size_t capacity = slots;
   bool hit = false;
-  std::int64_t in_flight_bytes = 0;
   {
     std::lock_guard<std::mutex> lock(core.mutex);
     const int cls =
@@ -102,10 +99,8 @@ PooledBuffer BufferPool::Acquire(std::size_t n, DType dtype) {
     core.stats.misses += hit ? 0 : 1;
     core.stats.in_flight_buffers += 1;
     core.stats.in_flight_bytes += CapacityBytes(capacity);
-    in_flight_bytes = core.stats.in_flight_bytes;
+    core.stats.acquired_bytes += CapacityBytes(capacity);
   }
-  telemetry::OnPoolAcquire(hit, static_cast<std::size_t>(CapacityBytes(capacity)),
-                           in_flight_bytes);
   return PooledBuffer(core_, slab.release(), n, capacity, dtype);
 }
 
@@ -141,12 +136,10 @@ void PooledBuffer::Release() noexcept {
   size_ = 0;
   capacity_ = 0;
   dtype_ = DType::kF32;
-  std::int64_t in_flight_bytes = 0;
   {
     std::lock_guard<std::mutex> lock(core->mutex);
     core->stats.in_flight_buffers -= 1;
     core->stats.in_flight_bytes -= CapacityBytes(capacity);
-    in_flight_bytes = core->stats.in_flight_bytes;
     if (core->pooling && !core->draining) {
       const int cls = ClassForCapacity(capacity);
       if (cls >= 0) {
@@ -157,7 +150,6 @@ void PooledBuffer::Release() noexcept {
       }
     }
   }
-  telemetry::OnPoolRelease(in_flight_bytes);
   // If the slab was not cached it frees here, outside the lock.
 }
 

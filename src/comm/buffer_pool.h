@@ -49,6 +49,7 @@ struct PoolStats {
   std::int64_t oversize{0};    // acquires above the largest size class
   std::int64_t in_flight_buffers{0};
   std::int64_t in_flight_bytes{0};  // capacity bytes held by live buffers
+  std::int64_t acquired_bytes{0};   // capacity bytes of every acquire, ever
   std::int64_t cached_buffers{0};
   std::int64_t cached_bytes{0};
 };

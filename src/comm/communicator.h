@@ -9,7 +9,7 @@
 // the new epoch: the ring math, chunk ownership, and kAvg normalization
 // (which divides by size() — the live-rank count) all follow without any
 // change to the algorithms. Physical identity (global_rank()) is what the
-// transport, checker, telemetry, and flight recorder see.
+// transport, checker and flight recorder see.
 #pragma once
 
 #include <algorithm>
@@ -60,7 +60,7 @@ class Communicator {
   [[nodiscard]] Rank rank() const noexcept { return rank_; }
   [[nodiscard]] int size() const noexcept { return size_; }
   /// Physical rank on the hub — the identity every cross-cutting observer
-  /// (dearcheck, telemetry, flightrec) keys on.
+  /// (dearcheck, flightrec) keys on.
   [[nodiscard]] Rank global_rank() const noexcept { return global_rank_; }
   [[nodiscard]] std::uint32_t epoch() const noexcept { return epoch_; }
 

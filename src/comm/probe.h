@@ -5,11 +5,9 @@
 //
 //   - the always-on flight-recorder journal (src/flightrec), which writes
 //     one record per event and is what the Chrome trace, the attribution
-//     report, `dearsim profile`'s per-collective table and the checker
-//     dumps read back;
-//   - the dearcheck verifier (src/check), only inside an enabled session;
-//   - telemetry's transport counters (src/telemetry), only inside an
-//     enabled session. Collectives are counted by the journal alone.
+//     report, `dearsim profile`'s tables and metrics and the checker dumps
+//     read back;
+//   - the dearcheck verifier (src/check), only inside an enabled session.
 //
 // tools/lint.py rule `single-probe` forbids calling those hooks directly
 // from src/comm (outside this module) or src/core, so the consumers cannot
@@ -24,7 +22,6 @@
 #include "comm/transport.h"
 #include "comm/types.h"
 #include "flightrec/recorder.h"
-#include "telemetry/telemetry.h"
 
 namespace dear::comm::probe {
 
@@ -57,21 +54,19 @@ class CollectiveProbe {
   std::uint32_t begin_epoch_{0};
 };
 
-/// Transport send on `src` toward `dst`: journals the send edge (stamping
-/// `msg`'s causal ID and Lamport clock) and counts its wire bytes.
+/// Transport send on `src` toward `dst`: journals the send edge with its
+/// wire bytes (stamping `msg`'s causal ID and Lamport clock).
 inline void Send(int src, int dst, Message& msg) noexcept {
-  const std::size_t bytes = msg.payload.wire_bytes();
-  telemetry::OnMessageSent(src, bytes, static_cast<int>(msg.payload.dtype()));
-  flightrec::Recorder::Get().OnSend(src, dst, msg.tag, bytes, &msg.causal,
+  flightrec::Recorder::Get().OnSend(src, dst, msg.tag,
+                                    msg.payload.wire_bytes(), &msg.causal,
                                     &msg.lamport);
 }
 
 /// Transport recv on `dst` from `src`: journals the matching edge endpoint
-/// (same causal ID as the send) and counts its wire bytes.
+/// (same causal ID as the send) with its wire bytes.
 inline void Recv(int dst, int src, const Message& msg) noexcept {
-  const std::size_t bytes = msg.payload.wire_bytes();
-  telemetry::OnMessageReceived(dst, bytes);
-  flightrec::Recorder::Get().OnRecv(dst, src, msg.tag, bytes, msg.causal,
+  flightrec::Recorder::Get().OnRecv(dst, src, msg.tag,
+                                    msg.payload.wire_bytes(), msg.causal,
                                     msg.lamport);
 }
 

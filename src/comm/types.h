@@ -62,7 +62,8 @@ void ForEachPiece(GatherList list, Range range, Fn&& fn) {
 /// default.
 enum class DType : std::uint8_t { kF32 = 0, kF16 = 1, kBF16 = 2 };
 
-/// Number of distinct wire dtypes (telemetry keeps one counter per dtype).
+/// Number of distinct wire dtypes (`dearsim profile` exports one
+/// comm.wire_bytes counter per dtype).
 inline constexpr int kNumDTypes = 3;
 
 /// Bytes per element of `t` on the wire.

@@ -13,7 +13,7 @@
 // Threads opt in by constructing a WorkerScope; hook calls from threads
 // that never registered (the main test thread, watchdog threads) are
 // ignored by the controller. InstallHook() must be called from a quiescent
-// point (no schedulable threads running), like telemetry::Runtime::Enable.
+// point (no schedulable threads running), like check::Checker::Enable.
 #pragma once
 
 #include <atomic>

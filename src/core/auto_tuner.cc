@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/math_util.h"
-#include "telemetry/telemetry.h"
 
 namespace dear::core {
 
@@ -47,17 +46,6 @@ bool AutoTuner::OnIterationEnd(double throughput_samples_per_s) {
   const auto bytes =
       static_cast<std::size_t>(std::lround(next_mb * 1024.0 * 1024.0));
   optim_->SetBufferBytes(bytes == 0 ? 1 : bytes);
-  {
-    auto& rt = telemetry::Runtime::Get();
-    if (rt.enabled()) {
-      if (auto* reg = rt.rank_metrics(optim_->rank())) {
-        reg->GetCounter("tune.windows").Add(1);
-        reg->GetGauge("tune.window_throughput").Set(avg);
-        reg->GetGauge("tune.adopted_buffer_bytes")
-            .Set(static_cast<double>(optim_->buffer_bytes()));
-      }
-    }
-  }
   return true;
 }
 

@@ -61,7 +61,8 @@ DistributedResult TrainDistributed(const std::vector<int>& dims,
   std::vector<std::vector<std::vector<float>>> all_params(
       static_cast<std::size_t>(world));
 
-  comm::RunOnRanks(world, [&](comm::Communicator& comm) {
+  // Named: the group's threads hold a reference to the body.
+  const comm::WorkerGroup::Body body = [&](comm::Communicator& comm) {
     const Dataset shard = data.Shard(comm.rank(), world);
     Mlp mlp(dims, model_seed);
     DistOptim optim(comm, mlp.Spec(), mlp.Bindings(), options);
@@ -93,7 +94,10 @@ DistributedResult TrainDistributed(const std::vector<int>& dims,
     std::lock_guard<std::mutex> lock(result_mutex);
     all_params[static_cast<std::size_t>(comm.rank())] = std::move(params);
     if (comm.rank() == 0) result.rank0_losses = std::move(local_losses);
-  });
+  };
+  comm::WorkerGroup group(world, body);
+  group.Join();
+  result.pool = group.hub().pool().stats();
 
   result.params = all_params[0];
   result.params_consistent = true;

@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "comm/buffer_pool.h"
 #include "core/dist_optim.h"
 #include "train/data.h"
 #include "train/mlp.h"
@@ -38,6 +39,7 @@ struct DistributedResult {
   std::vector<float> rank0_losses;         // local losses on rank 0
   std::vector<std::vector<float>> params;  // rank 0 final params
   bool params_consistent{false};  // all ranks ended with identical params
+  comm::PoolStats pool;  // the run's transport slab pool, after every rank
 };
 
 /// Data-parallel S-SGD: `world` worker threads, round-robin shards,

@@ -3,11 +3,12 @@
 //
 // DeAR debugging needs a *message-level* happens-before trace: the paper's
 // pipelining claim is about when each decoupled RS/AG sub-operation ran
-// relative to backprop and feed-forward on every rank, and interval
-// telemetry (src/telemetry) cannot say *which message from which rank* made
-// a rank wait. The journal is the black box that can: every transport
-// send/recv, top-level collective bracket, and DistOptim group transition
-// appends one fixed-size record, and a post-hoc merger (src/analysis/causal)
+// relative to backprop and feed-forward on every rank, and counters cannot
+// say *which message from which rank* made a rank wait. The journal is the
+// black box that can: every transport send/recv, top-level collective
+// bracket, and DistOptim group transition appends one fixed-size record
+// (`dearsim profile` reads its message, byte and wire-dtype counts back
+// from them), and a post-hoc merger (src/analysis/causal)
 // reconstructs the cross-rank DAG from the causal IDs carried in the
 // records. Because it is a bounded ring it is safe to leave enabled in
 // every run — a hang or crash report always carries the last N events per

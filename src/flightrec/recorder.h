@@ -1,8 +1,8 @@
 // Process-wide flight recorder: one Journal per rank, always on.
 //
-// Follows the telemetry::Runtime / check::Checker singleton shape (leaked,
-// outlives every comm thread) but with no enable bit: the journal is the
-// black box, so it records unconditionally. The hot-path cost is bounded
+// Follows the check::Checker singleton shape (leaked, outlives every comm
+// thread) but with no enable bit: the journal is the black box, so it
+// records unconditionally. The hot-path cost is bounded
 // and benchmarked — the perf-lab rows flightrec.alloc_per_event and
 // flightrec.overhead_pct fail `dearsim bench` if one recorded event
 // allocates or if recording costs >= 1% of the smallest collective.

@@ -28,7 +28,6 @@
 #include "sched/multiworker.h"
 #include "sched/policies.h"
 #include "sched/runner.h"
-#include "telemetry/telemetry.h"
 #include "train/data.h"
 #include "train/mlp.h"
 #include "tune/gp.h"
@@ -620,21 +619,8 @@ std::vector<Row> BuildRows() {
         return ns;
       }));
 
-  // Training with a consumer on vs off (informational: the end-to-end
+  // Training with the checker on vs off (informational: the end-to-end
   // price of an enabled session).
-  rows.push_back(MakeRow(
-      Kind::kAB, "telemetry.on_off_ratio", kTrainParams, "x", kFull,
-      [](const RowContext& c) -> Samples {
-        auto& runtime = telemetry::Runtime::Get();
-        return AbRatio(
-            c.repeats, 4, [] {},
-            [&] {
-              runtime.Enable(4);
-              TrainDeAR();
-              runtime.Disable();
-            },
-            TrainDeAR);
-      }));
   rows.push_back(MakeRow(
       Kind::kAB, "check.on_off_ratio", kTrainParams, "x", kFull,
       [](const RowContext& c) -> Samples {

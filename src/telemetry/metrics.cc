@@ -133,13 +133,6 @@ HistogramMetric& MetricsRegistry::GetHistogram(const std::string& name,
   });
 }
 
-void MetricsRegistry::Reset() {
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-}
-
 std::vector<std::pair<std::string, std::int64_t>> MetricsRegistry::Counters()
     const {
   std::shared_lock<std::shared_mutex> lock(mutex_);

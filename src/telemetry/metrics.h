@@ -2,10 +2,14 @@
 //
 // A MetricsRegistry owns counters, gauges, and fixed-bucket histograms keyed
 // by dotted names ("comm.bytes_sent", "comm.model.residual.all_gather").
-// Lookups return stable references, so hot paths may cache the pointer;
-// updates on the returned objects are lock-free (counters/gauges) or take
-// one short mutex (histograms). Snapshots export as JSON or Prometheus-style
-// text.
+// Lookups return stable references; updates on the returned objects are
+// lock-free (counters/gauges) or take one short mutex (histograms).
+// Snapshots export as JSON or Prometheus-style text.
+//
+// Nothing on the runtime's hot path writes a registry: `dearsim profile`
+// fills local ones after the run, from the flight-recorder journal
+// (analysis::ExportTransportMetrics), the transport pool's PoolStats and
+// the offline calibration (tools/lint.py rule telemetry-export-only).
 //
 // Metric-name <-> paper-quantity mapping lives in DESIGN.md §Observability.
 #pragma once
@@ -82,10 +86,6 @@ class MetricsRegistry {
   /// geometric ladder covering ~1e-7 .. ~1e5 (good for seconds and MBs).
   HistogramMetric& GetHistogram(const std::string& name,
                                 std::vector<double> edges = {});
-
-  /// Drops every metric (references returned earlier become dangling; only
-  /// call from a quiescent point, e.g. Runtime::Enable()).
-  void Reset();
 
   /// Name-sorted snapshots (histograms are copied at call time).
   [[nodiscard]] std::vector<std::pair<std::string, std::int64_t>> Counters()

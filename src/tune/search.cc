@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "telemetry/telemetry.h"
 
 namespace dear::tune {
 namespace {
@@ -57,16 +56,6 @@ double BayesianOptimizer::ToModel(double x) const {
 void BayesianOptimizer::Observe(double x, double y) {
   Record(x, y);
   gp_stale_ = true;
-  // The tuner is rank-less (rank 0 owns it in the live runtime; the bench
-  // harness has no ranks at all), so trials land in the global registry.
-  auto& rt = telemetry::Runtime::Get();
-  if (rt.enabled()) {
-    auto& reg = rt.global_metrics();
-    reg.GetCounter("tune.bo.trials").Add(1);
-    reg.GetHistogram("tune.bo.trial_throughput").Observe(y);
-    reg.GetGauge("tune.bo.best_x").Set(best_x());
-    reg.GetGauge("tune.bo.best_y").Set(best_y());
-  }
 }
 
 void BayesianOptimizer::Refit() const {

@@ -67,6 +67,30 @@ TEST(BufferPoolTest, OversizeRequestsAreExactAndNeverCached) {
   EXPECT_EQ(pool.stats().cached_buffers, 0u);
 }
 
+// acquired_bytes adds up the slab capacity of every acquire (hit, miss or
+// oversize) and never shrinks; every buffer acquired and no longer in
+// flight was released.
+TEST(BufferPoolTest, AcquiredBytesAndDerivedReleases) {
+  BufferPool pool;
+  pool.Acquire(100).Release();           // miss: class 128, 512 B
+  PooledBuffer hit = pool.Acquire(128);  // hit: the same slab
+  const std::size_t huge = (4u << 20) + 1;
+  PooledBuffer big = pool.Acquire(huge);  // oversize miss, exact size
+  const auto expected_bytes =
+      static_cast<std::int64_t>((128 + 128 + huge) * sizeof(float));
+  PoolStats stats = pool.stats();
+  EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.misses, 2);
+  EXPECT_EQ(stats.oversize, 1);
+  EXPECT_EQ(stats.acquired_bytes, expected_bytes);
+  EXPECT_EQ(stats.hits + stats.misses - stats.in_flight_buffers, 1);
+  hit.Release();
+  big.Release();
+  stats = pool.stats();
+  EXPECT_EQ(stats.acquired_bytes, expected_bytes);
+  EXPECT_EQ(stats.hits + stats.misses - stats.in_flight_buffers, 3);
+}
+
 TEST(BufferPoolTest, StatsTrackInFlightAndCached) {
   BufferPool pool;
   PooledBuffer a = pool.Acquire(64);

@@ -526,12 +526,50 @@ TEST(CliTest, ProfileDtypeRoutesWireBytesToThatFormat) {
                              "--iters=2", "--batch-size=4", "--dtype=f16"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("dtype=f16"), std::string::npos) << r.out;
-  // The telemetry section proves every gradient byte rode the 2-byte
+  // The wire-bytes line proves every gradient byte rode the 2-byte
   // format: f32 wire traffic must be exactly zero.
   EXPECT_NE(r.out.find("wire bytes by dtype: f32=0 KB"), std::string::npos)
       << r.out;
   // Lossy wire, but ranks still agree bitwise.
   EXPECT_NE(r.out.find("consistency: OK"), std::string::npos) << r.out;
+}
+
+// A journal lane that wraps keeps only its newest records, so the counts
+// profile reads from it are short: it must flag them as partial, not print
+// them as whole. The ring size is fixed when the recorder starts, so this
+// runs the dearsim binary as a child with a 64-record ring.
+TEST(CliTest, ProfileFlagsWrappedCountsAsPartial) {
+  const std::string metrics_path =
+      ::testing::TempDir() + "/cli_profile_wrapped.json";
+  const std::string cmd = std::string("DEAR_FLIGHTREC_CAPACITY=64 '") +
+                          DEAR_DEARSIM_BIN +
+                          "' profile --model=alexnet --world=2 --iters=4 "
+                          "--metrics-out='" +
+                          metrics_path + "' 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;)
+    out.append(buf, n);
+  ASSERT_EQ(pclose(pipe), 0) << out;
+  EXPECT_NE(out.find("; wrapped (rank 0 1): the counts,"), std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("no lane wrapped"), std::string::npos) << out;
+  std::istringstream lines(out);
+  std::string line;
+  int partial_rows = 0;
+  while (std::getline(lines, line)) {
+    const std::string suffix = "%  partial";
+    if (line.size() > suffix.size() &&
+        line.compare(line.size() - suffix.size(), suffix.size(), suffix) == 0)
+      ++partial_rows;
+  }
+  EXPECT_EQ(partial_rows, 2) << out;
+  EXPECT_NE(out.find("(comm.* counts of wrapped ranks are partial)"),
+            std::string::npos)
+      << out;
+  std::remove(metrics_path.c_str());
 }
 
 TEST(CliTest, ProfileRejectsUnknownDtype) {
@@ -549,6 +587,40 @@ TEST(CliTest, FuzzAcceptsLossyDtypeAndStaysDeterministic) {
   // Schedule-invariance must survive lossy rounding: one result digest.
   EXPECT_NE(r.out.find("1 distinct result digests"), std::string::npos)
       << r.out;
+}
+
+// The simulator commands reject a cluster without GPUs and a fusion
+// buffer that is not a positive size_t byte count, instead of reporting
+// negative throughput or aborting in the fusion planner.
+TEST(CliTest, SimulatorCommandsRejectBadSizes) {
+  struct Case {
+    std::vector<const char*> args;
+    const char* flag;  // the flag the error must name
+  };
+  const std::vector<Case> cases = {
+      {{"simulate", "--model=resnet50", "--buffer-mb=-5"}, "--buffer-mb"},
+      {{"simulate", "--model=resnet50", "--buffer-mb=0"}, "--buffer-mb"},
+      {{"simulate", "--model=resnet50", "--buffer-mb=1e-9"}, "--buffer-mb"},
+      {{"simulate", "--model=resnet50", "--buffer-mb=1e300"}, "--buffer-mb"},
+      {{"compare", "--model=resnet50", "--buffer-mb=0"}, "--buffer-mb"},
+      {{"sweep", "--model=resnet50", "--buffer-mb=-1"}, "--buffer-mb"},
+      {{"simulate", "--model=resnet50", "--gpus=0"}, "--gpus"},
+      {{"simulate", "--model=resnet50", "--gpus=-3"}, "--gpus"},
+      {{"compare", "--model=resnet50", "--gpus=0"}, "--gpus"},
+      {{"tune", "--model=resnet50", "--gpus=-3", "--trials=1"}, "--gpus"},
+  };
+  for (const auto& c : cases) {
+    const auto r = RunDearsim(c.args);
+    EXPECT_EQ(r.code, 1) << c.args[0] << " " << c.args[2] << "\n" << r.out;
+    EXPECT_NE(r.err.find(c.flag), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("usage:"), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "") << c.args[0] << " " << c.args[2];
+  }
+  // The smallest sizes that make sense still run.
+  EXPECT_EQ(RunDearsim({"simulate", "--model=resnet50", "--gpus=1",
+                        "--buffer-mb=0.001"})
+                .code,
+            0);
 }
 
 TEST(CliTest, BatchSizeOverrideChangesThroughput) {

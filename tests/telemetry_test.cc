@@ -1,4 +1,4 @@
-#include "telemetry/telemetry.h"
+#include "telemetry/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -237,28 +237,6 @@ TEST(MetricsRegistryTest, PrometheusScrapeGrammarHoldsForEveryLine) {
   EXPECT_NE(json.find("\"gauge.neg_inf\":0"), std::string::npos);
 }
 
-TEST(TelemetryRuntimeTest, DisabledHooksAreNoOps) {
-  auto& rt = Runtime::Get();
-  rt.Enable(2);
-  rt.Disable();
-  OnMessageSent(0, 100);
-  { comm::probe::CollectiveProbe probe(0, comm::CollectiveKind::kBarrier, 0); }
-  // Transport metrics are pre-created at Enable() but must stay untouched.
-  for (const auto& [name, v] : rt.rank_metrics(0)->Counters())
-    EXPECT_EQ(v, 0) << name;
-  for (const auto& [name, h] : rt.rank_metrics(0)->Histograms())
-    EXPECT_EQ(h.count(), 0u) << name;
-}
-
-TEST(TelemetryRuntimeTest, RankOutOfRangeIsSafe) {
-  auto& rt = Runtime::Get();
-  rt.Enable(2);
-  EXPECT_EQ(rt.rank_metrics(-1), nullptr);
-  EXPECT_EQ(rt.rank_metrics(2), nullptr);
-  OnMessageSent(99, 10);  // must not crash
-  rt.Disable();
-}
-
 // Only the outermost probe on a thread journals: a composite collective is
 // one begin/end pair under its own kind.
 TEST(TelemetryRuntimeTest, NestedCollectiveProbesCountOnce) {
@@ -286,62 +264,120 @@ TEST(TelemetryRuntimeTest, NestedCollectiveProbesCountOnce) {
   EXPECT_EQ(ends, 1);
 }
 
-// A world-2 fp16 ring all-reduce of n elements puts exactly n 2-byte
-// elements on the wire per rank (RS + AG each send one half), which is what
-// the transport's comm.wire_bytes.f16 counter sees; the journal's bracket
-// records the n elements the collective was called with.
-TEST(TelemetryRuntimeTest, WireBytesAndJournalAgreeUnderFp16) {
-  constexpr int kWorld = 2;
-  constexpr std::size_t kN = 64;
-  comm::TransportHub hub(kWorld);
+// Runs one all-reduce of `n` elements of `dtype` wire on a fresh
+// `world`-rank hub and returns each rank's journal, paired.
+std::vector<analysis::ScheduleSpans> JournaledAllReduce(int world,
+                                                        std::size_t n,
+                                                        comm::DType dtype) {
+  comm::TransportHub hub(world);
   auto& recorder = flightrec::Recorder::Get();
   recorder.Reset();
-  auto& rt = Runtime::Get();
-  rt.Enable(kWorld);
   {
     std::vector<std::unique_ptr<comm::CommEngine>> engines;
-    std::vector<std::vector<float>> buffers(kWorld,
-                                            std::vector<float>(kN, 1.0f));
+    std::vector<std::vector<float>> buffers(static_cast<std::size_t>(world),
+                                            std::vector<float>(n, 1.0f));
     std::vector<comm::CollectiveHandle> handles;
-    for (int r = 0; r < kWorld; ++r) {
+    for (int r = 0; r < world; ++r) {
       engines.push_back(
           std::make_unique<comm::CommEngine>(comm::Communicator(&hub, r)));
       handles.push_back(engines.back()->SubmitAllReduce(
           std::span<float>(buffers[static_cast<std::size_t>(r)]),
-          comm::ReduceOp::kSum, comm::DType::kF16));
+          comm::ReduceOp::kSum, dtype));
     }
-    for (auto& h : handles) ASSERT_TRUE(h.Wait().ok());
+    for (auto& h : handles) EXPECT_TRUE(h.Wait().ok());
   }
-  rt.Disable();
   const auto journal = recorder.SnapshotAll();
+  std::vector<analysis::ScheduleSpans> spans;
+  for (int r = 0; r < world; ++r)
+    spans.push_back(
+        analysis::PairScheduleRecords(journal[static_cast<std::size_t>(r)]));
+  return spans;
+}
+
+// A world-2 fp16 ring all-reduce of n elements puts exactly n 2-byte
+// elements on the wire per rank (RS + AG each send one half), which is what
+// the export's comm.wire_bytes.f16 counter sums; the journal's bracket
+// records the n elements the collective was called with.
+TEST(TelemetryRuntimeTest, WireBytesAndJournalAgreeUnderFp16) {
+  constexpr int kWorld = 2;
+  constexpr std::size_t kN = 64;
+  const auto spans = JournaledAllReduce(kWorld, kN, comm::DType::kF16);
   for (int r = 0; r < kWorld; ++r) {
-    auto* reg = rt.rank_metrics(r);
-    ASSERT_NE(reg, nullptr);
-    EXPECT_EQ(reg->GetCounter("comm.wire_bytes.f16").value(),
+    const analysis::ScheduleSpans& rank = spans[static_cast<std::size_t>(r)];
+    MetricsRegistry reg;
+    analysis::ExportTransportMetrics(rank, reg);
+    EXPECT_EQ(reg.GetCounter("comm.wire_bytes.f16").value(),
               static_cast<std::int64_t>(kN * 2))
         << "rank " << r;
-    const auto collectives =
-        analysis::PairScheduleRecords(journal[static_cast<std::size_t>(r)])
-            .collectives;
-    ASSERT_EQ(collectives.size(), 1u) << "rank " << r;
-    EXPECT_EQ(collectives[0].kind,
+    ASSERT_EQ(rank.collectives.size(), 1u) << "rank " << r;
+    EXPECT_EQ(rank.collectives[0].kind,
               static_cast<std::uint32_t>(comm::CollectiveKind::kRingAllReduce));
-    EXPECT_EQ(collectives[0].elems, kN) << "rank " << r;
+    EXPECT_EQ(rank.collectives[0].elems, kN) << "rank " << r;
+  }
+}
+
+// World-4 fp32 ring all-reduce of n elements: RS and AG each run P-1 = 3
+// rounds of one n/P-element chunk, so every rank sends and receives 6
+// messages of n/4 floats, all inside the one f32 bracket.
+TEST(TelemetryRuntimeTest, RingAllReduceCountsAreClosedForm) {
+  constexpr int kWorld = 4;
+  constexpr std::size_t kN = 256;
+  constexpr std::int64_t kMessages = 2 * (kWorld - 1);
+  constexpr std::int64_t kBytes = kMessages * (kN / kWorld) * sizeof(float);
+  const auto spans = JournaledAllReduce(kWorld, kN, comm::DType::kF32);
+  for (int r = 0; r < kWorld; ++r) {
+    MetricsRegistry reg;
+    analysis::ExportTransportMetrics(spans[static_cast<std::size_t>(r)], reg);
+    EXPECT_EQ(reg.GetCounter("comm.messages_sent").value(), kMessages) << r;
+    EXPECT_EQ(reg.GetCounter("comm.messages_received").value(), kMessages)
+        << r;
+    EXPECT_EQ(reg.GetCounter("comm.bytes_sent").value(), kBytes) << r;
+    EXPECT_EQ(reg.GetCounter("comm.bytes_received").value(), kBytes) << r;
+    EXPECT_EQ(reg.GetCounter("comm.wire_bytes.f32").value(), kBytes) << r;
+    EXPECT_EQ(reg.GetCounter("comm.wire_bytes.f16").value(), 0) << r;
+    EXPECT_EQ(reg.GetCounter("comm.wire_bytes.bf16").value(), 0) << r;
+  }
+}
+
+// ZeRO under an fp16 wire mixes formats in one run: gradients are
+// reduce-scattered as f16, parameters all-gathered as f32, the same
+// element count each. Per rank the export splits the sends by bracket, so
+// f32 wire bytes are exactly twice the f16 ones.
+TEST(TelemetryIntegrationTest, ZeroFp16SplitsWireBytesByBracketDtype) {
+  constexpr int kWorld = 4;
+  auto& recorder = flightrec::Recorder::Get();
+  recorder.Reset();
+  const auto data = train::MakeRegressionDataset(64, 8, 4, /*seed=*/11);
+  core::DistOptimOptions options;
+  options.mode = core::ScheduleMode::kZeRO;
+  options.compression = core::Compression::kFp16;
+  options.buffer_bytes = 256;  // several fusion groups
+  core::TrainDistributed({8, 16, 16, 4}, /*model_seed=*/3, data,
+                         /*iterations=*/3, /*batch=*/4, kWorld, options);
+  const auto journal = recorder.SnapshotAll();
+  for (int r = 0; r < kWorld; ++r) {
+    MetricsRegistry reg;
+    analysis::ExportTransportMetrics(
+        analysis::PairScheduleRecords(journal[static_cast<std::size_t>(r)]),
+        reg);
+    const std::int64_t f32 = reg.GetCounter("comm.wire_bytes.f32").value();
+    const std::int64_t f16 = reg.GetCounter("comm.wire_bytes.f16").value();
+    EXPECT_GT(f16, 0) << "rank " << r;
+    EXPECT_EQ(f32, 2 * f16) << "rank " << r;
+    EXPECT_EQ(reg.GetCounter("comm.wire_bytes.bf16").value(), 0);
   }
 }
 
 // End-to-end: a real threaded DeAR training run must journal, for every
 // rank, reduce-scatter AND all-gather collective brackets (the decoupled
 // BackPipe/FeedPipe pair), strictly alternating begin/end — one CommEngine
-// thread per rank never overlaps itself — alongside the live transport
-// metrics.
+// thread per rank never overlaps itself — and every send inside one of
+// them, so the per-dtype wire bytes add up to all bytes sent.
 TEST(TelemetryIntegrationTest, TrainDistributedJournalsPerRankCollectives) {
   constexpr int kWorld = 4;
   constexpr int kIterations = 3;
   auto& recorder = flightrec::Recorder::Get();
   recorder.Reset();
-  auto& rt = Runtime::Get();
-  rt.Enable(kWorld);
 
   const std::vector<int> dims{8, 16, 16, 4};
   const auto data = train::MakeRegressionDataset(64, 8, 4, /*seed=*/11);
@@ -351,8 +387,11 @@ TEST(TelemetryIntegrationTest, TrainDistributedJournalsPerRankCollectives) {
   const auto result =
       core::TrainDistributed(dims, /*model_seed=*/3, data, kIterations,
                              /*batch=*/4, kWorld, options);
-  rt.Disable();
   EXPECT_TRUE(result.params_consistent);
+  // The pool's stats are read after every rank joined: each buffer the run
+  // acquired has been released.
+  EXPECT_GT(result.pool.hits + result.pool.misses, 0);
+  EXPECT_EQ(result.pool.in_flight_buffers, 0);
 
   const auto journal = recorder.SnapshotAll();
   ASSERT_GE(journal.size(), static_cast<std::size_t>(kWorld));
@@ -387,10 +426,14 @@ TEST(TelemetryIntegrationTest, TrainDistributedJournalsPerRankCollectives) {
     EXPECT_GE(rs_launches, 1) << "rank " << r;
     EXPECT_GE(ag_launches, 1) << "rank " << r;
 
-    auto* reg = rt.rank_metrics(r);
-    ASSERT_NE(reg, nullptr);
-    EXPECT_GT(reg->GetCounter("comm.bytes_sent").value(), 0);
-    EXPECT_GT(reg->GetCounter("comm.bytes_received").value(), 0);
+    const auto spans =
+        analysis::PairScheduleRecords(journal[static_cast<std::size_t>(r)]);
+    EXPECT_GT(spans.sent.bytes, 0) << "rank " << r;
+    EXPECT_GT(spans.received.bytes, 0) << "rank " << r;
+    std::int64_t in_brackets = 0;
+    for (const auto& c : spans.collectives)
+      in_brackets += static_cast<std::int64_t>(c.sent_bytes);
+    EXPECT_EQ(in_brackets, spans.sent.bytes) << "rank " << r;
   }
 }
 

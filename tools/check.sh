@@ -12,7 +12,8 @@
 #
 #   tools/check.sh             # lint + plain + perf gate/bars + tsan + ubsan
 #                              #   + asan/ubsan (sim, tuner, calib, perflab, flags,
-#                              #     fusion plans, dense kernels)
+#                              #     fusion plans, dense kernels, metric
+#                              #     export, buffer pool)
 #   tools/check.sh --quick     # lint + plain build + unit tests + short chaos
 #   tools/check.sh --no-tsan   # skip the TSan pass (e.g. unsupported host)
 #   tools/check.sh --no-ubsan  # skip the UBSan pass
@@ -102,10 +103,10 @@ if [[ "$run_ubsan" == 1 ]]; then
 fi
 
 if [[ "$run_asan" == 1 ]]; then
-  echo "== address + undefined-behavior sanitizer build (simulator, tuner, calib, perf lab, flags, fusion plans, dense kernels) =="
+  echo "== address + undefined-behavior sanitizer build (simulator, tuner, calib, perf lab, flags, fusion plans, dense kernels, metric export, buffer pool) =="
   asan_tests=(engine_test policies_test multiworker_test runner_test
               golden_sim_test gp_test search_test calib_test perflab_test
-              flags_test plan_test mlp_test)
+              flags_test plan_test mlp_test telemetry_test buffer_pool_test)
   cmake -B build-asan -S . -DDEAR_SANITIZE=address,undefined >/dev/null
   cmake --build build-asan -j "$jobs" --target "${asan_tests[@]}" >/dev/null
   # engine_fold_property is engine_test's fold property, a ctest entry of

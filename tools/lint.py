@@ -45,13 +45,19 @@ Rules (suppress one occurrence with `// lint: allow(<rule>)` on the line):
                       (.data()/.span()/.begin()/.end()/.u16()/
                       .wire_data()) outside the approved files is flagged.
   single-probe        (src/comm outside probe.h/probe.cc, and src/core)
-                      Runtime events reach the flight-recorder journal, the
-                      checker and telemetry through one probe call per site
+                      Runtime events reach the flight-recorder journal and
+                      the checker through one probe call per site
                       (comm/probe.h). A direct flightrec::Recorder::Get().On…
-                      call, a checker collective/group hook
-                      (OnCollectiveBegin/End, OnGroupEvent), or a
-                      telemetry::OnMessage… call brings back a second event
-                      pipeline for the same moment.
+                      call or a checker collective/group hook
+                      (OnCollectiveBegin/End, OnGroupEvent) brings back a
+                      second event pipeline for the same moment.
+  telemetry-export-only
+                      (src/comm, src/core, src/tune, src/flightrec) Metrics
+                      are a view of the run, built after it from the
+                      journal and the pool's stats (`dearsim profile`). A
+                      telemetry/ include or a telemetry:: use in the
+                      runtime, the tuner or the recorder is how a second,
+                      live count of the same events would come back.
   telemetry-no-collectives
                       (src/telemetry only) The journal's collective
                       brackets are the one record of every collective;
@@ -70,9 +76,8 @@ Rules (suppress one occurrence with `// lint: allow(<rule>)` on the line):
                       DistOptim's timing is the journal's: waits, iteration
                       times and the exposed-comm share are derived from its
                       schedule records (analysis::AttributeIterations). A
-                      telemetry/ include, a telemetry:: use, or a direct
-                      clock read (steady_clock, flightrec::NowNs) there
-                      brings back a second clock for the same moments.
+                      direct clock read (steady_clock, flightrec::NowNs)
+                      there brings back a second clock for the same moments.
   single-alloc-counter
                       Global operator new is replaced in exactly one file,
                       src/perflab/alloc_counter.cc (the per-thread counter
@@ -223,8 +228,16 @@ SINGLE_PROBE_ALLOWED = ("src/comm/probe.h", "src/comm/probe.cc")
 SINGLE_PROBE_RE = re.compile(
     r"\bRecorder::Get\(\)\s*\.\s*On\w*\s*\("  # journal hooks
     r"|(?:\.|->)\s*(?:OnCollectiveBegin|OnCollectiveEnd|OnGroupEvent)\s*\("
-    r"|\btelemetry::OnMessage\w*\s*\("
 )
+
+# Directories that may not see telemetry: metrics are exported after the
+# run, never counted live.
+TELEMETRY_EXPORT_ONLY_DIRS = ("src/comm/", "src/core/", "src/tune/",
+                              "src/flightrec/")
+# The include is matched against the raw line (the stripper blanks its
+# path), the use against the stripped one.
+TELEMETRY_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"telemetry/')
+TELEMETRY_USE_RE = re.compile(r"\btelemetry::")
 
 # Directory that must not see the collective library: telemetry counts
 # transport traffic and pools, never collectives (the journal does).
@@ -238,13 +251,10 @@ COMM_DIR = "src/comm/"
 # Matched against the raw line (the stripper blanks the include's path).
 ANALYSIS_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"analysis/')
 
-# Files whose timing must come from the journal alone: no telemetry, no
-# clock reads of their own.
+# Files whose timing must come from the journal alone: no clock reads of
+# their own.
 OPTIM_JOURNAL_ONLY_RE = re.compile(r"src/core/(?:dist_optim|trainer)\.[^/]*$")
-# Matched against the raw line (the stripper blanks the include's path).
-TELEMETRY_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"telemetry/')
-OPTIM_CLOCK_RE = re.compile(
-    r"\btelemetry::|\bsteady_clock\b|\bflightrec::NowNs\b")
+OPTIM_CLOCK_RE = re.compile(r"\bsteady_clock\b|\bflightrec::NowNs\b")
 
 # The one file allowed to define a global operator new.
 ALLOC_COUNTER_FILE = "src/perflab/alloc_counter.cc"
@@ -384,8 +394,21 @@ class Linter:
                 if SINGLE_PROBE_RE.search(line):
                     self.report(
                         path, i + 1, "single-probe",
-                        "direct journal/checker/telemetry hook — make one "
+                        "direct journal/checker hook — make one "
                         "comm::probe call per site (comm/probe.h)",
+                        raw_line(i))
+
+        # Rule: telemetry-export-only (runtime, tuner and recorder).
+        if any(d in norm for d in TELEMETRY_EXPORT_ONLY_DIRS):
+            for i, line in enumerate(lines):
+                if (TELEMETRY_INCLUDE_RE.search(raw_line(i))
+                        or TELEMETRY_USE_RE.search(line)):
+                    self.report(
+                        path, i + 1, "telemetry-export-only",
+                        "telemetry in the runtime — metrics are exported "
+                        "after the run from the journal and PoolStats "
+                        "(analysis::ExportTransportMetrics), not counted "
+                        "live",
                         raw_line(i))
 
         # Rule: telemetry-no-collectives (telemetry only).
@@ -413,14 +436,12 @@ class Linter:
         # Rule: optim-journal-only (DistOptim and the training loop).
         if OPTIM_JOURNAL_ONLY_RE.search(norm):
             for i, line in enumerate(lines):
-                if (TELEMETRY_INCLUDE_RE.search(raw_line(i))
-                        or OPTIM_CLOCK_RE.search(line)):
+                if OPTIM_CLOCK_RE.search(line):
                     self.report(
                         path, i + 1, "optim-journal-only",
                         "second clock in DistOptim — time it from the "
                         "journal's schedule records "
-                        "(analysis::AttributeIterations), not telemetry or "
-                        "a clock read",
+                        "(analysis::AttributeIterations), not a clock read",
                         raw_line(i))
 
         # Rule: single-alloc-counter (the counter's own file exempt).
@@ -461,6 +482,7 @@ def collect_files(root, explicit):
 
 SELFTEST_SOURCE = """\
 #include "analysis/calib.h"  // finding: comm-no-analysis
+#include "telemetry/metrics.h"  // finding: telemetry-export-only
 #include "analysis/timeline.h"  // suppressed: lint: allow(comm-no-analysis)
 using namespace std;  // finding: using-namespace-in-header
 struct Bad {
@@ -492,20 +514,22 @@ struct Bad {
   void Instrument(Message& m, Checker& checker) {
     flightrec::Recorder::Get().OnSend(0, 1, m.tag, 4, &m.causal, &m.lamport);  // finding: single-probe
     checker.OnGroupEvent(0, 1, kind);           // finding: single-probe
-    telemetry::OnMessageSent(0, 4);             // finding: single-probe
+    telemetry::OnMessageSent(0, 4);             // finding: telemetry-export-only
   }
 };
 void* operator new(std::size_t n) { return std::malloc(n); }  // finding: single-alloc-counter
 """
 
-# Linted as src/core/trainer.cc, where optim-journal-only applies.
+# Linted as src/core/trainer.cc, where optim-journal-only and
+# telemetry-export-only apply.
 SELFTEST_CORE_SOURCE = """\
-#include "telemetry/telemetry.h"  // finding: optim-journal-only
+#include "telemetry/metrics.h"  // finding: telemetry-export-only
 void Train() {
-  auto& rt = telemetry::Runtime::Get();         // finding: optim-journal-only
+  telemetry::MetricsRegistry reg;               // finding: telemetry-export-only
+  telemetry::Counter* c = nullptr;  // suppressed: lint: allow(telemetry-export-only)
   const auto t0 = std::chrono::steady_clock::now();  // finding: optim-journal-only
   const std::uint64_t ns = flightrec::NowNs();  // finding: optim-journal-only
-  (void)rt; (void)t0; (void)ns;
+  (void)reg; (void)c; (void)t0; (void)ns;
   const auto t1 = flightrec::NowNs();  // suppressed: lint: allow(optim-journal-only)
   (void)t1;
 }
@@ -527,9 +551,10 @@ SELFTEST_EXPECT = {
     "raw-payload-buffer": 2,
     "payload-dtype-access": 4,  # begin/end copy line + span + u16 + wire_data
     "steady-clock-in-comm": 1,
-    "single-probe": 3,
+    "single-probe": 2,
     "single-alloc-counter": 1,
-    "optim-journal-only": 4,  # the fifth is suppressed
+    "optim-journal-only": 2,  # the third is suppressed
+    "telemetry-export-only": 4,  # the fifth is suppressed
     "telemetry-no-collectives": 1,  # the second is suppressed
     "comm-no-analysis": 1,  # the second is suppressed
 }
@@ -541,8 +566,9 @@ def selftest():
     import tempfile
 
     # Each snippet lives where its path-scoped rules apply: src/comm/ for
-    # the transport rules and comm-no-analysis, src/core/trainer.cc for optim-journal-only,
-    # src/telemetry/ for telemetry-no-collectives.
+    # the transport rules and comm-no-analysis, src/core/trainer.cc for
+    # optim-journal-only, both for telemetry-export-only, src/telemetry/
+    # for telemetry-no-collectives (and no telemetry-export-only).
     with tempfile.TemporaryDirectory() as tmpdir:
         linter = Linter()
         for rel, source in (
