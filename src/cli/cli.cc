@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -334,6 +335,19 @@ std::vector<int> ProxyDims(const model::ModelSpec& m) {
   return dims;
 }
 
+/// Per-rank batch of the runtime commands (profile, doctor's runtime
+/// backend, check): --batch-size, or 8 when unset.
+int RuntimeBatch(const FlagParser& flags) {
+  return flags.GetInt("batch-size") > 0 ? flags.GetInt("batch-size") : 8;
+}
+
+/// The runtime commands' dataset: four batches per rank. RunCli has
+/// checked that the sample count fits an int.
+train::Dataset RuntimeData(int world, int batch, const std::vector<int>& dims) {
+  return train::MakeRegressionDataset(world * batch * 4, dims.front(),
+                                      dims.back(), /*seed=*/42);
+}
+
 /// Exact p50/p95/p99 over `samples`.
 void PrintQuantiles(std::ostream& out, const std::vector<double>& samples) {
   out << std::fixed << std::setprecision(3);
@@ -417,14 +431,12 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
     err << "profile needs --world >= 2 and --iters >= 1\n";
     return 1;
   }
-  const int batch = flags.GetInt("batch-size") > 0 ? flags.GetInt("batch-size")
-                                                   : 8;
+  const int batch = RuntimeBatch(flags);
   err << OversubscriptionWarning(world, std::thread::hardware_concurrency());
 
   const auto m = model::ByName(model_name);
   const std::vector<int> dims = ProxyDims(m);
-  const auto data = train::MakeRegressionDataset(
-      world * batch * 4, dims.front(), dims.back(), /*seed=*/42);
+  const auto data = RuntimeData(world, batch, dims);
 
   auto dtype = DTypeByName(flags.GetString("dtype"));
   if (!dtype.ok()) {
@@ -765,11 +777,9 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
     {
       const auto m = model::ByName(flags.GetString("model"));
       const std::vector<int> dims = ProxyDims(m);
-      const int batch =
-          flags.GetInt("batch-size") > 0 ? flags.GetInt("batch-size") : 8;
+      const int batch = RuntimeBatch(flags);
       const int iters = std::max(1, flags.GetInt("iters"));
-      const auto data = train::MakeRegressionDataset(
-          world * batch * 4, dims.front(), dims.back(), /*seed=*/42);
+      const auto data = RuntimeData(world, batch, dims);
       core::DistOptimOptions options;
       options.buffer_bytes = static_cast<std::size_t>(
           std::max(1, flags.GetInt("buffer-kb")) * 1024);
@@ -1036,8 +1046,7 @@ int CmdCheck(FlagParser& flags, std::ostream& out, std::ostream& err) {
   const std::string inject = flags.GetString("inject");
   if (inject == "none") {
     const int iters = flags.GetInt("iters");
-    const int batch =
-        flags.GetInt("batch-size") > 0 ? flags.GetInt("batch-size") : 8;
+    const int batch = RuntimeBatch(flags);
     auto mode = RuntimeScheduleByName(flags.GetString("schedule"));
     if (!mode.ok()) {
       err << mode.status().ToString() << "\n";
@@ -1045,8 +1054,7 @@ int CmdCheck(FlagParser& flags, std::ostream& out, std::ostream& err) {
     }
     const auto m = model::ByName(flags.GetString("model"));
     const std::vector<int> dims = ProxyDims(m);
-    const auto data = train::MakeRegressionDataset(
-        world * batch * 4, dims.front(), dims.back(), /*seed=*/42);
+    const auto data = RuntimeData(world, batch, dims);
     core::DistOptimOptions options;
     options.mode = *mode;
     options.buffer_bytes = static_cast<std::size_t>(
@@ -1212,8 +1220,10 @@ int CmdFuzz(FlagParser& flags, std::ostream& out, std::ostream& err) {
 //   dearsim chaos --seed N --replay N   (full decision trace)
 int CmdChaos(FlagParser& flags, std::ostream& out, std::ostream& err) {
   const int world = flags.GetInt("world");
-  if (world < 2) {
-    err << "chaos needs --world >= 2\n";
+  if (world < 2 || world > 64) {
+    err << "chaos needs 2 <= --world <= 64 (membership tracks liveness in a "
+           "64-bit mask)\n"
+        << kUsage;
     return 1;
   }
   schedlab::ChaosOptions copts;
@@ -1406,6 +1416,16 @@ int RunCli(int argc, const char* const* argv, std::ostream& out,
             static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
     err << "--buffer-mb must be positive and fit a size_t byte count\n"
         << kUsage;
+    return 1;
+  }
+
+  // The runtime commands train on world x batch x 4 samples, an int.
+  const bool trains =
+      cmd == "profile" || cmd == "check" ||
+      (cmd == "doctor" && flags.GetString("backend") == "runtime");
+  if (trains && std::int64_t{flags.GetInt("world")} * RuntimeBatch(flags) >
+                    std::numeric_limits<int>::max() / 4) {
+    err << "--world x --batch-size x 4 samples must fit an int\n" << kUsage;
     return 1;
   }
 

@@ -6,45 +6,32 @@
 
 #include "common/logging.h"
 #include "common/schedule_point.h"
+#include "core/trainer.h"
 
 namespace dear::core {
 namespace {
 
-/// Distinct, reproducible batch for (rank, iteration): every rank owns a
-/// fixed shard of the common dataset and cycles through it on a schedule
-/// that is a pure function of the iteration number — so a rank that
+/// The run's common dataset: two batches per rank's round-robin shard.
+/// RunIteration and Replay read micro-batch k of a shard at (k mod 2) x
+/// batch, a pure function of the iteration number — so a rank that
 /// resynced its iteration counter from the recovery root automatically
-/// lands on the same batch the oracle replays.
-void FillBatch(const train::Dataset& shard, int iteration, int batch,
-               std::vector<float>* x, std::vector<float>* y) {
-  const int cursor = (iteration % 2) * batch;  // shards hold 2*batch samples
-  shard.Batch(cursor, batch, x, y);
+/// lands on the batch the oracle replays.
+train::Dataset MakeElasticDataset(const ElasticOptions& options) {
+  return train::MakeRegressionDataset(options.world * options.batch * 2,
+                                      options.dims.front(),
+                                      options.dims.back(), options.data_seed);
+}
+
+std::string Rejection(const ElasticOptions& options) {
+  if (options.optim.algorithm != comm::Algorithm::kRing) {
+    return "algorithm: elastic training re-forms over any survivor count, "
+           "which only the ring supports (hierarchical needs ranks_per_node "
+           "to divide it, recursive halving-doubling a power of two)";
+  }
+  return "";
 }
 
 }  // namespace
-
-std::vector<float> FlattenParams(train::Mlp& mlp) {
-  std::vector<float> out;
-  for (train::DenseLayer& layer : mlp.layers()) {
-    out.insert(out.end(), layer.w.begin(), layer.w.end());
-    out.insert(out.end(), layer.b.begin(), layer.b.end());
-  }
-  return out;
-}
-
-void LoadParams(train::Mlp& mlp, std::span<const float> params) {
-  std::size_t off = 0;
-  for (train::DenseLayer& layer : mlp.layers()) {
-    DEAR_CHECK(off + layer.w.size() + layer.b.size() <= params.size());
-    std::copy_n(params.begin() + static_cast<std::ptrdiff_t>(off),
-                layer.w.size(), layer.w.begin());
-    off += layer.w.size();
-    std::copy_n(params.begin() + static_cast<std::ptrdiff_t>(off),
-                layer.b.size(), layer.b.begin());
-    off += layer.b.size();
-  }
-  DEAR_CHECK_MSG(off == params.size(), "parameter blob size mismatch");
-}
 
 struct ElasticRuntime::RankState {
   comm::Rank rank{0};
@@ -54,16 +41,15 @@ struct ElasticRuntime::RankState {
   int it{0};
   std::uint32_t cur_epoch{0};
   bool is_root{false};
-  std::vector<float> x, y, grad;
 };
 
 ElasticRuntime::ElasticRuntime(ElasticOptions options)
     : options_(std::move(options)),
-      data_(train::MakeRegressionDataset(
-          options_.world * options_.batch * 2, options_.dims.front(),
-          options_.dims.back(), options_.data_seed)),
+      rejection_(Rejection(options_)),
+      data_(MakeElasticDataset(options_)),
       hub_(options_.world, {.use_pool = true}),
       membership_(&hub_, options_.membership) {
+  if (!rejection_.empty()) Fail(rejection_);
   final_params_.resize(static_cast<std::size_t>(options_.world));
   // Epoch-0 segment: the full group starting from the common seed-derived
   // initialization (every rank constructs the identical Mlp).
@@ -111,13 +97,8 @@ bool ElasticRuntime::Recover(RankState& st) {
   }
   st.is_root = comm.rank() == root_logical;
 
-  DistOptimOptions optim_options;
-  optim_options.mode = ScheduleMode::kDeAR;
-  optim_options.buffer_bytes = options_.buffer_bytes;
+  DistOptimOptions optim_options = options_.optim;
   optim_options.elastic = true;
-  // Momentum stays 0: velocity is per-DistOptim state that dies with every
-  // re-form, and the oracle replays stateless SGD.
-  optim_options.sgd = {.lr = options_.lr, .momentum = 0.0f};
   st.optim = std::make_unique<DistOptim>(comm, st.mlp->Spec(),
                                          st.mlp->Bindings(), optim_options);
   // Quiesce/handshake barrier: returns once every live rank rebuilt (and,
@@ -173,6 +154,7 @@ void ElasticRuntime::CommitRendezvous(RankState& st) {
 }
 
 void ElasticRuntime::RunRank(comm::Rank rank) {
+  if (!rejection_.empty()) return;
   schedpoint::WorkerScope worker("rank", rank);
   RankState st;
   st.rank = rank;
@@ -220,16 +202,9 @@ void ElasticRuntime::RunRank(comm::Rank rank) {
       CommitRendezvous(st);
       continue;
     }
-    // One training iteration of the standard DeAR pipeline.
-    st.mlp->ZeroGrad();
-    FillBatch(st.shard, st.it, options_.batch, &st.x, &st.y);
-    const std::vector<float> pred =
-        st.mlp->Forward(st.x, options_.batch,
-                        [&](int l) { st.optim->PreForward(l); });
-    train::Mlp::MseLoss(pred, st.y, &st.grad);
-    st.mlp->Backward(st.grad, options_.batch,
-                     [&](int l) { st.optim->OnBackwardLayer(l); });
-    st.optim->Step();
+    // One iteration of the fixed-world loop, then a full drain (below).
+    RunIteration(*st.mlp, *st.optim, st.shard, options_.batch,
+                 options_.optim.accumulation_steps, st.it);
     st.optim->Synchronize();
     if (st.optim->failed()) continue;  // loop top recovers
     ++st.it;
@@ -287,6 +262,7 @@ ElasticReport ElasticRuntime::TakeReport() {
 
 ElasticReport RunElasticTraining(const ElasticOptions& options) {
   ElasticRuntime runtime(options);
+  if (!runtime.rejection().empty()) return runtime.TakeReport();
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(options.world));
   for (int r = 0; r < options.world; ++r) {
@@ -299,34 +275,15 @@ ElasticReport RunElasticTraining(const ElasticOptions& options) {
 std::vector<float> SequentialOracle(const ElasticOptions& options,
                                     const ElasticSegment& segment,
                                     int end_iteration) {
-  train::Dataset data = train::MakeRegressionDataset(
-      options.world * options.batch * 2, options.dims.front(),
-      options.dims.back(), options.data_seed);
   train::Mlp mlp(options.dims, options.model_seed);
   LoadParams(mlp, segment.base_params);
-  std::vector<float> x, y, grad;
-  for (int it = segment.first_iteration; it < end_iteration; ++it) {
-    mlp.ZeroGrad();
-    // DenseLayer::Backward accumulates into gw/gb, so running the live
-    // ranks' forward/backward passes in sequence sums their per-batch
-    // gradients — the same sum the ring reduce-scatter computes.
-    for (const comm::Rank r : segment.live) {
-      const train::Dataset shard = data.Shard(r, options.world);
-      FillBatch(shard, it, options.batch, &x, &y);
-      const std::vector<float> pred = mlp.Forward(x, options.batch);
-      train::Mlp::MseLoss(pred, y, &grad);
-      mlp.Backward(grad, options.batch);
-    }
-    const float scale = 1.0f / static_cast<float>(segment.live.size());
-    for (train::DenseLayer& layer : mlp.layers()) {
-      for (std::size_t i = 0; i < layer.w.size(); ++i) {
-        layer.w[i] -= options.lr * scale * layer.gw[i];
-      }
-      for (std::size_t i = 0; i < layer.b.size(); ++i) {
-        layer.b[i] -= options.lr * scale * layer.gb[i];
-      }
-    }
-  }
+  Replay(mlp, MakeElasticDataset(options),
+         {.world = options.world,
+          .live = segment.live,
+          .batch = options.batch,
+          .accumulation_steps = options.optim.accumulation_steps,
+          .sgd = options.optim.sgd},
+         segment.first_iteration, end_iteration);
   return FlattenParams(mlp);
 }
 

@@ -1,10 +1,10 @@
 // Elastic training runtime: degrade-and-continue data-parallel SGD over a
 // TransportHub with comm::Membership churn (DESIGN.md §13).
 //
-// Within one membership epoch this is exactly the DeAR pipeline over the
-// epoch's live ring — DistOptim's reduce-scatter runs ReduceOp::kAvg over
-// comm.size() ranks, so kAvg renormalizes to the survivor count for free
-// when the ring shrinks. Across epochs the protocol is:
+// Within one membership epoch every rank runs core::RunIteration — the
+// fixed-world loop, under any DistOptimOptions on the ring — over the
+// epoch's live group; kAvg divides by comm.size(), so it renormalizes to
+// the survivor count for free. Across epochs the protocol is:
 //
 //   crash    the scripted victim requests readmission, suspects itself
 //            (epoch turns, channels cycle), and parks in WaitLive;
@@ -19,20 +19,22 @@
 //            all ranks — including the woken victim — re-form over the
 //            full group with one more state sync.
 //
-// Every rank runs one iteration-end barrier: a rank can only start
-// iteration i+1 after all ranks submitted barrier i, which bounds skew to
-// one iteration and — more importantly — guarantees that whenever the
-// epoch turns, every rank's parameters are a *consistent* snapshot (all of
-// the previous iteration applied, none of the current one: a ring
-// collective cannot complete without every live rank's participation, so
-// the interrupted iteration never reaches UnpackAndApply anywhere).
+// Every iteration ends in Synchronize() and a barrier (which give up
+// FeedPipe's overlap of OP2 with the next feed-forward, so the fixed-world
+// harness does not have them): no rank starts iteration i+1 before all
+// submitted barrier i, so whenever the epoch turns every rank's parameters
+// are a *consistent* snapshot — all of the previous iteration applied,
+// none of the current one, since a collective cannot complete without
+// every live rank.
 //
-// That consistency is what makes the run oracle-checkable: the recovery
-// root records an ElasticSegment (first iteration, live set, base
-// parameters) at every re-form, and SequentialOracle replays each segment
-// with plain single-process SGD over the live ranks' shards. Momentum is
-// deliberately 0: velocity is per-DistOptim state that resets at re-form,
-// which a stateless oracle would otherwise have to model.
+// That makes the run oracle-checkable: the recovery root records an
+// ElasticSegment (first iteration, live set, base parameters) at every
+// re-form, and SequentialOracle replays it with core::Replay. The replay's
+// fresh train::Sgd matches the fresh DistOptim every re-form builds (zero
+// velocity), so momentum is checked under churn like everything else.
+// Hierarchical needs ranks_per_node to divide every survivor count and
+// recursive halving-doubling a power-of-two one, so only the ring is
+// accepted: any other `algorithm` is rejected at construction.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +57,10 @@ struct ElasticOptions {
   int iterations{6};
   int batch{2};
   std::vector<int> dims{4, 8, 6, 2};
-  std::size_t buffer_bytes{256};  // several fusion groups for the MLP
-  float lr{0.05f};
+  /// Every rank's optimizer; Recover sets `elastic`. The 256 B buffer
+  /// gives the MLP several fusion groups.
+  DistOptimOptions optim{.buffer_bytes = 256,
+                         .sgd = {.lr = 0.05f, .momentum = 0.0f}};
   /// Scripted churn: `victim` self-suspects at the top of iteration
   /// `kill_iteration` and rejoins `rejoin_delay` iterations later
   /// (rejoin_delay < 0: stays dead). victim < 0 disables churn.
@@ -90,10 +94,6 @@ struct ElasticReport {
   std::string checker_report;
 };
 
-/// Flatten / load an Mlp's parameters (layer-major, w then b per layer).
-std::vector<float> FlattenParams(train::Mlp& mlp);
-void LoadParams(train::Mlp& mlp, std::span<const float> params);
-
 /// The per-rank worker bodies plus the shared hub/membership they run
 /// over. Exposed (rather than hidden inside RunElasticTraining) so the
 /// schedlab chaos harness can drive RunRank on controller-registered
@@ -105,6 +105,13 @@ class ElasticRuntime {
   /// Worker body for physical rank `rank`; returns when the rank finished
   /// all iterations (or died for good). Call once per rank, concurrently.
   void RunRank(comm::Rank rank);
+
+  /// Why these options cannot be kept correct under churn, or empty. A
+  /// rejected runtime trains nothing: RunRank returns at once and the
+  /// report says ok = false with this failure.
+  [[nodiscard]] const std::string& rejection() const noexcept {
+    return rejection_;
+  }
 
   /// Collects the report. Call after every RunRank returned.
   ElasticReport TakeReport();
@@ -132,6 +139,7 @@ class ElasticRuntime {
   void Fail(const std::string& what);
 
   ElasticOptions options_;
+  std::string rejection_;
   train::Dataset data_;
   comm::TransportHub hub_;
   comm::Membership membership_;
@@ -143,16 +151,18 @@ class ElasticRuntime {
   std::string failure_;
 };
 
-/// Convenience driver: spawns one plain thread per rank and joins them.
-/// (The chaos harness instead runs RunRank under a schedlab controller.)
+/// Convenience driver: spawns one plain thread per rank (none for a
+/// rejected runtime) and joins them. (The chaos harness instead runs
+/// RunRank under a schedlab controller.)
 ElasticReport RunElasticTraining(const ElasticOptions& options);
 
-/// Replays `segment` with single-process SGD — per-rank batch gradients
-/// over the segment's live set, averaged, momentum 0 — from the segment's
-/// base parameters up to (excluding) `end_iteration`. The distributed run
-/// must match this within floating-point tolerance: each later segment's
-/// base against the replay of its predecessor, and every surviving rank's
-/// final parameters against the replay of the last segment.
+/// Replays `segment` with core::Replay — the live set's shard batches,
+/// averaged, through a fresh train::Sgd under options.optim — from the
+/// segment's base parameters up to (excluding) `end_iteration`. The
+/// distributed run must match this within floating-point tolerance (a
+/// lossy wire's drift envelope): each later segment's base against the
+/// replay of its predecessor, and every surviving rank's final parameters
+/// against the replay of the last segment.
 std::vector<float> SequentialOracle(const ElasticOptions& options,
                                     const ElasticSegment& segment,
                                     int end_iteration);

@@ -22,66 +22,16 @@
 #include "common/rng.h"
 #include "common/schedule_point.h"
 #include "core/dist_optim.h"
+#include "core/trainer.h"
 #include "flightrec/recorder.h"
+#include "schedlab/oracle.h"
 #include "train/data.h"
 #include "train/mlp.h"
 
 namespace dear::schedlab {
 namespace {
 
-constexpr std::uint64_t kDigestBasis = 1469598103934665603ULL;
-
-std::uint64_t DigestFloats(std::uint64_t h, std::span<const float> v) {
-  for (const float f : v) {
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &f, sizeof(bits));
-    for (int s = 0; s < 32; s += 8) {
-      h ^= (bits >> s) & 0xffU;
-      h *= 1099511628211ULL;
-    }
-  }
-  return h;
-}
-
-std::uint64_t Mix64(std::uint64_t h, std::uint64_t v) {
-  for (int s = 0; s < 64; s += 8) {
-    h ^= (v >> s) & 0xffU;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::vector<float> MakeInput(std::uint64_t seed, int rank, std::size_t n) {
-  Rng rng(seed * 1000003ULL + static_cast<std::uint64_t>(rank) + 1);
-  std::vector<float> v(n);
-  for (float& x : v) x = static_cast<float>(rng.Uniform(-2.0, 2.0));
-  return v;
-}
-
-/// Elementwise oracle across ranks. Sums accumulate in double (the checks
-/// against it are tolerance-based; bitwise invariance is checked via the
-/// digest instead). kMax/kMin are exact in float.
-std::vector<float> Reduced(const std::vector<std::vector<float>>& in,
-                           comm::ReduceOp op) {
-  const std::size_t n = in[0].size();
-  const auto world = in.size();
-  std::vector<float> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (op == comm::ReduceOp::kMax || op == comm::ReduceOp::kMin) {
-      float v = in[0][i];
-      for (std::size_t r = 1; r < world; ++r)
-        v = op == comm::ReduceOp::kMax ? std::max(v, in[r][i])
-                                       : std::min(v, in[r][i]);
-      out[i] = v;
-    } else {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < world; ++r) acc += in[r][i];
-      if (op == comm::ReduceOp::kAvg) acc /= static_cast<double>(world);
-      out[i] = static_cast<float>(acc);
-    }
-  }
-  return out;
-}
+using namespace oracle;
 
 /// Relative tolerance for order-sensitive reductions. fp32 keeps the
 /// historical 1e-4; a lossy wire dtype rounds every partial result it
@@ -96,10 +46,6 @@ float ReduceTolerance(const PropertyOptions& options) {
     case comm::DType::kF32: break;
   }
   return std::max(1e-4f, 2.0f * eps * static_cast<float>(options.world));
-}
-
-bool Near(float a, float b, float tol = 1e-4f) {
-  return std::fabs(a - b) <= tol * (1.0f + std::fabs(b));
 }
 
 /// `v` rounded once through the wire dtype — the oracle for what a
@@ -125,32 +71,6 @@ std::int64_t UlpDistance(float a, float b) {
   return d < 0 ? -d : d;
 }
 
-/// First-failure collector.
-struct Verdict {
-  bool ok{true};
-  std::string failure;
-  void Expect(bool cond, const std::string& msg) {
-    if (!cond && ok) {
-      ok = false;
-      failure = msg;
-    }
-  }
-};
-
-void ExpectNearAll(Verdict& v, const char* what, std::span<const float> got,
-                   std::span<const float> want, float tol = 1e-4f) {
-  v.Expect(got.size() == want.size(), std::string(what) + ": size mismatch");
-  if (!v.ok) return;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (!Near(got[i], want[i], tol)) {
-      v.Expect(false, std::string(what) + ": elem " + std::to_string(i) +
-                          " got " + std::to_string(got[i]) + " want " +
-                          std::to_string(want[i]));
-      return;
-    }
-  }
-}
-
 /// Elementwise ULP-distance bound. `bound == 0` is bitwise equality but
 /// the failure message reports HOW FAR off the worst element landed —
 /// the decoupled-equivalence property uses this so a lossy-dtype break
@@ -174,14 +94,6 @@ void ExpectUlpAll(Verdict& v, const char* what, std::span<const float> got,
                         std::to_string(bound) + "): got " +
                         std::to_string(got[worst_i]) + " want " +
                         std::to_string(want[worst_i]));
-}
-
-void ExpectBitwiseAll(Verdict& v, const char* what, std::span<const float> got,
-                      std::span<const float> want) {
-  v.Expect(got.size() == want.size(), std::string(what) + ": size mismatch");
-  if (!v.ok) return;
-  if (std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) != 0)
-    v.Expect(false, std::string(what) + ": bitwise mismatch");
 }
 
 /// Runs `body(comm)` on `world` controller-registered rank threads over
@@ -475,7 +387,7 @@ PropertyReport CheckTrainingStep(Picker& picker,
   comm::TransportHub hub(world, {.use_pool = options.use_pool});
   checker.SetTripHandler([&hub] { hub.Shutdown(); });
 
-  std::vector<std::vector<std::vector<float>>> params(uw);
+  std::vector<std::vector<float>> params(uw);
   std::vector<std::vector<float>> losses(uw);
 
   // DistOptim drives the wire dtype through its Compression knob (the
@@ -501,26 +413,12 @@ PropertyReport CheckTrainingStep(Picker& picker,
         optim_options.sgd = {.lr = 0.05f, .momentum = 0.9f};
         optim_options.compression = compression;
         core::DistOptim optim(comm, mlp.Spec(), mlp.Bindings(), optim_options);
-        std::vector<float> x;
-        std::vector<float> y;
-        std::vector<float> grad;
-        int cursor = 0;
         for (int it = 0; it < iterations; ++it) {
-          mlp.ZeroGrad();
-          if (cursor + batch > shard.num_samples) cursor = 0;
-          shard.Batch(cursor, batch, &x, &y);
-          cursor += batch;
-          const auto pred =
-              mlp.Forward(x, batch, [&](int l) { optim.PreForward(l); });
-          losses[r].push_back(train::Mlp::MseLoss(pred, y, &grad));
-          mlp.Backward(grad, batch, [&](int l) { optim.OnBackwardLayer(l); });
-          optim.Step();
+          core::RunIteration(mlp, optim, shard, batch,
+                             optim_options.accumulation_steps, it, &losses[r]);
         }
         optim.Synchronize();
-        for (auto& layer : mlp.layers()) {
-          params[r].push_back(layer.w);
-          params[r].push_back(layer.b);
-        }
+        params[r] = core::FlattenParams(mlp);
       });
 
   const bool tripped = checker.tripped();
@@ -537,13 +435,10 @@ PropertyReport CheckTrainingStep(Picker& picker,
   v.Expect(verified > 0, "checker verified no collectives");
   std::uint64_t digest = kDigestBasis;
   if (v.ok) {
-    for (std::size_t r = 1; r < uw; ++r) {
-      v.Expect(params[r].size() == params[0].size(), "param tensor count");
-      for (std::size_t t = 0; t < params[0].size() && v.ok; ++t)
-        ExpectBitwiseAll(v, "cross-rank parameter consistency", params[r][t],
-                         params[0][t]);
-    }
-    for (const auto& tensor : params[0]) digest = DigestFloats(digest, tensor);
+    for (std::size_t r = 1; r < uw; ++r)
+      ExpectBitwiseAll(v, "cross-rank parameter consistency", params[r],
+                       params[0]);
+    digest = DigestFloats(digest, params[0]);
     digest = DigestFloats(digest, losses[0]);
   }
   report.ok = v.ok;

@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "schedlab/chaos.h"
 #include "test_env.h"
 
 namespace {
 
+using dear::core::Compression;
+using dear::core::ScheduleMode;
 using dear::schedlab::ChaosOptions;
 using dear::schedlab::RunCrashRejoin;
 
@@ -55,5 +58,52 @@ TEST(Chaos, PinnedLateKillExercisesEpilogueRendezvous) {
   EXPECT_TRUE(report.ok) << report.failure << "\nreplay: dearsim chaos --seed "
                          << seed << " (pinned fault)";
 }
+
+// The fixed-world configurations under churn: one pinned seed (its fault
+// is a crash and a rejoin) per wire dtype on the ring, per non-default
+// schedule mode, with momentum and with accumulation. RunCrashRejoin holds
+// every segment to the per-segment reference: fp32 within Near's 1e-4,
+// f16 and bf16 within their fixed-world drift envelopes.
+struct Combination {
+  const char* label;
+  std::uint64_t seed;
+  ScheduleMode mode{ScheduleMode::kDeAR};
+  Compression wire{Compression::kNone};
+  float momentum{0.0f};
+  int accumulation_steps{1};
+};
+
+class ChaosCombination : public ::testing::TestWithParam<Combination> {};
+
+TEST_P(ChaosCombination, CrashRejoinMatchesPerSegmentReference) {
+  const Combination& c = GetParam();
+  ChaosOptions options;
+  options.elastic.optim.mode = c.mode;
+  options.elastic.optim.compression = c.wire;
+  options.elastic.optim.sgd.momentum = c.momentum;
+  options.elastic.optim.accumulation_steps = c.accumulation_steps;
+  const auto report = RunCrashRejoin(c.seed, options);
+  EXPECT_TRUE(report.ok) << report.failure << "\nseed " << c.seed
+                         << " (victim " << report.victim << ", kill@"
+                         << report.kill_iteration << ", rejoin+"
+                         << report.rejoin_delay << ")";
+  EXPECT_EQ(report.elastic.segments.size(), 3u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Options, ChaosCombination,
+    ::testing::Values(
+        Combination{"ring_f32", 0xC0DE0001u},
+        Combination{"ring_f16", 0xC0DE0002u, ScheduleMode::kDeAR,
+                    Compression::kFp16},
+        Combination{"ring_bf16", 0xC0DE0003u, ScheduleMode::kDeAR,
+                    Compression::kBf16},
+        Combination{"zero_f32", 0xC0DE0004u, ScheduleMode::kZeRO},
+        Combination{"wfbp_f32", 0xC0DE0005u, ScheduleMode::kWFBP},
+        Combination{"momentum_f32", 0xC0DE0006u, ScheduleMode::kDeAR,
+                    Compression::kNone, 0.9f},
+        Combination{"accumulation_f32", 0xC0DE0007u, ScheduleMode::kDeAR,
+                    Compression::kNone, 0.0f, 2}),
+    [](const auto& info) { return std::string(info.param.label); });
 
 }  // namespace

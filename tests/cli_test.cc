@@ -623,6 +623,28 @@ TEST(CliTest, SimulatorCommandsRejectBadSizes) {
             0);
 }
 
+TEST(CliTest, RuntimeCommandsRejectSizesBeforeAnyRankRuns) {
+  // A world the membership mask cannot hold, and world x batch x 4 past an
+  // int: each is refused before a hub exists, so no rank journals a thing.
+  const std::vector<std::vector<const char*>> cases = {
+      {"chaos", "--world=65", "--schedules=1"},
+      {"profile", "--world=2", "--batch-size=300000000", "--iters=1"},
+      {"doctor", "--backend=runtime", "--world=2", "--batch-size=300000000"},
+      {"check", "--world=2", "--batch-size=300000000", "--iters=1"},
+  };
+  auto& recorder = flightrec::Recorder::Get();
+  for (const auto& args : cases) {
+    recorder.Reset();
+    const auto r = RunDearsim(args);
+    EXPECT_EQ(r.code, 1) << args[0] << " " << args[1] << "\n" << r.out;
+    EXPECT_NE(r.err.find("--world"), std::string::npos) << r.err;
+    EXPECT_NE(r.err.find("usage:"), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "") << args[0];
+    for (const auto& lane : recorder.SnapshotAll())
+      EXPECT_TRUE(lane.empty()) << args[0] << ": a rank ran";
+  }
+}
+
 TEST(CliTest, BatchSizeOverrideChangesThroughput) {
   const auto a = RunDearsim({"simulate", "--model=resnet50", "--gpus=4",
                       "--batch-size=16"});

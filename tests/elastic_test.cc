@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "check/checker.h"
@@ -284,6 +285,42 @@ TEST(Elastic, CrashAndRejoinMatchesSequentialOracle) {
   const auto fin = dear::core::SequentialOracle(options, report.segments[2],
                                                 options.iterations);
   ExpectNearParams(report.final_params[0], fin, "rejoined final");
+}
+
+TEST(Elastic, NonRingAlgorithmsAreRejectedBeforeAnyRankRuns) {
+  // Hierarchical needs ranks_per_node to divide every survivor count and
+  // recursive halving-doubling a power-of-two one; a crash breaks both, so
+  // the runtime refuses them at construction instead of aborting in
+  // DistOptim's constructor mid-recovery.
+  const dear::comm::Algorithm algorithms[] = {
+      dear::comm::Algorithm::kHierarchical,
+      dear::comm::Algorithm::kRecursiveHalvingDoubling};
+  for (const auto algorithm : algorithms) {
+    dear::core::ElasticOptions options;
+    options.world = 4;
+    options.victim = 3;
+    options.kill_iteration = 1;
+    options.optim.algorithm = algorithm;
+    options.optim.ranks_per_node = 2;
+    options.membership = QuietDetector();
+    dear::core::ElasticRuntime runtime(options);
+    EXPECT_NE(runtime.rejection().find("algorithm"), std::string::npos);
+    const auto report = dear::core::RunElasticTraining(options);
+    EXPECT_FALSE(report.ok);
+    EXPECT_NE(report.failure.find("algorithm"), std::string::npos)
+        << report.failure;
+    EXPECT_EQ(report.segments.size(), 1u);  // the epoch-0 formation only
+    for (const auto& params : report.final_params)
+      EXPECT_TRUE(params.empty()) << "no rank may have trained";
+    EXPECT_EQ(report.transition_log, "");
+
+    dear::schedlab::ChaosOptions chaos;
+    chaos.elastic = options;
+    const auto chaos_report = dear::schedlab::RunCrashRejoin(1, chaos);
+    EXPECT_FALSE(chaos_report.ok);
+    EXPECT_NE(chaos_report.failure.find("algorithm"), std::string::npos);
+    EXPECT_EQ(chaos_report.schedule.decisions, 0u);
+  }
 }
 
 // ---- Shrunken-ring renormalization property -----------------------------

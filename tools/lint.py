@@ -78,6 +78,14 @@ Rules (suppress one occurrence with `// lint: allow(<rule>)` on the line):
                       schedule records (analysis::AttributeIterations). A
                       direct clock read (steady_clock, flightrec::NowNs)
                       there brings back a second clock for the same moments.
+  single-training-loop
+                      (src/ outside src/core/trainer.cc) The S-SGD
+                      iteration (core::RunIteration) and its sequential
+                      oracle (core::Replay) are the only training loops;
+                      every runtime harness calls the one and every check
+                      replays the other. A ZeroGrad() call anywhere else in
+                      the library is a second loop whose batch rule or SGD
+                      can drift from theirs.
   single-alloc-counter
                       Global operator new is replaced in exactly one file,
                       src/perflab/alloc_counter.cc (the per-thread counter
@@ -255,6 +263,12 @@ ANALYSIS_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"analysis/')
 # their own.
 OPTIM_JOURNAL_ONLY_RE = re.compile(r"src/core/(?:dist_optim|trainer)\.[^/]*$")
 OPTIM_CLOCK_RE = re.compile(r"\bsteady_clock\b|\bflightrec::NowNs\b")
+
+# The library's one training-loop file: the only place a ZeroGrad() call
+# may appear under src/.
+TRAINING_LOOP_DIR = "src/"
+TRAINING_LOOP_FILE = "src/core/trainer.cc"
+ZERO_GRAD_CALL_RE = re.compile(r"(?:\.|->)\s*ZeroGrad\s*\(")
 
 # The one file allowed to define a global operator new.
 ALLOC_COUNTER_FILE = "src/perflab/alloc_counter.cc"
@@ -444,6 +458,17 @@ class Linter:
                         "(analysis::AttributeIterations), not a clock read",
                         raw_line(i))
 
+        # Rule: single-training-loop (the trainer itself exempt).
+        if TRAINING_LOOP_DIR in norm and not norm.endswith(TRAINING_LOOP_FILE):
+            for i, line in enumerate(lines):
+                if ZERO_GRAD_CALL_RE.search(line):
+                    self.report(
+                        path, i + 1, "single-training-loop",
+                        "ZeroGrad() outside the trainer — run iterations "
+                        "with core::RunIteration and reference trajectories "
+                        "with core::Replay (core/trainer.h)",
+                        raw_line(i))
+
         # Rule: single-alloc-counter (the counter's own file exempt).
         if not norm.endswith(ALLOC_COUNTER_FILE):
             for i, line in enumerate(lines):
@@ -516,12 +541,17 @@ struct Bad {
     checker.OnGroupEvent(0, 1, kind);           // finding: single-probe
     telemetry::OnMessageSent(0, 4);             // finding: telemetry-export-only
   }
+  void Train(Mlp& mlp, State& st) {
+    mlp.ZeroGrad();                             // finding: single-training-loop
+    st.mlp->ZeroGrad();                         // finding: single-training-loop
+    mlp.ZeroGrad();  // suppressed: lint: allow(single-training-loop)
+  }
 };
 void* operator new(std::size_t n) { return std::malloc(n); }  // finding: single-alloc-counter
 """
 
 # Linted as src/core/trainer.cc, where optim-journal-only and
-# telemetry-export-only apply.
+# telemetry-export-only apply and single-training-loop does not.
 SELFTEST_CORE_SOURCE = """\
 #include "telemetry/metrics.h"  // finding: telemetry-export-only
 void Train() {
@@ -532,6 +562,7 @@ void Train() {
   (void)reg; (void)c; (void)t0; (void)ns;
   const auto t1 = flightrec::NowNs();  // suppressed: lint: allow(optim-journal-only)
   (void)t1;
+  mlp.ZeroGrad();  // the training loop's own file: no finding
 }
 """
 
@@ -553,6 +584,8 @@ SELFTEST_EXPECT = {
     "steady-clock-in-comm": 1,
     "single-probe": 2,
     "single-alloc-counter": 1,
+    "single-training-loop": 2,  # the third is suppressed, the fourth is in
+                                # src/core/trainer.cc
     "optim-journal-only": 2,  # the third is suppressed
     "telemetry-export-only": 4,  # the fifth is suppressed
     "telemetry-no-collectives": 1,  # the second is suppressed
