@@ -28,7 +28,7 @@ int main() {
     train::Mlp mlp(dims, 3);
 
     core::DistOptimOptions options;
-    options.mode = core::ScheduleMode::kDeAR;
+    options.mode = sched::PolicyKind::kDeAR;
     options.buffer_bytes = 25u << 20;  // paper default: 25 MB
     options.sgd = {.lr = 0.02f, .momentum = 0.9f};
     core::DistOptim optim(comm, mlp.Spec(), mlp.Bindings(), options);

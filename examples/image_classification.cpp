@@ -20,7 +20,7 @@ namespace {
 
 using namespace dear;
 
-float TrainOnce(core::ScheduleMode mode, core::Compression compression,
+float TrainOnce(sched::PolicyKind mode, core::Compression compression,
                 const train::ClassificationDataset& data) {
   constexpr int kWorld = 4;
   constexpr int kBatch = 16;
@@ -90,14 +90,14 @@ int main() {
 
   struct Config {
     const char* label;
-    core::ScheduleMode mode;
+    sched::PolicyKind mode;
     core::Compression compression;
   };
   const Config configs[] = {
-      {"DeAR", core::ScheduleMode::kDeAR, core::Compression::kNone},
-      {"DeAR + fp16", core::ScheduleMode::kDeAR, core::Compression::kFp16},
-      {"ZeRO-sharded", core::ScheduleMode::kZeRO, core::Compression::kNone},
-      {"WFBP", core::ScheduleMode::kWFBP, core::Compression::kNone},
+      {"DeAR", sched::PolicyKind::kDeAR, core::Compression::kNone},
+      {"DeAR + fp16", sched::PolicyKind::kDeAR, core::Compression::kFp16},
+      {"ZeRO-sharded", sched::PolicyKind::kZeRO1, core::Compression::kNone},
+      {"WFBP", sched::PolicyKind::kDDP, core::Compression::kNone},
   };
   std::printf("5-way classification, 4 workers, 80 iterations each:\n");
   for (const auto& cfg : configs) {

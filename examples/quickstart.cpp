@@ -34,7 +34,7 @@ int main() {
     train::Mlp mlp(dims, /*seed=*/7);  // same init on every replica
 
     core::DistOptimOptions options;
-    options.mode = core::ScheduleMode::kDeAR;
+    options.mode = sched::PolicyKind::kDeAR;
     options.buffer_bytes = 64 * 1024;
     options.sgd = {.lr = 0.05f, .momentum = 0.9f};
     core::DistOptim optim(comm, mlp.Spec(), mlp.Bindings(), options);

@@ -100,6 +100,7 @@ StatusOr<sched::PolicyKind> SchedulerByName(const std::string& name) {
   if (name == "bytescheduler") return sched::PolicyKind::kByteScheduler;
   if (name == "dear") return sched::PolicyKind::kDeAR;
   if (name == "zero") return sched::PolicyKind::kZeRO;
+  if (name == "zero1") return sched::PolicyKind::kZeRO1;
   return Status::InvalidArgument("unknown scheduler '" + name + "'");
 }
 
@@ -110,24 +111,13 @@ bool KnownModel(const std::string& name) {
   return false;
 }
 
+/// The simulator commands' plan recipe at a --buffer-mb fusion buffer.
 sched::PolicyConfig MakeConfig(sched::PolicyKind kind,
                                const model::ModelSpec& m,
                                const sched::ClusterSpec& cluster,
                                double buffer_mb) {
-  sched::PolicyConfig cfg;
-  cfg.kind = kind;
-  if (kind == sched::PolicyKind::kWFBP ||
-      kind == sched::PolicyKind::kByteScheduler ||
-      kind == sched::PolicyKind::kSequential) {
-    cfg.plan = fusion::PerTensor(m);
-  } else if (kind == sched::PolicyKind::kMGWFBP) {
-    cfg.plan = fusion::MergeGradientsWisely(m, cluster.network.alpha_s,
-                                            cluster.world_size);
-  } else {
-    cfg.plan = fusion::ByBufferBytes(
-        m, static_cast<std::size_t>(buffer_mb * 1024 * 1024));
-  }
-  return cfg;
+  return sched::DefaultConfig(
+      kind, m, cluster, static_cast<std::size_t>(buffer_mb * 1024 * 1024));
 }
 
 int CmdModels(std::ostream& out) {
@@ -308,16 +298,6 @@ int CmdCompare(FlagParser& flags, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-StatusOr<core::ScheduleMode> RuntimeScheduleByName(const std::string& name) {
-  if (name == "dear") return core::ScheduleMode::kDeAR;
-  if (name == "wfbp") return core::ScheduleMode::kWFBP;
-  if (name == "sequential") return core::ScheduleMode::kSequential;
-  if (name == "zero") return core::ScheduleMode::kZeRO;
-  return Status::InvalidArgument(
-      "unknown schedule '" + name +
-      "' (expected dear, wfbp, sequential, or zero)");
-}
-
 /// A small MLP whose layer count scales with the zoo model so the profile
 /// run exercises realistic per-layer hook traffic while staying fast on a
 /// laptop: the zoo entries describe GPU networks (25M..334M params) the
@@ -333,6 +313,24 @@ std::vector<int> ProxyDims(const model::ModelSpec& m) {
   for (int l = 0; l < layers; ++l) dims.push_back(width);
   dims.push_back(8);
   return dims;
+}
+
+/// The runtime commands' DistOptim options (--scheduler, --buffer-kb,
+/// --dtype), validated for `world` ranks before any hub exists. The error
+/// names the kinds the runtime executes.
+StatusOr<core::DistOptimOptions> RuntimeOptions(const FlagParser& flags,
+                                                int world) {
+  auto kind = SchedulerByName(flags.GetString("scheduler"));
+  if (!kind.ok()) return kind.status();
+  auto dtype = DTypeByName(flags.GetString("dtype"));
+  if (!dtype.ok()) return dtype.status();
+  core::DistOptimOptions options;
+  options.mode = *kind;
+  options.buffer_bytes = static_cast<std::size_t>(
+      std::max(1, flags.GetInt("buffer-kb")) * 1024);
+  options.compression = CompressionFor(*dtype);
+  if (Status st = core::ValidateOptions(options, world); !st.ok()) return st;
+  return options;
 }
 
 /// Per-rank batch of the runtime commands (profile, doctor's runtime
@@ -420,15 +418,15 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
     err << "unknown model '" << model_name << "'; run 'dearsim models'\n";
     return 1;
   }
-  auto mode = RuntimeScheduleByName(flags.GetString("schedule"));
-  if (!mode.ok()) {
-    err << mode.status().ToString() << "\n";
-    return 1;
-  }
   const int world = flags.GetInt("world");
   const int iters = flags.GetInt("iters");
   if (world < 2 || iters < 1) {
     err << "profile needs --world >= 2 and --iters >= 1\n";
+    return 1;
+  }
+  const auto options = RuntimeOptions(flags, world);
+  if (!options.ok()) {
+    err << options.status().ToString() << "\n";
     return 1;
   }
   const int batch = RuntimeBatch(flags);
@@ -437,18 +435,6 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
   const auto m = model::ByName(model_name);
   const std::vector<int> dims = ProxyDims(m);
   const auto data = RuntimeData(world, batch, dims);
-
-  auto dtype = DTypeByName(flags.GetString("dtype"));
-  if (!dtype.ok()) {
-    err << dtype.status().ToString() << "\n";
-    return 1;
-  }
-
-  core::DistOptimOptions options;
-  options.mode = *mode;
-  options.buffer_bytes = static_cast<std::size_t>(
-      std::max(1, flags.GetInt("buffer-kb")) * 1024);
-  options.compression = CompressionFor(*dtype);
 
   auto net = NetworkByName(flags.GetString("network"));
   if (!net.ok()) {
@@ -460,14 +446,14 @@ int CmdProfile(FlagParser& flags, std::ostream& out, std::ostream& err) {
   auto& recorder = flightrec::Recorder::Get();
   recorder.Reset();
   const auto result = core::TrainDistributed(
-      dims, /*model_seed=*/7, data, iters, batch, world, options);
+      dims, /*model_seed=*/7, data, iters, batch, world, *options);
 
   out << "profile: " << model_name << " proxy (";
   for (std::size_t i = 0; i < dims.size(); ++i)
     out << (i ? "x" : "") << dims[i];
-  out << "), world=" << world << ", schedule=" << flags.GetString("schedule")
-      << ", iters=" << iters << ", batch=" << batch
-      << ", buffer=" << options.buffer_bytes / 1024
+  out << "), world=" << world
+      << ", scheduler=" << flags.GetString("scheduler") << ", iters=" << iters
+      << ", batch=" << batch << ", buffer=" << options->buffer_bytes / 1024
       << "KB, dtype=" << flags.GetString("dtype") << "\n\n";
 
   // Metrics are a view of the run, built once it is over: per-rank
@@ -759,6 +745,11 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
     err << "doctor needs --world >= 2\n";
     return 1;
   }
+  const auto options = RuntimeOptions(flags, world);
+  if (backend == "runtime" && !options.ok()) {
+    err << options.status().ToString() << "\n";
+    return 1;
+  }
 
   const analysis::AlphaBeta reference{net->alpha_s, net->beta_s_per_byte};
   double exposed_fraction = -1.0;
@@ -780,11 +771,8 @@ int CmdDoctor(FlagParser& flags, std::ostream& out, std::ostream& err) {
       const int batch = RuntimeBatch(flags);
       const int iters = std::max(1, flags.GetInt("iters"));
       const auto data = RuntimeData(world, batch, dims);
-      core::DistOptimOptions options;
-      options.buffer_bytes = static_cast<std::size_t>(
-          std::max(1, flags.GetInt("buffer-kb")) * 1024);
       core::TrainDistributed(dims, /*model_seed=*/7, data, iters, batch,
-                             world, options);
+                             world, *options);
     }
     const auto journal = recorder.SnapshotAll();
     samples = analysis::CollectiveSamples(journal);
@@ -1047,23 +1035,19 @@ int CmdCheck(FlagParser& flags, std::ostream& out, std::ostream& err) {
   if (inject == "none") {
     const int iters = flags.GetInt("iters");
     const int batch = RuntimeBatch(flags);
-    auto mode = RuntimeScheduleByName(flags.GetString("schedule"));
-    if (!mode.ok()) {
-      err << mode.status().ToString() << "\n";
+    const auto options = RuntimeOptions(flags, world);
+    if (!options.ok()) {
+      err << options.status().ToString() << "\n";
       return 1;
     }
     const auto m = model::ByName(flags.GetString("model"));
     const std::vector<int> dims = ProxyDims(m);
     const auto data = RuntimeData(world, batch, dims);
-    core::DistOptimOptions options;
-    options.mode = *mode;
-    options.buffer_bytes = static_cast<std::size_t>(
-        std::max(1, flags.GetInt("buffer-kb")) * 1024);
     checker.Enable(world, copts);
     core::TrainDistributed(dims, /*model_seed=*/7, data, iters, batch, world,
-                           options);
+                           *options);
     const bool tripped = checker.tripped();
-    out << "dearcheck: schedule=" << flags.GetString("schedule")
+    out << "dearcheck: scheduler=" << flags.GetString("scheduler")
         << " world=" << world << " iters=" << iters << "\n"
         << "  verified " << checker.verified_ops()
         << " collective operations, "
@@ -1354,7 +1338,9 @@ int RunCli(int argc, const char* const* argv, std::ostream& out,
   flags.AddInt("gpus", 64, "cluster size");
   flags.AddString("network", "10gbe", "10gbe | 25gbe | 100gbib");
   flags.AddString("scheduler", "dear",
-                  "sequential|wfbp|ddp|horovod|mg-wfbp|bytescheduler|dear|zero");
+                  "sequential|wfbp|ddp|horovod|mg-wfbp|bytescheduler|dear|zero|"
+                  "zero1 (profile, check and the runtime doctor execute "
+                  "sequential|ddp|dear|zero1)");
   flags.AddDouble("buffer-mb", 25.0, "tensor fusion buffer size");
   flags.AddInt("batch-size", 0, "override per-GPU batch (0 = model default)");
   flags.AddInt("trials", 15, "tuning trials");
@@ -1363,9 +1349,8 @@ int RunCli(int argc, const char* const* argv, std::ostream& out,
   flags.AddInt("world", 4, "worker count for the real runtime (profile)");
   flags.AddInt("iters", 8, "training iterations (profile)");
   flags.AddString("dtype", "f32",
-                  "gradient wire dtype: f32|f16|bf16 (profile, fuzz)");
-  flags.AddString("schedule", "dear",
-                  "runtime schedule: dear|wfbp|sequential|zero");
+                  "gradient wire dtype: f32|f16|bf16 (profile, check, "
+                  "doctor, fuzz)");
   flags.AddInt("buffer-kb", 64, "runtime fusion buffer in KB (profile)");
   flags.AddString("trace-out", "",
                   "write Chrome trace JSON here (profile, timeline)");

@@ -10,7 +10,7 @@
 //                                        BO-tune the fusion buffer
 //   sweep    [--model --network --scheduler --buffer-mb]
 //                                        scaling table over cluster sizes
-//   profile  [--model --world --iters --schedule --buffer-kb --trace-out
+//   profile  [--model --world --iters --scheduler --buffer-kb --trace-out
 //             --metrics-out --prometheus]
 //                                        run the REAL threaded runtime,
 //                                        print per-rank metrics read back

@@ -59,8 +59,8 @@ void StaleDrop(int dst, int src, const Message& msg,
 }
 
 void Group(int rank, int group, flightrec::EventKind kind,
-           std::uint32_t seq) {
-  flightrec::Recorder::Get().OnGroupEvent(rank, group, kind, seq);
+           std::uint32_t seq, int row) {
+  flightrec::Recorder::Get().OnGroupEvent(rank, group, kind, seq, row);
   check::Checker& checker = check::Checker::Get();
   if (checker.enabled()) checker.OnGroupEvent(rank, group, kind);
 }

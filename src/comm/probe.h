@@ -74,11 +74,12 @@ inline void Recv(int dst, int src, const Message& msg) noexcept {
 void StaleDrop(int dst, int src, const Message& msg, std::uint32_t cur_epoch);
 
 /// DistOptim schedule record on `rank`. Group kinds (kRsLaunch..kUnpack,
-/// kWaitBegin) carry `group` and the group's in-flight op sequence number
-/// `seq`; kStepEnd carries the step index in `seq`. The five protocol kinds
-/// also drive the checker's BackPipe/FeedPipe machine.
+/// kWaitBegin) carry `group`, the group's in-flight op sequence number
+/// `seq` and the op's sched::ScheduleTable row `row`; kStepEnd carries the
+/// step index in `seq` and no row (-1). The five protocol kinds also drive
+/// the checker's BackPipe/FeedPipe machine.
 void Group(int rank, int group, flightrec::EventKind kind,
-           std::uint32_t seq = 0);
+           std::uint32_t seq = 0, int row = -1);
 
 /// Membership epoch transition committed by `detector` (`kind` =
 /// TransitionKind value, `live_mask` = live set after it), and `rank`'s

@@ -45,7 +45,8 @@ bool AutoTuner::OnIterationEnd(double throughput_samples_per_s) {
   optim_->BroadcastControl(std::span<float>(&next_mb, 1), /*root=*/0);
   const auto bytes =
       static_cast<std::size_t>(std::lround(next_mb * 1024.0 * 1024.0));
-  optim_->SetBufferBytes(bytes == 0 ? 1 : bytes);
+  const Status rebucketed = optim_->SetBufferBytes(bytes == 0 ? 1 : bytes);
+  DEAR_CHECK_MSG(rebucketed.ok(), rebucketed.ToString());
   return true;
 }
 

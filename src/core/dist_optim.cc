@@ -17,6 +17,52 @@ namespace dear::core {
 // records carry, read back by analysis::AttributeIterations.
 using flightrec::EventKind;
 
+Status ValidateOptions(const DistOptimOptions& options, int world) {
+  using comm::Algorithm;
+  using sched::PolicyKind;
+  const Algorithm algorithm = options.algorithm;
+  const PolicyKind kind = options.mode;
+  std::string why;
+  if (kind != PolicyKind::kSequential && kind != PolicyKind::kDDP &&
+      kind != PolicyKind::kDeAR && kind != PolicyKind::kZeRO1) {
+    why = "schedule: the runtime executes sequential, ddp, dear and zero1, "
+          "not " + sched::PolicyName(kind);
+  } else if (algorithm != Algorithm::kRing &&
+             algorithm != Algorithm::kHierarchical &&
+             algorithm != Algorithm::kRecursiveHalvingDoubling) {
+    why = "algorithm: DistOptim decouples ring, hierarchical or recursive "
+          "halving-doubling only";
+  } else if (algorithm != Algorithm::kRing && kind == PolicyKind::kZeRO1) {
+    why = "algorithm: zero1 requires ring chunk ownership";
+  } else if (algorithm != Algorithm::kRing && options.elastic) {
+    why = "algorithm: elastic training re-forms over any survivor count, "
+          "which only the ring supports";
+  } else if (algorithm == Algorithm::kHierarchical &&
+             (options.ranks_per_node <= 0 ||
+              world % options.ranks_per_node != 0)) {
+    why = "ranks_per_node: " + std::to_string(options.ranks_per_node) +
+          " does not divide the world size " + std::to_string(world);
+  } else if (algorithm == Algorithm::kRecursiveHalvingDoubling &&
+             (world & (world - 1)) != 0) {
+    why = "algorithm: recursive halving-doubling needs a power-of-two "
+          "world, not " + std::to_string(world);
+  } else if (options.accumulation_steps < 1) {
+    why = "accumulation_steps must be at least 1";
+  }
+  return why.empty() ? Status::Ok() : Status::InvalidArgument(why);
+}
+
+// SetBufferBytes' rejections.
+static Status ValidateRebucket(const DistOptimOptions& options,
+                               std::size_t bytes) {
+  if (bytes == 0) return Status::InvalidArgument("buffer size must be > 0");
+  if (options.mode == sched::PolicyKind::kZeRO1 && options.sgd.momentum != 0)
+    return Status::InvalidArgument(
+        "zero1 with momentum: re-bucketing moves slice ownership, which "
+        "would orphan sharded momentum state");
+  return Status::Ok();
+}
+
 DistOptim::DistOptim(comm::Communicator comm, model::ModelSpec spec,
                      std::vector<train::ParamBinding> bindings,
                      DistOptimOptions options)
@@ -34,28 +80,8 @@ DistOptim::DistOptim(comm::Communicator comm, model::ModelSpec spec,
                            spec_.tensor(t).elems,
                    "binding size mismatch for tensor " + std::to_string(t));
   }
-  DEAR_CHECK_MSG(
-      options_.algorithm == comm::Algorithm::kRing ||
-          options_.algorithm == comm::Algorithm::kHierarchical ||
-          options_.algorithm == comm::Algorithm::kRecursiveHalvingDoubling,
-      "DistOptim supports ring, hierarchical, or recursive-halving "
-      "decoupling");
-  if (options_.algorithm != comm::Algorithm::kRing) {
-    DEAR_CHECK_MSG(options_.mode != ScheduleMode::kZeRO,
-                   "kZeRO requires ring chunk ownership");
-  }
-  if (options_.algorithm == comm::Algorithm::kHierarchical) {
-    DEAR_CHECK_MSG(options_.ranks_per_node > 0 &&
-                       engine_->size() % options_.ranks_per_node == 0,
-                   "ranks_per_node must divide the world size");
-  }
-  if (options_.algorithm == comm::Algorithm::kRecursiveHalvingDoubling) {
-    const int p = engine_->size();
-    DEAR_CHECK_MSG((p & (p - 1)) == 0,
-                   "recursive halving-doubling needs a power-of-two world");
-  }
-  DEAR_CHECK_MSG(options_.accumulation_steps >= 1,
-                 "accumulation_steps must be at least 1");
+  const Status valid = ValidateOptions(options_, engine_->size());
+  DEAR_CHECK_MSG(valid.ok(), valid.ToString());
   std::vector<std::size_t> sizes;
   sizes.reserve(bindings_.size());
   for (const auto& b : bindings_) sizes.push_back(b.values.size());
@@ -67,21 +93,36 @@ DistOptim::~DistOptim() { engine_->Shutdown(); }
 
 void DistOptim::RebuildPlan() {
   plan_ = fusion::ByBufferBytes(spec_, options_.buffer_bytes);
+  table_.Build(options_.mode, spec_, plan_, /*op1_barrier=*/true,
+               /*partition_bytes=*/0);
   groups_.clear();
   groups_.resize(static_cast<std::size_t>(plan_.num_groups()));
   launch_order_.clear();
   launch_order_.reserve(groups_.size());
-  const bool decoupled = options_.mode == ScheduleMode::kDeAR ||
-                         options_.mode == ScheduleMode::kZeRO;
   for (int g = 0; g < plan_.num_groups(); ++g) {
     GroupState& state = groups_[static_cast<std::size_t>(g)];
     state.buffer.assign(plan_.group(g).bytes / model::kBytesPerElement, 0.0f);
     for (int t : plan_.group(g).tensors)
       state.sources.emplace_back(bindings_[static_cast<std::size_t>(t)].grads);
-    if (decoupled) {
+  }
+  const auto layers = static_cast<std::size_t>(spec_.num_layers());
+  launch_at_.assign(layers, {});
+  gate_at_.assign(layers, {});
+  for (int r = 0; r < static_cast<int>(table_.rows().size()); ++r) {
+    const sched::ScheduleRow& row = Row(r);
+    if (row.after_layer >= 0)
+      launch_at_[static_cast<std::size_t>(row.after_layer)].push_back(r);
+    DEAR_CHECK_MSG(!row.gate_backward, "DistOptim has no pre-backward hook");
+    for (int l = row.gate_first; l <= row.gate_last; ++l)
+      gate_at_[static_cast<std::size_t>(l)].push_back(r);
+    if (row.group < 0) continue;
+    GroupState& state = groups_[static_cast<std::size_t>(row.group)];
+    if (row.op == sched::RowOp::kReduceScatter) {
       state.owned = comm::ReduceScatterOwnedRange(
           options_.algorithm, state.buffer.size(), engine_->rank(),
           engine_->size(), options_.ranks_per_node);
+    } else if (row.op != sched::RowOp::kAllReduce) {
+      state.gather_row = r;
     }
   }
 }
@@ -100,17 +141,10 @@ void DistOptim::ForEachTensorSlice(int g, Range r, Fn&& fn) const {
   }
 }
 
-void DistOptim::MarkLaunched(int g, EventKind kind) {
-  GroupState& state = groups_[static_cast<std::size_t>(g)];
-  state.op_seq = next_op_seq_++;
-  comm::probe::Group(engine_->global_rank(), g, kind, state.op_seq);
-}
-
-void DistOptim::ObserveStepEnd() {
-  // Consecutive kStepEnd records bound the iteration windows the
-  // attribution report decomposes.
-  comm::probe::Group(engine_->global_rank(), /*group=*/0, EventKind::kStepEnd,
-                     static_cast<std::uint32_t>(stats_.steps));
+void DistOptim::Journal(int g, EventKind kind) {
+  const GroupState& state = groups_[static_cast<std::size_t>(g)];
+  comm::probe::Group(engine_->global_rank(), g, kind, state.op_seq,
+                     state.row);
 }
 
 bool DistOptim::WaitHandle(const comm::CollectiveHandle& handle) {
@@ -132,23 +166,17 @@ bool DistOptim::WaitHandle(const comm::CollectiveHandle& handle) {
 
 bool DistOptim::AwaitGroup(int g) {
   GroupState& state = groups_[static_cast<std::size_t>(g)];
-  const int rank = engine_->global_rank();
-  // Call sites flip state.phase only after completion, so it still names
-  // the op being waited on: OP2 of the decoupled pair, or OP1 / a fused
-  // all-reduce (WFBP/sequential paths).
-  const bool ag = state.phase == GroupPhase::kAgPending;
-  comm::probe::Group(rank, g, EventKind::kWaitBegin, state.op_seq);
+  Journal(g, EventKind::kWaitBegin);
   if (!WaitHandle(state.handle)) return false;
-  comm::probe::Group(rank, g,
-                     ag ? EventKind::kAgComplete : EventKind::kRsComplete,
-                     state.op_seq);
+  Journal(g, sched::IsGather(Row(state.row).op) ? EventKind::kAgComplete
+                                                : EventKind::kRsComplete);
   return true;
 }
 
 void DistOptim::UnpackAndApply(int g) {
   GroupState& state = groups_[static_cast<std::size_t>(g)];
   const std::span<float> buffer(state.buffer);
-  if (options_.mode == ScheduleMode::kZeRO) {
+  if (Row(state.row).op == sched::RowOp::kParamAllGather) {
     // The buffer holds freshly gathered PARAMETERS (owners already applied
     // the sharded update); install them.
     ForEachTensorSlice(g, Range{0, buffer.size()},
@@ -180,18 +208,18 @@ void DistOptim::UnpackAndApply(int g) {
   }
   state.phase = GroupPhase::kIdle;
   state.tensors_ready = 0;
-  comm::probe::Group(engine_->global_rank(), g, EventKind::kUnpack,
-                     state.op_seq);
+  Journal(g, EventKind::kUnpack);
 }
 
 void DistOptim::ApplyOwnedUpdate(int g) {
   GroupState& state = groups_[static_cast<std::size_t>(g)];
   const std::span<float> buffer(state.buffer);
-  const bool zero = options_.mode == ScheduleMode::kZeRO;
-  // kDeAR: OP2 rounds the owned slice to the wire dtype and sends that, so
-  // every peer applies the rounded gradient; apply the same. Rounding is
-  // idempotent, so OP2's own pass then changes nothing. (kZeRO's OP2 sends
-  // parameters at fp32; a one-rank OP2 sends nothing and rounds nothing.)
+  const bool zero = Row(state.gather_row).op == sched::RowOp::kParamAllGather;
+  // A gradient all-gather rounds the owned slice to the wire dtype and
+  // sends that, so every peer applies the rounded gradient; apply the same.
+  // Rounding is idempotent, so its own pass then changes nothing. (A
+  // parameter all-gather sends at fp32; a one-rank all-gather sends
+  // nothing and rounds nothing.)
   if (!zero && engine_->size() > 1) {
     comm::kernels::QuantizeInPlace(
         WireDType(options_.compression),
@@ -204,81 +232,60 @@ void DistOptim::ApplyOwnedUpdate(int g) {
             bindings_[static_cast<std::size_t>(t)].values.subspan(in_tensor,
                                                                   len);
         sgd_->StepSlice(t, in_tensor, values, buffer.subspan(lo, len));
-        // kZeRO: OP2 distributes the fresh parameters.
+        // The parameter all-gather distributes the fresh values.
         if (zero)
           std::copy(values.begin(), values.end(),
                     buffer.begin() + static_cast<std::ptrdiff_t>(lo));
       });
 }
 
-std::size_t DistOptim::ApplyReadyOwnedUpdates(std::size_t applied) {
-  for (; applied < launch_order_.size(); ++applied) {
-    const int g = launch_order_[applied];
-    Status st;
-    // A failed OP1 updates nothing; AwaitGroup reports it.
-    if (!groups_[static_cast<std::size_t>(g)].handle.Ready(&st) || !st.ok())
-      break;
-    ApplyOwnedUpdate(g);
-  }
-  return applied;
-}
-
-comm::CollectiveHandle DistOptim::SubmitGather(GroupState& state) {
-  ++stats_.collectives;
-  // kZeRO's OP2 distributes freshly updated PARAMETERS; those stay on the
-  // fp32 wire even under compression — only gradient traffic narrows.
-  const comm::DType wire = options_.mode == ScheduleMode::kZeRO
-                               ? comm::DType::kF32
-                               : WireDType(options_.compression);
-  switch (options_.algorithm) {
-    case comm::Algorithm::kHierarchical:
-      return engine_->SubmitHierarchicalAllGather(
-          std::span<float>(state.buffer), options_.ranks_per_node, wire);
-    case comm::Algorithm::kRecursiveHalvingDoubling:
-      return engine_->SubmitRecursiveDoublingAllGather(
-          std::span<float>(state.buffer), wire);
-    default:
-      return engine_->SubmitAllGather(std::span<float>(state.buffer), wire);
-  }
-}
-
-void DistOptim::LaunchGroup(int g) {
+void DistOptim::Launch(int r) {
+  using comm::Algorithm;
+  constexpr auto kAvg = comm::ReduceOp::kAvg;
+  const sched::ScheduleRow& row = Row(r);
+  const int g = row.group;
   GroupState& state = groups_[static_cast<std::size_t>(g)];
   ++stats_.collectives;
-  // No pack pass: the op reads the gradient tensors in place (a gather
-  // list) and writes its result into the fused buffer. Compression needs
-  // no sweep either — the transport's convert-on-pack rounds each payload
-  // to fp16/bf16 in the same pass that writes it into the pooled slab.
+  // No pack pass: gradient ops read the gradient tensors in place (a
+  // gather list) and write their result into the fused buffer; the
+  // transport's convert-on-pack narrows each payload to the wire dtype in
+  // the pass that writes its slab. Parameter all-gathers stay fp32.
   const std::span<float> buffer(state.buffer);
   const comm::GatherList sources(state.sources);
-  const comm::DType wire = WireDType(options_.compression);
-  switch (options_.mode) {
-    case ScheduleMode::kDeAR:
-    case ScheduleMode::kZeRO:
-      switch (options_.algorithm) {
-        case comm::Algorithm::kHierarchical:
-          state.handle = engine_->SubmitHierarchicalReduceScatter(
-              buffer, options_.ranks_per_node, comm::ReduceOp::kAvg, wire,
-              sources);
-          break;
-        case comm::Algorithm::kRecursiveHalvingDoubling:
-          state.handle = engine_->SubmitRecursiveHalvingReduceScatter(
-              buffer, comm::ReduceOp::kAvg, wire, sources);
-          break;
-        default:
-          state.handle = engine_->SubmitReduceScatter(
-              buffer, comm::ReduceOp::kAvg, wire, sources);
-      }
-      launch_order_.push_back(g);
-      break;
-    case ScheduleMode::kWFBP:
-    case ScheduleMode::kSequential:
-      state.handle = engine_->SubmitAllReduce(buffer, comm::ReduceOp::kAvg,
-                                              wire, sources);
-      break;
+  const comm::DType wire = row.op == sched::RowOp::kParamAllGather
+                               ? comm::DType::kF32
+                               : WireDType(options_.compression);
+  const Algorithm algo = options_.algorithm;
+  const int rpn = options_.ranks_per_node;
+  const bool gather = sched::IsGather(row.op);
+  DEAR_CHECK_MSG(gather || state.tensors_ready == static_cast<int>(
+                                  plan_.group(g).tensors.size()),
+                 "group launched before its gradients were ready");
+  if (row.op == sched::RowOp::kAllReduce) {
+    state.handle = engine_->SubmitAllReduce(buffer, kAvg, wire, sources);
+  } else if (row.op == sched::RowOp::kReduceScatter) {
+    state.handle =
+        algo == Algorithm::kHierarchical
+            ? engine_->SubmitHierarchicalReduceScatter(buffer, rpn, kAvg, wire,
+                                                       sources)
+        : algo == Algorithm::kRecursiveHalvingDoubling
+            ? engine_->SubmitRecursiveHalvingReduceScatter(buffer, kAvg, wire,
+                                                           sources)
+            : engine_->SubmitReduceScatter(buffer, kAvg, wire, sources);
+    launch_order_.push_back(g);
+  } else {
+    DEAR_CHECK_MSG(gather, "the OP1 sync is not a collective");
+    state.handle =
+        algo == Algorithm::kHierarchical
+            ? engine_->SubmitHierarchicalAllGather(buffer, rpn, wire)
+        : algo == Algorithm::kRecursiveHalvingDoubling
+            ? engine_->SubmitRecursiveDoublingAllGather(buffer, wire)
+            : engine_->SubmitAllGather(buffer, wire);
   }
-  state.phase = GroupPhase::kRsPending;
-  MarkLaunched(g, EventKind::kRsLaunch);
+  state.phase = GroupPhase::kInFlight;
+  state.row = r;
+  state.op_seq = next_op_seq_++;
+  Journal(g, gather ? EventKind::kAgLaunch : EventKind::kRsLaunch);
 }
 
 void DistOptim::OnBackwardLayer(int layer) {
@@ -290,20 +297,15 @@ void DistOptim::OnBackwardLayer(int layer) {
   const auto& layer_spec = spec_.layer(layer);
   for (int t = layer_spec.first_tensor;
        t < layer_spec.first_tensor + layer_spec.num_tensors; ++t) {
-    const int g = plan_.group_of_tensor(t);
-    GroupState& state = groups_[static_cast<std::size_t>(g)];
-    DEAR_CHECK_MSG(state.phase == GroupPhase::kIdle ||
-                       state.phase == GroupPhase::kFilling,
+    GroupState& state =
+        groups_[static_cast<std::size_t>(plan_.group_of_tensor(t))];
+    DEAR_CHECK_MSG(state.phase != GroupPhase::kInFlight,
                    "gradient became ready while its group was in flight — "
                    "missing Synchronize()?");
     state.phase = GroupPhase::kFilling;
     ++state.tensors_ready;
-    if (state.tensors_ready ==
-            static_cast<int>(plan_.group(g).tensors.size()) &&
-        options_.mode != ScheduleMode::kSequential) {
-      LaunchGroup(g);
-    }
   }
+  for (int r : launch_at_[static_cast<std::size_t>(layer)]) Launch(r);
 }
 
 void DistOptim::Step() {
@@ -314,75 +316,60 @@ void DistOptim::Step() {
   }
   micro_step_ = 0;
   ++stats_.steps;
-  switch (options_.mode) {
-    case ScheduleMode::kSequential: {
-      // Launch and drain everything; updates applied before returning.
-      for (int g = plan_.num_groups() - 1; g >= 0; --g) {
-        auto& state = groups_[static_cast<std::size_t>(g)];
-        DEAR_CHECK_MSG(state.phase == GroupPhase::kFilling &&
-                           state.tensors_ready ==
-                               static_cast<int>(plan_.group(g).tensors.size()),
-                       "Step() before backward completed");
-        LaunchGroup(g);
-      }
-      for (int g = 0; g < plan_.num_groups(); ++g) {
-        if (!AwaitGroup(g)) return;
-      }
-      for (int g = 0; g < plan_.num_groups(); ++g) UnpackAndApply(g);
-      break;
+  // Consecutive kStepEnd records bound the iteration windows the
+  // attribution report decomposes.
+  if (CompleteBackPipe())
+    comm::probe::Group(engine_->global_rank(), /*group=*/0,
+                       EventKind::kStepEnd,
+                       static_cast<std::uint32_t>(stats_.steps));
+}
+
+bool DistOptim::CompleteBackPipe() {
+  // The rows BP launched read the gradient tensors in place and the next
+  // iteration's ZeroGrad() overwrites them, so complete every one, in row
+  // order: the OP1 sync (paper §III-B), or the all-reduces' FF_0 gate,
+  // which follows Step() at once. Each group's owned slice is updated in
+  // launch order as soon as its reduce-scatter has landed, so the update
+  // runs while later ones are still on the wire.
+  const int rows = static_cast<int>(table_.rows().size());
+  std::size_t applied = 0;
+  for (int r = 0; r < rows; ++r) {
+    if (Row(r).after_layer < 0) continue;
+    const int g = Row(r).group;
+    const GroupState& state = groups_[static_cast<std::size_t>(g)];
+    DEAR_CHECK_MSG(state.phase == GroupPhase::kInFlight && state.row == r,
+                   "Step() before backward completed");
+    // Owned slices whose reduce-scatter landed OK, in launch order (a
+    // failed one updates nothing; AwaitGroup reports it).
+    for (Status st; applied < launch_order_.size(); ++applied) {
+      const int done = launch_order_[applied];
+      if (!groups_[static_cast<std::size_t>(done)].handle.Ready(&st) ||
+          !st.ok())
+        break;
+      ApplyOwnedUpdate(done);
     }
-    case ScheduleMode::kWFBP: {
-      // WFBP's implicit barrier: wait for every all-reduce, then update.
-      for (int g = 0; g < plan_.num_groups(); ++g) {
-        auto& state = groups_[static_cast<std::size_t>(g)];
-        DEAR_CHECK_MSG(state.phase == GroupPhase::kRsPending,
-                       "Step() before backward completed");
-        if (!AwaitGroup(g)) return;
-      }
-      for (int g = 0; g < plan_.num_groups(); ++g) UnpackAndApply(g);
-      break;
-    }
-    case ScheduleMode::kDeAR:
-    case ScheduleMode::kZeRO: {
-      // End of BackPipe: synchronize all OP1 tasks (paper §III-B), then
-      // enqueue OP2 all-gathers in feed-forward order. No waiting after
-      // that — PreForward of the next iteration consumes them group by
-      // group. Between the halves each group's owned slice is updated
-      // (kZeRO's sharded optimizer step, so its OP2 carries parameters):
-      // in launch order, as soon as that group's OP1 has landed, so the
-      // update runs while later OP1s are still on the wire.
-      std::size_t applied = 0;
-      for (int g = 0; g < plan_.num_groups(); ++g) {
-        auto& state = groups_[static_cast<std::size_t>(g)];
-        DEAR_CHECK_MSG(state.phase == GroupPhase::kRsPending,
-                       "Step() before backward completed");
-        applied = ApplyReadyOwnedUpdates(applied);
-        if (!AwaitGroup(g)) return;
-      }
-      for (; applied < launch_order_.size(); ++applied)
-        ApplyOwnedUpdate(launch_order_[applied]);
-      launch_order_.clear();
-      for (int g = 0; g < plan_.num_groups(); ++g) {
-        auto& state = groups_[static_cast<std::size_t>(g)];
-        state.handle = SubmitGather(state);
-        state.phase = GroupPhase::kAgPending;
-        MarkLaunched(g, EventKind::kAgLaunch);
-      }
-      break;
-    }
+    if (!AwaitGroup(g)) return false;
   }
-  ObserveStepEnd();
+  for (; applied < launch_order_.size(); ++applied)
+    ApplyOwnedUpdate(launch_order_[applied]);
+  launch_order_.clear();
+  for (int r = 0; r < rows; ++r)
+    if (Row(r).op == sched::RowOp::kAllReduce) UnpackAndApply(Row(r).group);
+  // The all-gathers, in row (= feed-forward) order; the next iteration's
+  // PreForward consumes them group by group (FeedPipe).
+  for (int r = 0; r < rows; ++r)
+    if (Row(r).after_row >= 0) Launch(r);
+  return true;
 }
 
 void DistOptim::PreForward(int layer) {
   DEAR_CHECK(layer >= 0 && layer < spec_.num_layers());
   if (failed_) return;  // elastic: owner tears down and rebuilds
-  if (options_.mode != ScheduleMode::kDeAR &&
-      options_.mode != ScheduleMode::kZeRO)
-    return;
-  for (int g : plan_.groups_of_layer(layer)) {
-    GroupState& state = groups_[static_cast<std::size_t>(g)];
-    if (state.phase != GroupPhase::kAgPending) continue;  // first iteration
+  for (int r : gate_at_[static_cast<std::size_t>(layer)]) {
+    const int g = Row(r).group;
+    const GroupState& state = groups_[static_cast<std::size_t>(g)];
+    // Not in flight: the first iteration, or consumed at an earlier gate.
+    if (state.phase != GroupPhase::kInFlight || state.row != r) continue;
     if (!AwaitGroup(g)) return;
     UnpackAndApply(g);
   }
@@ -390,52 +377,31 @@ void DistOptim::PreForward(int layer) {
 
 void DistOptim::Synchronize() {
   if (failed_) return;  // elastic: owner tears down and rebuilds
-  for (int g = 0; g < plan_.num_groups(); ++g) {
-    GroupState& state = groups_[static_cast<std::size_t>(g)];
-    switch (state.phase) {
-      case GroupPhase::kIdle:
-        break;
-      case GroupPhase::kFilling:
-        DEAR_CHECK_MSG(false,
-                       "Synchronize() mid-backward: group " +
-                           std::to_string(g) + " partially filled");
-        break;
-      case GroupPhase::kRsPending:
-        // Backward finished but Step() not called yet. In the decoupled
-        // modes the buffer holds a scattered result, so complete the pair
-        // (updating the owned slice in between); in the all-reduce modes
-        // the data is already fully reduced.
-        if (!AwaitGroup(g)) return;
-        if (options_.mode == ScheduleMode::kDeAR ||
-            options_.mode == ScheduleMode::kZeRO) {
-          ApplyOwnedUpdate(g);
-          state.handle = SubmitGather(state);
-          state.phase = GroupPhase::kAgPending;
-          MarkLaunched(g, EventKind::kAgLaunch);
-          if (!AwaitGroup(g)) return;
-        }
-        UnpackAndApply(g);
-        break;
-      case GroupPhase::kAgPending:
-        if (!AwaitGroup(g)) return;
-        UnpackAndApply(g);
-        break;
-    }
+  // Backward finished but Step() not called yet: finish BackPipe first.
+  bool backpipe_open = false;
+  for (const GroupState& st : groups_) {
+    DEAR_CHECK_MSG(st.phase != GroupPhase::kFilling,
+                   "Synchronize() mid-backward: a group is partially filled");
+    backpipe_open |= st.phase == GroupPhase::kInFlight &&
+                     Row(st.row).after_layer >= 0;
   }
-  launch_order_.clear();
+  if (backpipe_open && !CompleteBackPipe()) return;
+  for (int g = 0; g < plan_.num_groups(); ++g) {
+    if (groups_[static_cast<std::size_t>(g)].phase != GroupPhase::kInFlight)
+      continue;
+    if (!AwaitGroup(g)) return;
+    UnpackAndApply(g);
+  }
 }
 
-void DistOptim::SetBufferBytes(std::size_t bytes) {
-  DEAR_CHECK(bytes > 0);
-  DEAR_CHECK_MSG(options_.mode != ScheduleMode::kZeRO ||
-                     options_.sgd.momentum == 0.0f,
-                 "re-bucketing moves slice ownership, which would orphan "
-                 "sharded momentum state");
+Status DistOptim::SetBufferBytes(std::size_t bytes) {
+  if (Status st = ValidateRebucket(options_, bytes); !st.ok()) return st;
   for (const auto& state : groups_)
     DEAR_CHECK_MSG(state.phase == GroupPhase::kIdle,
                    "SetBufferBytes with outstanding communication");
   options_.buffer_bytes = bytes;
   RebuildPlan();
+  return Status::Ok();
 }
 
 bool DistOptim::BroadcastControl(std::span<float> data, comm::Rank root) {

@@ -1,28 +1,22 @@
 // DistOptim — DeAR's public API (paper §V, Listing 1), for real execution
-// on the in-process cluster.
-//
-// Wraps a local SGD optimizer and takes over gradient aggregation:
+// on the in-process cluster. It wraps a local SGD optimizer and takes over
+// gradient aggregation through four hooks; core::RunIteration (trainer.h)
+// drives them for one iteration:
 //
 //   dear::core::DistOptim optim(comm, spec, mlp.Bindings(), options);
 //   for each iteration:
 //     auto out = mlp.Forward(x, b, [&](int l) { optim.PreForward(l); });
 //     loss_grad = ...;
 //     mlp.Backward(loss_grad, b, [&](int l) { optim.OnBackwardLayer(l); });
-//     optim.Step();            // end of BackPipe; launches FeedPipe
+//     optim.Step();
 //   optim.Synchronize();       // before evaluation (Listing 1 line 12)
 //
-// In kDeAR mode, Step() synchronizes the reduce-scatters (OP1) and enqueues
-// the all-gathers (OP2) in feed-forward order; PreForward(l) waits only for
-// the group(s) covering layer l and lazily applies that group's SGD update
-// — so communication of iteration i overlaps the feed-forward of iteration
-// i+1, exactly the paper's FeedPipe. The one slice of each group a rank
-// holds fully reduced after OP1 (its owned slice) is updated earlier,
-// inside Step() as soon as that group's OP1 lands; PreForward updates the
-// rest after OP2. The reduce-scatters read the gradient tensors in place.
-//
-// All ranks must drive the same sequence of hook calls (they do, since
-// replicas execute the same network) — this is the no-negotiation property
-// DeAR's design rests on.
+// The hooks run the rows of sched::ScheduleTable for options.mode, the rows
+// the simulator prices: OnBackwardLayer(l) launches the rows triggered by
+// BP_l; Step() completes every row BP launched, updates each group's owned
+// slice and launches the rows after the OP1 sync; PreForward(l) waits for
+// the rows gating FF_l and applies their groups' updates. All ranks drive
+// the same hooks, so they need no negotiation (§III-B).
 #pragma once
 
 #include <cstddef>
@@ -33,26 +27,20 @@
 
 #include "comm/async.h"
 #include "comm/communicator.h"
+#include "common/status.h"
 #include "flightrec/journal.h"
 #include "fusion/plan.h"
 #include "model/model_spec.h"
+#include "sched/schedule.h"
 #include "train/mlp.h"
 #include "train/sgd.h"
 
 namespace dear::core {
 
-enum class ScheduleMode {
-  kDeAR,        // decoupled: RS in BackPipe, AG in FeedPipe
-  kWFBP,        // all-reduce per group as gradients become ready
-  kSequential,  // all-reduce everything after backward completes
-  /// ZeRO-1/FSDP-style sharded optimizer (paper §VII-B): after the
-  /// reduce-scatter, each rank applies the SGD update only to its owned
-  /// slice of the fused buffer, and the all-gather then distributes
-  /// *parameters* instead of gradients — same communication volume as
-  /// kDeAR, but optimizer state is touched by exactly one rank per element.
-  /// Requires the ring algorithm (slice ownership is ring-chunk ownership).
-  kZeRO,
-};
+/// Exists only so the repository benchmark (perfbench/), which still
+/// spells the old runtime enum's name, keeps building; everything else
+/// names sched::PolicyKind.
+using ScheduleMode = sched::PolicyKind;
 
 /// Gradient compression applied to fused buffers on the wire (the paper's
 /// stated future work, §VI-D). kFp16/kBf16 select a 2-byte wire dtype for
@@ -61,7 +49,7 @@ enum class ScheduleMode {
 /// receivers upconvert while folding, so accumulation stays fp32. The
 /// numerics match real mixed-precision all-reduce — every partial sum is
 /// rounded to the wire format at each hop — so convergence effects are
-/// real. kZeRO's parameter all-gather stays fp32 regardless: master weights
+/// real. kZeRO1's parameter all-gather stays fp32 regardless: master weights
 /// must not lose precision in flight.
 enum class Compression { kNone, kFp16, kBf16 };
 
@@ -79,7 +67,8 @@ constexpr comm::DType WireDType(Compression c) noexcept {
 }
 
 struct DistOptimOptions {
-  ScheduleMode mode{ScheduleMode::kDeAR};
+  /// The schedule table to run: kSequential, kDDP, kDeAR or kZeRO1.
+  sched::PolicyKind mode{sched::PolicyKind::kDeAR};
   std::size_t buffer_bytes{64 * 1024};  // tensor-fusion buffer (knob x)
   /// Gradient accumulation (PyTorch-DDP's no_sync pattern): gradients from
   /// this many consecutive backward passes are summed locally; only the
@@ -87,9 +76,10 @@ struct DistOptimOptions {
   /// NOT ZeroGrad() between micro-steps.
   int accumulation_steps{1};
   Compression compression{Compression::kNone};
-  /// Decoupled collective pair used by kDeAR: kRing (RS+AG) or
-  /// kHierarchical (intra-node reduce + leader ring, paper §VII-A); other
-  /// values are rejected. kZeRO supports kRing only.
+  /// Decoupled collective pair used by kDeAR: kRing (RS+AG),
+  /// kHierarchical (intra-node reduce + leader ring, paper §VII-A) or
+  /// kRecursiveHalvingDoubling; other values are rejected. kZeRO1 supports
+  /// kRing only.
   comm::Algorithm algorithm{comm::Algorithm::kRing};
   int ranks_per_node{1};  // for kHierarchical; must divide the world size
   /// Degrade-and-continue: a failed collective (a peer was suspected and
@@ -102,6 +92,14 @@ struct DistOptimOptions {
   bool elastic{false};
   train::SgdOptions sgd;
 };
+
+/// Why a DistOptim over `world` ranks cannot run `options`
+/// (InvalidArgument), or OK: a kind the runtime does not execute, kZeRO1
+/// or elastic training over a non-ring algorithm, a ranks_per_node that
+/// does not divide the world (hierarchical), recursive halving-doubling at
+/// a world that is not a power of two, or accumulation_steps < 1.
+/// DistOptim's constructor CHECKs it; entry points call it first.
+Status ValidateOptions(const DistOptimOptions& options, int world);
 
 class DistOptim {
  public:
@@ -119,8 +117,8 @@ class DistOptim {
   void PreForward(int layer);
   /// BackPipe hook: call after layer l's gradients are computed.
   void OnBackwardLayer(int layer);
-  /// End-of-iteration (the paper's optim.step()): closes BackPipe, applies
-  /// or schedules updates depending on mode.
+  /// End-of-iteration (the paper's optim.step()): closes BackPipe and
+  /// launches the rows that follow it.
   void Step();
   /// Drains all outstanding communication and applies every pending update
   /// so parameters are globally consistent (call before evaluation).
@@ -128,8 +126,10 @@ class DistOptim {
 
   /// Re-buckets tensor fusion with a new buffer size. Must be called with
   /// no outstanding communication (right after Synchronize()) and with the
-  /// same value on every rank.
-  void SetBufferBytes(std::size_t bytes);
+  /// same value on every rank. Rejects (InvalidArgument, plan unchanged) a
+  /// zero size and kZeRO1 with momentum: re-bucketing moves slice
+  /// ownership, which would orphan the sharded momentum state.
+  Status SetBufferBytes(std::size_t bytes);
   [[nodiscard]] std::size_t buffer_bytes() const noexcept {
     return options_.buffer_bytes;
   }
@@ -171,66 +171,60 @@ class DistOptim {
 
  private:
   enum class GroupPhase : std::uint8_t {
-    kIdle,        // nothing outstanding
-    kFilling,     // some gradients ready, communication not yet launched
-    kRsPending,   // reduce-scatter (or all-reduce) in flight
-    kAgPending,   // all-gather in flight (kDeAR only)
+    kIdle,      // nothing outstanding
+    kFilling,   // some gradients ready, communication not yet launched
+    kInFlight,  // row GroupState::row in flight (or landed, not consumed)
   };
   struct GroupState {
     std::vector<float> buffer;
     /// The group's gradient tensors in buffer order: the gather list its
-    /// OP1 (or all-reduce) reads in place.
+    /// reduce-scatter (or all-reduce) reads in place.
     std::vector<std::span<const float>> sources;
-    /// Buffer range this rank holds fully reduced after OP1 and that OP2
-    /// sends from (comm::ReduceScatterOwnedRange). Empty outside the
-    /// decoupled modes.
+    /// Range this rank holds reduced after the reduce-scatter and the
+    /// all-gather sends (comm::ReduceScatterOwnedRange); empty otherwise.
     Range owned;
     comm::CollectiveHandle handle;
     GroupPhase phase{GroupPhase::kIdle};
     int tensors_ready{0};
+    int row{-1};         // table row of the in-flight (or last) op
+    int gather_row{-1};  // the row that all-gathers this group, if any
     /// Sequence number of the in-flight (or last) op, journaled with every
-    /// record about it so a reader can pair a wait with its launch, and one
-    /// rank's op with the same op on its peers, without counting records.
+    /// record about it (pairs a wait with its launch, and ranks' ops).
     std::uint32_t op_seq{0};
   };
 
+  /// Rebuilds the fusion plan, the table and the per-hook row lists.
   void RebuildPlan();
-  /// After OP2 (or the all-reduce): kZeRO installs the gathered
-  /// parameters; the other modes update every parameter outside the owned
-  /// slice from the averaged gradients.
+  /// Step()'s work: completes the rows BP launched, updates the owned
+  /// slices, launches the rows after the OP1 sync. False on an elastic
+  /// failure.
+  bool CompleteBackPipe();
+  [[nodiscard]] const sched::ScheduleRow& Row(int r) const {
+    return table_.rows()[static_cast<std::size_t>(r)];
+  }
+  /// Submits row r's collective and journals its launch.
+  void Launch(int r);
+  /// After the all-gather (or all-reduce): installs gathered parameters,
+  /// or updates everything outside the owned slice from the gradients.
   void UnpackAndApply(int g);
-  void LaunchGroup(int g);
   /// Waits on `handle`. Returns true on success; on failure, aborts — or,
   /// under options.elastic, records the failure and returns false.
   bool WaitHandle(const comm::CollectiveHandle& handle);
-  /// After OP1: updates the parameters of group g's owned slice from the
-  /// reduce-scattered gradients. kZeRO then writes the fresh values back
-  /// into the buffer for the parameter all-gather; kDeAR first rounds the
-  /// slice to the wire dtype, as the all-gather will.
+  /// After the reduce-scatter: updates group g's owned slice (written
+  /// back for a parameter all-gather; rounded to the wire dtype first for
+  /// a gradient one, as it will be).
   void ApplyOwnedUpdate(int g);
-  /// Applies ApplyOwnedUpdate to the groups of launch_order_ from
-  /// `applied` on whose OP1 already completed OK, stopping at the first
-  /// that has not; returns the new count of applied groups.
-  std::size_t ApplyReadyOwnedUpdates(std::size_t applied);
   /// Calls fn(t, in_tensor, lo, len) for each tensor t of group g that
   /// overlaps buffer range `r`: the overlap is buffer [lo, lo + len), which
   /// is elements [in_tensor, in_tensor + len) of tensor t.
   template <typename Fn>
   void ForEachTensorSlice(int g, Range r, Fn&& fn) const;
-  /// Submits the OP2 collective (ring or hierarchical all-gather).
-  comm::CollectiveHandle SubmitGather(GroupState& state);
-
-  /// Journals group `g`'s op `kind` (kRsLaunch / kAgLaunch) under a fresh
-  /// op sequence number.
-  void MarkLaunched(int g, flightrec::EventKind kind);
-  /// Waits on group `g`'s in-flight op. The wait is bracketed in the
-  /// journal by kWaitBegin and the op's kRsComplete / kAgComplete — the
-  /// records the attribution report (analysis/timeline.h) splits the
-  /// compute thread's blocked time from. Returns WaitHandle's verdict (no
-  /// completion record on failure).
+  /// Journals a group record of group g's current row.
+  void Journal(int g, flightrec::EventKind kind);
+  /// Waits on group g's in-flight op, bracketed in the journal by
+  /// kWaitBegin and kRsComplete / kAgComplete (the attribution report's
+  /// blocked time). Returns WaitHandle's verdict.
   bool AwaitGroup(int g);
-  /// Journals the kStepEnd iteration boundary.
-  void ObserveStepEnd();
 
   model::ModelSpec spec_;
   std::vector<train::ParamBinding> bindings_;
@@ -238,9 +232,11 @@ class DistOptim {
   std::unique_ptr<comm::CommEngine> engine_;
   std::unique_ptr<train::Sgd> sgd_;
   fusion::FusionPlan plan_;
+  sched::ScheduleTable table_;
+  /// Rows by hook, in row order: launched after BP_l, waited before FF_l.
+  std::vector<std::vector<int>> launch_at_, gate_at_;
   std::vector<GroupState> groups_;
-  /// Groups whose OP1 is in flight, in launch (= completion) order.
-  std::vector<int> launch_order_;
+  std::vector<int> launch_order_;  // reduce-scatters in flight, in order
   Stats stats_;
   bool failed_{false};
   Status failure_;

@@ -22,13 +22,12 @@ train::Dataset MakeElasticDataset(const ElasticOptions& options) {
                                       options.dims.back(), options.data_seed);
 }
 
+/// ValidateOptions as every re-formed DistOptim runs it (elastic), which
+/// rejects the algorithms that cannot follow the survivor count down.
 std::string Rejection(const ElasticOptions& options) {
-  if (options.optim.algorithm != comm::Algorithm::kRing) {
-    return "algorithm: elastic training re-forms over any survivor count, "
-           "which only the ring supports (hierarchical needs ranks_per_node "
-           "to divide it, recursive halving-doubling a power of two)";
-  }
-  return "";
+  DistOptimOptions optim = options.optim;
+  optim.elastic = true;
+  return ValidateOptions(optim, options.world).message();
 }
 
 }  // namespace

@@ -137,6 +137,8 @@ DistributedResult TrainDistributed(const std::vector<int>& dims,
                                    int batch, int world,
                                    const DistOptimOptions& options) {
   DistributedResult result;
+  result.status = ValidateOptions(options, world);
+  if (!result.status.ok()) return result;
   std::mutex result_mutex;
   std::vector<std::vector<std::vector<float>>> all_params(
       static_cast<std::size_t>(world));

@@ -68,6 +68,9 @@ ReferenceResult TrainReference(const std::vector<int>& dims,
                                int micro_batches = 1);
 
 struct DistributedResult {
+  /// ValidateOptions' verdict; when it is not OK nothing ran and the
+  /// fields below are empty.
+  Status status;
   std::vector<float> rank0_losses;         // local losses on rank 0
   std::vector<std::vector<float>> params;  // rank 0 final params
   bool params_consistent{false};  // all ranks ended with identical params
@@ -76,7 +79,8 @@ struct DistributedResult {
 
 /// Data-parallel S-SGD: `world` worker threads, round-robin shards,
 /// per-worker batch `batch`, gradients aggregated by DistOptim under
-/// `options.mode`. Model replicas start from the same seed.
+/// `options.mode`. Model replicas start from the same seed. Options that
+/// ValidateOptions rejects start no thread and build no hub.
 DistributedResult TrainDistributed(const std::vector<int>& dims,
                                    std::uint64_t model_seed,
                                    const train::Dataset& data, int iterations,

@@ -95,7 +95,9 @@ struct Record {
   std::uint32_t payload{0};  // payload bytes (send/recv), element count,
                              // or op sequence / step index (DistOptim)
   std::uint16_t kind{0};     // EventKind
-  std::uint16_t peer{kNoPeer};  // other rank for send/recv, else kNoPeer
+  std::uint16_t peer{kNoPeer};  // other rank for send/recv, schedule-table
+                                // row for DistOptim group records (see
+                                // sched/schedule.h), else kNoPeer
 };
 static_assert(sizeof(Record) == 32, "journal records are 32 bytes");
 

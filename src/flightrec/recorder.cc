@@ -128,13 +128,16 @@ void Recorder::OnCollectiveEnd(int rank, std::uint16_t kind,
 }
 
 void Recorder::OnGroupEvent(int rank, int group, EventKind kind,
-                            std::uint32_t payload) noexcept {
+                            std::uint32_t payload, int row) noexcept {
   Journal* j = journal(rank);
   if (j == nullptr) return;
   Record rec;
   rec.ts_ns = detail::NowTicks();
   rec.tag = group >= 0 ? static_cast<std::uint32_t>(group) : 0;
   rec.payload = payload;
+  rec.peer = row >= 0 && row < static_cast<int>(kNoPeer)
+                 ? static_cast<std::uint16_t>(row)
+                 : kNoPeer;
   rec.kind = static_cast<std::uint16_t>(kind);
   j->AppendTicked(rec);
 }

@@ -229,9 +229,11 @@ class Recorder {
 
   /// DistOptim schedule record: a group transition (kRsLaunch..kUnpack,
   /// kWaitBegin; tag = group, payload = the group's in-flight op sequence
-  /// number) or an iteration boundary (kStepEnd; payload = step index).
+  /// number, peer = the op's schedule-table row) or an iteration boundary
+  /// (kStepEnd; payload = step index). A negative or too large row is
+  /// recorded as kNoPeer.
   void OnGroupEvent(int rank, int group, EventKind kind,
-                    std::uint32_t payload = 0) noexcept;
+                    std::uint32_t payload = 0, int row = -1) noexcept;
 
   /// TransportHub::Shutdown: journals a kShutdown record on every rank of
   /// the hub and, when DEAR_FLIGHTREC_DUMP is set, writes the tail dump to

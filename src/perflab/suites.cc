@@ -162,7 +162,7 @@ const Params kTrainParams = {{"schedule", "dear"}, {"world", "4"}};
 void TrainDeAR() {
   static const auto data = train::MakeRegressionDataset(64, 32, 16, 21);
   core::DistOptimOptions options;
-  options.mode = core::ScheduleMode::kDeAR;
+  options.mode = sched::PolicyKind::kDeAR;
   options.buffer_bytes = 4096;
   core::TrainDistributed({32, 128, 128, 16}, 1, data, /*iterations=*/20,
                          /*batch=*/8, /*world=*/4, options);
@@ -234,7 +234,7 @@ Row OverheadRow(std::string name, Params params, std::string hook,
 }
 
 void AddTrainingRow(std::vector<Row>& rows, const std::string& schedule,
-                    core::ScheduleMode mode, int world, unsigned views) {
+                    sched::PolicyKind mode, int world, unsigned views) {
   constexpr int kIters = 4;
   rows.push_back(MakeRow(
       Kind::kTimed, "runtime.train_iter_ms",
@@ -322,12 +322,12 @@ std::vector<Row> BuildRows() {
   std::vector<Row> rows;
 
   // Real threaded runtime.
-  AddTrainingRow(rows, "dear", core::ScheduleMode::kDeAR, 2, kBoth);
-  AddTrainingRow(rows, "wfbp", core::ScheduleMode::kWFBP, 2, kBoth);
-  AddTrainingRow(rows, "sequential", core::ScheduleMode::kSequential, 2,
+  AddTrainingRow(rows, "dear", sched::PolicyKind::kDeAR, 2, kBoth);
+  AddTrainingRow(rows, "wfbp", sched::PolicyKind::kDDP, 2, kBoth);
+  AddTrainingRow(rows, "sequential", sched::PolicyKind::kSequential, 2,
                  kFull);
-  AddTrainingRow(rows, "zero", core::ScheduleMode::kZeRO, 2, kFull);
-  AddTrainingRow(rows, "dear", core::ScheduleMode::kDeAR, 4, kFull);
+  AddTrainingRow(rows, "zero", sched::PolicyKind::kZeRO1, 2, kFull);
+  AddTrainingRow(rows, "dear", sched::PolicyKind::kDeAR, 4, kFull);
   AddRingRow(rows, 2, 64, kBoth);
   AddRingRow(rows, 2, 1024, kFull);
   AddRingRow(rows, 4, 256, kFull);

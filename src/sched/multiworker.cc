@@ -238,7 +238,8 @@ sim::TaskGraph BuildMultiWorkerGraph(const model::ModelSpec& model,
                                      const PolicyConfig& config,
                                      const MultiWorkerOptions& options) {
   DEAR_CHECK_MSG(config.kind != PolicyKind::kByteScheduler &&
-                     config.kind != PolicyKind::kZeRO,
+                     config.kind != PolicyKind::kZeRO &&
+                     config.kind != PolicyKind::kZeRO1,
                  "ByteScheduler/ZeRO are not supported by the multi-worker "
                  "model");
   DEAR_CHECK_MSG(config.plan.num_groups() > 0, "policy requires a fusion plan");

@@ -3,23 +3,8 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/math_util.h"
 
 namespace dear::sched {
-
-std::string PolicyName(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kSequential: return "sequential";
-    case PolicyKind::kWFBP: return "wfbp";
-    case PolicyKind::kDDP: return "pytorch-ddp";
-    case PolicyKind::kHorovod: return "horovod";
-    case PolicyKind::kMGWFBP: return "mg-wfbp";
-    case PolicyKind::kByteScheduler: return "bytescheduler";
-    case PolicyKind::kDeAR: return "dear";
-    case PolicyKind::kZeRO: return "zero";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -51,7 +36,18 @@ class GraphBuilder {
   // repeats it: the gates one iteration hands to the next become carried
   // dependencies.
   BuiltGraph Build(int iterations) {
-    const auto [tasks, deps, carried] = GraphSize();
+    table_.Build(config_.kind, model_, config_.plan, config_.dear_op1_barrier,
+                 config_.partition_bytes);
+    // Exact sizes of one period, so the graph is allocated once: the FF and
+    // BP chains (2L tasks, L-1 + L deps), then one task per row with one
+    // dep, its trigger (the OP1 sync: every row before it).
+    const auto& rows = table_.rows();
+    const auto layers = static_cast<std::size_t>(num_layers_);
+    std::size_t deps = layers > 0 ? 2 * layers - 1 : 0;
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      deps += rows[r].op == RowOp::kOp1Sync ? r : 1;
+    const std::size_t tasks = 2 * layers + rows.size();
+    const std::size_t carried = table_.num_gates();
     graph_.Reserve(tasks, deps, carried);
     gates_.reserve(carried);
     BuildIteration();
@@ -70,51 +66,6 @@ class GraphBuilder {
   }
 
  private:
-  struct Size {
-    std::size_t tasks;
-    std::size_t deps;
-    std::size_t carried;
-  };
-
-  // Exact task, dependency and carried-dependency counts of one period, so
-  // the graph is allocated once.
-  [[nodiscard]] Size GraphSize() const {
-    const auto& groups = config_.plan.groups();
-    const std::size_t layers = static_cast<std::size_t>(num_layers_);
-    const std::size_t g = groups.size();
-    std::size_t spans = 0;  // (group, gated layer) pairs
-    for (const auto& group : groups)
-      spans += static_cast<std::size_t>(group.last_layer - group.first_layer +
-                                        1);
-    // Communication tasks, their dependencies, and the gates they hand to
-    // the next iteration's FF/BP.
-    std::size_t comm_tasks = g, comm_deps = g, gate_deps = g;
-    switch (config_.kind) {
-      case PolicyKind::kByteScheduler: {
-        std::size_t chunks = 0;
-        for (int ti = 0; ti < model_.num_tensors(); ++ti)
-          chunks += Chunks(model_.tensor(ti).bytes());
-        comm_tasks = comm_deps = gate_deps = chunks;
-        break;
-      }
-      case PolicyKind::kDeAR:
-        comm_tasks = 2 * g + (config_.dear_op1_barrier ? 1 : 0);
-        comm_deps = (config_.dear_op1_barrier ? 3 : 2) * g;
-        gate_deps = spans;
-        break;
-      case PolicyKind::kZeRO:
-        comm_tasks = 3 * g + 1;
-        comm_deps = 4 * g;
-        gate_deps = 2 * spans;
-        break;
-      default:
-        break;
-    }
-    // FF and BP chains: 2L tasks, L-1 + L chain dependencies.
-    const std::size_t chain_deps = layers > 0 ? 2 * layers - 1 : 0;
-    return {2 * layers + comm_tasks, chain_deps + comm_deps, gate_deps};
-  }
-
   // Adds `t` with the dependencies collected in deps_, then empties deps_.
   TaskId Add(const Task& t) {
     const TaskId id = graph_.Add(t, deps_);
@@ -122,8 +73,8 @@ class GraphBuilder {
     return id;
   }
 
-  // Builds iteration 0: FF + BP chains and the policy's communication
-  // tasks, recording in gates_ what the next iteration must wait for.
+  // Builds iteration 0: FF + BP chains, then one comm task per row,
+  // recording in gates_ what the next iteration must wait for.
   void BuildIteration() {
     // Feed-forward chain; the previous iteration's gates are carried.
     for (int l = 0; l < num_layers_; ++l) {
@@ -151,32 +102,39 @@ class GraphBuilder {
       bp_[static_cast<std::size_t>(l)] = Add(t);
     }
 
-    switch (config_.kind) {
-      case PolicyKind::kSequential:
-        return BuildBarrierComm(/*overlap_bp=*/false, /*negotiate=*/false);
-      case PolicyKind::kWFBP:
-      case PolicyKind::kDDP:
-      case PolicyKind::kMGWFBP:
-        return BuildBarrierComm(/*overlap_bp=*/true, /*negotiate=*/false);
-      case PolicyKind::kHorovod:
-        return BuildBarrierComm(/*overlap_bp=*/true,
-                                /*negotiate=*/config_.charge_negotiation);
-      case PolicyKind::kByteScheduler:
-        return BuildByteScheduler();
-      case PolicyKind::kDeAR:
-        return BuildDeAR();
-      case PolicyKind::kZeRO:
-        return BuildZeRO();
+    // Row r is task first_row + r.
+    const auto& rows = table_.rows();
+    const auto first_row = static_cast<TaskId>(2 * num_layers_);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const ScheduleRow& row = rows[r];
+      Task t;
+      t.kind = row.op == RowOp::kAllReduce       ? TaskKind::kAllReduce
+               : row.op == RowOp::kReduceScatter ? TaskKind::kReduceScatter
+               : IsGather(row.op)                ? TaskKind::kAllGather
+                                                 : TaskKind::kSync;
+      t.stream = kCommStream;
+      t.duration = Duration(row);
+      t.iteration = 0;
+      t.group = row.group;
+      if (row.chunk >= 0) {
+        // ByteScheduler dispatches chunks by layer priority.
+        t.layer = row.after_layer;
+        t.priority = static_cast<double>(row.after_layer);
+      }
+      if (row.after_layer >= 0) {
+        deps_.push_back(bp_[static_cast<std::size_t>(row.after_layer)]);
+      } else if (row.after_row >= 0) {
+        deps_.push_back(first_row + row.after_row);
+      } else {
+        for (std::size_t k = 0; k < r; ++k)
+          deps_.push_back(first_row + static_cast<TaskId>(k));
+      }
+      const TaskId id = Add(t);
+      for (int l = row.gate_first; l <= row.gate_last; ++l) {
+        const auto waiter = static_cast<std::size_t>(l);
+        gates_.push_back({row.gate_backward ? bp_[waiter] : ff_[waiter], id});
+      }
     }
-    DEAR_CHECK_MSG(false, "unreachable policy kind");
-  }
-
-  // The next iteration's FF_l / BP_l waits on `on`.
-  void GateForward(int layer, TaskId on) {
-    gates_.push_back({ff_[static_cast<std::size_t>(layer)], on});
-  }
-  void GateBackward(int layer, TaskId on) {
-    gates_.push_back({bp_[static_cast<std::size_t>(layer)], on});
   }
 
   // Attaches gates_ as carried dependencies: waiters in task order, each
@@ -195,12 +153,51 @@ class GraphBuilder {
     }
   }
 
-  // ByteScheduler: number of credit-sized chunks a tensor is split into.
-  [[nodiscard]] std::size_t Chunks(std::size_t bytes) const {
-    return config_.partition_bytes == 0
-               ? 1
-               : std::max<std::size_t>(
-                     1, CeilDiv(bytes, config_.partition_bytes));
+  // The row's time on the comm stream under the configured cost model,
+  // compression and copy costs.
+  [[nodiscard]] SimTime Duration(const ScheduleRow& row) const {
+    // ZeRO-3 prices its ring halves directly: no copy cost, no ablation
+    // switches, and parameter gathers never compressed.
+    const bool zero3 = config_.kind == PolicyKind::kZeRO;
+    switch (row.op) {
+      case RowOp::kAllReduce: {
+        SimTime d = cost_.RingAllReduce(CommBytes(row.bytes)) +
+                    CompressionOverhead();
+        if (row.chunk >= 0) {
+          // ByteScheduler's negotiation + coordinator cost, once per tensor
+          // (partitioning already pays a ring startup per chunk).
+          if (config_.charge_negotiation && row.chunk == 0)
+            d += cost_.NegotiationLatency() +
+                 Seconds(config_.coordinator_overhead_s);
+          return d;
+        }
+        d += 2 * CopyOverhead(row.group);
+        if (config_.kind == PolicyKind::kHorovod && config_.charge_negotiation)
+          d += cost_.NegotiationLatency();
+        return d;
+      }
+      case RowOp::kReduceScatter:
+        if (zero3)
+          return cost_.ReduceScatter(CommBytes(row.bytes)) +
+                 CompressionOverhead();
+        return config_.include_reduce_scatter
+                   ? Op1Duration(CommBytes(row.bytes)) +
+                         CompressionOverhead() + CopyOverhead(row.group)
+                   : 0;
+      case RowOp::kAllGather:
+        return config_.include_all_gather
+                   ? Op2Duration(CommBytes(row.bytes)) +
+                         CompressionOverhead() + CopyOverhead(row.group)
+                   : 0;
+      case RowOp::kParamAllGather:
+        if (zero3) return cost_.AllGather(row.bytes);
+        return config_.include_all_gather
+                   ? Op2Duration(row.bytes) + CopyOverhead(row.group)
+                   : 0;
+      case RowOp::kOp1Sync:
+        break;
+    }
+    return 0;
   }
 
   // Bytes actually communicated for a group, after optional compression.
@@ -217,15 +214,15 @@ class GraphBuilder {
 
   // One-sided pack (or unpack) cost of a fused buffer; groups holding a
   // single tensor communicate in place and pay nothing.
-  [[nodiscard]] SimTime CopyOverhead(const fusion::Group& group) const {
+  [[nodiscard]] SimTime CopyOverhead(int g) const {
+    const fusion::Group& group = config_.plan.group(g);
     if (config_.host_copy_gbps <= 0.0 || group.tensors.size() <= 1) return 0;
     return Seconds(static_cast<double>(group.bytes) /
                    (config_.host_copy_gbps * 1e9));
   }
 
-  // Durations of DeAR's decoupled halves under the configured algorithm.
-  [[nodiscard]] SimTime Op1Duration(std::size_t raw_bytes) const {
-    const std::size_t bytes = CommBytes(raw_bytes);
+  // DeAR's decoupled halves on `bytes` wire bytes, configured algorithm.
+  [[nodiscard]] SimTime Op1Duration(std::size_t bytes) const {
     switch (config_.dear_algorithm) {
       case comm::Algorithm::kDoubleBinaryTree:
         return cost_.DoubleBinaryTreeReduce(bytes);
@@ -239,8 +236,7 @@ class GraphBuilder {
     }
   }
 
-  [[nodiscard]] SimTime Op2Duration(std::size_t raw_bytes) const {
-    const std::size_t bytes = CommBytes(raw_bytes);
+  [[nodiscard]] SimTime Op2Duration(std::size_t bytes) const {
     switch (config_.dear_algorithm) {
       case comm::Algorithm::kDoubleBinaryTree:
         return cost_.DoubleBinaryTreeBroadcast(bytes);
@@ -253,179 +249,17 @@ class GraphBuilder {
     }
   }
 
-  // WFBP-family: one all-reduce per fusion group, started when the group's
-  // last gradient is ready (overlap_bp) or when all of BP is done
-  // (sequential); the next iteration's FF_0 waits for every all-reduce.
-  void BuildBarrierComm(bool overlap_bp, bool negotiate) {
-    const auto& groups = config_.plan.groups();
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      Task t;
-      t.kind = TaskKind::kAllReduce;
-      t.stream = kCommStream;
-      t.duration = cost_.RingAllReduce(CommBytes(groups[g].bytes)) +
-                   CompressionOverhead() + 2 * CopyOverhead(groups[g]);
-      if (negotiate) t.duration += cost_.NegotiationLatency();
-      t.iteration = 0;
-      t.group = static_cast<int>(g);
-      const int ready_layer = overlap_bp ? groups[g].first_layer : 0;
-      deps_.push_back(bp_[static_cast<std::size_t>(ready_layer)]);
-      GateForward(0, Add(t));
-    }
-  }
-
-  // ByteScheduler: per-tensor granularity, large tensors partitioned into
-  // credit-sized chunks, each chunk an independent all-reduce carrying a
-  // negotiation round, dispatched by layer priority; FF_l of the next
-  // iteration waits only for its own layer's chunks (the fine-grained
-  // dependency its re-ordering buys).
-  void BuildByteScheduler() {
-    for (int ti = 0; ti < model_.num_tensors(); ++ti) {
-      const auto& tensor = model_.tensor(ti);
-      const std::size_t bytes = tensor.bytes();
-      const std::size_t chunks = Chunks(bytes);
-      for (std::size_t c = 0; c < chunks; ++c) {
-        const Range r = ChunkRange(bytes, chunks, c);
-        Task t;
-        t.kind = TaskKind::kAllReduce;
-        t.stream = kCommStream;
-        t.duration =
-            cost_.RingAllReduce(CommBytes(r.size())) + CompressionOverhead();
-        // Negotiation + coordinator cost is paid once per scheduled tensor
-        // (the readiness consensus and the Python-layer decision), charged
-        // on its first chunk; partitioning's own penalty is the extra ring
-        // startup each additional chunk already pays.
-        if (config_.charge_negotiation && c == 0) {
-          t.duration += cost_.NegotiationLatency() +
-                        Seconds(config_.coordinator_overhead_s);
-        }
-        t.iteration = 0;
-        t.layer = tensor.layer;
-        t.priority = static_cast<double>(tensor.layer);
-        deps_.push_back(bp_[static_cast<std::size_t>(tensor.layer)]);
-        GateForward(tensor.layer, Add(t));
-      }
-    }
-  }
-
-  // DeAR: reduce-scatter per group during BP (BackPipe, FIFO), a global
-  // synchronization of all OP1 tasks (paper §III-B), then all-gathers in
-  // FF order (FeedPipe); FF_l of the next iteration waits only for the
-  // all-gather of the group(s) owning layer l's tensors.
-  void BuildDeAR() {
-    const auto& groups = config_.plan.groups();
-
-    rs_.clear();
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      Task t;
-      t.kind = TaskKind::kReduceScatter;
-      t.stream = kCommStream;
-      t.duration = config_.include_reduce_scatter
-                       ? Op1Duration(groups[g].bytes) + CompressionOverhead() +
-                             CopyOverhead(groups[g])
-                       : 0;
-      t.iteration = 0;
-      t.group = static_cast<int>(g);
-      deps_.push_back(bp_[static_cast<std::size_t>(groups[g].first_layer)]);
-      rs_.push_back(Add(t));
-    }
-
-    TaskId rs_done = sim::kInvalidTask;
-    if (config_.dear_op1_barrier) rs_done = AddOp1Sync();
-
-    // All-gathers added in ascending group (= FF) order; they all become
-    // ready at rs_done, and the FIFO comm stream preserves insertion order.
-    // Without the barrier each all-gather waits only on its own group's
-    // reduce-scatter (ablation; see PolicyConfig::dear_op1_barrier).
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      Task t;
-      t.kind = TaskKind::kAllGather;
-      t.stream = kCommStream;
-      t.duration = config_.include_all_gather
-                       ? Op2Duration(groups[g].bytes) + CompressionOverhead() +
-                             CopyOverhead(groups[g])
-                       : 0;
-      t.iteration = 0;
-      t.group = static_cast<int>(g);
-      deps_.push_back(config_.dear_op1_barrier ? rs_done : rs_[g]);
-      const TaskId ag = Add(t);
-      for (int l = groups[g].first_layer; l <= groups[g].last_layer; ++l)
-        GateForward(l, ag);
-    }
-  }
-
-  // Zero-duration OP1 synchronization on every reduce-scatter in rs_.
-  TaskId AddOp1Sync() {
-    Task sync;
-    sync.kind = TaskKind::kSync;
-    sync.stream = kCommStream;
-    sync.duration = 0;
-    sync.iteration = 0;
-    return graph_.Add(sync, rs_);
-  }
-
-  // ZeRO-3 / FSDP (paper §VII-B): gradients reduce-scatter during BP; the
-  // sharded parameters must be re-gathered before the next iteration's
-  // forward AND again before its backward — three collectives per group.
-  // All re-gathers are enqueued behind the OP1 sync (FSDP's prefetch order),
-  // forward-order gathers first, then backward-order ones.
-  void BuildZeRO() {
-    const auto& groups = config_.plan.groups();
-
-    rs_.clear();
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      Task t;
-      t.kind = TaskKind::kReduceScatter;
-      t.stream = kCommStream;
-      t.duration =
-          cost_.ReduceScatter(CommBytes(groups[g].bytes)) +
-          CompressionOverhead();
-      t.iteration = 0;
-      t.group = static_cast<int>(g);
-      deps_.push_back(bp_[static_cast<std::size_t>(groups[g].first_layer)]);
-      rs_.push_back(Add(t));
-    }
-    const TaskId rs_done = AddOp1Sync();
-
-    // Forward parameter gathers, ascending (FeedPipe-like).
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      Task t;
-      t.kind = TaskKind::kAllGather;
-      t.stream = kCommStream;
-      t.duration = cost_.AllGather(groups[g].bytes);
-      t.iteration = 0;
-      t.group = static_cast<int>(g);
-      deps_.push_back(rs_done);
-      const TaskId ag = Add(t);
-      for (int l = groups[g].first_layer; l <= groups[g].last_layer; ++l)
-        GateForward(l, ag);
-    }
-    // Backward parameter re-gathers, descending (BP encounters the last
-    // group first).
-    for (std::size_t g = groups.size(); g-- > 0;) {
-      Task t;
-      t.kind = TaskKind::kAllGather;
-      t.stream = kCommStream;
-      t.duration = cost_.AllGather(groups[g].bytes);
-      t.iteration = 0;
-      t.group = static_cast<int>(g);
-      deps_.push_back(rs_done);
-      const TaskId ag = Add(t);
-      for (int l = groups[g].first_layer; l <= groups[g].last_layer; ++l)
-        GateBackward(l, ag);
-    }
-  }
-
   const model::ModelSpec& model_;
   const ClusterSpec& cluster_;
   const PolicyConfig& config_;
   comm::CostModel cost_;
   int num_layers_;
+  ScheduleTable table_;
   TaskGraph graph_;
   // Scratch reused so building allocates per graph, not per task.
   std::vector<TaskId> ff_, bp_;  // the period's FF/BP task per layer
-  std::vector<TaskId> rs_;       // the period's reduce-scatters
   std::vector<TaskId> deps_;     // dependencies of the task being added
-  std::vector<Gate> gates_;       // what the next iteration waits on
+  std::vector<Gate> gates_;      // what the next iteration waits on
 };
 
 }  // namespace
@@ -434,20 +268,30 @@ BuiltGraph BuildTaskGraph(const model::ModelSpec& model,
                           const ClusterSpec& cluster,
                           const PolicyConfig& config, int iterations) {
   DEAR_CHECK(iterations >= 1);
-  const bool needs_plan = config.kind == PolicyKind::kSequential ||
-                          config.kind == PolicyKind::kDDP ||
-                          config.kind == PolicyKind::kHorovod ||
-                          config.kind == PolicyKind::kMGWFBP ||
-                          config.kind == PolicyKind::kWFBP ||
-                          config.kind == PolicyKind::kDeAR ||
-                          config.kind == PolicyKind::kZeRO;
-  if (needs_plan) {
+  if (config.kind != PolicyKind::kByteScheduler) {
     DEAR_CHECK_MSG(config.plan.num_groups() > 0,
                    "policy requires a fusion plan (use fusion::PerTensor for "
                    "unfused WFBP/DeAR)");
   }
   GraphBuilder builder(model, cluster, config);
   return builder.Build(iterations);
+}
+
+PolicyConfig DefaultConfig(PolicyKind kind, const model::ModelSpec& model,
+                           const ClusterSpec& cluster,
+                           std::size_t buffer_bytes) {
+  PolicyConfig cfg;
+  cfg.kind = kind;
+  if (kind == PolicyKind::kWFBP || kind == PolicyKind::kByteScheduler ||
+      kind == PolicyKind::kSequential) {
+    cfg.plan = fusion::PerTensor(model);
+  } else if (kind == PolicyKind::kMGWFBP) {
+    cfg.plan = fusion::MergeGradientsWisely(model, cluster.network.alpha_s,
+                                            cluster.world_size);
+  } else {
+    cfg.plan = fusion::ByBufferBytes(model, buffer_bytes);
+  }
+  return cfg;
 }
 
 }  // namespace dear::sched

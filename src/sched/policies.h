@@ -1,5 +1,6 @@
-// Scheduling policies: each builds the per-iteration task DAG that one
-// training algorithm induces, for execution by the discrete-event engine.
+// Scheduling policies: each prices the rows of its schedule table
+// (sched/schedule.h) as the per-iteration task DAG the discrete-event
+// engine runs.
 //
 // Because data-parallel S-SGD with collective communication is bulk-
 // synchronous with symmetric workers (identical replicas, identical compute
@@ -8,18 +9,6 @@
 // worker's two streams — compute and communication — with collective
 // durations supplied by the alpha-beta cost model. This is the standard
 // reduction used by the paper's own analysis (Eq. 6-9).
-//
-// Policies implemented (paper baselines in §VI-A plus DeAR variants):
-//   kSequential     no overlap: all BP, then all communication, then FF
-//   kWFBP           per-tensor all-reduce as gradients become ready [13,14]
-//   kDDP            WFBP + static buffer-size fusion (PyTorch-DDP [15])
-//   kHorovod        like kDDP plus per-group readiness negotiation
-//                   (Horovod's controller round) [16]
-//   kMGWFBP         WFBP + merged-gradient fusion [23]
-//   kByteScheduler  priority scheduling + tensor partitioning + per-op
-//                   negotiation latency [25]
-//   kDeAR           decoupled all-reduce: RS pipelined with BP (BackPipe),
-//                   AG pipelined with the next iteration's FF (FeedPipe)
 #pragma once
 
 #include <cstddef>
@@ -28,28 +17,10 @@
 #include "comm/cost_model.h"
 #include "fusion/plan.h"
 #include "model/model_spec.h"
+#include "sched/schedule.h"
 #include "sim/task_graph.h"
 
 namespace dear::sched {
-
-enum class PolicyKind {
-  kSequential,
-  kWFBP,
-  kDDP,
-  kHorovod,
-  kMGWFBP,
-  kByteScheduler,
-  kDeAR,
-  /// ZeRO-3 / FSDP-style sharded data parallelism (paper §VII-B): weights
-  /// are sharded, so every fusion group needs a parameter all-gather before
-  /// its forward, ANOTHER parameter all-gather before its backward, and a
-  /// gradient reduce-scatter during backward — three decoupled collectives
-  /// per group vs DeAR's two. The paper argues this is strictly more
-  /// communication than DeAR; this policy quantifies it.
-  kZeRO,
-};
-
-std::string PolicyName(PolicyKind kind);
 
 struct ClusterSpec {
   int world_size{1};
@@ -63,8 +34,9 @@ struct ClusterSpec {
 
 struct PolicyConfig {
   PolicyKind kind{PolicyKind::kWFBP};
-  /// Fusion plan for kDDP/kHorovod/kMGWFBP/kDeAR. kWFBP/kByteScheduler/
-  /// kSequential ignore it and use per-tensor granularity.
+  /// Fusion plan: one communication op (or decoupled pair) per group.
+  /// Every kind but kByteScheduler reads it and CHECKs that it is non-empty;
+  /// DefaultConfig gives kWFBP and kSequential the per-tensor plan.
   fusion::FusionPlan plan;
   /// ByteScheduler: tensors larger than this are split into this-sized
   /// chunks (its "credit"); 0 disables partitioning.
@@ -123,5 +95,11 @@ struct BuiltGraph {
 BuiltGraph BuildTaskGraph(const model::ModelSpec& model,
                           const ClusterSpec& cluster,
                           const PolicyConfig& config, int iterations);
+
+/// `kind` with its plan recipe (per-tensor for kWFBP, kByteScheduler and
+/// kSequential; MG-WFBP's merge; else buffer fusion at `buffer_bytes`).
+PolicyConfig DefaultConfig(PolicyKind kind, const model::ModelSpec& model,
+                           const ClusterSpec& cluster,
+                           std::size_t buffer_bytes);
 
 }  // namespace dear::sched

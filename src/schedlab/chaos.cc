@@ -1,6 +1,5 @@
 #include "schedlab/chaos.h"
 
-#include <cmath>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -16,18 +15,6 @@ namespace dear::schedlab {
 namespace {
 
 using namespace oracle;
-
-/// Absolute drift a lossy wire may add to the fp32 oracle: the envelope
-/// its fixed-world trajectory test holds (dist_optim_test's
-/// Fp16/Bf16TrajectoryNearUncompressed); 0 for fp32, which keeps Near.
-float DriftEnvelope(core::Compression compression) {
-  switch (compression) {
-    case core::Compression::kFp16: return 5e-3f;
-    case core::Compression::kBf16: return 4e-2f;
-    case core::Compression::kNone: break;
-  }
-  return 0.0f;
-}
 
 const char* OpName(comm::ReduceOp op) {
   switch (op) {
@@ -254,25 +241,21 @@ ChaosReport RunCrashRejoin(std::uint64_t seed, const ChaosOptions& options) {
   // The gradient oracle: each re-form's base parameters must equal the
   // sequential replay of the predecessor segment, and every survivor's
   // final parameters the replay of the last segment to the end of the run.
-  const float envelope = DriftEnvelope(eopts.optim.compression);
-  const auto near = [envelope](float a, float b) {
-    return envelope > 0.0f ? std::fabs(a - b) <= envelope : Near(a, b);
-  };
   for (std::size_t k = 0; v.ok && k + 1 < segs.size(); ++k) {
     const std::vector<float> replay =
         core::SequentialOracle(eopts, segs[k], segs[k + 1].first_iteration);
-    ExpectCloseAll(v,
-                   "segment " + std::to_string(k + 1) +
-                       " base vs sequential oracle",
-                   segs[k + 1].base_params, replay, near);
+    ExpectNearAll(v,
+                  "segment " + std::to_string(k + 1) +
+                      " base vs sequential oracle",
+                  segs[k + 1].base_params, replay);
   }
   if (v.ok && !segs.empty()) {
     const std::vector<float> replay =
         core::SequentialOracle(eopts, segs.back(), eopts.iterations);
-    ExpectCloseAll(
+    ExpectNearAll(
         v, "final parameters vs sequential oracle",
         report.elastic.final_params[static_cast<std::size_t>(expected_live[0])],
-        replay, near);
+        replay);
   }
 
   // Transition-log shape (the golden test pins the exact sequence; here we

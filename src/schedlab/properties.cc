@@ -408,7 +408,7 @@ PropertyReport CheckTrainingStep(Picker& picker,
         const auto shard = data.Shard(comm.rank(), world);
         train::Mlp mlp(dims, /*seed=*/21);
         core::DistOptimOptions optim_options;
-        optim_options.mode = core::ScheduleMode::kDeAR;
+        optim_options.mode = sched::PolicyKind::kDeAR;
         optim_options.buffer_bytes = 256;  // several fusion groups
         optim_options.sgd = {.lr = 0.05f, .momentum = 0.9f};
         optim_options.compression = compression;

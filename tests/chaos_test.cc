@@ -14,7 +14,7 @@
 namespace {
 
 using dear::core::Compression;
-using dear::core::ScheduleMode;
+using dear::sched::PolicyKind;
 using dear::schedlab::ChaosOptions;
 using dear::schedlab::RunCrashRejoin;
 
@@ -67,7 +67,7 @@ TEST(Chaos, PinnedLateKillExercisesEpilogueRendezvous) {
 struct Combination {
   const char* label;
   std::uint64_t seed;
-  ScheduleMode mode{ScheduleMode::kDeAR};
+  PolicyKind mode{PolicyKind::kDeAR};
   Compression wire{Compression::kNone};
   float momentum{0.0f};
   int accumulation_steps{1};
@@ -94,15 +94,15 @@ INSTANTIATE_TEST_SUITE_P(
     Options, ChaosCombination,
     ::testing::Values(
         Combination{"ring_f32", 0xC0DE0001u},
-        Combination{"ring_f16", 0xC0DE0002u, ScheduleMode::kDeAR,
+        Combination{"ring_f16", 0xC0DE0002u, PolicyKind::kDeAR,
                     Compression::kFp16},
-        Combination{"ring_bf16", 0xC0DE0003u, ScheduleMode::kDeAR,
+        Combination{"ring_bf16", 0xC0DE0003u, PolicyKind::kDeAR,
                     Compression::kBf16},
-        Combination{"zero_f32", 0xC0DE0004u, ScheduleMode::kZeRO},
-        Combination{"wfbp_f32", 0xC0DE0005u, ScheduleMode::kWFBP},
-        Combination{"momentum_f32", 0xC0DE0006u, ScheduleMode::kDeAR,
+        Combination{"zero_f32", 0xC0DE0004u, PolicyKind::kZeRO1},
+        Combination{"wfbp_f32", 0xC0DE0005u, PolicyKind::kDDP},
+        Combination{"momentum_f32", 0xC0DE0006u, PolicyKind::kDeAR,
                     Compression::kNone, 0.9f},
-        Combination{"accumulation_f32", 0xC0DE0007u, ScheduleMode::kDeAR,
+        Combination{"accumulation_f32", 0xC0DE0007u, PolicyKind::kDeAR,
                     Compression::kNone, 0.0f, 2}),
     [](const auto& info) { return std::string(info.param.label); });
 

@@ -350,7 +350,7 @@ TEST(CheckerIntegrationTest, CleanTrainingVerifies) {
   const std::vector<int> dims{8, 16, 16, 4};
   const auto data = train::MakeRegressionDataset(64, 8, 4, /*seed=*/11);
   core::DistOptimOptions optim;
-  optim.mode = core::ScheduleMode::kDeAR;
+  optim.mode = sched::PolicyKind::kDeAR;
   optim.buffer_bytes = 256;  // several fusion groups
   const auto result = core::TrainDistributed(dims, /*model_seed=*/3, data,
                                              /*iterations=*/3, /*batch=*/4,
@@ -369,8 +369,8 @@ TEST(CheckerIntegrationTest, CleanTrainingVerifiesEverySchedule) {
   constexpr int kWorld = 2;
   const auto data = train::MakeRegressionDataset(32, 8, 4, /*seed=*/5);
   for (const auto mode :
-       {core::ScheduleMode::kWFBP, core::ScheduleMode::kSequential,
-        core::ScheduleMode::kZeRO}) {
+       {sched::PolicyKind::kDDP, sched::PolicyKind::kSequential,
+        sched::PolicyKind::kZeRO1}) {
     auto& checker = Checker::Get();
     CheckerOptions options;
     options.watchdog_timeout_s = 5.0;

@@ -217,7 +217,7 @@ TEST(CliTest, ProfileCollectiveTableCountsJournalBrackets) {
 }
 
 TEST(CliTest, ProfileRejectsBadInputs) {
-  EXPECT_NE(RunDearsim({"profile", "--schedule=warp"}).code, 0);
+  EXPECT_NE(RunDearsim({"profile", "--scheduler=warp"}).code, 0);
   EXPECT_NE(RunDearsim({"profile", "--world=1"}).code, 0);
   EXPECT_NE(RunDearsim({"profile", "--model=notamodel"}).code, 0);
   // Unknown flags must be flag-parse errors, not silently ignored.
@@ -642,6 +642,23 @@ TEST(CliTest, RuntimeCommandsRejectSizesBeforeAnyRankRuns) {
     EXPECT_EQ(r.out, "") << args[0];
     for (const auto& lane : recorder.SnapshotAll())
       EXPECT_TRUE(lane.empty()) << args[0] << ": a rank ran";
+  }
+}
+
+TEST(CliTest, RuntimeCommandsRejectKindsTheRuntimeCannotExecute) {
+  // ByteScheduler (per-chunk negotiation) and ZeRO-3 are simulated only:
+  // refused before a hub exists, naming the kinds the runtime executes.
+  auto& recorder = flightrec::Recorder::Get();
+  for (const char* kind : {"--scheduler=bytescheduler", "--scheduler=zero"}) {
+    recorder.Reset();
+    const auto r = RunDearsim({"profile", "--world=2", "--iters=1", kind});
+    EXPECT_EQ(r.code, 1) << kind;
+    EXPECT_NE(r.err.find("sequential, ddp, dear and zero1"),
+              std::string::npos)
+        << r.err;
+    EXPECT_EQ(r.out, "") << kind;
+    for (const auto& lane : recorder.SnapshotAll())
+      EXPECT_TRUE(lane.empty()) << kind << ": a rank ran";
   }
 }
 

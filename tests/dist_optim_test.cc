@@ -7,17 +7,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <cstring>
 
 #include "analysis/timeline.h"
 #include "comm/worker_group.h"
 #include "core/trainer.h"
 #include "flightrec/recorder.h"
+#include "fusion/plan.h"
+#include "sched/schedule.h"
 #include "train/data.h"
 
 namespace dear::core {
 namespace {
 
+using sched::PolicyKind;
 using train::Dataset;
 using train::MakeRegressionDataset;
 using train::SgdOptions;
@@ -38,7 +42,7 @@ void ExpectTrajectoriesMatch(const ReferenceResult& ref,
 }
 
 struct ModeCase {
-  ScheduleMode mode;
+  PolicyKind mode;
   int world;
   std::size_t buffer_bytes;
   const char* label;
@@ -77,27 +81,27 @@ TEST_P(EquivalenceSweep, DistributedMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, EquivalenceSweep,
     ::testing::Values(
-        ModeCase{ScheduleMode::kDeAR, 2, 64 * 1024, "dear_p2"},
-        ModeCase{ScheduleMode::kDeAR, 4, 64 * 1024, "dear_p4"},
-        ModeCase{ScheduleMode::kDeAR, 3, 64 * 1024, "dear_p3_odd"},
-        ModeCase{ScheduleMode::kDeAR, 4, 1, "dear_p4_no_fusion"},
-        ModeCase{ScheduleMode::kDeAR, 4, 1u << 30, "dear_p4_one_group"},
-        ModeCase{ScheduleMode::kDeAR, 4, 600, "dear_p4_odd_buckets"},
-        ModeCase{ScheduleMode::kWFBP, 4, 64 * 1024, "wfbp_p4"},
-        ModeCase{ScheduleMode::kWFBP, 3, 1, "wfbp_p3_no_fusion"},
-        ModeCase{ScheduleMode::kSequential, 4, 64 * 1024, "sequential_p4"},
-        ModeCase{ScheduleMode::kDeAR, 1, 64 * 1024, "dear_single_worker"},
-        ModeCase{ScheduleMode::kDeAR, 4, 64 * 1024, "dear_p4_hierarchical",
+        ModeCase{PolicyKind::kDeAR, 2, 64 * 1024, "dear_p2"},
+        ModeCase{PolicyKind::kDeAR, 4, 64 * 1024, "dear_p4"},
+        ModeCase{PolicyKind::kDeAR, 3, 64 * 1024, "dear_p3_odd"},
+        ModeCase{PolicyKind::kDeAR, 4, 1, "dear_p4_no_fusion"},
+        ModeCase{PolicyKind::kDeAR, 4, 1u << 30, "dear_p4_one_group"},
+        ModeCase{PolicyKind::kDeAR, 4, 600, "dear_p4_odd_buckets"},
+        ModeCase{PolicyKind::kDDP, 4, 64 * 1024, "wfbp_p4"},
+        ModeCase{PolicyKind::kDDP, 3, 1, "wfbp_p3_no_fusion"},
+        ModeCase{PolicyKind::kSequential, 4, 64 * 1024, "sequential_p4"},
+        ModeCase{PolicyKind::kDeAR, 1, 64 * 1024, "dear_single_worker"},
+        ModeCase{PolicyKind::kDeAR, 4, 64 * 1024, "dear_p4_hierarchical",
                  comm::Algorithm::kHierarchical, 2},
-        ModeCase{ScheduleMode::kDeAR, 6, 600, "dear_p6_hier_rpn3",
+        ModeCase{PolicyKind::kDeAR, 6, 600, "dear_p6_hier_rpn3",
                  comm::Algorithm::kHierarchical, 3},
-        ModeCase{ScheduleMode::kZeRO, 4, 64 * 1024, "zero_p4"},
-        ModeCase{ScheduleMode::kZeRO, 3, 600, "zero_p3_odd_buckets"},
-        ModeCase{ScheduleMode::kZeRO, 4, 1, "zero_p4_per_tensor"},
-        ModeCase{ScheduleMode::kZeRO, 2, 64 * 1024, "zero_p2_momentum"},
-        ModeCase{ScheduleMode::kDeAR, 4, 64 * 1024, "dear_p4_rhd",
+        ModeCase{PolicyKind::kZeRO1, 4, 64 * 1024, "zero_p4"},
+        ModeCase{PolicyKind::kZeRO1, 3, 600, "zero_p3_odd_buckets"},
+        ModeCase{PolicyKind::kZeRO1, 4, 1, "zero_p4_per_tensor"},
+        ModeCase{PolicyKind::kZeRO1, 2, 64 * 1024, "zero_p2_momentum"},
+        ModeCase{PolicyKind::kDeAR, 4, 64 * 1024, "dear_p4_rhd",
                  comm::Algorithm::kRecursiveHalvingDoubling},
-        ModeCase{ScheduleMode::kDeAR, 8, 600, "dear_p8_rhd_buckets",
+        ModeCase{PolicyKind::kDeAR, 8, 600, "dear_p8_rhd_buckets",
                  comm::Algorithm::kRecursiveHalvingDoubling}),
     [](const auto& info) { return std::string(info.param.label); });
 
@@ -111,8 +115,8 @@ INSTANTIATE_TEST_SUITE_P(
 // lossy wire dtypes check that the owned slice is rounded exactly as the
 // all-gather rounds it for the peers.
 TEST(DistOptimTest, SchedulesAgreeBitwise) {
-  const ScheduleMode modes[] = {ScheduleMode::kDeAR, ScheduleMode::kWFBP,
-                                ScheduleMode::kSequential};
+  const PolicyKind modes[] = {PolicyKind::kDeAR, PolicyKind::kDDP,
+                                PolicyKind::kSequential};
   const Compression wires[] = {Compression::kNone, Compression::kFp16,
                                Compression::kBf16};
   const int per_worker_batch = 4;
@@ -124,7 +128,7 @@ TEST(DistOptimTest, SchedulesAgreeBitwise) {
                                      std::size_t{1024}, std::size_t{1} << 20}) {
       for (const Compression wire : wires) {
         std::vector<DistributedResult> runs;
-        for (const ScheduleMode mode : modes) {
+        for (const PolicyKind mode : modes) {
           DistOptimOptions options;
           options.mode = mode;
           options.buffer_bytes = buffer;
@@ -157,7 +161,7 @@ TEST(DistOptimTest, SchedulesAgreeBitwise) {
 TEST(DistOptimTest, LossDecreasesUnderDeAR) {
   const Dataset data = MakeRegressionDataset(64, 6, 2, 5);
   DistOptimOptions options;
-  options.mode = ScheduleMode::kDeAR;
+  options.mode = PolicyKind::kDeAR;
   options.sgd = {.lr = 0.05f, .momentum = 0.0f};
   const auto result =
       TrainDistributed(kDims, kModelSeed, data, 40, 4, 4, options);
@@ -170,7 +174,7 @@ TEST(DistOptimTest, SetBufferBytesRebucketsBetweenIterations) {
   comm::RunOnRanks(2, [&](comm::Communicator& comm) {
     train::Mlp mlp(kDims, kModelSeed);
     DistOptimOptions options;
-    options.mode = ScheduleMode::kDeAR;
+    options.mode = PolicyKind::kDeAR;
     options.buffer_bytes = 1;  // per-tensor
     DistOptim optim(comm, mlp.Spec(), mlp.Bindings(), options);
     const int before = optim.plan().num_groups();
@@ -187,7 +191,7 @@ TEST(DistOptimTest, SetBufferBytesRebucketsBetweenIterations) {
       optim.Step();
     }
     optim.Synchronize();
-    optim.SetBufferBytes(1u << 20);
+    EXPECT_TRUE(optim.SetBufferBytes(1u << 20).ok());
     EXPECT_LT(optim.plan().num_groups(), before);
     EXPECT_EQ(optim.plan().num_groups(), 1);
 
@@ -259,7 +263,7 @@ TEST(DistOptimTest, PlanCoversAllTensors) {
 TEST(DistOptimTest, Fp16CompressionKeepsRanksConsistentAndConverges) {
   const Dataset data = MakeRegressionDataset(64, 6, 2, 5);
   DistOptimOptions options;
-  options.mode = ScheduleMode::kDeAR;
+  options.mode = PolicyKind::kDeAR;
   options.compression = Compression::kFp16;
   options.sgd = {.lr = 0.05f, .momentum = 0.0f};
   const auto result =
@@ -272,7 +276,7 @@ TEST(DistOptimTest, Fp16CompressionKeepsRanksConsistentAndConverges) {
 TEST(DistOptimTest, Fp16TrajectoryNearUncompressed) {
   const Dataset data = MakeRegressionDataset(64, 6, 2, 5);
   DistOptimOptions plain;
-  plain.mode = ScheduleMode::kDeAR;
+  plain.mode = PolicyKind::kDeAR;
   plain.sgd = {.lr = 0.02f, .momentum = 0.0f};
   DistOptimOptions fp16 = plain;
   fp16.compression = Compression::kFp16;
@@ -288,7 +292,7 @@ TEST(DistOptimTest, Fp16TrajectoryNearUncompressed) {
 TEST(DistOptimTest, Bf16CompressionKeepsRanksConsistentAndConverges) {
   const Dataset data = MakeRegressionDataset(64, 6, 2, 5);
   DistOptimOptions options;
-  options.mode = ScheduleMode::kDeAR;
+  options.mode = PolicyKind::kDeAR;
   options.compression = Compression::kBf16;
   options.sgd = {.lr = 0.05f, .momentum = 0.0f};
   const auto result =
@@ -301,7 +305,7 @@ TEST(DistOptimTest, Bf16CompressionKeepsRanksConsistentAndConverges) {
 TEST(DistOptimTest, Bf16TrajectoryNearUncompressed) {
   const Dataset data = MakeRegressionDataset(64, 6, 2, 5);
   DistOptimOptions plain;
-  plain.mode = ScheduleMode::kDeAR;
+  plain.mode = PolicyKind::kDeAR;
   plain.sgd = {.lr = 0.02f, .momentum = 0.0f};
   DistOptimOptions bf16 = plain;
   bf16.compression = Compression::kBf16;
@@ -329,7 +333,7 @@ TEST_P(AccumulationSweep, MatchesAccumulatingReference) {
   const auto ref = TrainReference(kDims, kModelSeed, data, iterations,
                                   world * batch, sgd, accumulation);
   DistOptimOptions options;
-  options.mode = ScheduleMode::kDeAR;
+  options.mode = PolicyKind::kDeAR;
   options.accumulation_steps = accumulation;
   options.sgd = sgd;
   const auto dist = TrainDistributed(kDims, kModelSeed, data,
@@ -410,6 +414,150 @@ TEST(DistOptimTest, StatsAccountForWaits) {
     waited_ms += rank.iter_ms - rank.compute_ms;
   }
   EXPECT_GT(waited_ms, 0.0);
+}
+
+// The runtime executes the simulator's schedule table: on every rank and
+// in every iteration, the launch records name the table's collective rows
+// in the order their triggers fire (BP of the last layer first, the OP1
+// sync last; rows sharing a trigger in row order). kSequential's rows all
+// follow BP_0, so it launches first group to last.
+TEST(DistOptimTest, LaunchesFollowTheScheduleTable) {
+  constexpr int kWorld = 4;
+  constexpr int kIterations = 3;
+  struct Model {
+    std::vector<int> dims;
+    std::size_t buffer_bytes;
+  };
+  const Model models[] = {{{6, 10, 8, 2}, 128}, {{8, 24, 16, 16, 4}, 600}};
+  for (const PolicyKind kind : {PolicyKind::kSequential, PolicyKind::kDDP,
+                                PolicyKind::kDeAR, PolicyKind::kZeRO1}) {
+    for (const Model& model : models) {
+      SCOPED_TRACE(sched::PolicyName(kind) + " buffer " +
+                   std::to_string(model.buffer_bytes));
+      const model::ModelSpec spec = train::Mlp(model.dims, kModelSeed).Spec();
+      const fusion::FusionPlan plan =
+          fusion::ByBufferBytes(spec, model.buffer_bytes);
+      sched::ScheduleTable table;
+      table.Build(kind, spec, plan, /*op1_barrier=*/true,
+                  /*partition_bytes=*/0);
+      std::vector<int> expected;  // one iteration's launch order
+      for (int l = spec.num_layers() - 1; l >= 0; --l)
+        for (int r = 0; r < static_cast<int>(table.rows().size()); ++r)
+          if (table.rows()[static_cast<std::size_t>(r)].after_layer == l)
+            expected.push_back(r);
+      for (int r = 0; r < static_cast<int>(table.rows().size()); ++r)
+        if (table.rows()[static_cast<std::size_t>(r)].after_row >= 0)
+          expected.push_back(r);
+      ASSERT_GT(plan.num_groups(), 1);
+
+      auto& recorder = flightrec::Recorder::Get();
+      recorder.Reset();
+      DistOptimOptions options;
+      options.mode = kind;
+      options.buffer_bytes = model.buffer_bytes;
+      const auto data = MakeRegressionDataset(kWorld * 8, model.dims.front(),
+                                              model.dims.back(), 5);
+      const auto result = TrainDistributed(model.dims, kModelSeed, data,
+                                           kIterations, 2, kWorld, options);
+      ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+      EXPECT_TRUE(result.params_consistent);
+
+      const auto journal = recorder.SnapshotAll();
+      ASSERT_GE(journal.size(), static_cast<std::size_t>(kWorld));
+      for (int rank = 0; rank < kWorld; ++rank) {
+        std::vector<int> launched;
+        for (const auto& rec : journal[static_cast<std::size_t>(rank)]) {
+          const auto ev = static_cast<flightrec::EventKind>(rec.kind);
+          if (ev != flightrec::EventKind::kRsLaunch &&
+              ev != flightrec::EventKind::kAgLaunch)
+            continue;
+          ASSERT_LT(rec.peer, table.rows().size());
+          EXPECT_EQ(static_cast<int>(rec.tag), table.rows()[rec.peer].group);
+          launched.push_back(rec.peer);
+        }
+        ASSERT_EQ(launched.size(), expected.size() * kIterations)
+            << "rank " << rank;
+        const auto period = static_cast<std::ptrdiff_t>(expected.size());
+        for (int it = 0; it < kIterations; ++it)
+          EXPECT_TRUE(std::equal(expected.begin(), expected.end(),
+                                 launched.begin() + it * period))
+              << "rank " << rank << " iteration " << it;
+      }
+    }
+  }
+}
+
+// Every combination ValidateOptions refuses, each alone.
+TEST(DistOptimTest, ValidateOptionsRejectsWhatTheRuntimeCannotRun) {
+  const auto rejects = [](const DistOptimOptions& o, int world,
+                          const std::string& why) {
+    const Status st = ValidateOptions(o, world);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << why;
+    EXPECT_NE(st.message().find(why), std::string::npos) << st.ToString();
+  };
+  const DistOptimOptions ok;
+  EXPECT_TRUE(ValidateOptions(ok, 4).ok());
+  for (const PolicyKind kind :
+       {PolicyKind::kWFBP, PolicyKind::kHorovod, PolicyKind::kMGWFBP,
+        PolicyKind::kByteScheduler, PolicyKind::kZeRO}) {
+    DistOptimOptions o;
+    o.mode = kind;
+    rejects(o, 4, "not " + sched::PolicyName(kind));
+  }
+  DistOptimOptions zero1_tree;
+  zero1_tree.mode = PolicyKind::kZeRO1;
+  zero1_tree.algorithm = comm::Algorithm::kHierarchical;
+  zero1_tree.ranks_per_node = 2;
+  rejects(zero1_tree, 4, "zero1 requires ring");
+  DistOptimOptions tree;
+  tree.algorithm = comm::Algorithm::kDoubleBinaryTree;
+  rejects(tree, 4, "algorithm");
+  DistOptimOptions hier;
+  hier.algorithm = comm::Algorithm::kHierarchical;
+  hier.ranks_per_node = 3;
+  rejects(hier, 4, "ranks_per_node");
+  hier.ranks_per_node = 2;
+  EXPECT_TRUE(ValidateOptions(hier, 4).ok());
+  DistOptimOptions rhd;
+  rhd.algorithm = comm::Algorithm::kRecursiveHalvingDoubling;
+  rejects(rhd, 6, "power-of-two");
+  EXPECT_TRUE(ValidateOptions(rhd, 8).ok());
+  DistOptimOptions elastic = rhd;
+  elastic.elastic = true;
+  rejects(elastic, 8, "elastic");
+  DistOptimOptions accumulation;
+  accumulation.accumulation_steps = 0;
+  rejects(accumulation, 4, "accumulation_steps");
+
+  // TrainDistributed refuses before any rank runs.
+  auto& recorder = flightrec::Recorder::Get();
+  recorder.Reset();
+  const auto data = MakeRegressionDataset(16, kDims.front(), kDims.back(), 3);
+  const auto result =
+      TrainDistributed(kDims, kModelSeed, data, 2, 2, 6, rhd);
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(result.params.empty());
+  for (const auto& lane : recorder.SnapshotAll()) EXPECT_TRUE(lane.empty());
+}
+
+// Re-bucketing moves ZeRO-1's slice ownership: refused with momentum
+// (the sharded velocity would be orphaned), allowed without.
+TEST(DistOptimTest, SetBufferBytesRejectsZeRO1WithMomentum) {
+  comm::RunOnRanks(2, [&](comm::Communicator& comm) {
+    for (const float momentum : {0.9f, 0.0f}) {
+      train::Mlp mlp(kDims, kModelSeed);
+      DistOptimOptions options;
+      options.mode = PolicyKind::kZeRO1;
+      options.buffer_bytes = 64;  // several groups; 1 MiB makes one
+      options.sgd.momentum = momentum;
+      DistOptim optim(comm, mlp.Spec(), mlp.Bindings(), options);
+      const int groups = optim.plan().num_groups();
+      const Status st = optim.SetBufferBytes(1u << 20);
+      EXPECT_EQ(st.ok(), momentum == 0.0f) << st.ToString();
+      EXPECT_EQ(optim.plan().num_groups() == groups, momentum != 0.0f);
+      EXPECT_FALSE(optim.SetBufferBytes(0).ok());
+    }
+  });
 }
 
 TEST(DistOptimDeathTest, BindingSizeMismatchRejected) {

@@ -47,24 +47,6 @@ std::size_t BufferBytes(double mb) {
 }
 
 /// The fusion plan `compare` gives each policy.
-sched::PolicyConfig CompareConfig(sched::PolicyKind kind,
-                                  const dear::model::ModelSpec& m,
-                                  const sched::ClusterSpec& cluster) {
-  sched::PolicyConfig cfg;
-  cfg.kind = kind;
-  if (kind == sched::PolicyKind::kWFBP ||
-      kind == sched::PolicyKind::kByteScheduler ||
-      kind == sched::PolicyKind::kSequential) {
-    cfg.plan = dear::fusion::PerTensor(m);
-  } else if (kind == sched::PolicyKind::kMGWFBP) {
-    cfg.plan = dear::fusion::MergeGradientsWisely(m, cluster.network.alpha_s,
-                                                  cluster.world_size);
-  } else {
-    cfg.plan = dear::fusion::ByBufferBytes(m, BufferBytes(kBufferMb));
-  }
-  return cfg;
-}
-
 std::string HexFloat(double x) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%a", x);
@@ -89,7 +71,8 @@ std::string RenderCells(const Visit& visit = {}) {
           sched::ClusterSpec cluster;
           cluster.world_size = world;
           cluster.network = net;
-          const auto compare = CompareConfig(kind, m, cluster);
+          const auto compare =
+              sched::DefaultConfig(kind, m, cluster, BufferBytes(kBufferMb));
           if (visit) visit(m, cluster, compare);
           const auto r = sched::EvaluatePolicy(m, cluster, compare);
           out << m.name() << " " << sched::PolicyName(kind) << " w" << world

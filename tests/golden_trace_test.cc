@@ -38,7 +38,7 @@ std::vector<std::vector<std::string>> CollectGroupSchedule() {
   const auto data = dear::train::MakeRegressionDataset(
       /*num_samples=*/16, /*input_dim=*/6, /*output_dim=*/2, /*seed=*/11);
   dear::core::DistOptimOptions options;
-  options.mode = dear::core::ScheduleMode::kDeAR;
+  options.mode = dear::sched::PolicyKind::kDeAR;
   options.buffer_bytes = 128;  // small on purpose: several fusion groups
   options.sgd = {.lr = 0.05f, .momentum = 0.9f};
   const auto result = dear::core::TrainDistributed(

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "model/zoo.h"
+#include "sched/runner.h"
 #include "sim/engine.h"
 #include "sim_reference.h"
 #include "sim_unroll.h"
@@ -118,7 +119,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PolicyKind::kSequential, PolicyKind::kWFBP,
                       PolicyKind::kDDP, PolicyKind::kHorovod,
                       PolicyKind::kMGWFBP, PolicyKind::kByteScheduler,
-                      PolicyKind::kDeAR, PolicyKind::kZeRO),
+                      PolicyKind::kDeAR, PolicyKind::kZeRO,
+                      PolicyKind::kZeRO1),
     [](const auto& info) {
       std::string name = PolicyName(info.param);
       for (char& c : name)
@@ -244,6 +246,22 @@ TEST(PoliciesTest, ZeROCommunicatesMoreThanDeAR) {
       BuildTaskGraph(m, cluster, Config(PolicyKind::kZeRO, m), 4).graph, {});
   ASSERT_TRUE(dear_sim.ok() && zero_sim.ok());
   EXPECT_GT(zero_sim->makespan, dear_sim->makespan);
+}
+
+// ZeRO-1 runs DeAR's rows; only its all-gather differs, carrying fp32
+// parameters that compression does not shrink.
+TEST(PoliciesTest, ZeRO1PricesDeARsRowsWithAnUncompressedGather) {
+  const auto m = model::ByName("resnet50");
+  ClusterSpec cluster;
+  cluster.world_size = 16;
+  const auto iter = [&](PolicyKind kind, double ratio) {
+    auto cfg = DefaultConfig(kind, m, cluster, 25u << 20);
+    cfg.compression_ratio = ratio;
+    return EvaluatePolicy(m, cluster, cfg).iter_time;
+  };
+  EXPECT_EQ(iter(PolicyKind::kZeRO1, 1.0), iter(PolicyKind::kDeAR, 1.0));
+  EXPECT_GE(iter(PolicyKind::kZeRO1, 0.5), iter(PolicyKind::kDeAR, 0.5));
+  EXPECT_GT(iter(PolicyKind::kZeRO1, 0.5), iter(PolicyKind::kZeRO1, 1.0) / 2);
 }
 
 TEST(PoliciesTest, Op1BarrierAblation) {
@@ -381,21 +399,6 @@ void ExpectPeriodicMatchesUnrolled(const model::ModelSpec& m,
 }
 
 /// The plan `dearsim compare` gives each policy.
-PolicyConfig CompareConfig(PolicyKind kind, const model::ModelSpec& m,
-                           const ClusterSpec& cluster) {
-  PolicyConfig cfg;
-  cfg.kind = kind;
-  if (kind == PolicyKind::kWFBP || kind == PolicyKind::kByteScheduler ||
-      kind == PolicyKind::kSequential)
-    cfg.plan = fusion::PerTensor(m);
-  else if (kind == PolicyKind::kMGWFBP)
-    cfg.plan = fusion::MergeGradientsWisely(m, cluster.network.alpha_s,
-                                            cluster.world_size);
-  else
-    cfg.plan = fusion::ByBufferBytes(m, 25u << 20);
-  return cfg;
-}
-
 std::vector<model::ModelSpec> ZooModels() {
   auto models = model::PaperModels();
   for (auto& m : model::ExtensionModels()) models.push_back(std::move(m));
@@ -416,13 +419,14 @@ TEST_P(PeriodicEquivalence, EveryPolicyMatchesItsUnrolledGraph) {
            {PolicyKind::kSequential, PolicyKind::kWFBP, PolicyKind::kDDP,
             PolicyKind::kHorovod, PolicyKind::kMGWFBP,
             PolicyKind::kByteScheduler, PolicyKind::kDeAR,
-            PolicyKind::kZeRO}) {
+            PolicyKind::kZeRO, PolicyKind::kZeRO1}) {
         for (const int iterations : {1, 2, 3, 8}) {
           SCOPED_TRACE(m.name() + " x" + std::to_string(world) + " " +
                        net.name + " " + PolicyName(kind) + " iterations " +
                        std::to_string(iterations));
           ExpectPeriodicMatchesUnrolled(
-              m, cluster, CompareConfig(kind, m, cluster), iterations);
+              m, cluster, DefaultConfig(kind, m, cluster, 25u << 20),
+              iterations);
         }
       }
     }
@@ -434,7 +438,7 @@ TEST_P(PeriodicEquivalence, AblationsMatchTheirUnrolledGraphs) {
   ClusterSpec cluster;
   cluster.world_size = 16;
   std::vector<std::pair<std::string, PolicyConfig>> variants;
-  const auto dear = CompareConfig(PolicyKind::kDeAR, m, cluster);
+  const auto dear = DefaultConfig(PolicyKind::kDeAR, m, cluster, 25u << 20);
   auto v = dear;
   v.dear_op1_barrier = false;
   variants.emplace_back("no OP1 barrier", v);
@@ -453,7 +457,7 @@ TEST_P(PeriodicEquivalence, AblationsMatchTheirUnrolledGraphs) {
     variants.emplace_back(comm::AlgorithmName(alg), v);
   }
   for (const std::size_t bytes : {std::size_t{0}, std::size_t{1} << 20}) {
-    v = CompareConfig(PolicyKind::kByteScheduler, m, cluster);
+    v = DefaultConfig(PolicyKind::kByteScheduler, m, cluster, 25u << 20);
     v.partition_bytes = bytes;
     variants.emplace_back("partition " + std::to_string(bytes), v);
   }

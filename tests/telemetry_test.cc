@@ -349,7 +349,7 @@ TEST(TelemetryIntegrationTest, ZeroFp16SplitsWireBytesByBracketDtype) {
   recorder.Reset();
   const auto data = train::MakeRegressionDataset(64, 8, 4, /*seed=*/11);
   core::DistOptimOptions options;
-  options.mode = core::ScheduleMode::kZeRO;
+  options.mode = sched::PolicyKind::kZeRO1;
   options.compression = core::Compression::kFp16;
   options.buffer_bytes = 256;  // several fusion groups
   core::TrainDistributed({8, 16, 16, 4}, /*model_seed=*/3, data,
@@ -382,7 +382,7 @@ TEST(TelemetryIntegrationTest, TrainDistributedJournalsPerRankCollectives) {
   const std::vector<int> dims{8, 16, 16, 4};
   const auto data = train::MakeRegressionDataset(64, 8, 4, /*seed=*/11);
   core::DistOptimOptions options;
-  options.mode = core::ScheduleMode::kDeAR;
+  options.mode = sched::PolicyKind::kDeAR;
   options.buffer_bytes = 256;  // several fusion groups
   const auto result =
       core::TrainDistributed(dims, /*model_seed=*/3, data, kIterations,
@@ -444,7 +444,7 @@ TEST(TelemetryIntegrationTest, TrainDistributedJournalsPerRankCollectives) {
 // fused all-reduce path).
 TEST(TelemetryIntegrationTest, AttributionDecompositionSumsToIterationTime) {
   for (const auto mode :
-       {core::ScheduleMode::kDeAR, core::ScheduleMode::kWFBP}) {
+       {sched::PolicyKind::kDeAR, sched::PolicyKind::kDDP}) {
     constexpr int kWorld = 3;
     auto& recorder = flightrec::Recorder::Get();
     recorder.Reset();

@@ -86,6 +86,18 @@ Rules (suppress one occurrence with `// lint: allow(<rule>)` on the line):
                       replays the other. A ZeroGrad() call anywhere else in
                       the library is a second loop whose batch rule or SGD
                       can drift from theirs.
+  one-schedule-enum   The runtime runs sched::PolicyKind, the kinds the
+                      simulator prices; `dearsim` has one schedule flag,
+                      --scheduler. A `ScheduleMode` outside its one alias
+                      line in src/core/dist_optim.h (kept for the
+                      repository benchmark) or a `--schedule=` in code or
+                      in the docs (README, DESIGN, TESTING, EXPERIMENTS,
+                      the verify skill notes) is the second enum or flag
+                      coming back.
+  schedule-from-table (src/core/dist_optim.cc only) DistOptim executes the
+                      rows of sched::ScheduleTable. A `PolicyKind::` value
+                      named outside a Validate* function is a per-kind
+                      switch re-deriving the schedule by hand.
   single-alloc-counter
                       Global operator new is replaced in exactly one file,
                       src/perflab/alloc_counter.cc (the per-thread counter
@@ -269,6 +281,21 @@ OPTIM_CLOCK_RE = re.compile(r"\bsteady_clock\b|\bflightrec::NowNs\b")
 TRAINING_LOOP_DIR = "src/"
 TRAINING_LOOP_FILE = "src/core/trainer.cc"
 ZERO_GRAD_CALL_RE = re.compile(r"(?:\.|->)\s*ZeroGrad\s*\(")
+
+# The runtime's schedule enum and flag: one of each.
+SCHEDULE_MODE_RE = re.compile(r"\bScheduleMode\b")
+SCHEDULE_MODE_ALIAS = "using ScheduleMode = sched::PolicyKind;"
+SCHEDULE_MODE_ALIAS_FILE = "src/core/dist_optim.h"
+OLD_SCHEDULE_FLAG_RE = re.compile(r"--schedule=")
+# Docs a reader copies commands from (history records like CHANGES.md and
+# ROADMAP.md are exempt).
+DOC_FILES = ("README.md", "DESIGN.md", "TESTING.md", "EXPERIMENTS.md",
+             os.path.join(".claude", "skills", "verify", "SKILL.md"))
+
+# DistOptim runs the schedule table: PolicyKind values only in validation.
+SCHEDULE_FROM_TABLE_FILE = "src/core/dist_optim.cc"
+POLICY_KIND_VALUE_RE = re.compile(r"\bPolicyKind::")
+VALIDATE_DEF_RE = re.compile(r"^\S.*\bValidate\w*\(")
 
 # The one file allowed to define a global operator new.
 ALLOC_COUNTER_FILE = "src/perflab/alloc_counter.cc"
@@ -469,6 +496,34 @@ class Linter:
                         "with core::Replay (core/trainer.h)",
                         raw_line(i))
 
+        # Rule: one-schedule-enum (raw lines: flags live in strings).
+        for i in range(len(lines)):
+            text = raw_line(i)
+            if (SCHEDULE_MODE_RE.search(text) and
+                    not (norm.endswith(SCHEDULE_MODE_ALIAS_FILE) and
+                         text.strip() == SCHEDULE_MODE_ALIAS)) or \
+                    OLD_SCHEDULE_FLAG_RE.search(text):
+                self.report(
+                    path, i + 1, "one-schedule-enum",
+                    "the runtime takes sched::PolicyKind and dearsim's one "
+                    "schedule flag is --scheduler",
+                    text)
+
+        # Rule: schedule-from-table (validation functions exempt).
+        if norm.endswith(SCHEDULE_FROM_TABLE_FILE):
+            in_validate = False
+            for i, line in enumerate(lines):
+                if VALIDATE_DEF_RE.search(line):
+                    in_validate = True
+                elif line.startswith("}"):
+                    in_validate = False
+                elif not in_validate and POLICY_KIND_VALUE_RE.search(line):
+                    self.report(
+                        path, i + 1, "schedule-from-table",
+                        "per-kind branch in DistOptim — launch and wait on "
+                        "the rows of sched::ScheduleTable",
+                        raw_line(i))
+
         # Rule: single-alloc-counter (the counter's own file exempt).
         if not norm.endswith(ALLOC_COUNTER_FILE):
             for i, line in enumerate(lines):
@@ -489,6 +544,16 @@ class Linter:
                         "`using namespace` in a header leaks into every "
                         "includer",
                         raw_line(i))
+
+
+    def lint_doc(self, path):
+        """one-schedule-enum over a markdown doc: no `--schedule=`."""
+        with open(path, encoding="utf-8", errors="replace") as f:
+            for i, text in enumerate(f.read().split("\n")):
+                if OLD_SCHEDULE_FLAG_RE.search(text):
+                    self.report(path, i + 1, "one-schedule-enum",
+                                "dearsim's one schedule flag is --scheduler",
+                                text)
 
 
 def collect_files(root, explicit):
@@ -566,6 +631,34 @@ void Train() {
 }
 """
 
+# Linted as src/core/dist_optim.cc, where schedule-from-table applies.
+SELFTEST_OPTIM_SOURCE = """\
+Status ValidateOptions(const DistOptimOptions& options, int world) {
+  if (options.mode == sched::PolicyKind::kZeRO1) return Status::Ok();
+  return Status::Ok();
+}
+void DistOptim::Step() {
+  if (options_.mode == sched::PolicyKind::kDeAR) return;  // finding: schedule-from-table
+  if (options_.mode == sched::PolicyKind::kDDP) return;  // suppressed: lint: allow(schedule-from-table)
+  core::ScheduleMode mode = core::ScheduleMode::kDeAR;  // finding: one-schedule-enum
+  const char* flag = "--schedule=dear";  // finding: one-schedule-enum
+  const char* ok = "--scheduler=dear";
+}
+"""
+
+# Linted as src/core/dist_optim.h: the benchmark's alias line is allowed
+# there, and nowhere else.
+SELFTEST_OPTIM_HEADER = """\
+using ScheduleMode = sched::PolicyKind;
+enum class ScheduleMode { kDeAR };  // finding: one-schedule-enum
+"""
+
+# Linted as README.md.
+SELFTEST_DOC = """\
+    dearsim profile --scheduler=dear
+    dearsim profile --schedule=dear
+"""
+
 # Linted as src/telemetry/selftest_snippet.h, where telemetry-no-collectives
 # applies.
 SELFTEST_TELEMETRY_SOURCE = """\
@@ -590,6 +683,8 @@ SELFTEST_EXPECT = {
     "telemetry-export-only": 4,  # the fifth is suppressed
     "telemetry-no-collectives": 1,  # the second is suppressed
     "comm-no-analysis": 1,  # the second is suppressed
+    "schedule-from-table": 1,  # one in ValidateOptions, one suppressed
+    "one-schedule-enum": 4,  # code x2, header enum, README; alias exempt
 }
 
 
@@ -610,12 +705,20 @@ def selftest():
                 (os.path.join("src", "core", "trainer.cc"),
                  SELFTEST_CORE_SOURCE),
                 (os.path.join("src", "telemetry", "selftest_snippet.h"),
-                 SELFTEST_TELEMETRY_SOURCE)):
+                 SELFTEST_TELEMETRY_SOURCE),
+                (os.path.join("src", "core", "dist_optim.cc"),
+                 SELFTEST_OPTIM_SOURCE),
+                (os.path.join("src", "core", "dist_optim.h"),
+                 SELFTEST_OPTIM_HEADER),
+                ("README.md", SELFTEST_DOC)):
             path = os.path.join(tmpdir, rel)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             with open(path, "w", encoding="utf-8") as f:
                 f.write(source)
-            linter.lint_file(path)
+            if rel.endswith(".md"):
+                linter.lint_doc(path)
+            else:
+                linter.lint_file(path)
     got = {}
     for _, _, rule, _ in linter.findings:
         got[rule] = got.get(rule, 0) + 1
@@ -648,6 +751,10 @@ def main(argv):
     linter = Linter()
     for path in files:
         linter.lint_file(path)
+    if not args.paths:
+        for doc in DOC_FILES:
+            if os.path.exists(os.path.join(args.root, doc)):
+                linter.lint_doc(os.path.join(args.root, doc))
 
     for path, line_no, rule, message in linter.findings:
         rel = os.path.relpath(path, args.root)
